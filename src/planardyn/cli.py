@@ -14,6 +14,7 @@ machine floats instead.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,25 +26,22 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     DomainError,
     make_context,
+    parse_rational,
 )
 from .plane_map import lifted_orbit
 from .square_map import NAMED_POINTS, region_of
 from .strips import strip_locate, strip_table
 
-MAP_IDS = ("f01", "phi", "f02", "Phi", "eta", "zeta", "f", "xi", "g", "h", "example12")
-SUITES = ("core", "xi", "plane", "all")
+MAP_IDS = tuple(dynamics.map_registry(None))
+SUITES = tuple(dynamics.SUITE_TABLE)
 
 
 def _parse_point(text: str, arity: int, approx: bool):
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != arity:
         raise DomainError(f"expected {arity} comma-separated components, got {text!r}")
-    if approx:
-        return tuple(float(part) for part in parts)
-    try:
-        return tuple(Fraction(part) for part in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse {text!r} as rationals: {exc}") from exc
+    parse = float if approx else parse_rational
+    return tuple(parse(part) for part in parts)
 
 
 def _parse_steps(text: str):
@@ -71,9 +69,17 @@ def _fmt_point(point, ctx) -> str:
 def _json_value(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (int, float)):
-        return float(value)
     return float(value)  # big floats lose digits here on purpose: JSON is double
+
+
+def _emit(text: str, path=None) -> None:
+    """Write text to the file at path and say so, or to stdout without a path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"wrote {path}")
 
 
 def _arity(spec) -> int:
@@ -82,8 +88,7 @@ def _arity(spec) -> int:
 
 def cmd_eval(args) -> int:
     ctx = make_context(args.precision)
-    registry = dynamics.map_registry(ctx)
-    spec = registry[args.map]
+    spec = dynamics.map_registry(ctx)[args.map]
     point = _parse_point(args.point, _arity(spec), args.approx)
     fn = spec.inverse if args.inverse else spec.forward
     if fn is None:
@@ -102,9 +107,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _orbit_rows(record, ctx):
+def _orbit_rows(record):
     rows = []
-    for n, point, _ in record.entries:
+    for n, point in record.entries:
         row = {"n": n, "x": _json_value(point[0])}
         if len(point) > 1:
             row["y"] = _json_value(point[1])
@@ -112,36 +117,31 @@ def _orbit_rows(record, ctx):
     return rows
 
 
-def _write_orbit_json(record, ctx, out):
+def _orbit_json(record, ctx) -> str:
     payload = {
         "map": record.map_id,
         "seed": [_json_value(v) for v in record.seed],
         "arithmetic": record.arithmetic,
-        "points": _orbit_rows(record, ctx),
+        "points": _orbit_rows(record),
         "metadata": {
             "precision": getattr(ctx, "prec", 53),
             "sampler_seed": None,
-            "tolerances": {
-                "chart_roundtrip": DEFAULT_TOLERANCES.chart_roundtrip,
-                "commutation": DEFAULT_TOLERANCES.commutation,
-                "limitset": DEFAULT_TOLERANCES.limitset,
-                "horizon": DEFAULT_TOLERANCES.horizon,
-            },
+            "tolerances": dataclasses.asdict(DEFAULT_TOLERANCES),
         },
     }
-    out.write(json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_orbit_csv(record, out):
-    scalar = all(len(p) == 1 for _, p, _ in record.entries)
-    out.write("n,x\n" if scalar else "n,x,y\n")
-    for n, point, _ in record.entries:
-        cols = [str(n)] + [repr(float(v)) for v in point]
-        out.write(",".join(cols) + "\n")
+def _orbit_csv(record) -> str:
+    scalar = all(len(p) == 1 for _, p in record.entries)
+    lines = ["n,x" if scalar else "n,x,y"]
+    for n, point in record.entries:
+        lines.append(",".join([str(n)] + [repr(float(v)) for v in point]))
+    return "\n".join(lines) + "\n"
 
 
-def _write_orbit_svg(record, out):
-    pts = [(float(p[0]), float(p[1]) if len(p) > 1 else 0.0) for _, p, _ in record.entries]
+def _orbit_svg(record) -> str:
+    pts = [(float(p[0]), float(p[1]) if len(p) > 1 else 0.0) for _, p in record.entries]
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
@@ -166,7 +166,7 @@ def _write_orbit_svg(record, out):
     lines.append(
         f'<polyline points="{path}" fill="none" stroke="#888" stroke-width="1"/>'
     )
-    for (x, y), (n, _, _) in zip(pts, record.entries):
+    for (x, y), (n, _) in zip(pts, record.entries):
         lines.append(
             f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#c22"/>'
         )
@@ -176,27 +176,20 @@ def _write_orbit_svg(record, out):
                 f'font-size="11">n={n}</text>'
             )
     lines.append("</svg>")
-    out.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_orbit(args) -> int:
     ctx = make_context(args.precision)
-    registry = dynamics.map_registry(ctx)
-    spec = registry[args.map]
+    spec = dynamics.map_registry(ctx)[args.map]
     seed = _parse_point(args.seed, _arity(spec), args.approx)
     record = dynamics.orbit(spec, seed, _parse_steps(args.steps))
     writers = {
-        "json": lambda out: _write_orbit_json(record, ctx, out),
-        "csv": lambda out: _write_orbit_csv(record, out),
-        "svg": lambda out: _write_orbit_svg(record, out),
+        "json": lambda: _orbit_json(record, ctx),
+        "csv": lambda: _orbit_csv(record),
+        "svg": lambda: _orbit_svg(record),
     }
-    write = writers[args.format]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write(handle)
-        print(f"wrote {args.out}")
-    else:
-        write(sys.stdout)
+    _emit(writers[args.format](), args.out)
     return 0
 
 
@@ -215,10 +208,7 @@ def cmd_verify(args) -> int:
     total = len(report["certificates"])
     print(f"suite {args.suite}: {'PASS' if report['passed'] else 'FAIL'} ({n_pass}/{total})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
+        _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if report["passed"] else 1
 
 
@@ -271,9 +261,7 @@ def _geometry_svg(max_level: int) -> str:
 def cmd_geometry(args) -> int:
     print(json.dumps(strip_table(args.max_level), indent=2))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(_geometry_svg(args.max_level))
-        print(f"wrote {args.out}")
+        _emit(_geometry_svg(args.max_level), args.out)
     return 0
 
 
@@ -287,13 +275,7 @@ def cmd_excursion(args) -> int:
     for n, y in lifted_orbit(seed, (-steps, steps), ctx):
         norm = math.hypot(float(y[0]), float(y[1]))
         rows.append(f"{n},{'-inf' if norm == 0 else repr(math.log10(norm))}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(rows) + "\n", args.out)
     return 0
 
 
@@ -359,10 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,8 +52,13 @@ SLIT_OUTER = (Fraction(1, 2), Fraction(0))
 SLIT_ARC_DENOM = 32768
 
 
-@lru_cache(maxsize=None)
 def _consts(ctx):
+    # keyed on the precision too: a context's precision can change after use
+    return _consts_at(ctx, ctx.prec)
+
+
+@lru_cache(maxsize=None)
+def _consts_at(ctx, prec):
     pi = +ctx.pi
     return {
         "pi": pi,
@@ -65,7 +70,7 @@ def _consts(ctx):
         "one": to_bigfloat(1, ctx),
         "zero": to_bigfloat(0, ctx),
         "half": to_bigfloat(Fraction(1, 2), ctx),
-        "snap": to_bigfloat(Fraction(1, 2 ** max(getattr(ctx, "prec", 53) - 8, 16)), ctx),
+        "snap": to_bigfloat(Fraction(1, 2 ** max(prec - 8, 16)), ctx),
     }
 
 

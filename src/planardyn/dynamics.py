@@ -6,14 +6,17 @@ values: exact claims (boundary identity, monotone shear ladder, positive
 displacement, orientation signs) carry exact evidence, floating-point
 claims carry the tolerances they were checked at.  The same certificate
 producers back both entry points, so a green verify run and a green test
-suite are the same statement.
+suite are the same statement.  ``SUITE_TABLE`` lists each suite's checks
+in report order, with the sampler-seed offset of each; ``run_suite`` runs it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath
 from fractions import Fraction
@@ -38,6 +41,7 @@ from .plane_map import (
     example_shift_reflection,
     lifted_core,
     lifted_orbit,
+    on_ray,
     plane_homeo,
     quotient_square_map,
     tangent_chart,
@@ -64,6 +68,10 @@ from .strips import (
 
 DEFAULT_SAMPLER_SEED = 12021
 
+CORNERS_TOP = [(-1.0, 1.0), (1.0, 1.0)]
+CORNERS_BOTTOM = [(-1.0, -1.0), (1.0, -1.0)]
+LIMIT_PAIR = [(-1.0, 0.0), (1.0, 0.0)]
+
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -84,7 +92,7 @@ class OrbitRecord:
     map_id: str
     seed: tuple
     arithmetic: str  # "exact" | "bigfloat"
-    entries: Tuple[tuple, ...]  # (n, point, abscissa), n contiguous
+    entries: Tuple[tuple, ...]  # (n, point), n contiguous
 
 
 @dataclass(frozen=True)
@@ -105,91 +113,53 @@ class Certificate:
     evidence: dict
 
 
-def map_registry(ctx, shear_index: int = 1) -> Dict[str, MapSpec]:
+def _invertible(name: str, domain: str, fn: Callable, *ctx, **extra) -> MapSpec:
+    """Spec of a map written as ``fn(p[, ctx], inverse=False)``; it is exact
+    unless bound to a context."""
+    return MapSpec(
+        name,
+        domain,
+        not ctx,
+        lambda p: fn(p, *ctx),
+        lambda p: fn(p, *ctx, inverse=True),
+        **extra,
+    )
+
+
+def map_registry(ctx) -> Dict[str, MapSpec]:
     """All maps addressable by id.  Exact maps take and return rationals;
     chart-based maps are bound to the given context."""
-    return {
-        "f01": MapSpec(
-            "f01",
-            "interval",
-            True,
-            lambda t: pl_eval(SHIFT_PROFILE, t),
-            lambda t: pl_eval(SHIFT_PROFILE, t, inverse=True),
-        ),
-        "phi": MapSpec(
-            "phi",
-            "interval",
-            True,
-            lambda t: pl_eval(shear_profile(shear_index), t),
-            lambda t: pl_eval(shear_profile(shear_index), t, inverse=True),
-        ),
-        "f02": MapSpec(
-            "f02",
-            "square",
-            True,
-            vertical_shift,
-            lambda p: vertical_shift(p, inverse=True),
-        ),
-        "Phi": MapSpec(
-            "Phi", "band", True, strip_shear, lambda p: strip_shear(p, inverse=True)
-        ),
-        "eta": MapSpec(
-            "eta", "square", True, rise_map, lambda p: rise_map(p, inverse=True)
-        ),
-        "zeta": MapSpec(
-            "zeta", "square", True, descend_map, lambda p: descend_map(p, inverse=True)
-        ),
-        "f": MapSpec(
-            "f",
-            "square",
-            True,
-            square_homeo,
-            lambda p: square_homeo(p, inverse=True),
-            piece_key=_forward_piece_key,
-        ),
-        "xi": MapSpec(
+    phi = shear_profile(1)
+    specs = [
+        MapSpec("f01", "interval", True, SHIFT_PROFILE, SHIFT_PROFILE.inverse),
+        MapSpec("phi", "interval", True, phi, phi.inverse),
+        _invertible("f02", "square", vertical_shift),
+        _invertible("Phi", "band", strip_shear),
+        _invertible("eta", "square", rise_map),
+        _invertible("zeta", "square", descend_map),
+        _invertible("f", "square", square_homeo, piece_key=_forward_piece_key),
+        MapSpec(
             "xi",
             "square",
             False,
             lambda p: collapse(p, ctx),
             lambda p: collapse_inv(p, ctx),
         ),
-        "g": MapSpec(
-            "g",
-            "square",
-            False,
-            lambda p: quotient_square_map(p, ctx),
-            lambda p: quotient_square_map(p, ctx, inverse=True),
-        ),
-        "h": MapSpec(
+        _invertible("g", "square", quotient_square_map, ctx),
+        _invertible(
             "h",
             "plane",
-            False,
-            lambda p: plane_homeo(p, ctx),
-            lambda p: plane_homeo(p, ctx, inverse=True),
+            plane_homeo,
+            ctx,
             lifted=lambda seed, n_range: lifted_orbit(seed, n_range, ctx),
         ),
-        "example12": MapSpec(
-            "example12",
-            "plane",
-            True,
-            example_shift_reflection,
-            lambda p: example_shift_reflection(p, inverse=True),
-        ),
-    }
+        _invertible("example12", "plane", example_shift_reflection),
+    ]
+    return {spec.name: spec for spec in specs}
 
 
 def _arith(spec: MapSpec) -> str:
     return "exact" if spec.exact else "bigfloat"
-
-
-def _normalize_seed(spec: MapSpec, seed):
-    if spec.domain == "interval":
-        value = seed[0] if isinstance(seed, (tuple, list)) else seed
-        return (Fraction(value),) if spec.exact else (value,)
-    if spec.exact:
-        return (Fraction(seed[0]), Fraction(seed[1]))
-    return (seed[0], seed[1])
 
 
 def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
@@ -202,13 +172,16 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise DomainError(f"empty step range {n_range}")
-    seed = _normalize_seed(spec, seed)
-    entries = []
-    if spec.lifted is not None:
-        for n, y in spec.lifted(seed, n_range):
-            entries.append((n, tuple(y), y[0]))
-        return OrbitRecord(spec.name, tuple(seed), _arith(spec), tuple(entries))
     scalar = spec.domain == "interval"
+    if scalar:
+        seed = (seed[0] if isinstance(seed, (tuple, list)) else seed,)
+    else:
+        seed = (seed[0], seed[1])
+    if spec.exact:
+        seed = tuple(Fraction(v) for v in seed)
+    if spec.lifted is not None:
+        entries = tuple((n, tuple(y)) for n, y in spec.lifted(seed, n_range))
+        return OrbitRecord(spec.name, seed, _arith(spec), entries)
 
     def apply(fn, p, n):
         arg = p[0] if scalar else p
@@ -220,21 +193,16 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
             ) from exc
         return (out,) if scalar else tuple(out)
 
-    points = {0: tuple(seed)}
-    p = points[0]
-    for n in range(1, n_hi + 1):
-        p = apply(spec.forward, p, n)
-        points[n] = p
-    if n_lo < 0:
-        if spec.inverse is None:
-            raise DomainError(f"map {spec.name} has no inverse for backward steps")
+    if n_lo < 0 and spec.inverse is None:
+        raise DomainError(f"map {spec.name} has no inverse for backward steps")
+    points = {0: seed}
+    for step, fn, stop in ((1, spec.forward, n_hi), (-1, spec.inverse, n_lo)):
         p = points[0]
-        for n in range(-1, n_lo - 1, -1):
-            p = apply(spec.inverse, p, n)
+        for n in range(step, stop + step, step):
+            p = apply(fn, p, n)
             points[n] = p
-    for n in range(n_lo, n_hi + 1):
-        entries.append((n, points[n], points[n][0]))
-    return OrbitRecord(spec.name, tuple(seed), _arith(spec), tuple(entries))
+    entries = tuple((n, points[n]) for n in range(n_lo, n_hi + 1))
+    return OrbitRecord(spec.name, seed, _arith(spec), entries)
 
 
 def _as_floats(p) -> Tuple[float, ...]:
@@ -269,20 +237,26 @@ def limit_estimate(
     window.sort(key=lambda e: abs(e[0]), reverse=True)  # most converged first
     parity: Dict[str, tuple] = {}
     final: Dict[str, float] = {}
-    converged = True
     for label, wanted in (("even", 0), ("odd", 1)):
-        pts = [p for n, p, _ in window if n % 2 == wanted]
-        if not pts:
-            continue
-        rep = pts[0]
-        spread = max(_dist(rep, p) for p in pts)
-        parity[label] = rep
-        final[label] = spread
-        if spread > tol.limitset:
-            converged = False
-    points = tuple(parity[label] for label in ("even", "odd") if label in parity)
-    dists = tuple(final[label] for label in ("even", "odd") if label in final)
+        pts = [p for n, p in window if n % 2 == wanted]
+        if pts:
+            parity[label] = pts[0]
+            final[label] = max(_dist(pts[0], p) for p in pts)
+    converged = not any(spread > tol.limitset for spread in final.values())
+    points, dists = tuple(parity.values()), tuple(final.values())
     return LimitEstimate(spec.name, side, points, dists, horizon, converged, parity)
+
+
+def _matched(points, targets, radius: float) -> Optional[set]:
+    """The targets lying within radius of some point, or None when some
+    point lies within radius of no target."""
+    matched = set()
+    for p in points:
+        hits = {t for t in targets if _dist(p, t) <= radius}
+        if not hits:
+            return None
+        matched |= hits
+    return matched
 
 
 def ladder_witness(seed, m_max: int) -> Certificate:
@@ -352,51 +326,40 @@ def displacement_scan(
     """Minimum displacement of a map over the cell centers of a grid.
 
     Exact maps run on exact rationals and the positivity verdict is an
-    exact strict inequality; otherwise the scan runs in the given context.
-    Cell centers never lie on the region boundary.
+    exact strict inequality; otherwise the cell centers are laid out in
+    doubles and the scan runs in the given context.  Cell centers never
+    lie on the region boundary.
     """
     (x_lo, x_hi), (y_lo, y_hi) = region
     nx, ny = grid
     if nx < 1 or ny < 1:
         raise DomainError(f"grid must be positive, got {grid}")
-    best = None
-    argmin = None
     if spec.exact:
         x_lo, x_hi, y_lo, y_hi = map(Fraction, (x_lo, x_hi, y_lo, y_hi))
-        dx, dy = (x_hi - x_lo) / nx, (y_hi - y_lo) / ny
-        for i in range(nx):
-            x = x_lo + dx * (2 * i + 1) / 2
-            for j in range(ny):
-                y = y_lo + dy * (2 * j + 1) / 2
-                qx, qy = spec.forward((x, y))
-                d2 = (qx - x) ** 2 + (qy - y) ** 2
-                if best is None or d2 < best:
-                    best, argmin = d2, (x, y)
-        positive = best > 0
-        min_disp = math.sqrt(float(best))
+        num, lift, measure = Fraction, (lambda v: v), (lambda v: v)
     else:
-        fx_lo, fx_hi = float(x_lo), float(x_hi)
-        fy_lo, fy_hi = float(y_lo), float(y_hi)
-        dx, dy = (fx_hi - fx_lo) / nx, (fy_hi - fy_lo) / ny
-        for i in range(nx):
-            x = to_bigfloat(fx_lo + dx * (i + 0.5), ctx)
-            for j in range(ny):
-                y = to_bigfloat(fy_lo + dy * (j + 0.5), ctx)
-                qx, qy = spec.forward((x, y))
-                d2 = float((qx - x) ** 2 + (qy - y) ** 2)
-                if best is None or d2 < best:
-                    best, argmin = d2, (x, y)
-        positive = best > 0
-        min_disp = math.sqrt(best)
+        num, lift, measure = float, (lambda v: to_bigfloat(v, ctx)), float
+    lo_x, lo_y = num(x_lo), num(y_lo)
+    dx, dy = (num(x_hi) - lo_x) / nx, (num(y_hi) - lo_y) / ny
+    best = None
+    argmin = None
+    for i in range(nx):
+        x = lift(lo_x + dx * (2 * i + 1) / 2)
+        for j in range(ny):
+            y = lift(lo_y + dy * (2 * j + 1) / 2)
+            qx, qy = spec.forward((x, y))
+            d2 = measure((qx - x) ** 2 + (qy - y) ** 2)
+            if best is None or d2 < best:
+                best, argmin = d2, (x, y)
     evidence = {
         "map": spec.name,
         "region": [[str(x_lo), str(x_hi)], [str(y_lo), str(y_hi)]],
         "grid": list(grid),
         "arithmetic": _arith(spec),
-        "min_displacement": min_disp,
+        "min_displacement": math.sqrt(float(best)),
         "argmin": [str(argmin[0]), str(argmin[1])],
     }
-    return Certificate("fixedpointfree", positive, evidence)
+    return Certificate("fixedpointfree", best > 0, evidence)
 
 
 def _rand_fraction(rng: random.Random, lo, hi, denom: int = 999983) -> Fraction:
@@ -405,25 +368,29 @@ def _rand_fraction(rng: random.Random, lo, hi, denom: int = 999983) -> Fraction:
     )
 
 
+def _rand_point(rng: random.Random, lo, hi) -> Tuple[Fraction, Fraction]:
+    """A random rational point of the square [lo, hi]^2, abscissa drawn first."""
+    return (_rand_fraction(rng, lo, hi), _rand_fraction(rng, lo, hi))
+
+
 def orientation_probe(
     spec: MapSpec,
     samples: int,
     rng_seed: int,
-    leg=Fraction(1, 2**20),
     region=((-1, 1), (-1, 1)),
     ctx=None,
-    max_redraw: int = 5,
 ) -> Certificate:
     """Signed areas of images of small right triangles at random samples.
 
     Passes iff every signed area is negative (orientation reversal).
-    Samples whose triangle straddles a nonsmooth seam are re-drawn:
-    detected exactly through the map's affine piece key when available,
-    otherwise inferred from a non-negative area (seams have measure zero,
-    so redraws stay rare); redraw counts are reported.
+    Samples whose triangle straddles a nonsmooth seam are re-drawn, at most
+    five times: detected exactly through the map's affine piece key when
+    available, otherwise inferred from a non-negative area (seams have
+    measure zero, so redraws stay rare); redraw counts are reported.
     """
     rng = random.Random(rng_seed)
-    (x_lo, x_hi), (y_lo, y_hi) = region
+    leg = Fraction(1, 2**20)
+    max_redraw = 5
     signs = {"negative": 0, "positive": 0, "zero": 0}
     redraws = 0
     min_abs_area = None
@@ -431,21 +398,23 @@ def orientation_probe(
 
     def draw():
         if exact:
-            margin = 4 * Fraction(leg)
-            x = _rand_fraction(rng, Fraction(x_lo) + margin, Fraction(x_hi) - margin)
-            y = _rand_fraction(rng, Fraction(y_lo) + margin, Fraction(y_hi) - margin)
-            return (x, y)
-        x = rng.uniform(float(x_lo) + 0.01, float(x_hi) - 0.01)
-        y = rng.uniform(float(y_lo) + 0.01, float(y_hi) - 0.01)
-        return (to_bigfloat(x, ctx), to_bigfloat(y, ctx))
+            margin = 4 * leg
+            return tuple(
+                _rand_fraction(rng, Fraction(lo) + margin, Fraction(hi) - margin)
+                for lo, hi in region
+            )
+        return tuple(
+            to_bigfloat(rng.uniform(float(lo) + 0.01, float(hi) - 0.01), ctx)
+            for lo, hi in region
+        )
 
-    lg_exact = Fraction(leg)
+    lg = leg if exact else to_bigfloat(float(leg), ctx)
+
+    def triangle(p):
+        return (p, (p[0] + lg, p[1]), (p[0], p[1] + lg))
 
     def signed_area2(p):
-        lg = lg_exact if exact else to_bigfloat(float(lg_exact), ctx)
-        a = spec.forward(p)
-        b = spec.forward((p[0] + lg, p[1]))
-        c = spec.forward((p[0], p[1] + lg))
+        a, b, c = (spec.forward(v) for v in triangle(p))
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
     for _ in range(samples):
@@ -453,12 +422,7 @@ def orientation_probe(
         for attempt in range(max_redraw + 1):
             p = draw()
             if exact and spec.piece_key is not None:
-                keys = {
-                    spec.piece_key(p),
-                    spec.piece_key((p[0] + lg_exact, p[1])),
-                    spec.piece_key((p[0], p[1] + lg_exact)),
-                }
-                if len(keys) > 1:
+                if len({spec.piece_key(v) for v in triangle(p)}) > 1:
                     redraws += 1
                     continue
             area2 = signed_area2(p)
@@ -480,13 +444,23 @@ def orientation_probe(
     evidence = {
         "map": spec.name,
         "samples": samples,
-        "leg": str(lg_exact),
+        "leg": str(leg),
         "signs": signs,
         "redraws": redraws,
         "min_abs_signed_area": min_abs_area,
         "arithmetic": _arith(spec),
     }
     return Certificate("orientation", signs["negative"] == samples, evidence)
+
+
+def _sup_norm(core) -> Tuple[float, int]:
+    """Largest plane norm over ``lifted_core`` entries and the first step attaining it."""
+    sup, arg = 0.0, 0
+    for n, _, y in core:
+        norm = math.hypot(*_as_floats(y))
+        if norm > sup:
+            sup, arg = norm, n
+    return sup, arg
 
 
 def boundedness_certificate(
@@ -507,7 +481,7 @@ def boundedness_certificate(
     on (i) and (ii).
     """
     x1, x2 = seed
-    if x2 == 0 and abs(x1) >= 1:
+    if on_ray(seed):
         return Certificate(
             "boundedness",
             True,
@@ -519,25 +493,19 @@ def boundedness_certificate(
             },
         )
     core = lifted_core(seed, window, ctx)
-    interior_ok = all(
-        w is not None and abs(w[0]) < 1 and abs(w[1]) < 1 for _, w, _ in core
+    interior_ok = all(abs(w[0]) < 1 and abs(w[1]) < 1 for _, w, _ in core)
+    sup_norm, arg_sup = _sup_norm(core)
+    margin = min(
+        float(min(1 - abs(cw[0]), 1 - abs(cw[1])))
+        for cw in (collapse(w, ctx) for _, w, _ in core)
     )
-    sup_norm = 0.0
-    arg_sup = 0
-    margin = None
-    for n, w, y in core:
-        norm = math.hypot(*_as_floats(y))
-        if norm > sup_norm:
-            sup_norm, arg_sup = norm, n
-        cw = collapse(w, ctx)
-        m = float(min(1 - abs(cw[0]), 1 - abs(cw[1])))
-        margin = m if margin is None else min(margin, m)
-    reg = map_registry(ctx)
-    est_o = limit_estimate(reg["h"], seed, "omega", tol)
-    est_a = limit_estimate(reg["h"], seed, "alpha", tol)
-    targets = [(-1.0, 0.0), (1.0, 0.0)]
-    omega_ok = _limit_matches(est_o, targets, tol)
-    alpha_ok = _limit_matches(est_a, targets, tol)
+    h_spec = map_registry(ctx)["h"]
+    est_o = limit_estimate(h_spec, seed, "omega", tol)
+    est_a = limit_estimate(h_spec, seed, "alpha", tol)
+    # each tail must converge and realise both points of the limit pair
+    pair = set(LIMIT_PAIR)
+    omega_ok = est_o.converged and _matched(est_o.points, pair, tol.limitset) == pair
+    alpha_ok = est_a.converged and _matched(est_a.points, pair, tol.limitset) == pair
     evidence = {
         "seed": [str(x1), str(x2)],
         "trivial": False,
@@ -553,19 +521,6 @@ def boundedness_certificate(
         "horizon": tol.horizon,
     }
     return Certificate("boundedness", interior_ok and omega_ok and alpha_ok, evidence)
-
-
-def _limit_matches(est: LimitEstimate, targets, tol: Tolerances) -> bool:
-    """Converged, every candidate near some target, every target realized."""
-    if not est.converged or not est.points:
-        return False
-    used = set()
-    for p in est.points:
-        hits = [i for i, t in enumerate(targets) if _dist(p, t) <= tol.limitset]
-        if not hits:
-            return False
-        used.update(hits)
-    return len(used) == len(targets)
 
 
 def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
@@ -595,7 +550,7 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
                 _as_floats(tangent_chart(collapse(p, ctx), ctx)) for p in est_f.points
             ]
             h_pts = [_as_floats(p) for p in est_h.points]
-            ok = _sets_match(pushed, h_pts, tol.limitset)
+            ok = _matched(pushed, h_pts, tol.limitset) == set(h_pts)
             row[side] = {
                 "pushed": [[round(v, 9) for v in p] for p in pushed],
                 "plane": [[round(v, 9) for v in p] for p in h_pts],
@@ -608,29 +563,20 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
     return Certificate("conjugacy", all_ok, evidence)
 
 
-def _sets_match(a, b, tol: float) -> bool:
-    return all(any(_dist(p, q) <= tol for q in b) for p in a) and all(
-        any(_dist(p, q) <= tol for p in a) for q in b
-    )
-
-
 # --------------------------------------------------------------------------
 # certificate battery backing the acceptance criteria and the CLI verify
-# command; counts default to the acceptance values.
+# command, at the acceptance sample counts.
 # --------------------------------------------------------------------------
 
-CORNERS_TOP = [(-1.0, 1.0), (1.0, 1.0)]
-CORNERS_BOTTOM = [(-1.0, -1.0), (1.0, -1.0)]
-LIMIT_PAIR = [(-1.0, 0.0), (1.0, 0.0)]
 
-
-def check_boundary_identity(samples_per_edge: int = 250) -> Certificate:
+def check_boundary_identity() -> Certificate:
     """Exact boundary rule: on the square boundary the map is the vertical
     shift followed by the level reflection, and the horizontal edges are
     two-periodic."""
+    per_edge = 250
     pts = []
-    for k in range(samples_per_edge + 1):
-        t = Fraction(2 * k, samples_per_edge) - 1
+    for k in range(per_edge + 1):
+        t = Fraction(2 * k, per_edge) - 1
         pts.extend([(t, Fraction(1)), (t, Fraction(-1)), (Fraction(1), t), (Fraction(-1), t)])
     rule_ok = all(
         square_homeo(p) == reflect(vertical_shift(p), "level") for p in pts
@@ -655,15 +601,14 @@ def check_boundary_identity(samples_per_edge: int = 250) -> Certificate:
     return Certificate("boundedness", rule_ok and inv_rule_ok and period_ok, evidence)
 
 
-def check_rising_bijectivity(
-    samples: int = 10**4, rng_seed: int = DEFAULT_SAMPLER_SEED
-) -> Certificate:
+def check_rising_bijectivity(rng_seed: int = DEFAULT_SAMPLER_SEED) -> Certificate:
     """Exact roundtrip and line-to-line structure at random rational points."""
     rng = random.Random(rng_seed)
+    samples = 10**4
     rising_ok = True
     roundtrip_ok = True
     for _ in range(samples):
-        p = (_rand_fraction(rng, -1, 1), _rand_fraction(rng, -1, 1))
+        p = _rand_point(rng, -1, 1)
         q = square_homeo(p)
         if q[1] != pl_eval(SHIFT_PROFILE, p[1]):
             rising_ok = False
@@ -684,49 +629,41 @@ def check_rising_bijectivity(
     return Certificate("conjugacy", rising_ok and roundtrip_ok, evidence)
 
 
-def check_seam_agreement(samples: int = 200) -> Certificate:
+def check_seam_agreement() -> Certificate:
     """The piecewise definitions agree on their shared seams, exactly."""
+    per_seam = 200
+    zero, half = Fraction(0), Fraction(1, 2)
     ok = True
-    for k in range(samples + 1):
-        r = Fraction(2 * k, samples) - 1
-        # forward seam at height 0: rising map vs reflected shift
-        if rise_map((r, Fraction(0))) != reflect(vertical_shift((r, Fraction(0))), "level"):
-            ok = False
-        # forward seam at height -1/2: reflected shift vs inverse descending
-        if reflect(vertical_shift((r, Fraction(-1, 2))), "level") != descend_map(
-            (r, Fraction(-1, 2)), inverse=True
-        ):
-            ok = False
-        # inverse seam at height 1/2: rising inverse vs shifted reflection
-        if rise_map((r, Fraction(1, 2)), inverse=True) != vertical_shift(
-            reflect((r, Fraction(1, 2)), "level"), inverse=True
-        ):
-            ok = False
-        # inverse seam at height 0: shifted reflection vs descending forward
-        if vertical_shift(
-            reflect((r, Fraction(0)), "level"), inverse=True
-        ) != descend_map((r, Fraction(0))):
+    for k in range(per_seam + 1):
+        r = Fraction(2 * k, per_seam) - 1
+        sides = (
+            # forward seam at height 0: rising map vs reflected shift
+            (rise_map((r, zero)), reflect(vertical_shift((r, zero)), "level")),
+            # forward seam at height -1/2: reflected shift vs inverse descending
+            (reflect(vertical_shift((r, -half)), "level"), descend_map((r, -half), inverse=True)),
+            # inverse seam at height 1/2: rising inverse vs shifted reflection
+            (rise_map((r, half), inverse=True), vertical_shift(reflect((r, half), "level"), inverse=True)),
+            # inverse seam at height 0: shifted reflection vs descending forward
+            (vertical_shift(reflect((r, zero), "level"), inverse=True), descend_map((r, zero))),
+        )
+        if any(a != b for a, b in sides):
             ok = False
     return Certificate(
         "conjugacy",
         ok,
-        {"samples_per_seam": samples + 1, "seams": [0, "-1/2", "1/2 (inverse)", "0 (inverse)"], "agree": ok},
+        {"samples_per_seam": per_seam + 1, "seams": [0, "-1/2", "1/2 (inverse)", "0 (inverse)"], "agree": ok},
     )
 
 
-def check_reversal_symmetry(
-    samples: int = 500, rng_seed: int = DEFAULT_SAMPLER_SEED + 1
-) -> Certificate:
+def check_reversal_symmetry(rng_seed: int = DEFAULT_SAMPLER_SEED + 1) -> Certificate:
     """Exact time-reversal: the inverse equals the vertical-flip conjugate."""
     rng = random.Random(rng_seed)
-    ok = True
-    for _ in range(samples):
-        p = (_rand_fraction(rng, -1, 1), _rand_fraction(rng, -1, 1))
-        lhs = square_homeo(p, inverse=True)
-        rhs = reflect(square_homeo(reflect(p, "vertical")), "vertical")
-        if lhs != rhs:
-            ok = False
-            break
+    samples = 500
+    # stops drawing at the first failure
+    ok = all(
+        square_homeo(p, inverse=True) == reflect(square_homeo(reflect(p, "vertical")), "vertical")
+        for p in (_rand_point(rng, -1, 1) for _ in range(samples))
+    )
     return Certificate(
         "conjugacy", ok, {"samples": samples, "sampler_seed": rng_seed, "agree": ok}
     )
@@ -740,28 +677,18 @@ def check_ladder_canonical() -> Certificate:
     for _ in range(200):
         pts.append(rise_map(pts[-1]))
     rs = [p[0] for p in pts]
-    frozen_ok = (
-        rs[2] == Fraction(2, 3)
-        and rs[4] == Fraction(8, 9)
-        and rs[6] == Fraction(35, 36)
-    )
+    frozen_ok = rs[2:7:2] == [Fraction(2, 3), Fraction(8, 9), Fraction(35, 36)]
     evens = list(range(2, 201, 2))
     monotone_ok = all(rs[i] <= rs[j] for i, j in zip(evens, evens[1:]))
-    gaps = {}
-    gaps_ok = True
-    for m in (2, 3, 4, 5):
-        i = block_index(m) + 2 * m
-        gap = 1 - rs[i]
-        gaps[m] = str(gap)
-        if gap >= Fraction(1, 2**m):
-            gaps_ok = False
+    gaps = {m: 1 - rs[block_index(m) + 2 * m] for m in (2, 3, 4, 5)}
+    gaps_ok = all(gap < Fraction(1, 2**m) for m, gap in gaps.items())
     witness = ladder_witness(seed, 5)
     evidence = {
         "seed": ["0", "1/4"],
-        "early_values": [str(rs[2]), str(rs[4]), str(rs[6])],
+        "early_values": [str(r) for r in rs[2:7:2]],
         "frozen_values_match": frozen_ok,
         "even_steps_nondecreasing_to_200": monotone_ok,
-        "block_exit_gaps": gaps,
+        "block_exit_gaps": {m: str(gap) for m, gap in gaps.items()},
         "gap_bounds_hold": gaps_ok,
         "witness_passed": witness.passed,
         "mu": witness.evidence["mu"],
@@ -771,11 +698,10 @@ def check_ladder_canonical() -> Certificate:
     )
 
 
-def check_ladder_random(
-    count: int = 25, rng_seed: int = DEFAULT_SAMPLER_SEED + 2
-) -> Certificate:
+def check_ladder_random(rng_seed: int = DEFAULT_SAMPLER_SEED + 2) -> Certificate:
     """Ladder witnesses for random seeds in the open band (0, 1/2]."""
     rng = random.Random(rng_seed)
+    count = 25
     all_ok = True
     mus = []
     for _ in range(count):
@@ -795,26 +721,24 @@ def check_ladder_random(
 
 
 def check_interior_limits(
-    count: int = 25,
     rng_seed: int = DEFAULT_SAMPLER_SEED + 3,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Certificate:
     """Random interior seeds drift to the top corners forward and the
-    bottom corners backward, within the limit-set tolerance."""
+    bottom corners backward, within the limit-set tolerance.  A seed on the
+    fiber converges to one corner per parity, so a tail need not realise
+    both corners of its pair."""
     rng = random.Random(rng_seed)
-    reg = map_registry(None)
-    f_spec = reg["f"]
+    f_spec = map_registry(None)["f"]
+    count = 25
     all_ok = True
     worst = 0.0
     for _ in range(count):
-        seed = (
-            _rand_fraction(rng, Fraction(-9, 10), Fraction(9, 10)),
-            _rand_fraction(rng, Fraction(-9, 10), Fraction(9, 10)),
-        )
+        seed = _rand_point(rng, Fraction(-9, 10), Fraction(9, 10))
         est_o = limit_estimate(f_spec, seed, "omega", tol)
         est_a = limit_estimate(f_spec, seed, "alpha", tol)
-        ok_o = _limit_matches_targets(est_o, CORNERS_TOP, tol)
-        ok_a = _limit_matches_targets(est_a, CORNERS_BOTTOM, tol)
+        ok_o = est_o.converged and _matched(est_o.points, CORNERS_TOP, tol.limitset) is not None
+        ok_a = est_a.converged and _matched(est_a.points, CORNERS_BOTTOM, tol.limitset) is not None
         worst = max(worst, *(est_o.final_distances + est_a.final_distances))
         if not (ok_o and ok_a):
             all_ok = False
@@ -827,25 +751,6 @@ def check_interior_limits(
         "all_matched": all_ok,
     }
     return Certificate("boundedness", all_ok, evidence)
-
-
-def _limit_matches_targets(est: LimitEstimate, targets, tol: Tolerances) -> bool:
-    """Candidates near targets (targets need not all be realized: a seed on
-    the fiber converges to a single corner pair member per parity)."""
-    if not est.converged or not est.points:
-        return False
-    for p in est.points:
-        if not any(_dist(p, t) <= tol.limitset for t in targets):
-            return False
-    return True
-
-
-def _mirror_level(p):
-    return (-p[0], p[1])
-
-
-def _mirror_vertical(p):
-    return (p[0], -p[1])
 
 
 def check_collapse_conditions(
@@ -871,39 +776,31 @@ def check_collapse_conditions(
     rng = random.Random(rng_seed)
     com_tol = tol.commutation
     worst = {"fiber": 0.0, "axis": 0.0, "edge": 0.0, "commutation": 0.0, "roundtrip": 0.0}
+    ok = dict.fromkeys(worst, True)
+
+    def record(key, e, bound=com_tol):
+        worst[key] = max(worst[key], e)
+        if e > bound:
+            ok[key] = False
 
     def err(y, target) -> float:
         return float(max(abs(y[0] - to_bigfloat(target[0], ctx)), abs(y[1] - to_bigfloat(target[1], ctx))))
 
-    fiber_ok = True
+    def charts(r, s):
+        return _collapse_charts((to_bigfloat(r, ctx), to_bigfloat(s, ctx)), ctx)
+
     for _ in range(pin_samples):
         s = _rand_fraction(rng, -1, 1)
-        y = _collapse_charts((to_bigfloat(0, ctx), to_bigfloat(s, ctx)), ctx)
-        e = err(y, (Fraction(0), s))
-        worst["fiber"] = max(worst["fiber"], e)
-        if e > com_tol:
-            fiber_ok = False
-    axis_ok = True
+        record("fiber", err(charts(0, s), (Fraction(0), s)))
     for _ in range(pin_samples):
         r = _rand_fraction(rng, -1, 1)
-        if r == 0:
-            continue
-        y = _collapse_charts((to_bigfloat(r, ctx), to_bigfloat(0, ctx)), ctx)
-        e = err(y, (r / 2, Fraction(0)))
-        worst["axis"] = max(worst["axis"], e)
-        if e > com_tol:
-            axis_ok = False
-    edge_ok = True
+        if r != 0:
+            record("axis", err(charts(r, 0), (r / 2, Fraction(0))))
     for k in range(edge_samples // 2):
         # nonzero heights only: (1, 0) is the edge chart's own center
         for s in (Fraction(2 * k + 1, edge_samples), -Fraction(2 * k + 1, edge_samples)):
-            y = _collapse_charts((to_bigfloat(1, ctx), to_bigfloat(s, ctx)), ctx)
-            e = err(y, (Fraction(1, 2), Fraction(0)))
-            ym = _collapse_charts((to_bigfloat(-1, ctx), to_bigfloat(s, ctx)), ctx)
-            em = err(ym, (Fraction(-1, 2), Fraction(0)))
-            worst["edge"] = max(worst["edge"], e, em)
-            if e > com_tol or em > com_tol:
-                edge_ok = False
+            for side in (1, -1):
+                record("edge", err(charts(side, s), (Fraction(side, 2), Fraction(0))))
     # boundary path [top-mid -> top-right corner -> edge-mid -> slit end]:
     # collapse images of (r, 1) march monotonically along
     # top wall -> right wall -> slit as r runs from 0 to 1.
@@ -915,38 +812,27 @@ def check_collapse_conditions(
             return 1 + (1 - y1)
         return 2 + 2 * (1 - y0)
 
-    path_ok = True
-    prev = None
-    for k in range(path_samples + 1):
-        r = Fraction(k, path_samples)
-        y = collapse((r, Fraction(1)), ctx)
-        pos = path_position(y)
-        if prev is not None and not pos > prev:
-            path_ok = False
-        prev = pos
-    commutation_ok = True
+    path = [
+        path_position(collapse((Fraction(k, path_samples), Fraction(1)), ctx))
+        for k in range(path_samples + 1)
+    ]
+    path_ok = all(b > a for a, b in zip(path, path[1:]))
     for _ in range(commutation_samples):
-        x = (_rand_fraction(rng, -1, 1), _rand_fraction(rng, -1, 1))
+        x = _rand_point(rng, -1, 1)
         y = collapse(x, ctx)
-        y_lvl = collapse(_mirror_level(x), ctx)
-        y_vrt = collapse(_mirror_vertical(x), ctx)
+        y_lvl = collapse(reflect(x, "level"), ctx)
+        y_vrt = collapse(reflect(x, "vertical"), ctx)
         e = max(
             float(abs(y_lvl[0] + y[0])),
             float(abs(y_lvl[1] - y[1])),
             float(abs(y_vrt[0] - y[0])),
             float(abs(y_vrt[1] + y[1])),
         )
-        worst["commutation"] = max(worst["commutation"], e)
-        if e > com_tol:
-            commutation_ok = False
+        record("commutation", e)
     margin = Fraction(1, 1000)
-    roundtrip_ok = True
     image_off_slits = True
     for _ in range(roundtrip_samples):
-        x = (
-            _rand_fraction(rng, -1 + margin, 1 - margin),
-            _rand_fraction(rng, -1 + margin, 1 - margin),
-        )
+        x = _rand_point(rng, -1 + margin, 1 - margin)
         if abs(x[1]) < margin and abs(x[0]) > Fraction(1, 3):
             # keep the stated margin from the slits' preimage (the
             # vertical-edge neighborhoods map near the slits)
@@ -954,20 +840,8 @@ def check_collapse_conditions(
         y = collapse(x, ctx)
         if x[0] != 0 and x[1] != 0 and y[1] == 0:
             image_off_slits = False
-        back = collapse_inv(y, ctx)
-        e = float(max(abs(back[0] - to_bigfloat(x[0], ctx)), abs(back[1] - to_bigfloat(x[1], ctx))))
-        worst["roundtrip"] = max(worst["roundtrip"], e)
-        if e > tol.chart_roundtrip:
-            roundtrip_ok = False
-    passed = (
-        fiber_ok
-        and axis_ok
-        and edge_ok
-        and path_ok
-        and commutation_ok
-        and roundtrip_ok
-        and image_off_slits
-    )
+        record("roundtrip", err(collapse_inv(y, ctx), x), tol.chart_roundtrip)
+    passed = all(ok.values()) and path_ok and image_off_slits
     evidence = {
         "sampler_seed": rng_seed,
         "counts": {
@@ -979,12 +853,12 @@ def check_collapse_conditions(
             "roundtrip": roundtrip_samples,
         },
         "worst_errors": worst,
-        "fiber_fixed": fiber_ok,
-        "axis_halved": axis_ok,
-        "edges_collapse": edge_ok,
+        "fiber_fixed": ok["fiber"],
+        "axis_halved": ok["axis"],
+        "edges_collapse": ok["edge"],
         "boundary_path_monotone": path_ok,
-        "reflections_commute": commutation_ok,
-        "roundtrip_within_tolerance": roundtrip_ok,
+        "reflections_commute": ok["commutation"],
+        "roundtrip_within_tolerance": ok["roundtrip"],
         "image_avoids_slits": image_off_slits,
         "tolerances": {"pins": com_tol, "roundtrip": tol.chart_roundtrip},
     }
@@ -1023,7 +897,7 @@ def check_cone_bijectivity(
     )
 
 
-def check_slit_continuity(ctx, terms: int = 18) -> Certificate:
+def check_slit_continuity(ctx) -> Certificate:
     """Continuity of the quotient map at the slit point (3/4, 0): approach
     sequences from above and below give values converging to the pinned
     image (-3/4, 0), with a monotone tail ending below 1e-6.
@@ -1039,6 +913,7 @@ def check_slit_continuity(ctx, terms: int = 18) -> Certificate:
     2^-40000).  The adapted sequences instead converge at the geometric
     rate of their heights.
     """
+    terms = 18
     target = (Fraction(-3, 4), Fraction(0))
     a = ctx.tan(slit_arc_angle(ctx) / 2)
     rows = []
@@ -1086,23 +961,23 @@ def check_slit_continuity(ctx, terms: int = 18) -> Certificate:
     )
 
 
-def check_rays_exact(
-    ctx, samples: int = 10**3, rng_seed: int = DEFAULT_SAMPLER_SEED + 6
-) -> Certificate:
+def check_rays_exact(ctx, rng_seed: int = DEFAULT_SAMPLER_SEED + 6) -> Certificate:
     """The two rays reflect exactly and are exactly two-periodic."""
     rng = random.Random(rng_seed)
-    ok = True
-    for _ in range(samples):
-        sign = rng.choice((-1, 1))
-        x = sign * (1 + _rand_fraction(rng, 0, 50))
-        p = (x, Fraction(0))
-        q = plane_homeo(p, ctx)
-        if q != (-x, Fraction(0)) or plane_homeo(q, ctx) != p:
-            ok = False
-            break
-        if plane_homeo(p, ctx, inverse=True) != (-x, Fraction(0)):
-            ok = False
-            break
+    samples = 10**3
+
+    def reflects(x) -> bool:
+        p, q = (x, Fraction(0)), (-x, Fraction(0))
+        return (
+            plane_homeo(p, ctx) == q
+            and plane_homeo(q, ctx) == p
+            and plane_homeo(p, ctx, inverse=True) == q
+        )
+
+    # stops drawing at the first failure
+    ok = all(
+        reflects(rng.choice((-1, 1)) * (1 + _rand_fraction(rng, 0, 50))) for _ in range(samples)
+    )
     return Certificate(
         "conjugacy",
         ok,
@@ -1110,20 +985,20 @@ def check_rays_exact(
     )
 
 
-def _canonical_core(ctx, span: int = 400):
-    return lifted_core((Fraction(0), Fraction(0)), (-span, span), ctx)
+def _canonical_core(ctx):
+    return lifted_core((Fraction(0), Fraction(0)), (-400, 400), ctx)
 
 
 def check_plane_convergence(
-    ctx, tol: Tolerances = DEFAULT_TOLERANCES, core=None, radius: float = 0.05, hold: int = 200
+    ctx, tol: Tolerances = DEFAULT_TOLERANCES, core=None
 ) -> Certificate:
-    """Both tails of the canonical plane orbit land near the limit pair and
-    stay there: reports the first window start on each side."""
+    """Both tails of the canonical plane orbit land within 0.05 of the
+    limit pair and stay there for 200 steps: reports the first window
+    start on each side."""
     if core is None:
         core = _canonical_core(ctx)
-    dist = {}
-    for n, _, y in core:
-        dist[n] = min(_dist(y, t) for t in LIMIT_PAIR)
+    radius, hold = 0.05, 200
+    dist = {n: min(_dist(y, t) for t in LIMIT_PAIR) for n, _, y in core}
     span = max(dist)
     found = {}
     for label, sgn in (("omega", 1), ("alpha", -1)):
@@ -1149,18 +1024,13 @@ def check_plane_convergence(
     return Certificate("boundedness", passed, evidence)
 
 
-def check_excursion(ctx, core=None, span: int = 300, threshold: float = 1e3) -> Certificate:
+def check_excursion(ctx, core=None) -> Certificate:
     """The canonical plane orbit leaves any moderate disk before settling:
-    its sup norm over |n| <= span exceeds the threshold."""
+    its sup norm over |n| <= 300 exceeds 1000."""
     if core is None:
         core = _canonical_core(ctx)
-    sup, arg = 0.0, 0
-    for n, _, y in core:
-        if abs(n) > span:
-            continue
-        norm = math.hypot(*_as_floats(y))
-        if norm > sup:
-            sup, arg = norm, n
+    span, threshold = 300, 1e3
+    sup, arg = _sup_norm([e for e in core if abs(e[0]) <= span])
     evidence = {
         "seed": ["0", "0"],
         "span": span,
@@ -1187,18 +1057,16 @@ def check_semiconjugacy(ctx, tol: Tolerances = DEFAULT_TOLERANCES) -> Certificat
 
 
 def check_displacement_battery(
-    ctx, fast_ctx=None, rng_seed: int = DEFAULT_SAMPLER_SEED + 9
+    ctx, rng_seed: int = DEFAULT_SAMPLER_SEED + 9
 ) -> List[Certificate]:
     """Positive displacement for the square map (exact), the plane map
     (machine-float grid plus random disk samples: density is what matters
     there, not digits), and the contrast example (exact)."""
-    if fast_ctx is None:
-        fast_ctx = mpmath.fp
+    fast_ctx = mpmath.fp
     reg_exact = map_registry(None)
-    reg_fast = map_registry(fast_ctx)
-    h_grid = displacement_scan(reg_fast["h"], ((-3, 3), (-3, 3)), (300, 300), fast_ctx)
+    h_spec = map_registry(fast_ctx)["h"]
+    h_grid = displacement_scan(h_spec, ((-3, 3), (-3, 3)), (300, 300), fast_ctx)
     rng = random.Random(rng_seed)
-    h_spec = reg_fast["h"]
     rand_min, rand_argmin = None, None
     samples = 10**3
     for _ in range(samples):
@@ -1233,11 +1101,12 @@ def check_displacement_battery(
 
 
 def check_orientation_battery(
-    ctx, rng_seed: int = DEFAULT_SAMPLER_SEED + 7, samples: int = 10**3
+    ctx, rng_seed: int = DEFAULT_SAMPLER_SEED + 7
 ) -> List[Certificate]:
     """Orientation reversal for the square map (exact triangles) and the
     plane map (big-float triangles)."""
     reg = map_registry(ctx)
+    samples = 10**3
     return [
         orientation_probe(reg["f"], samples, rng_seed),
         orientation_probe(
@@ -1251,17 +1120,16 @@ def check_example_contrast(
 ) -> Certificate:
     """The contrast example: fixed-point free on a grid, exactly an
     involution beyond the unit band, orbit heights grow linearly."""
-    reg = map_registry(None)
-    spec = reg["example12"]
+    spec = map_registry(None)["example12"]
     grid_cert = displacement_scan(spec, ((-2, 2), (-2, 2)), (100, 100))
     rng = random.Random(rng_seed)
-    involution_ok = True
-    for _ in range(10**3):
-        sign = rng.choice((-1, 1))
-        p = (sign * (1 + _rand_fraction(rng, 0, 20)), _rand_fraction(rng, -20, 20))
-        if example_shift_reflection(example_shift_reflection(p)) != p:
-            involution_ok = False
-            break
+
+    def involution_holds() -> bool:
+        p = (rng.choice((-1, 1)) * (1 + _rand_fraction(rng, 0, 20)), _rand_fraction(rng, -20, 20))
+        return example_shift_reflection(example_shift_reflection(p)) == p
+
+    # stops drawing at the first failure
+    involution_ok = all(involution_holds() for _ in range(10**3))
     heights_ok = True
     p = (Fraction(0), Fraction(0))
     for n in range(1, 101):
@@ -1281,94 +1149,84 @@ def check_example_contrast(
     )
 
 
+@dataclass(frozen=True)
+class SuiteCheck:
+    """One row of the suite table: the report label, the check, the offset
+    from the run's sampler seed that it draws from (None: it draws
+    nothing), and the run values it takes by name ("ctx", "tol", "core")."""
+
+    label: str
+    check: Callable  # -> Certificate or a list of them
+    seed_offset: Optional[int] = None
+    uses: Tuple[str, ...] = ()
+
+
+# the two boundedness seeds: the canonical orbit and a ray point
+_orbit_bounded = partial(boundedness_certificate, (Fraction(0), Fraction(0)), (-300, 300))
+_ray_period_two = partial(boundedness_certificate, (Fraction(2), Fraction(0)), (-300, 300))
+SUITE_TABLE: Dict[str, Tuple[SuiteCheck, ...]] = {
+    "core": (
+        SuiteCheck("boundary_identity", check_boundary_identity),
+        SuiteCheck("rising_bijectivity", check_rising_bijectivity, 0),
+        SuiteCheck("seam_agreement", check_seam_agreement),
+        SuiteCheck("reversal_symmetry", check_reversal_symmetry, 1),
+        SuiteCheck("ladder_canonical", check_ladder_canonical),
+        SuiteCheck("ladder_random", check_ladder_random, 2),
+        SuiteCheck("interior_limits", check_interior_limits, 3, ("tol",)),
+    ),
+    "xi": (
+        SuiteCheck("collapse_conditions", check_collapse_conditions, 4, ("ctx", "tol")),
+        SuiteCheck("cone_bijectivity", check_cone_bijectivity, 5, ("ctx", "tol")),
+    ),
+    "plane": (
+        SuiteCheck("slit_continuity", check_slit_continuity, None, ("ctx",)),
+        SuiteCheck("rays_exact", check_rays_exact, 6, ("ctx",)),
+        SuiteCheck("plane_convergence", check_plane_convergence, None, ("ctx", "tol", "core")),
+        SuiteCheck("excursion", check_excursion, None, ("ctx", "core")),
+        SuiteCheck("displacement", check_displacement_battery, 9, ("ctx",)),
+        SuiteCheck("orientation", check_orientation_battery, 7, ("ctx",)),
+        SuiteCheck("semiconjugacy", check_semiconjugacy, None, ("ctx", "tol")),
+        SuiteCheck("example_contrast", check_example_contrast, 8),
+        SuiteCheck("orbit_bounded", _orbit_bounded, None, ("ctx", "tol")),
+        SuiteCheck("ray_period_two", _ray_period_two, None, ("ctx", "tol")),
+    ),
+}
+SUITE_TABLE["all"] = SUITE_TABLE["core"] + SUITE_TABLE["xi"] + SUITE_TABLE["plane"]
+
+
 def run_suite(
     name: str,
     ctx=None,
     tol: Tolerances = DEFAULT_TOLERANCES,
     rng_seed: int = DEFAULT_SAMPLER_SEED,
-    fast_ctx=None,
 ) -> dict:
     """Run a named certificate suite; returns a JSON-ready report."""
+    if name not in SUITE_TABLE:
+        raise DomainError(f"unknown suite {name!r}")
     if ctx is None:
         ctx = make_context()
-    suites = {"core": _suite_core, "xi": _suite_xi, "plane": _suite_plane}
-    if name == "all":
-        parts = [suites[k](ctx, tol, rng_seed, fast_ctx) for k in ("core", "xi", "plane")]
-        certs = [c for part in parts for c in part]
-    elif name in suites:
-        certs = suites[name](ctx, tol, rng_seed, fast_ctx)
-    else:
-        raise DomainError(f"unknown suite {name!r}")
-    passed = all(c.passed for c in certs)
+    rows = SUITE_TABLE[name]
+    values = {"ctx": ctx, "tol": tol}
+    if any("core" in row.uses for row in rows):
+        values["core"] = _canonical_core(ctx)
+    certs = []
+    for row in rows:
+        kwargs = {key: values[key] for key in row.uses}
+        if row.seed_offset is not None:
+            kwargs["rng_seed"] = rng_seed + row.seed_offset
+        out = row.check(**kwargs)
+        for cert in out if isinstance(out, list) else [out]:
+            cert.evidence["check"] = row.label
+            certs.append(cert)
     return {
         "suite": name,
-        "passed": passed,
+        "passed": all(c.passed for c in certs),
         "certificates": [
             {"kind": c.kind, "passed": c.passed, "evidence": c.evidence} for c in certs
         ],
         "metadata": {
             "sampler_seed": rng_seed,
             "precision": getattr(ctx, "prec", 53),
-            "tolerances": {
-                "chart_roundtrip": tol.chart_roundtrip,
-                "commutation": tol.commutation,
-                "limitset": tol.limitset,
-                "horizon": tol.horizon,
-            },
+            "tolerances": dataclasses.asdict(tol),
         },
     }
-
-
-def _tag(label: str, cert: Certificate) -> Certificate:
-    cert.evidence.setdefault("check", label)
-    return cert
-
-
-def _suite_core(ctx, tol, rng_seed, fast_ctx) -> List[Certificate]:
-    return [
-        _tag("boundary_identity", check_boundary_identity()),
-        _tag("rising_bijectivity", check_rising_bijectivity(rng_seed=rng_seed)),
-        _tag("seam_agreement", check_seam_agreement()),
-        _tag("reversal_symmetry", check_reversal_symmetry(rng_seed=rng_seed + 1)),
-        _tag("ladder_canonical", check_ladder_canonical()),
-        _tag("ladder_random", check_ladder_random(rng_seed=rng_seed + 2)),
-        _tag("interior_limits", check_interior_limits(rng_seed=rng_seed + 3, tol=tol)),
-    ]
-
-
-def _suite_xi(ctx, tol, rng_seed, fast_ctx) -> List[Certificate]:
-    return [
-        _tag("collapse_conditions", check_collapse_conditions(ctx, tol, rng_seed + 4)),
-        _tag("cone_bijectivity", check_cone_bijectivity(ctx, tol, rng_seed + 5)),
-    ]
-
-
-def _suite_plane(ctx, tol, rng_seed, fast_ctx) -> List[Certificate]:
-    core = _canonical_core(ctx)
-    certs = [
-        _tag("slit_continuity", check_slit_continuity(ctx)),
-        _tag("rays_exact", check_rays_exact(ctx, rng_seed=rng_seed + 6)),
-        _tag("plane_convergence", check_plane_convergence(ctx, tol, core=core)),
-        _tag("excursion", check_excursion(ctx, core=core)),
-    ]
-    certs.extend(
-        _tag("displacement", c) for c in check_displacement_battery(ctx, fast_ctx)
-    )
-    certs.extend(
-        _tag("orientation", c) for c in check_orientation_battery(ctx, rng_seed + 7)
-    )
-    certs.append(_tag("semiconjugacy", check_semiconjugacy(ctx, tol)))
-    certs.append(_tag("example_contrast", check_example_contrast(rng_seed + 8)))
-    certs.append(
-        _tag(
-            "orbit_bounded",
-            boundedness_certificate((Fraction(0), Fraction(0)), (-300, 300), ctx, tol),
-        )
-    )
-    certs.append(
-        _tag(
-            "ray_period_two",
-            boundedness_certificate((Fraction(2), Fraction(0)), (-300, 300), ctx, tol),
-        )
-    )
-    return certs

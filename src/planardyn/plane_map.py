@@ -28,8 +28,6 @@ from .collapse_map import collapse, collapse_inv
 from .numerics import DomainError, bigfloat_to_rational, to_bigfloat
 from .square_map import square_homeo
 
-PIN_HALF = Fraction(1, 2)
-
 
 def tangent_chart(p, ctx, inverse: bool = False):
     """Componentwise tangent map of the open square onto the plane.
@@ -61,14 +59,10 @@ def _rationalize_square(w) -> Tuple[Fraction, Fraction]:
     out = []
     for v in w:
         q = bigfloat_to_rational(v)
-        if q > 1:
-            if q - 1 > Fraction(1, 2**48):
+        if abs(q) > 1:
+            if abs(q) - 1 > Fraction(1, 2**48):
                 raise DomainError(f"coordinate {q} escaped the square")
-            q = Fraction(1)
-        elif q < -1:
-            if -1 - q > Fraction(1, 2**48):
-                raise DomainError(f"coordinate {q} escaped the square")
-            q = Fraction(-1)
+            q = Fraction(1 if q > 0 else -1)
         out.append(q)
     return (out[0], out[1])
 
@@ -91,6 +85,12 @@ def quotient_square_map(x, ctx, inverse: bool = False):
     return collapse(image, ctx)
 
 
+def on_ray(x) -> bool:
+    """Whether a plane point lies on one of the two horizontal rays
+    |x| >= 1, y = 0, the chart images of the slits."""
+    return x[1] == 0 and abs(x[0]) >= 1
+
+
 def plane_homeo(x, ctx, inverse: bool = False):
     """The induced plane homeomorphism (tangent-chart conjugate).
 
@@ -99,7 +99,7 @@ def plane_homeo(x, ctx, inverse: bool = False):
     everything else goes through the charts.
     """
     x1, x2 = x
-    if x2 == 0 and abs(x1) >= 1:
+    if on_ray(x):
         return (-x1, x2)
     q = tangent_chart((x1, x2), ctx, inverse=True)
     gq = quotient_square_map(q, ctx, inverse=inverse)
@@ -120,21 +120,18 @@ def lifted_core(
     if n_lo > n_hi:
         raise DomainError(f"empty step range {n_range}")
     x1, x2 = x
-    if x2 == 0 and abs(x1) >= 1:
+    if on_ray(x):
         return [
             (n, None, (x1 if n % 2 == 0 else -x1, x2)) for n in range(n_lo, n_hi + 1)
         ]
     q = tangent_chart((x1, x2), ctx, inverse=True)
     w0 = _rationalize_square(collapse_inv(q, ctx))
     lifts = {0: w0}
-    w = w0
-    for n in range(1, n_hi + 1):
-        w = square_homeo(w)
-        lifts[n] = w
-    w = w0
-    for n in range(-1, n_lo - 1, -1):
-        w = square_homeo(w, inverse=True)
-        lifts[n] = w
+    for step, stop in ((1, n_hi), (-1, n_lo)):
+        w = w0
+        for n in range(step, stop + step, step):
+            w = square_homeo(w, inverse=step < 0)
+            lifts[n] = w
     out = []
     for n in range(n_lo, n_hi + 1):
         wn = lifts[n]

@@ -26,10 +26,6 @@ SHIFT_PROFILE = PLFunction(
     [(-1, -1), (Fraction(-1, 2), 0), (0, Fraction(1, 2)), (1, 1)]
 )
 
-# Height bands of the square acted on by the rising / descending halves.
-LOWER_RISE_BAND = (Fraction(0), Fraction(1))  # forward domain of the rising map
-UPPER_RISE_BAND = (Fraction(1, 2), Fraction(1))  # its image band
-
 
 def split_height(n: int) -> Fraction:
     """Blend/shear split parameter of block n: 2^(-n-1), decreasing to 0."""

@@ -121,3 +121,9 @@ def test_verify_core_suite(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     assert report["passed"] and report["suite"] == "core"
     assert report["metadata"]["precision"] == 256
+
+
+def test_eval_slit_point_exits_2(capsys):
+    # the collapse inverse is undefined on the slits (a SlitError)
+    assert main(["eval", "--map", "xi", "--inverse", "--point", "3/4,0"]) == 2
+    assert "error:" in capsys.readouterr().err

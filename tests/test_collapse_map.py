@@ -21,7 +21,7 @@ from planardyn.collapse_map import (
     exit_point,
     slit_arc_angle,
 )
-from planardyn.numerics import DomainError, SlitError, to_bigfloat
+from planardyn.numerics import DomainError, SlitError, make_context, to_bigfloat
 
 TIGHT = 1e-70
 
@@ -37,6 +37,13 @@ def _close(p, q, eps=TIGHT):
 
 def test_slit_arc_angle(ctx):
     assert SLIT_ARC_DENOM == 2**15
+    assert slit_arc_angle(ctx) == ctx.pi / SLIT_ARC_DENOM
+
+
+def test_constants_follow_a_precision_change():
+    ctx = make_context(64)
+    slit_arc_angle(ctx)  # fill the constants cache at 64 bits
+    ctx.prec = 512
     assert slit_arc_angle(ctx) == ctx.pi / SLIT_ARC_DENOM
 
 

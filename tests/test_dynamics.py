@@ -1,5 +1,6 @@
 """Orbit machinery, certificates, and the verification suites."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ def test_registry_contents(registry):
 def test_orbit_exact_entries(registry):
     rec = dyn.orbit(registry["f"], (Fraction(1, 3), Fraction(1, 5)), (-2, 2))
     assert rec.map_id == "f" and rec.arithmetic == "exact"
-    entries = {n: p for n, p, _ in rec.entries}
+    entries = {n: p for n, p in rec.entries}
     assert entries[0] == (Fraction(1, 3), Fraction(1, 5))
     assert entries[1] == (Fraction(-1, 3), Fraction(3, 5))
     assert entries[-1] == (Fraction(-1, 3), Fraction(-3, 10))
@@ -43,14 +44,14 @@ def test_orbit_exact_entries(registry):
 
 def test_orbit_interval_map(registry):
     rec = dyn.orbit(registry["f01"], Fraction(1, 4), (0, 2))
-    heights = [p[0] for _, p, _ in rec.entries]
+    heights = [p[0] for _, p in rec.entries]
     assert heights == [Fraction(1, 4), Fraction(5, 8), Fraction(13, 16)]
 
 
 def test_orbit_lifted_map(registry, ctx):
     rec = dyn.orbit(registry["h"], (ctx.mpf(0), ctx.mpf(0)), (0, 2))
     assert rec.arithmetic == "bigfloat"
-    entries = {n: p for n, p, _ in rec.entries}
+    entries = {n: p for n, p in rec.entries}
     assert abs(entries[1][1] - 1) < 1e-70
     assert abs(entries[2][1] - ctx.tan(3 * ctx.pi / 8)) < 1e-70
 
@@ -155,3 +156,61 @@ def test_run_suite_core(ctx, tol):
 def test_run_suite_unknown_name(ctx, tol):
     with pytest.raises(DomainError):
         dyn.run_suite("everything", ctx, tol)
+
+
+def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
+    # stub out every xi and plane check: each records its sampler seed
+    seeds = []
+    certs_per_check = {"displacement": 3, "orientation": 2}
+
+    def stub(label):
+        def check(**kwargs):
+            seeds.append((label, kwargs.get("rng_seed")))
+            count = certs_per_check.get(label, 1)
+            certs = [dyn.Certificate("stub", True, {}) for _ in range(count)]
+            return certs if label in certs_per_check else certs[0]
+
+        return check
+
+    for name in ("xi", "plane"):
+        rows = tuple(
+            dataclasses.replace(row, check=stub(row.label)) for row in dyn.SUITE_TABLE[name]
+        )
+        monkeypatch.setitem(dyn.SUITE_TABLE, name, rows)
+    monkeypatch.setattr(dyn, "_canonical_core", lambda ctx: [])
+
+    xi = dyn.run_suite("xi", ctx, tol, rng_seed=100)
+    assert [c["evidence"]["check"] for c in xi["certificates"]] == [
+        "collapse_conditions",
+        "cone_bijectivity",
+    ]
+    plane = dyn.run_suite("plane", ctx, tol, rng_seed=100)
+    assert [c["evidence"]["check"] for c in plane["certificates"]] == [
+        "slit_continuity",
+        "rays_exact",
+        "plane_convergence",
+        "excursion",
+        "displacement",
+        "displacement",
+        "displacement",
+        "orientation",
+        "orientation",
+        "semiconjugacy",
+        "example_contrast",
+        "orbit_bounded",
+        "ray_period_two",
+    ]
+    assert seeds == [
+        ("collapse_conditions", 104),
+        ("cone_bijectivity", 105),
+        ("slit_continuity", None),
+        ("rays_exact", 106),
+        ("plane_convergence", None),
+        ("excursion", None),
+        ("displacement", 109),
+        ("orientation", 107),
+        ("semiconjugacy", None),
+        ("example_contrast", 108),
+        ("orbit_bounded", None),
+        ("ray_period_two", None),
+    ]
