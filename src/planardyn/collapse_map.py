@@ -110,10 +110,9 @@ def exit_point(center, angle, ctx) -> Tuple:
     pi (straight up); from the slit endpoint it is the polar angle in
     [0, 2*pi].
     """
-    c = (Fraction(center[0]), Fraction(center[1]))
     k = _consts(ctx)
     a = to_bigfloat(angle, ctx)
-    if c == EDGE_MID:
+    if center == EDGE_MID:
         if a < 0 or a > k["pi"]:
             raise DomainError(f"edge chart angle {a} outside [0, pi]")
         if a <= k["quarter_pi"]:
@@ -121,7 +120,7 @@ def exit_point(center, angle, ctx) -> Tuple:
         if a < 3 * k["quarter_pi"]:
             return (k["zero"], -ctx.cos(a) / ctx.sin(a))
         return (1 - ctx.tan(k["pi"] - a), k["one"])
-    if c == SLIT_OUTER:
+    if center == SLIT_OUTER:
         if a < 0 or a > k["two_pi"]:
             raise DomainError(f"slit chart angle {a} outside [0, 2*pi]")
         if a <= k["corner"] or a >= k["two_pi"] - k["corner"]:
@@ -335,16 +334,16 @@ def collapse(x, ctx):
     r, s = x
     if abs(r) > 1 or abs(s) > 1:
         raise DomainError(f"point ({r}, {s}) outside the square")
-    zero = to_bigfloat(0, ctx)
     if r == 0:
-        return (zero, to_bigfloat(s, ctx))
+        return (_consts(ctx)["zero"], to_bigfloat(s, ctx))
     if r < 0:
         y = collapse((-r, s), ctx)
         return (-y[0], y[1])
     if r == 1:
-        return (to_bigfloat(Fraction(1, 2), ctx), zero)
+        k = _consts(ctx)
+        return (k["half"], k["zero"])
     if s == 0:
-        return (to_bigfloat(r, ctx) / 2, zero)
+        return (to_bigfloat(r, ctx) / 2, _consts(ctx)["zero"])
     return _collapse_charts((r, s), ctx)
 
 
@@ -358,13 +357,12 @@ def collapse_inv(y, ctx):
     y1, y2 = y
     if abs(y1) >= 1 or abs(y2) >= 1:
         raise DomainError(f"point ({y1}, {y2}) outside the open square")
-    zero = to_bigfloat(0, ctx)
     if y1 == 0:
-        return (zero, to_bigfloat(y2, ctx))
+        return (_consts(ctx)["zero"], to_bigfloat(y2, ctx))
     if y2 == 0:
         if 2 * abs(y1) >= 1:
             raise SlitError(f"point ({y1}, 0) lies on a collapse slit")
-        return (2 * to_bigfloat(y1, ctx), zero)
+        return (2 * to_bigfloat(y1, ctx), _consts(ctx)["zero"])
     if y1 < 0:
         xm = collapse_inv((-y1, y2), ctx)
         return (-xm[0], xm[1])

@@ -6,6 +6,12 @@ checked with equality.  Floating point enters only through the charts and
 the tangent compactification, which need arctangents; those run inside an
 explicit mpmath context created by :func:`make_context` and passed around
 as a value, never global state.
+
+Rationals are wrapped once, at the public entry points: a map that takes a
+coordinate from outside passes it through :func:`as_rational`, which turns
+int, float and str input into a Fraction (or raises) and hands a Fraction
+back untouched.  Internal calls pass Fractions through, so the exact core
+never rebuilds a value it already holds.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 import mpmath
+from mpmath.ctx_fp import FPContext
+from mpmath.libmp import from_rational
 
 Rational = Fraction
 
@@ -54,15 +62,27 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"not an exact rational literal: {text!r}") from exc
 
 
+def as_rational(x) -> Fraction:
+    """``x`` itself when it is a Fraction, else ``Fraction(x)``.
+
+    The one place where int, float and str input becomes exact; a value
+    that already is a Fraction is not rebuilt.
+    """
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def to_bigfloat(value, ctx):
-    """Convert Rational/int/float/str to the context's float type, correctly rounded."""
-    if isinstance(value, Fraction):
-        # mpmath contexts round p/q correctly via convert(); the double
-        # context constructs through float division.
-        try:
-            return ctx.convert(value)
-        except TypeError:
+    """Convert Rational/int/float/str to the context's float type.
+
+    A Fraction p/q is rounded toward zero at ``ctx.prec`` bits, the rounding
+    ``ctx.convert`` applies to rationals; on ``mpmath.fp`` it is the double
+    nearest to p/q.  Other inputs go through ``ctx.convert``: context floats,
+    ints and floats come back exactly, strings rounded at the precision.
+    """
+    if type(value) is Fraction:  # not isinstance: Fraction's ABC check is slow
+        if isinstance(ctx, FPContext):
             return value.numerator / value.denominator
+        return ctx.make_mpf(from_rational(value.numerator, value.denominator, ctx.prec))
     return ctx.convert(value)
 
 
@@ -132,7 +152,7 @@ class PLFunction:
     def __init__(self, points: Sequence[Tuple[Numeric, Numeric]]):
         cleaned = []
         for x, y in points:
-            x, y = Fraction(x), Fraction(y)
+            x, y = as_rational(x), as_rational(y)
             if cleaned and (x, y) == cleaned[-1]:
                 continue  # collapsed breakpoint (shear profile at n = 1)
             cleaned.append((x, y))
@@ -185,12 +205,12 @@ class PLFunction:
         return min(max(k, 0), len(self.xs) - 2)
 
     def __call__(self, x: Numeric) -> Fraction:
-        x = Fraction(x)
+        x = as_rational(x)
         k = self.segment_index(x)
         return self.ys[k] + self.slopes[k] * (x - self.xs[k])
 
     def inverse(self, y: Numeric) -> Fraction:
-        y = Fraction(y)
+        y = as_rational(y)
         if y < self.ys[0] or y > self.ys[-1]:
             raise DomainError(f"PL value {y} outside [-1, 1]")
         k = bisect.bisect_right(self.ys, y) - 1
@@ -208,7 +228,7 @@ class PLFunction:
         the endpoints is again one; its breakpoints are the merged
         abscissas of the two operands.
         """
-        t = Fraction(t)
+        t = as_rational(t)
         if t < 0 or t > 1:
             raise DomainError(f"blend weight {t} outside [0, 1]")
         if t == 0:

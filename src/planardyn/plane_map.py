@@ -53,14 +53,18 @@ def _pinned(r, s) -> bool:
     return abs(r) == 1 or abs(s) == 1 or (s == 0 and 2 * abs(r) >= 1)
 
 
-def _rationalize_square(w) -> Tuple[Fraction, Fraction]:
+def _rationalize_square(w, ctx) -> Tuple[Fraction, Fraction]:
     """Exact rational value of a big-float square point, nudged back onto
-    the square when rounding overshot the boundary by an ulp."""
+    the square when rounding overshot the boundary by a few ulps.
+
+    An overshoot of up to 2^-(prec-8) snaps, and never less than 2^-48 (the
+    bound of the double context); a larger one is an escape, not rounding.
+    """
     out = []
     for v in w:
         q = bigfloat_to_rational(v)
         if abs(q) > 1:
-            if abs(q) - 1 > Fraction(1, 2**48):
+            if abs(q) - 1 > Fraction(1, 2 ** max(ctx.prec - 8, 48)):
                 raise DomainError(f"coordinate {q} escaped the square")
             q = Fraction(1 if q > 0 else -1)
         out.append(q)
@@ -80,7 +84,7 @@ def quotient_square_map(x, ctx, inverse: bool = False):
         raise DomainError(f"point ({r}, {s}) outside the square")
     if _pinned(r, s):
         return (-r, s)
-    w = _rationalize_square(collapse_inv((r, s), ctx))
+    w = _rationalize_square(collapse_inv((r, s), ctx), ctx)
     image = square_homeo(w, inverse=inverse)
     return collapse(image, ctx)
 
@@ -125,7 +129,7 @@ def lifted_core(
             (n, None, (x1 if n % 2 == 0 else -x1, x2)) for n in range(n_lo, n_hi + 1)
         ]
     q = tangent_chart((x1, x2), ctx, inverse=True)
-    w0 = _rationalize_square(collapse_inv(q, ctx))
+    w0 = _rationalize_square(collapse_inv(q, ctx), ctx)
     lifts = {0: w0}
     for step, stop in ((1, n_hi), (-1, n_lo)):
         w = w0

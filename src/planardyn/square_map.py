@@ -33,8 +33,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .numerics import DomainError, IDENTITY_PL, PLFunction, Rational, pl_eval
+from .numerics import (
+    DomainError,
+    IDENTITY_PL,
+    PLFunction,
+    Rational,
+    as_rational,
+    pl_eval,
+)
 from .strips import (
+    HALF,
+    MINUS_HALF,
     SHIFT_PROFILE,
     Zone,
     block_of,
@@ -79,15 +88,16 @@ class RegionTag(str, Enum):
 
 
 def as_square_point(p) -> SquarePoint:
-    r, s = Fraction(p[0]), Fraction(p[1])
-    if abs(r) > 1 or abs(s) > 1:
+    r, s = as_rational(p[0]), as_rational(p[1])
+    # |r| > 1 read off the integer parts, without building abs(r)
+    if abs(r.numerator) > r.denominator or abs(s.numerator) > s.denominator:
         raise DomainError(f"point ({r}, {s}) outside the square")
     return (r, s)
 
 
 def reflect(p, axis: str) -> SquarePoint:
     """Reflections of the square: "level" negates r, "vertical" negates s."""
-    r, s = Fraction(p[0]), Fraction(p[1])
+    r, s = as_rational(p[0]), as_rational(p[1])
     if axis == "level":
         return (-r, s)
     if axis == "vertical":
@@ -135,19 +145,20 @@ def row_map(s: Rational) -> PLFunction:
     previous level's rule and this level's rule, with weight growing
     linearly from the strip floor to the split height image.
     """
+    s = as_rational(s)
     d = strip_locate(s)
     if d.zone in (Zone.D1_CORE, Zone.TOP_LINE):
         return IDENTITY_PL
     if d.zone is Zone.B_ZONE:
         return line_rule(d.level)
-    t = (Fraction(s) - d.lo) / (d.mid - d.lo)
+    t = (s - d.lo) / (d.mid - d.lo)
     return line_rule(d.level - 1).blend(line_rule(d.level), t)
 
 
 def strip_shear(p, inverse: bool = False) -> SquarePoint:
     """Apply the per-line shear (or its inverse) to a point of J x [1/2, 1]."""
     r, s = as_square_point(p)
-    if s < Fraction(1, 2):
+    if s < HALF:
         raise DomainError(f"strip shear is defined on the band [1/2, 1], got s = {s}")
     row = row_map(s)
     return (row.inverse(r) if inverse else row(r), s)
@@ -161,7 +172,7 @@ def rise_map(p, inverse: bool = False) -> SquarePoint:
     """
     r, s = as_square_point(p)
     if inverse:
-        if s < Fraction(1, 2):
+        if s < HALF:
             raise DomainError(f"rising-map inverse needs s in [1/2, 1], got {s}")
         q = strip_shear((r, s), inverse=True)
         return vertical_shift(reflect(q, "level"), inverse=True)
@@ -178,7 +189,7 @@ def descend_map(p, inverse: bool = False) -> SquarePoint:
     """
     r, s = as_square_point(p)
     if inverse:
-        if s > Fraction(-1, 2):
+        if s > MINUS_HALF:
             raise DomainError(f"descending-map inverse needs s in [-1, -1/2], got {s}")
     elif s > 0:
         raise DomainError(f"descending map needs s in [-1, 0], got {s}")
@@ -189,18 +200,18 @@ def descend_map(p, inverse: bool = False) -> SquarePoint:
 
 def region_of(s: Rational, inverse: bool = False) -> RegionTag:
     """Region of the piecewise definition picked for a given height."""
-    s = Fraction(s)
-    if abs(s) > 1:
+    s = as_rational(s)
+    if abs(s.numerator) > s.denominator:
         raise DomainError(f"height {s} outside [-1, 1]")
     if inverse:
-        if s >= Fraction(1, 2):
+        if s >= HALF:
             return RegionTag.R1
         if s >= 0:
             return RegionTag.D0
         return RegionTag.R_MINUS_1
     if s >= 0:
         return RegionTag.R0
-    if s >= Fraction(-1, 2):
+    if s >= MINUS_HALF:
         return RegionTag.D_MINUS_1
     return RegionTag.R_MINUS_2
 

@@ -16,15 +16,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional
 
-from .numerics import DomainError, PLFunction, Rational, pl_eval
+from .numerics import DomainError, PLFunction, Rational, as_rational, pl_eval
+
+HALF = Fraction(1, 2)
+MINUS_HALF = Fraction(-1, 2)
+THREE_QUARTERS = Fraction(3, 4)
 
 # Vertical-shift profile: breakpoints (-1,-1), (-1/2, 0), (0, 1/2), (1, 1).
 # Fixes the endpoints, pushes everything else strictly upward.
-SHIFT_PROFILE = PLFunction(
-    [(-1, -1), (Fraction(-1, 2), 0), (0, Fraction(1, 2)), (1, 1)]
-)
+SHIFT_PROFILE = PLFunction([(-1, -1), (MINUS_HALF, 0), (0, HALF), (1, 1)])
 
 
 def split_height(n: int) -> Fraction:
@@ -67,7 +70,7 @@ def shift_profile_pow(s: Rational, i: int) -> Fraction:
     For s in [0, 1] and i >= 0 the orbit stays in the top affine piece, so
     the closed form 1 - (1 - s) * 2^-i applies; otherwise iterate.
     """
-    s = Fraction(s)
+    s = as_rational(s)
     if s < -1 or s > 1:
         raise DomainError(f"argument {s} outside [-1, 1]")
     if i >= 0 and 0 <= s:
@@ -103,6 +106,11 @@ class StripDescriptor:
     hi: Fraction
 
 
+CORE_STRIP = StripDescriptor(1, Zone.D1_CORE, None, HALF, None, THREE_QUARTERS)
+TOP_STRIP = StripDescriptor(None, Zone.TOP_LINE, None, Fraction(1), None, Fraction(1))
+
+
+@lru_cache(maxsize=None)
 def strip_bounds(i: int):
     """(lo, mid, hi) of level i >= 2; mid is the blended image of the split height."""
     if i < 2:
@@ -121,15 +129,13 @@ def strip_locate(s: Rational) -> StripDescriptor:
     s = 1 is its own zone; each remaining height lands in exactly one
     half-open level [1 - 2^-i, 1 - 2^-i-1).
     """
-    s = Fraction(s)
-    if s < Fraction(1, 2) or s > 1:
+    s = as_rational(s)
+    if s < HALF or s > 1:
         raise DomainError(f"height {s} outside [1/2, 1]")
     if s == 1:
-        return StripDescriptor(None, Zone.TOP_LINE, None, Fraction(1), None, Fraction(1))
-    if s <= Fraction(3, 4):
-        return StripDescriptor(
-            1, Zone.D1_CORE, None, Fraction(1, 2), None, Fraction(3, 4)
-        )
+        return TOP_STRIP
+    if s <= THREE_QUARTERS:
+        return CORE_STRIP
     u = 1 - s  # in (0, 1/4): level i has 2^-i-1 < u <= 2^-i
     i = (u.denominator // u.numerator).bit_length() - 1
     lo, mid, hi = strip_bounds(i)

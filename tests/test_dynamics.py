@@ -1,11 +1,13 @@
 """Orbit machinery, certificates, and the verification suites."""
 
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from planardyn.numerics import DomainError
+from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
 from planardyn import dynamics as dyn
 
 
@@ -214,3 +216,12 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
         ("orbit_bounded", None),
         ("ray_period_two", None),
     ]
+
+
+def test_xi_report_matches_golden():
+    # `planardyn verify --suite xi --out` at the default seed and 256 bits,
+    # written before the direct rational conversion landed.  Its 256-bit
+    # worst errors pin every rounding on the Fraction -> big-float path.
+    golden = Path(__file__).parent / "data" / "verify_xi.json"
+    report = dyn.run_suite("xi", make_context(256), DEFAULT_TOLERANCES)
+    assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")

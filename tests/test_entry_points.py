@@ -1,0 +1,142 @@
+"""Public entry points of the exact core take int, float and str input.
+
+Coordinates are wrapped into Fractions once, where they enter; internal
+calls then pass Fractions through.  These tests pin that contract: a
+non-Fraction input gives exactly the Fraction result, and an input outside
+the domain still raises DomainError whatever its type.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from planardyn.numerics import DomainError, PLFunction
+from planardyn.square_map import (
+    reflect,
+    region_of,
+    square_homeo,
+    strip_shear,
+    vertical_shift,
+)
+from planardyn.strips import strip_locate
+
+PROFILE = PLFunction([(-1, -1), (Fraction(-1, 2), 0), (0, Fraction(1, 2)), (1, 1)])
+OTHER = PLFunction([(-1, -1), (Fraction(1, 4), Fraction(-1, 8)), (1, 1)])
+
+
+def _spellings(q: Fraction):
+    """The same exact value as str, and as float (when dyadic) and int
+    (when integral)."""
+    out = [str(q)]
+    if Fraction(float(q)) == q:
+        out.append(float(q))
+    if q.denominator == 1:
+        out.append(int(q))
+    return out
+
+
+def _point_spellings(p):
+    return [(a, b) for a in _spellings(p[0]) for b in _spellings(p[1])]
+
+
+# name -> (function of one argument, in-domain exact inputs, out-of-domain inputs)
+CASES = {
+    "square_homeo": (
+        square_homeo,
+        [
+            (Fraction(1, 3), Fraction(1, 5)),
+            (Fraction(3, 8), Fraction(5, 16)),
+            (Fraction(-3, 4), Fraction(-7, 8)),
+            (0, 1),
+        ],
+        [(2, 0), (0, "-5/4"), (1.5, 0.5)],
+    ),
+    "square_homeo_inverse": (
+        lambda p: square_homeo(p, inverse=True),
+        [(Fraction(1, 3), Fraction(5, 8)), (Fraction(-1, 2), Fraction(1, 4)), (1, -1)],
+        [(0, 2), ("9/8", 0), (-1.25, 0.0)],
+    ),
+    "vertical_shift": (
+        vertical_shift,
+        [(Fraction(1, 2), Fraction(-3, 4)), (-1, 0)],
+        [(0, 2), ("3/2", 0)],
+    ),
+    "strip_shear": (
+        strip_shear,
+        [
+            (Fraction(1, 3), Fraction(7, 8)),
+            (Fraction(-5, 8), Fraction(29, 32)),
+            (Fraction(1, 4), Fraction(13, 16)),
+        ],
+        [(0, Fraction(1, 4)), (0, 0.25), (2, Fraction(3, 4))],
+    ),
+    "reflect": (
+        lambda p: reflect(p, "level"),
+        [(Fraction(1, 3), Fraction(-1, 5)), (Fraction(-3, 8), Fraction(1, 2)), (1, 0)],
+        [],
+    ),
+    "region_of": (
+        region_of,
+        [Fraction(-3, 4), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)],
+        [Fraction(5, 4), -1.5, "2"],
+    ),
+    "region_of_inverse": (
+        lambda s: region_of(s, inverse=True),
+        [Fraction(-3, 4), Fraction(1, 2), Fraction(-1)],
+        [Fraction(-5, 4), 1.5],
+    ),
+    "strip_locate": (
+        strip_locate,
+        [Fraction(1, 2), Fraction(3, 4), Fraction(7, 8), Fraction(61, 64), Fraction(1)],
+        [Fraction(1, 4), 0.25, "3/2", 2],
+    ),
+    "PLFunction.__call__": (
+        PROFILE,
+        [Fraction(-3, 4), Fraction(1, 3), Fraction(1), Fraction(-1)],
+        [Fraction(3, 2), -1.5, "2"],
+    ),
+    "PLFunction.inverse": (
+        PROFILE.inverse,
+        [Fraction(-3, 4), Fraction(2, 3), Fraction(1)],
+        [Fraction(3, 2), -1.5, "2"],
+    ),
+    "PLFunction.blend": (
+        lambda t: PROFILE.blend(OTHER, t),
+        [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+        [Fraction(-1, 2), 1.5, "2"],
+    ),
+}
+
+
+def _spell(value):
+    if isinstance(value, tuple):
+        return _point_spellings(tuple(Fraction(v) for v in value))
+    return _spellings(value)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_non_fraction_inputs_match_fraction_inputs(name):
+    fn, good, _ = CASES[name]
+    for value in good:
+        exact = tuple(Fraction(v) for v in value) if isinstance(value, tuple) else value
+        expected = fn(exact)
+        for spelled in _spell(value):
+            got = fn(spelled)
+            assert got == expected, (name, spelled)
+            if isinstance(got, tuple):
+                assert all(type(v) is Fraction for v in got), (name, spelled)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_out_of_domain_inputs_raise(name):
+    fn, _, bad = CASES[name]
+    for value in bad:
+        with pytest.raises(DomainError):
+            fn(value)
+
+
+def test_reflect_rejects_unknown_axis():
+    for p in [(Fraction(1, 3), Fraction(1, 5)), (0.5, "1/4"), (1, 0)]:
+        with pytest.raises(DomainError):
+            reflect(p, "diagonal")
+

@@ -1,7 +1,9 @@
 """Exact piecewise-linear functions and the big-float working context."""
 
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from planardyn.numerics import (
     SlitError,
     Tolerances,
     angle_normalize,
+    as_rational,
     bigfloat_to_rational,
     make_context,
     parse_rational,
@@ -56,6 +59,58 @@ def test_to_bigfloat_exact_on_dyadics(ctx):
 def test_bigfloat_roundtrip_error_is_tiny(ctx):
     x = to_bigfloat(Fraction(1, 3), ctx)
     assert abs(bigfloat_to_rational(x) - Fraction(1, 3)) < Fraction(1, 2**250)
+
+
+CONVERSION_PRECISIONS = (53, 128, 256, 512)
+
+
+@st.composite
+def big_rationals(draw, max_bits=30000):
+    """Rationals whose numerator and denominator each run up to ~30k bits."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = rng.getrandbits(draw(st.integers(1, max_bits))) * draw(st.sampled_from((1, -1)))
+    q = rng.getrandbits(draw(st.integers(1, max_bits))) or 1
+    return Fraction(p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_rationals())
+def test_to_bigfloat_rounds_rationals_like_convert(value):
+    for prec in CONVERSION_PRECISIONS:
+        ctx = make_context(prec)
+        assert to_bigfloat(value, ctx)._mpf_ == ctx.convert(value)._mpf_
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_rationals(max_bits=1000))  # |p/q| stays inside the double range
+def test_to_bigfloat_on_doubles_is_nearest(value):
+    assert to_bigfloat(value, mpmath.fp) == float(value)
+
+
+def test_to_bigfloat_rounds_toward_zero(ctx):
+    # 1/3 and -1/3 at 256 bits: the magnitude is truncated, never rounded up
+    for v in (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3)):
+        x = to_bigfloat(v, ctx)
+        assert abs(bigfloat_to_rational(x)) < abs(v)
+
+
+@pytest.mark.parametrize(
+    "value", [7, -2**300, 0.1, -2.5, "1/3", "0.1", "-7"], ids=repr
+)
+@pytest.mark.parametrize("prec", CONVERSION_PRECISIONS)
+def test_to_bigfloat_other_inputs_follow_convert(value, prec):
+    ctx = make_context(prec)
+    assert to_bigfloat(value, ctx)._mpf_ == ctx.convert(value)._mpf_
+    x = ctx.mpf(1) / 3
+    assert to_bigfloat(x, ctx) is x
+
+
+def test_as_rational_wraps_only_non_fractions():
+    f = Fraction(3, 7)
+    assert as_rational(f) is f
+    assert as_rational(2) == Fraction(2) and type(as_rational(2)) is Fraction
+    assert as_rational(0.25) == Fraction(1, 4)
+    assert as_rational("3/7") == f
 
 
 def test_angle_normalize_range(ctx):

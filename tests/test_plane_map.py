@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
-from planardyn.numerics import to_bigfloat
+import mpmath
+import pytest
+
+from planardyn.numerics import DomainError, make_context, to_bigfloat
 from planardyn.plane_map import (
+    _rationalize_square,
     example_shift_reflection,
     lifted_core,
     lifted_orbit,
@@ -129,3 +133,18 @@ def test_example_heights_grow_inside_the_band(ctx):
     for n in range(1, 50):
         p = example_shift_reflection(p)
         assert p[1] == n
+
+
+def test_rationalize_square_snap_follows_precision():
+    ctx = make_context(256)
+    one = ctx.mpf(1)
+    # a 1-ulp overshoot is rounding: it snaps back onto the edge
+    ulp = ctx.ldexp(one, 1 - ctx.prec)
+    assert _rationalize_square((one + ulp, -one - ulp), ctx) == (1, -1)
+    # 2^-100 is far above 256-bit rounding: the point escaped the square
+    with pytest.raises(DomainError):
+        _rationalize_square((one + ctx.ldexp(one, -100), ctx.mpf(0)), ctx)
+    # in doubles the snap stays at 2^-48
+    assert _rationalize_square((1 + 2.0**-50, 0.0), mpmath.fp) == (1, 0)
+    with pytest.raises(DomainError):
+        _rationalize_square((1 + 2.0**-40, 0.0), mpmath.fp)
