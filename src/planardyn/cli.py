@@ -124,7 +124,7 @@ def _orbit_json(record, ctx) -> str:
         "arithmetic": record.arithmetic,
         "points": _orbit_rows(record),
         "metadata": {
-            "precision": getattr(ctx, "prec", 53),
+            "precision": ctx.prec,
             "sampler_seed": None,
             "tolerances": dataclasses.asdict(DEFAULT_TOLERANCES),
         },

@@ -4,10 +4,13 @@ Everything the command-line ``verify`` command and the acceptance tests
 check lives here, in plain functions returning :class:`Certificate`
 values: exact claims (boundary identity, monotone shear ladder, positive
 displacement, orientation signs) carry exact evidence, floating-point
-claims carry the tolerances they were checked at.  The same certificate
-producers back both entry points, so a green verify run and a green test
-suite are the same statement.  ``SUITE_TABLE`` lists each suite's checks
-in report order, with the sampler-seed offset of each; ``run_suite`` runs it.
+claims carry the tolerances they were checked at.  ``SUITE_TABLE`` lists
+each suite's checks in report order with the sampler-seed offset and run
+values of each, and is the only place those are stated: no check has a
+default seed or tolerance.  ``run_suite`` runs a suite; the ``verify``
+command prints its report and the acceptance battery reads the same
+reports, so a green verify run and a green test suite are the same
+statement.
 """
 
 from __future__ import annotations
@@ -464,10 +467,7 @@ def _sup_norm(core) -> Tuple[float, int]:
 
 
 def boundedness_certificate(
-    seed,
-    window: Tuple[int, int],
-    ctx,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    seed, window: Tuple[int, int], ctx, tol: Tolerances
 ) -> Certificate:
     """Boundedness evidence for one plane orbit.
 
@@ -601,7 +601,7 @@ def check_boundary_identity() -> Certificate:
     return Certificate("boundedness", rule_ok and inv_rule_ok and period_ok, evidence)
 
 
-def check_rising_bijectivity(rng_seed: int = DEFAULT_SAMPLER_SEED) -> Certificate:
+def check_rising_bijectivity(rng_seed: int) -> Certificate:
     """Exact roundtrip and line-to-line structure at random rational points."""
     rng = random.Random(rng_seed)
     samples = 10**4
@@ -655,7 +655,7 @@ def check_seam_agreement() -> Certificate:
     )
 
 
-def check_reversal_symmetry(rng_seed: int = DEFAULT_SAMPLER_SEED + 1) -> Certificate:
+def check_reversal_symmetry(rng_seed: int) -> Certificate:
     """Exact time-reversal: the inverse equals the vertical-flip conjugate."""
     rng = random.Random(rng_seed)
     samples = 500
@@ -698,7 +698,7 @@ def check_ladder_canonical() -> Certificate:
     )
 
 
-def check_ladder_random(rng_seed: int = DEFAULT_SAMPLER_SEED + 2) -> Certificate:
+def check_ladder_random(rng_seed: int) -> Certificate:
     """Ladder witnesses for random seeds in the open band (0, 1/2]."""
     rng = random.Random(rng_seed)
     count = 25
@@ -720,10 +720,7 @@ def check_ladder_random(rng_seed: int = DEFAULT_SAMPLER_SEED + 2) -> Certificate
     )
 
 
-def check_interior_limits(
-    rng_seed: int = DEFAULT_SAMPLER_SEED + 3,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> Certificate:
+def check_interior_limits(rng_seed: int, tol: Tolerances) -> Certificate:
     """Random interior seeds drift to the top corners forward and the
     bottom corners backward, within the limit-set tolerance.  A seed on the
     fiber converges to one corner per parity, so a tail need not realise
@@ -755,8 +752,8 @@ def check_interior_limits(
 
 def check_collapse_conditions(
     ctx,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    rng_seed: int = DEFAULT_SAMPLER_SEED + 4,
+    tol: Tolerances,
+    rng_seed: int,
     pin_samples: int = 2500,
     commutation_samples: int = 5000,
     roundtrip_samples: int = 10**4,
@@ -771,8 +768,11 @@ def check_collapse_conditions(
     right boundary path traverses [top edge -> right edge -> slit]
     monotonically; (3) the collapse commutes with both reflections;
     plus the interior roundtrip at the chart tolerance with a margin from
-    the boundary and slits, and the image staying off the slits.
+    the boundary and slits, and the image staying off the slits.  Edge
+    samples come in +- pairs, so ``edge_samples`` must be even.
     """
+    if edge_samples % 2:
+        raise DomainError(f"edge_samples must be even, got {edge_samples}")
     rng = random.Random(rng_seed)
     com_tol = tol.commutation
     worst = {"fiber": 0.0, "axis": 0.0, "edge": 0.0, "commutation": 0.0, "roundtrip": 0.0}
@@ -867,8 +867,8 @@ def check_collapse_conditions(
 
 def check_cone_bijectivity(
     ctx,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    rng_seed: int = DEFAULT_SAMPLER_SEED + 5,
+    tol: Tolerances,
+    rng_seed: int,
     samples: int = 10**3,
 ) -> Certificate:
     """Roundtrip of the radial extension on random rectangle points."""
@@ -961,7 +961,7 @@ def check_slit_continuity(ctx) -> Certificate:
     )
 
 
-def check_rays_exact(ctx, rng_seed: int = DEFAULT_SAMPLER_SEED + 6) -> Certificate:
+def check_rays_exact(ctx, rng_seed: int) -> Certificate:
     """The two rays reflect exactly and are exactly two-periodic."""
     rng = random.Random(rng_seed)
     samples = 10**3
@@ -989,14 +989,10 @@ def _canonical_core(ctx):
     return lifted_core((Fraction(0), Fraction(0)), (-400, 400), ctx)
 
 
-def check_plane_convergence(
-    ctx, tol: Tolerances = DEFAULT_TOLERANCES, core=None
-) -> Certificate:
+def check_plane_convergence(core) -> Certificate:
     """Both tails of the canonical plane orbit land within 0.05 of the
     limit pair and stay there for 200 steps: reports the first window
     start on each side."""
-    if core is None:
-        core = _canonical_core(ctx)
     radius, hold = 0.05, 200
     dist = {n: min(_dist(y, t) for t in LIMIT_PAIR) for n, _, y in core}
     span = max(dist)
@@ -1024,11 +1020,9 @@ def check_plane_convergence(
     return Certificate("boundedness", passed, evidence)
 
 
-def check_excursion(ctx, core=None) -> Certificate:
+def check_excursion(core) -> Certificate:
     """The canonical plane orbit leaves any moderate disk before settling:
     its sup norm over |n| <= 300 exceeds 1000."""
-    if core is None:
-        core = _canonical_core(ctx)
     span, threshold = 300, 1e3
     sup, arg = _sup_norm([e for e in core if abs(e[0]) <= span])
     evidence = {
@@ -1041,7 +1035,7 @@ def check_excursion(ctx, core=None) -> Certificate:
     return Certificate("boundedness", sup > threshold, evidence)
 
 
-def check_semiconjugacy(ctx, tol: Tolerances = DEFAULT_TOLERANCES) -> Certificate:
+def check_semiconjugacy(ctx, tol: Tolerances) -> Certificate:
     """Five exact seeds, including one on the fixed fiber."""
     seeds = [
         (Fraction(0), Fraction(1, 4)),
@@ -1056,9 +1050,7 @@ def check_semiconjugacy(ctx, tol: Tolerances = DEFAULT_TOLERANCES) -> Certificat
     return cert
 
 
-def check_displacement_battery(
-    ctx, rng_seed: int = DEFAULT_SAMPLER_SEED + 9
-) -> List[Certificate]:
+def check_displacement_battery(rng_seed: int) -> List[Certificate]:
     """Positive displacement for the square map (exact), the plane map
     (machine-float grid plus random disk samples: density is what matters
     there, not digits), and the contrast example (exact)."""
@@ -1100,9 +1092,7 @@ def check_displacement_battery(
     ]
 
 
-def check_orientation_battery(
-    ctx, rng_seed: int = DEFAULT_SAMPLER_SEED + 7
-) -> List[Certificate]:
+def check_orientation_battery(ctx, rng_seed: int) -> List[Certificate]:
     """Orientation reversal for the square map (exact triangles) and the
     plane map (big-float triangles)."""
     reg = map_registry(ctx)
@@ -1115,9 +1105,7 @@ def check_orientation_battery(
     ]
 
 
-def check_example_contrast(
-    rng_seed: int = DEFAULT_SAMPLER_SEED + 8,
-) -> Certificate:
+def check_example_contrast(rng_seed: int) -> Certificate:
     """The contrast example: fixed-point free on a grid, exactly an
     involution beyond the unit band, orbit heights grow linearly."""
     spec = map_registry(None)["example12"]
@@ -1181,9 +1169,9 @@ SUITE_TABLE: Dict[str, Tuple[SuiteCheck, ...]] = {
     "plane": (
         SuiteCheck("slit_continuity", check_slit_continuity, None, ("ctx",)),
         SuiteCheck("rays_exact", check_rays_exact, 6, ("ctx",)),
-        SuiteCheck("plane_convergence", check_plane_convergence, None, ("ctx", "tol", "core")),
-        SuiteCheck("excursion", check_excursion, None, ("ctx", "core")),
-        SuiteCheck("displacement", check_displacement_battery, 9, ("ctx",)),
+        SuiteCheck("plane_convergence", check_plane_convergence, None, ("core",)),
+        SuiteCheck("excursion", check_excursion, None, ("core",)),
+        SuiteCheck("displacement", check_displacement_battery, 9),
         SuiteCheck("orientation", check_orientation_battery, 7, ("ctx",)),
         SuiteCheck("semiconjugacy", check_semiconjugacy, None, ("ctx", "tol")),
         SuiteCheck("example_contrast", check_example_contrast, 8),
@@ -1226,7 +1214,7 @@ def run_suite(
         ],
         "metadata": {
             "sampler_seed": rng_seed,
-            "precision": getattr(ctx, "prec", 53),
+            "precision": ctx.prec,
             "tolerances": dataclasses.asdict(tol),
         },
     }

@@ -110,7 +110,7 @@ def angle_normalize(y, center, ctx):
         theta = theta + 2 * ctx.pi
     # atan2(-0.0, positive) can leave an exact 2*pi after the wrap
     if theta >= 2 * ctx.pi:
-        theta = ctx.zero if hasattr(ctx, "zero") else 0.0
+        theta = ctx.zero
     return theta
 
 

@@ -57,8 +57,9 @@ def _rationalize_square(w, ctx) -> Tuple[Fraction, Fraction]:
     """Exact rational value of a big-float square point, nudged back onto
     the square when rounding overshot the boundary by a few ulps.
 
-    An overshoot of up to 2^-(prec-8) snaps, and never less than 2^-48 (the
-    bound of the double context); a larger one is an escape, not rounding.
+    An overshoot of up to 2^-(prec-8) snaps, and never more than 2^-48 (the
+    bound at 56 bits and below, the double context included); a larger one
+    is an escape, not rounding.
     """
     out = []
     for v in w:

@@ -1,13 +1,14 @@
 """Orbit machinery, certificates, and the verification suites."""
 
 import dataclasses
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
+from planardyn.numerics import DEFAULT_TOLERANCES, DomainError
 from planardyn import dynamics as dyn
 
 
@@ -138,8 +139,27 @@ def test_semiconjugacy_probe_single_seed(ctx, tol):
     assert cert.evidence["inconclusive"] == 0
 
 
-def test_run_suite_core(ctx, tol):
-    report = dyn.run_suite("core", ctx, tol)
+def test_collapse_conditions_rejects_odd_edge_samples(ctx, tol):
+    # edge samples come in +- pairs: an odd count cannot be run as stated
+    tiny = dict(pin_samples=1, commutation_samples=1, roundtrip_samples=1, path_samples=1)
+    for odd in (1, 3):
+        with pytest.raises(DomainError, match="edge_samples"):
+            dyn.check_collapse_conditions(ctx, tol, 0, edge_samples=odd, **tiny)
+    cert = dyn.check_collapse_conditions(ctx, tol, 0, edge_samples=2, **tiny)
+    assert cert.evidence["counts"]["edge"] == 4
+
+
+def test_checks_take_seed_and_tolerances_from_the_table():
+    # the suite table is the only statement of a check's seed and run values
+    for row in dyn.SUITE_TABLE["all"]:
+        params = inspect.signature(row.check).parameters
+        for name in ("rng_seed", "tol", "ctx", "core"):
+            if name in params:
+                assert params[name].default is inspect.Parameter.empty, (row.label, name)
+
+
+def test_run_suite_core(suite_report):
+    report = suite_report("core")
     assert report["passed"]
     assert len(report["certificates"]) == 7
     checks = [c["evidence"]["check"] for c in report["certificates"]]
@@ -165,8 +185,10 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
     seeds = []
     certs_per_check = {"displacement": 3, "orientation": 2}
 
-    def stub(label):
+    def stub(label, real):
         def check(**kwargs):
+            # the row passes exactly what the real check takes, all by name
+            inspect.signature(real).bind(**kwargs)
             seeds.append((label, kwargs.get("rng_seed")))
             count = certs_per_check.get(label, 1)
             certs = [dyn.Certificate("stub", True, {}) for _ in range(count)]
@@ -176,7 +198,8 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
 
     for name in ("xi", "plane"):
         rows = tuple(
-            dataclasses.replace(row, check=stub(row.label)) for row in dyn.SUITE_TABLE[name]
+            dataclasses.replace(row, check=stub(row.label, row.check))
+            for row in dyn.SUITE_TABLE[name]
         )
         monkeypatch.setitem(dyn.SUITE_TABLE, name, rows)
     monkeypatch.setattr(dyn, "_canonical_core", lambda ctx: [])
@@ -218,10 +241,12 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
     ]
 
 
-def test_xi_report_matches_golden():
+def test_xi_report_matches_golden(suite_report):
     # `planardyn verify --suite xi --out` at the default seed and 256 bits,
     # written before the direct rational conversion landed.  Its 256-bit
     # worst errors pin every rounding on the Fraction -> big-float path.
     golden = Path(__file__).parent / "data" / "verify_xi.json"
-    report = dyn.run_suite("xi", make_context(256), DEFAULT_TOLERANCES)
+    report = suite_report("xi")
+    assert report["metadata"]["precision"] == 256
+    assert report["metadata"]["tolerances"] == dataclasses.asdict(DEFAULT_TOLERANCES)
     assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")
