@@ -166,11 +166,14 @@ def _arith(spec: MapSpec) -> str:
 
 
 def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
-    """Iterate a map over an inclusive integer step range containing any sign.
+    """Iterate a map over an inclusive integer step range of any sign.
 
-    Steps below zero use the inverse; an orbit leaving the map's domain
-    raises a DomainError naming the step.  Maps with an exact lift get
-    their points from the lifted routine (no per-step rounding).
+    The range need not contain 0: iteration always starts at the seed
+    (step 0), and only the requested steps are returned.  Steps below zero
+    use the inverse; an orbit leaving the map's domain raises a DomainError
+    naming the step, also at a step before the range.  Maps with an exact
+    lift get their points from the lifted routine (no per-step rounding),
+    which pushes forward only the requested steps.
     """
     n_lo, n_hi = n_range
     if n_lo > n_hi:
@@ -225,19 +228,25 @@ def limit_estimate(
     """Cluster the far tail (last quarter) of an orbit into candidate limit
     points, split by step parity.
 
-    Candidates are actual orbit points, the most-converged point of each
-    parity class.  ``converged`` requires every even-step tail point to sit
-    within the cluster radius of the even candidate and likewise for odd;
-    a wandering tail reports ``converged=False`` rather than raising.
+    The orbit is asked for the tail window only, steps ``start..horizon``
+    (omega) or ``-horizon..-start`` (alpha): iteration still starts at the
+    seed, but only the window's points are returned, so a lifted map pushes
+    forward those steps and no others.  Candidates are actual orbit points,
+    the most-converged point of each parity class.  ``converged`` requires
+    every even-step tail point to sit within the cluster radius of the even
+    candidate and likewise for odd; a wandering tail reports
+    ``converged=False`` rather than raising.
     """
     if side not in ("omega", "alpha"):
         raise DomainError(f"side must be omega or alpha, got {side}")
     horizon = tol.horizon
-    n_range = (0, horizon) if side == "omega" else (-horizon, 0)
-    record = orbit(spec, seed, n_range)
     start = horizon - horizon // 4
-    window = [e for e in record.entries if abs(e[0]) >= start]
-    window.sort(key=lambda e: abs(e[0]), reverse=True)  # most converged first
+    n_range = (start, horizon) if side == "omega" else (-horizon, -start)
+    window = sorted(
+        orbit(spec, seed, n_range).entries,
+        key=lambda e: abs(e[0]),
+        reverse=True,  # most converged first
+    )
     parity: Dict[str, tuple] = {}
     final: Dict[str, float] = {}
     for label, wanted in (("even", 0), ("odd", 1)):
@@ -768,11 +777,22 @@ def check_collapse_conditions(
     right boundary path traverses [top edge -> right edge -> slit]
     monotonically; (3) the collapse commutes with both reflections;
     plus the interior roundtrip at the chart tolerance with a margin from
-    the boundary and slits, and the image staying off the slits.  Edge
-    samples come in +- pairs, so ``edge_samples`` must be even.
+    the boundary and slits, and the image staying off the slits.  Every
+    count must be at least 1, so no condition passes on zero samples; edge
+    samples come in +- pairs, so ``edge_samples`` must be even and at
+    least 2.
     """
-    if edge_samples % 2:
-        raise DomainError(f"edge_samples must be even, got {edge_samples}")
+    counts = {
+        "pin_samples": pin_samples,
+        "commutation_samples": commutation_samples,
+        "roundtrip_samples": roundtrip_samples,
+        "path_samples": path_samples,
+    }
+    for name, count in counts.items():
+        if count < 1:
+            raise DomainError(f"{name} must be at least 1, got {count}")
+    if edge_samples < 2 or edge_samples % 2:
+        raise DomainError(f"edge_samples must be even and at least 2, got {edge_samples}")
     rng = random.Random(rng_seed)
     com_tol = tol.commutation
     worst = {"fiber": 0.0, "axis": 0.0, "edge": 0.0, "commutation": 0.0, "roundtrip": 0.0}
@@ -871,7 +891,10 @@ def check_cone_bijectivity(
     rng_seed: int,
     samples: int = 10**3,
 ) -> Certificate:
-    """Roundtrip of the radial extension on random rectangle points."""
+    """Roundtrip of the radial extension on random rectangle points; at
+    least one sample, so the check cannot pass on none."""
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     rng = random.Random(rng_seed)
     pi = +ctx.pi
     ok = True

@@ -23,7 +23,7 @@ from typing import Sequence, Tuple, Union
 
 import mpmath
 from mpmath.ctx_fp import FPContext
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_man_exp, round_down
 
 Rational = Fraction
 
@@ -78,11 +78,22 @@ def to_bigfloat(value, ctx):
     ``ctx.convert`` applies to rationals; on ``mpmath.fp`` it is the double
     nearest to p/q.  Other inputs go through ``ctx.convert``: context floats,
     ints and floats come back exactly, strings rounded at the precision.
+
+    The truncation takes one exact floor division: with
+    ``k = prec + 1 - (bits(|p|) - bits(q))`` the integer
+    ``m = floor(|p| 2^k / q)`` has at least ``prec + 1`` bits, and cutting
+    ``m 2^-k`` to ``prec`` bits gives the same value as cutting p/q there.
+    So the result is bit for bit ``from_rational(p, q, prec)``, without
+    normalising the full-size operands of a 10^4-bit fraction first.
     """
     if type(value) is Fraction:  # not isinstance: Fraction's ABC check is slow
+        p, q = value.numerator, value.denominator
         if isinstance(ctx, FPContext):
-            return value.numerator / value.denominator
-        return ctx.make_mpf(from_rational(value.numerator, value.denominator, ctx.prec))
+            return p / q
+        a = abs(p)
+        k = ctx.prec + 1 - (a.bit_length() - q.bit_length())
+        m = (a << k) // q if k >= 0 else a // (q << -k)
+        return ctx.make_mpf(from_man_exp(-m if p < 0 else m, -k, ctx.prec, round_down))
     return ctx.convert(value)
 
 

@@ -118,8 +118,11 @@ def lifted_core(
 
     Returns a list of (n, square lift, plane point) for n in the inclusive
     range.  The seed is pulled back to an exact rational square point once;
-    all iteration happens there.  Ray seeds have no square lift (entry
-    None) and alternate exactly between their two positions.
+    all iteration happens there, starting at the seed (step 0) whether or
+    not the range contains 0.  Only the requested steps are kept, returned
+    and pushed forward through the collapse and the tangent chart.  Ray seeds
+    have no square lift (entry None) and alternate exactly between their
+    two positions.
     """
     n_lo, n_hi = n_range
     if n_lo > n_hi:
@@ -136,7 +139,8 @@ def lifted_core(
         w = w0
         for n in range(step, stop + step, step):
             w = square_homeo(w, inverse=step < 0)
-            lifts[n] = w
+            if n_lo <= n <= n_hi:
+                lifts[n] = w
     out = []
     for n in range(n_lo, n_hi + 1):
         wn = lifts[n]

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from planardyn.collapse_map import collapse
 from planardyn.numerics import DEFAULT_TOLERANCES, DomainError
 from planardyn import dynamics as dyn
+from planardyn import plane_map
+from planardyn.plane_map import lifted_core
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +67,45 @@ def test_orbit_domain_error_names_the_step(registry):
         dyn.orbit(registry["eta"], (Fraction(0), Fraction(-1, 4)), (0, 1))
     with pytest.raises(DomainError, match="empty step range"):
         dyn.orbit(registry["f"], (Fraction(0), Fraction(0)), (2, 1))
+
+
+# (tail window, full half-orbit, the window's slice of the full entries)
+TAIL_WINDOWS = (
+    ((75, 100), (0, 100), slice(75, None)),
+    ((-100, -75), (-100, 0), slice(None, 26)),
+)
+
+
+@pytest.mark.parametrize("name", ["f", "h"])
+def test_orbit_window_is_a_slice_of_the_full_orbit(registry, name):
+    # a range without 0 still iterates from the seed at step 0
+    seed = (Fraction(1, 3), Fraction(1, 5))
+    for window, full, part in TAIL_WINDOWS:
+        rec = dyn.orbit(registry[name], seed, window)
+        assert rec.entries == dyn.orbit(registry[name], seed, full).entries[part]
+        assert [n for n, _ in rec.entries] == list(range(window[0], window[1] + 1))
+
+
+def test_lifted_core_window_is_a_slice_of_the_full_orbit(ctx):
+    seed = (Fraction(1, 3), Fraction(1, 5))
+    for window, full, part in TAIL_WINDOWS:
+        assert lifted_core(seed, window, ctx) == lifted_core(seed, full, ctx)[part]
+
+
+@pytest.mark.parametrize("side", ["omega", "alpha"])
+def test_limit_estimate_pushes_forward_only_its_window(monkeypatch, registry, side):
+    # horizon 100 reads steps 75..100: 26 collapses, not the 101 of the orbit
+    calls = []
+
+    def counting_collapse(w, ctx):
+        calls.append(w)
+        return collapse(w, ctx)
+
+    monkeypatch.setattr(plane_map, "collapse", counting_collapse)
+    seed = (Fraction(1, 3), Fraction(1, 5))
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, horizon=100)
+    dyn.limit_estimate(registry["h"], seed, side, tol)
+    assert len(calls) == 26
 
 
 def test_limit_estimate_converges_to_top_corners(registry, tol):
@@ -140,13 +182,31 @@ def test_semiconjugacy_probe_single_seed(ctx, tol):
 
 
 def test_collapse_conditions_rejects_odd_edge_samples(ctx, tol):
-    # edge samples come in +- pairs: an odd count cannot be run as stated
+    # edge samples come in +- pairs: an odd count cannot be run as stated,
+    # and fewer than one pair would pass the edge condition on no sample
     tiny = dict(pin_samples=1, commutation_samples=1, roundtrip_samples=1, path_samples=1)
-    for odd in (1, 3):
+    for bad in (1, 3, 0, -2):
         with pytest.raises(DomainError, match="edge_samples"):
-            dyn.check_collapse_conditions(ctx, tol, 0, edge_samples=odd, **tiny)
+            dyn.check_collapse_conditions(ctx, tol, 0, edge_samples=bad, **tiny)
     cert = dyn.check_collapse_conditions(ctx, tol, 0, edge_samples=2, **tiny)
     assert cert.evidence["counts"]["edge"] == 4
+
+
+@pytest.mark.parametrize(
+    "count", ["pin_samples", "commutation_samples", "roundtrip_samples", "path_samples"]
+)
+def test_collapse_conditions_rejects_zero_counts(ctx, tol, count):
+    # zero samples would pass a condition vacuously (path_samples=0 divided by 0)
+    tiny = dict(pin_samples=1, commutation_samples=1, roundtrip_samples=1, path_samples=1)
+    tiny[count] = 0
+    with pytest.raises(DomainError, match=count):
+        dyn.check_collapse_conditions(ctx, tol, 0, edge_samples=2, **tiny)
+
+
+def test_cone_bijectivity_rejects_zero_samples(ctx, tol):
+    with pytest.raises(DomainError, match="samples"):
+        dyn.check_cone_bijectivity(ctx, tol, 0, samples=0)
+    assert dyn.check_cone_bijectivity(ctx, tol, 0, samples=1).evidence["samples"] == 1
 
 
 def test_checks_take_seed_and_tolerances_from_the_table():
@@ -250,3 +310,26 @@ def test_xi_report_matches_golden(suite_report):
     assert report["metadata"]["precision"] == 256
     assert report["metadata"]["tolerances"] == dataclasses.asdict(DEFAULT_TOLERANCES)
     assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+
+
+def test_core_report_matches_golden(suite_report):
+    # `planardyn verify --suite core --out` at the default seed, written
+    # before the limit estimates asked `orbit` for their tail window only
+    golden = Path(__file__).parent / "data" / "verify_core.json"
+    report = suite_report("core")
+    assert report["metadata"]["sampler_seed"] == dyn.DEFAULT_SAMPLER_SEED
+    assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+
+
+def test_plane_256bit_certificates_match_golden(suite_report):
+    # the plane certificates computed in 256-bit mpmath arithmetic alone,
+    # taken from `planardyn verify --suite all --out` at the default seed;
+    # the rows that run on mpmath.fp depend on the platform's libm and are
+    # left out
+    golden = Path(__file__).parent / "data" / "plane_256bit_certificates.json"
+    report = suite_report("plane")
+    assert report["metadata"]["precision"] == 256
+    labels = ("semiconjugacy", "orbit_bounded", "ray_period_two")
+    certs = [c for c in report["certificates"] if c["evidence"]["check"] in labels]
+    assert [c["evidence"]["check"] for c in certs] == list(labels)
+    assert json.dumps(certs, indent=2) + "\n" == golden.read_text(encoding="utf-8")

@@ -87,6 +87,44 @@ def test_to_bigfloat_on_doubles_is_nearest(value):
     assert to_bigfloat(value, mpmath.fp) == float(value)
 
 
+@st.composite
+def two_adic_rationals(draw):
+    """p/q with q an odd number times 2^k, k up to 10^4: the shape lifted
+    orbits near a strip wall reach.  Numerators run up to 12k bits, so
+    |p/q| lands on both sides of 1."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    odd = rng.getrandbits(draw(st.integers(0, 2000))) | 1
+    q = odd << draw(st.integers(0, 10**4))
+    p = rng.getrandbits(draw(st.integers(0, 12000))) * draw(st.sampled_from((1, -1)))
+    return Fraction(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_adic_rationals())
+def test_to_bigfloat_on_large_two_adic_denominators(value):
+    for prec in CONVERSION_PRECISIONS:
+        ctx = make_context(prec)
+        assert to_bigfloat(value, ctx)._mpf_ == ctx.convert(value)._mpf_
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Fraction(0),
+        Fraction(1, 3 << 10**4),
+        Fraction(-5, 3 << 10**4),
+        Fraction((1 << 12000) + 1, 7 << 10**4),  # |p/q| > 1: the k < 0 branch
+        -Fraction((1 << 12000) + 1, 7 << 10**4),
+        Fraction(-(3**7000), 5 << 9000),
+    ],
+    ids=["zero", "tiny", "tiny_negative", "huge", "huge_negative", "odd_power"],
+)
+@pytest.mark.parametrize("prec", CONVERSION_PRECISIONS)
+def test_to_bigfloat_two_adic_edge_cases(value, prec):
+    ctx = make_context(prec)
+    assert to_bigfloat(value, ctx)._mpf_ == ctx.convert(value)._mpf_
+
+
 def test_to_bigfloat_rounds_toward_zero(ctx):
     # 1/3 and -1/3 at 256 bits: the magnitude is truncated, never rounded up
     for v in (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3)):
