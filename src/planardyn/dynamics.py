@@ -36,8 +36,8 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     DomainError,
     Tolerances,
+    as_rational,
     make_context,
-    pl_eval,
     to_bigfloat,
 )
 from .plane_map import (
@@ -184,7 +184,7 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     else:
         seed = (seed[0], seed[1])
     if spec.exact:
-        seed = tuple(Fraction(v) for v in seed)
+        seed = tuple(as_rational(v) for v in seed)
     if spec.lifted is not None:
         entries = tuple((n, tuple(y)) for n, y in spec.lifted(seed, n_range))
         return OrbitRecord(spec.name, seed, _arith(spec), entries)
@@ -619,7 +619,7 @@ def check_rising_bijectivity(rng_seed: int) -> Certificate:
     for _ in range(samples):
         p = _rand_point(rng, -1, 1)
         q = square_homeo(p)
-        if q[1] != pl_eval(SHIFT_PROFILE, p[1]):
+        if q[1] != SHIFT_PROFILE(p[1]):
             rising_ok = False
             break
         if square_homeo(q, inverse=True) != p:

@@ -12,11 +12,18 @@ coordinate from outside passes it through :func:`as_rational`, which turns
 int, float and str input into a Fraction (or raises) and hands a Fraction
 back untouched.  Internal calls pass Fractions through, so the exact core
 never rebuilds a value it already holds.
+
+Exact evaluation keeps two more rules.  A piece is found by an integer
+search: a breakpoint n/d (d > 0) lies above x = p/q (q > 0) exactly when
+p*d < n*q, so no Fraction comparison runs.  A value never takes a gcd of
+two full-size operands: orbit coordinates can grow to 10^4 bits while the
+maps' coefficients stay small, so an evaluation pairs each full-size
+operand with a small stored Fraction (``slope * x + intercept``), whose
+reductions divide by the small side only.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
@@ -24,8 +31,6 @@ from typing import Sequence, Tuple, Union
 import mpmath
 from mpmath.ctx_fp import FPContext
 from mpmath.libmp import from_man_exp, round_down
-
-Rational = Fraction
 
 Numeric = Union[Fraction, int, float]
 
@@ -55,7 +60,7 @@ def make_context(prec: int = DEFAULT_PRECISION):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', integer, or finite decimal text into an exact Rational."""
+    """Parse 'p/q', integer, or finite decimal text into an exact rational."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -72,7 +77,7 @@ def as_rational(x) -> Fraction:
 
 
 def to_bigfloat(value, ctx):
-    """Convert Rational/int/float/str to the context's float type.
+    """Convert a Fraction/int/float/str to the context's float type.
 
     A Fraction p/q is rounded toward zero at ``ctx.prec`` bits, the rounding
     ``ctx.convert`` applies to rationals; on ``mpmath.fp`` it is the double
@@ -98,7 +103,7 @@ def to_bigfloat(value, ctx):
 
 
 def bigfloat_to_rational(x) -> Fraction:
-    """Exact Rational value of a finite big float (every mpf is dyadic)."""
+    """Exact rational value of a finite big float (every mpf is dyadic)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, float)):
@@ -150,15 +155,40 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+def _piece(keys, p: int, q: int) -> int:
+    """Index of the affine piece holding p/q (q > 0): the number of interior
+    breakpoints n/d (d > 0) with n/d <= p/q, found by the integer test
+    p*d < n*q."""
+    for k, (n, d) in enumerate(keys):
+        if p * d < n * q:
+            return k
+    return len(keys)
+
+
+def _int_pairs(values) -> Tuple[Tuple[int, int], ...]:
+    return tuple((v.numerator, v.denominator) for v in values)
+
+
+def _unit_rational(x, what: str) -> Fraction:
+    """``as_rational(x)``, checked to lie in [-1, 1]."""
+    x = as_rational(x)
+    if abs(x.numerator) > x.denominator:
+        raise DomainError(f"PL {what} {x} outside [-1, 1]")
+    return x
+
+
 class PLFunction:
     """Strictly increasing piecewise-linear bijection of [-1, 1].
 
     Breakpoints are exact rationals, strictly increasing in both
     coordinates, with endpoints (-1, -1) ... (1, 1) pinned.  Evaluation and
-    inversion are exact on Rational inputs.
+    inversion are exact on rational inputs: the piece is found by the
+    integer search on the interior breakpoints, and its value is
+    ``slope * x + intercept`` with both coefficients stored per piece (for
+    the inverse, the reciprocal slope and its intercept).
     """
 
-    __slots__ = ("xs", "ys", "slopes")
+    __slots__ = ("xs", "ys", "slopes", "_xkeys", "_ykeys", "_forward", "_backward")
 
     def __init__(self, points: Sequence[Tuple[Numeric, Numeric]]):
         cleaned = []
@@ -173,19 +203,26 @@ class PLFunction:
         ys = tuple(p[1] for p in cleaned)
         if xs[0] != -1 or xs[-1] != 1:
             raise DomainError("breakpoint abscissas must span [-1, 1]")
+        if ys[0] != -1 or ys[-1] != 1:
+            raise DomainError("breakpoint ordinates must span [-1, 1]")
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise DomainError("breakpoint abscissas must be strictly increasing")
         if any(a >= b for a, b in zip(ys, ys[1:])):
             raise DomainError("breakpoint ordinates must be strictly increasing")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(
-            self,
-            "slopes",
-            tuple(
-                (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)
-            ),
+        slopes = tuple(
+            (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)
         )
+        fields = {
+            "xs": xs,
+            "ys": ys,
+            "slopes": slopes,
+            "_xkeys": _int_pairs(xs[1:-1]),
+            "_ykeys": _int_pairs(ys[1:-1]),
+            "_forward": tuple((m, y - m * x) for m, x, y in zip(slopes, xs, ys)),
+            "_backward": tuple((1 / m, x - y / m) for m, x, y in zip(slopes, xs, ys)),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PLFunction is immutable")
@@ -208,25 +245,26 @@ class PLFunction:
     def breakpoints(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         return tuple(zip(self.xs, self.ys))
 
-    def segment_index(self, x: Fraction) -> int:
+    def segment_index(self, x: Numeric) -> int:
         """Index of the affine piece containing ``x`` (last piece at x = 1)."""
-        if x < -1 or x > 1:
-            raise DomainError(f"PL argument {x} outside [-1, 1]")
-        k = bisect.bisect_right(self.xs, x) - 1
-        return min(max(k, 0), len(self.xs) - 2)
+        x = _unit_rational(x, "argument")
+        return _piece(self._xkeys, x.numerator, x.denominator)
 
     def __call__(self, x: Numeric) -> Fraction:
-        x = as_rational(x)
-        k = self.segment_index(x)
-        return self.ys[k] + self.slopes[k] * (x - self.xs[k])
+        return self._value(_unit_rational(x, "argument"))
 
     def inverse(self, y: Numeric) -> Fraction:
-        y = as_rational(y)
-        if y < self.ys[0] or y > self.ys[-1]:
-            raise DomainError(f"PL value {y} outside [-1, 1]")
-        k = bisect.bisect_right(self.ys, y) - 1
-        k = min(max(k, 0), len(self.ys) - 2)
-        return self.xs[k] + (y - self.ys[k]) / self.slopes[k]
+        return self._preimage(_unit_rational(y, "value"))
+
+    def _value(self, x: Fraction) -> Fraction:
+        """``self(x)`` for a Fraction x already known to lie in [-1, 1]."""
+        m, c = self._forward[_piece(self._xkeys, x.numerator, x.denominator)]
+        return m * x + c
+
+    def _preimage(self, y: Fraction) -> Fraction:
+        """``self.inverse(y)`` for a Fraction y already known to lie in [-1, 1]."""
+        m, c = self._backward[_piece(self._ykeys, y.numerator, y.denominator)]
+        return m * y + c
 
     def inverse_fn(self) -> "PLFunction":
         """The inverse bijection as a PLFunction (ordinates become abscissas)."""
@@ -255,7 +293,3 @@ class PLFunction:
 
 IDENTITY_PL = PLFunction([(-1, -1), (1, 1)])
 
-
-def pl_eval(fn: PLFunction, x: Numeric, inverse: bool = False) -> Fraction:
-    """Evaluate a piecewise-linear bijection (or its inverse) exactly."""
-    return fn.inverse(x) if inverse else fn(x)

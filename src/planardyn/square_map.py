@@ -23,7 +23,12 @@ horizontal line one profile-step up: the map has no interior fixed point
 while every orbit climbs toward the top corners (forward) and the bottom
 corners (backward).
 
-Everything here is exact on rational points.
+Everything here is exact on rational points.  The public maps validate
+their point; ``square_homeo`` validates once and then runs the private
+forms (``_rise``, ``_descend``, ``_row``), which take a checked point.  A
+row of the strip shear is evaluated pointwise, on a blend zone from the
+zone's cached coefficients, never built as a PLFunction; ``row_map``
+builds it, as the reference the pointwise route is tested against.
 """
 
 from __future__ import annotations
@@ -33,22 +38,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .numerics import (
-    DomainError,
-    IDENTITY_PL,
-    PLFunction,
-    Rational,
-    as_rational,
-    pl_eval,
-)
+from .numerics import DomainError, IDENTITY_PL, PLFunction, _int_pairs, _piece, as_rational
 from .strips import (
     HALF,
     MINUS_HALF,
     SHIFT_PROFILE,
     Zone,
+    _level_of,
     block_of,
     shear_bound,
-    split_height,
+    strip_bounds,
     strip_locate,
 )
 
@@ -108,7 +107,7 @@ def reflect(p, axis: str) -> SquarePoint:
 def vertical_shift(p, inverse: bool = False) -> SquarePoint:
     """Shift a point's line upward by the profile (downward when inverse)."""
     r, s = as_square_point(p)
-    return (r, pl_eval(SHIFT_PROFILE, s, inverse=inverse))
+    return (r, SHIFT_PROFILE.inverse(s) if inverse else SHIFT_PROFILE(s))
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +136,7 @@ def line_rule(i: int) -> PLFunction:
     return shear_profile(block_of(i))
 
 
-def row_map(s: Rational) -> PLFunction:
+def row_map(s: Fraction) -> PLFunction:
     """Horizontal slice of the strip shear at height s in [1/2, 1].
 
     Identity on the closed core band and the top line; the level's rule on
@@ -155,13 +154,102 @@ def row_map(s: Rational) -> PLFunction:
     return line_rule(d.level - 1).blend(line_rule(d.level), t)
 
 
+class _BlendZone:
+    """The rows of a blend zone, exact, as functions of the blend weight t.
+
+    The zone blends ``prev`` into ``rule``; both are affine on each piece
+    between consecutive merged abscissas, and so is every blended row.
+
+    xkeys  : interior merged abscissas, as integer pairs
+    pieces : per merged piece (a, da, b, db): prev is a*x + b there and
+             rule is (a + da)*x + (b + db), so the row at weight t is
+             (a + t*da)*x + (b + t*db)
+    ykeys  : per interior merged abscissa, integers (u, v, w) with the
+             row's ordinate there at weight t equal to (u + t*v) / w
+    """
+
+    __slots__ = ("xkeys", "pieces", "ykeys")
+
+    def __init__(self, prev: PLFunction, rule: PLFunction):
+        xs = sorted(set(prev.xs) | set(rule.xs))
+        ya = [prev(x) for x in xs]
+        yb = [rule(x) for x in xs]
+        pieces = []
+        for k in range(len(xs) - 1):
+            w = xs[k + 1] - xs[k]
+            a = (ya[k + 1] - ya[k]) / w
+            a2 = (yb[k + 1] - yb[k]) / w
+            b, b2 = ya[k] - a * xs[k], yb[k] - a2 * xs[k]
+            pieces.append((a, a2 - a, b, b2 - b))
+        ykeys = []
+        for y, y2 in zip(ya[1:-1], yb[1:-1]):
+            dy = y2 - y  # y + t*dy = (y.n*dy.d + t*dy.n*y.d) / (y.d*dy.d)
+            ykeys.append(
+                (y.numerator * dy.denominator, dy.numerator * y.denominator,
+                 y.denominator * dy.denominator)
+            )
+        self.xkeys = _int_pairs(xs[1:-1])
+        self.pieces = tuple(pieces)
+        self.ykeys = tuple(ykeys)
+
+
+# one zone per pair of rules, shared by every level that blends the pair
+_blend_zone = lru_cache(maxsize=None)(_BlendZone)
+
+
+@lru_cache(maxsize=None)
+def _level_zone(i: int) -> _BlendZone:
+    """The blend zone of strip level i >= 2 (its bounds and rule are cached
+    by ``strip_bounds`` and ``line_rule``)."""
+    return _blend_zone(line_rule(i - 1), line_rule(i))
+
+
+def _row(r: Fraction, s: Fraction, inverse: bool) -> Fraction:
+    """``row_map(s)(r)`` (or its inverse at r) for a checked point with
+    s in [1/2, 1], evaluated pointwise.
+
+    On a blend zone the row's coefficients are blended from the weight t
+    first, so the full-size r meets only small coefficients.
+    """
+    p, q = s.numerator, s.denominator
+    if 4 * p <= 3 * q or p == q:  # closed core band, or the top line
+        return r
+    i = _level_of(p, q)
+    lo, mid, _ = strip_bounds(i)
+    if p * mid.denominator >= mid.numerator * q:  # shear zone: the level's rule
+        rule = line_rule(i)
+        return rule._preimage(r) if inverse else rule._value(r)
+    zone = _level_zone(i)
+    t = (s - lo) / (mid - lo)
+    if inverse:
+        rn, rd = r.numerator, r.denominator
+        tn, td = t.numerator, t.denominator
+        k = 0
+        for u, v, w in zone.ykeys:  # stop at the first row ordinate above r
+            if rn * w * td < (u * td + v * tn) * rd:
+                break
+            k += 1
+    else:
+        k = _piece(zone.xkeys, r.numerator, r.denominator)
+    a, da, b, db = zone.pieces[k]
+    slope, intercept = a + t * da, b + t * db
+    return (r - intercept) / slope if inverse else slope * r + intercept
+
+
 def strip_shear(p, inverse: bool = False) -> SquarePoint:
     """Apply the per-line shear (or its inverse) to a point of J x [1/2, 1]."""
     r, s = as_square_point(p)
     if s < HALF:
         raise DomainError(f"strip shear is defined on the band [1/2, 1], got s = {s}")
-    row = row_map(s)
-    return (row.inverse(r) if inverse else row(r), s)
+    return (_row(r, s, inverse), s)
+
+
+def _rise(r: Fraction, s: Fraction, inverse: bool) -> SquarePoint:
+    """``rise_map`` at a checked point of its domain."""
+    if inverse:
+        return (-_row(r, s, True), SHIFT_PROFILE._preimage(s))
+    s = SHIFT_PROFILE._value(s)
+    return (_row(-r, s, False), s)
 
 
 def rise_map(p, inverse: bool = False) -> SquarePoint:
@@ -174,11 +262,16 @@ def rise_map(p, inverse: bool = False) -> SquarePoint:
     if inverse:
         if s < HALF:
             raise DomainError(f"rising-map inverse needs s in [1/2, 1], got {s}")
-        q = strip_shear((r, s), inverse=True)
-        return vertical_shift(reflect(q, "level"), inverse=True)
-    if s < 0:
+    elif s < 0:
         raise DomainError(f"rising map needs s in [0, 1], got {s}")
-    return strip_shear(reflect(vertical_shift((r, s)), "level"))
+    return _rise(r, s, inverse)
+
+
+def _descend(r: Fraction, s: Fraction, inverse: bool) -> SquarePoint:
+    """``descend_map`` at a checked point of its domain: the rising map
+    conjugated by the vertical flip."""
+    r, s = _rise(r, -s, inverse)
+    return (r, -s)
 
 
 def descend_map(p, inverse: bool = False) -> SquarePoint:
@@ -193,45 +286,49 @@ def descend_map(p, inverse: bool = False) -> SquarePoint:
             raise DomainError(f"descending-map inverse needs s in [-1, -1/2], got {s}")
     elif s > 0:
         raise DomainError(f"descending map needs s in [-1, 0], got {s}")
-    q = reflect((r, s), "vertical")
-    q = rise_map(q, inverse=inverse)
-    return reflect(q, "vertical")
+    return _descend(r, s, inverse)
 
 
-def region_of(s: Rational, inverse: bool = False) -> RegionTag:
+def _region(s: Fraction, inverse: bool) -> RegionTag:
+    """Region of a checked height, read off its numerator and denominator."""
+    p, q = s.numerator, s.denominator
+    if inverse:
+        if 2 * p >= q:
+            return RegionTag.R1
+        if p >= 0:
+            return RegionTag.D0
+        return RegionTag.R_MINUS_1
+    if p >= 0:
+        return RegionTag.R0
+    if 2 * p >= -q:
+        return RegionTag.D_MINUS_1
+    return RegionTag.R_MINUS_2
+
+
+def region_of(s: Fraction, inverse: bool = False) -> RegionTag:
     """Region of the piecewise definition picked for a given height."""
     s = as_rational(s)
     if abs(s.numerator) > s.denominator:
         raise DomainError(f"height {s} outside [-1, 1]")
-    if inverse:
-        if s >= HALF:
-            return RegionTag.R1
-        if s >= 0:
-            return RegionTag.D0
-        return RegionTag.R_MINUS_1
-    if s >= 0:
-        return RegionTag.R0
-    if s >= MINUS_HALF:
-        return RegionTag.D_MINUS_1
-    return RegionTag.R_MINUS_2
+    return _region(s, inverse)
 
 
 def square_homeo(p, inverse: bool = False) -> SquarePoint:
     """The square homeomorphism: rising above the axis, reflected shift on
     the band below it, inverse descending on the bottom quarter."""
     r, s = as_square_point(p)
-    tag = region_of(s, inverse=inverse)
+    tag = _region(s, inverse)
     if inverse:
         if tag is RegionTag.R1:
-            return rise_map((r, s), inverse=True)
+            return _rise(r, s, True)
         if tag is RegionTag.D0:
-            return vertical_shift(reflect((r, s), "level"), inverse=True)
-        return descend_map((r, s))
+            return (-r, SHIFT_PROFILE._preimage(s))
+        return _descend(r, s, False)
     if tag is RegionTag.R0:
-        return rise_map((r, s))
+        return _rise(r, s, False)
     if tag is RegionTag.D_MINUS_1:
-        return reflect(vertical_shift((r, s)), "level")
-    return descend_map((r, s), inverse=True)
+        return (-r, SHIFT_PROFILE._value(s))
+    return _descend(r, s, True)
 
 
 def _forward_piece_key(p) -> tuple:
@@ -244,7 +341,7 @@ def _forward_piece_key(p) -> tuple:
     tag = region_of(s)
     if tag is RegionTag.R0:
         sseg = SHIFT_PROFILE.segment_index(s)
-        row = row_map(pl_eval(SHIFT_PROFILE, s))
+        row = row_map(SHIFT_PROFILE(s))
         return (tag, sseg, row, row.segment_index(-r))
     if tag is RegionTag.D_MINUS_1:
         return (tag, SHIFT_PROFILE.segment_index(s))

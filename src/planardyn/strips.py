@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional
 
-from .numerics import DomainError, PLFunction, Rational, as_rational, pl_eval
+from .numerics import DomainError, PLFunction, as_rational
 
 HALF = Fraction(1, 2)
 MINUS_HALF = Fraction(-1, 2)
@@ -64,7 +64,7 @@ def block_of(i: int) -> int:
     return n
 
 
-def shift_profile_pow(s: Rational, i: int) -> Fraction:
+def shift_profile_pow(s: Fraction, i: int) -> Fraction:
     """i-th iterate of the shift profile at s (negative i = inverse iterates).
 
     For s in [0, 1] and i >= 0 the orbit stays in the top affine piece, so
@@ -75,9 +75,10 @@ def shift_profile_pow(s: Rational, i: int) -> Fraction:
         raise DomainError(f"argument {s} outside [-1, 1]")
     if i >= 0 and 0 <= s:
         return 1 - (1 - s) / 2**i
+    step = SHIFT_PROFILE.inverse if i < 0 else SHIFT_PROFILE
     out = s
     for _ in range(abs(i)):
-        out = pl_eval(SHIFT_PROFILE, out, inverse=(i < 0))
+        out = step(out)
     return out
 
 
@@ -110,6 +111,15 @@ CORE_STRIP = StripDescriptor(1, Zone.D1_CORE, None, HALF, None, THREE_QUARTERS)
 TOP_STRIP = StripDescriptor(None, Zone.TOP_LINE, None, Fraction(1), None, Fraction(1))
 
 
+def _level_of(p: int, q: int) -> int:
+    """Level i of a height p/q in (3/4, 1) in lowest terms (q > 0).
+
+    The gap u = 1 - p/q = (q - p)/q is in lowest terms too, and level i
+    has 2^-i-1 < u <= 2^-i.
+    """
+    return (q // (q - p)).bit_length() - 1
+
+
 @lru_cache(maxsize=None)
 def strip_bounds(i: int):
     """(lo, mid, hi) of level i >= 2; mid is the blended image of the split height."""
@@ -122,7 +132,7 @@ def strip_bounds(i: int):
     return lo, mid, hi
 
 
-def strip_locate(s: Rational) -> StripDescriptor:
+def strip_locate(s: Fraction) -> StripDescriptor:
     """Locate a height in the tiling of [1/2, 1].
 
     The core band [1/2, 3/4] is closed and checked first; the top line
@@ -136,8 +146,7 @@ def strip_locate(s: Rational) -> StripDescriptor:
         return TOP_STRIP
     if s <= THREE_QUARTERS:
         return CORE_STRIP
-    u = 1 - s  # in (0, 1/4): level i has 2^-i-1 < u <= 2^-i
-    i = (u.denominator // u.numerator).bit_length() - 1
+    i = _level_of(s.numerator, s.denominator)
     lo, mid, hi = strip_bounds(i)
     zone = Zone.F_ZONE if s < mid else Zone.B_ZONE
     return StripDescriptor(i, zone, block_of(i), lo, mid, hi)

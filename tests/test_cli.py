@@ -1,10 +1,13 @@
 """Command-line interface: output formats and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from planardyn import cli, dynamics
 from planardyn.cli import main
+from planardyn.numerics import DEFAULT_TOLERANCES
 
 
 def test_eval_square_map(capsys):
@@ -111,7 +114,16 @@ def test_excursion_csv(capsys):
     assert center[0] == "0" and center[1] == "-inf"
 
 
-def test_verify_core_suite(tmp_path, capsys):
+def test_verify_core_suite(tmp_path, capsys, monkeypatch, suite_report):
+    # the command's own path with the suite run stubbed: the session's core
+    # report stands in for a second run of the same suite
+    def run_suite(name, ctx, tol, rng_seed):
+        assert (name, ctx.prec, tol, rng_seed) == (
+            "core", 256, DEFAULT_TOLERANCES, dynamics.DEFAULT_SAMPLER_SEED
+        )
+        return suite_report("core")
+
+    monkeypatch.setattr(cli.dynamics, "run_suite", run_suite)
     out_file = tmp_path / "report.json"
     code = main(["verify", "--suite", "core", "--out", str(out_file)])
     assert code == 0
@@ -121,6 +133,8 @@ def test_verify_core_suite(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     assert report["passed"] and report["suite"] == "core"
     assert report["metadata"]["precision"] == 256
+    golden = Path(__file__).parent / "data" / "verify_core.json"
+    assert out_file.read_bytes() == golden.read_bytes()
 
 
 def test_eval_slit_point_exits_2(capsys):

@@ -1,5 +1,6 @@
 """Exact piecewise-linear functions and the big-float working context."""
 
+import bisect
 import random
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from planardyn.numerics import (
     bigfloat_to_rational,
     make_context,
     parse_rational,
-    pl_eval,
     to_bigfloat,
 )
 
@@ -187,7 +187,7 @@ def test_profile_breakpoint_values():
 def test_profile_inverse_values():
     assert PROFILE.inverse(Fraction(1, 2)) == 0
     assert PROFILE.inverse(Fraction(3, 4)) == Fraction(1, 2)
-    assert pl_eval(PROFILE, Fraction(3, 4), inverse=True) == Fraction(1, 2)
+    assert PROFILE.inverse(Fraction(3, 4)) == Fraction(1, 2)
 
 
 def test_outside_domain_raises():
@@ -247,3 +247,36 @@ def test_profile_strictly_increasing(x, y):
 def test_blend_is_pointwise_convex_combination(x, t):
     blended = IDENTITY_PL.blend(PROFILE, t)
     assert blended(x) == (1 - t) * x + t * PROFILE(x)
+
+
+def _bisect_eval(xs, ys, x):
+    """Plain Fraction evaluation: bisect for the piece, then interpolate."""
+    k = min(max(bisect.bisect_right(xs, x) - 1, 0), len(xs) - 2)
+    return ys[k] + (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]) * (x - xs[k])
+
+
+@st.composite
+def pl_functions(draw):
+    """A PLFunction with up to 5 interior breakpoints in (-1, 1)."""
+    inner = st.fractions(min_value=-1, max_value=1, max_denominator=10**6).filter(
+        lambda v: -1 < v < 1
+    )
+    n = draw(st.integers(0, 5))
+    xs = draw(st.lists(inner, min_size=n, max_size=n, unique=True))
+    ys = draw(st.lists(inner, min_size=n, max_size=n, unique=True))
+    return PLFunction([(-1, -1), *zip(sorted(xs), sorted(ys)), (1, 1)])
+
+
+@given(pl_functions(), st.data())
+@settings(deadline=None)
+def test_pl_evaluation_equals_bisect_evaluation(fn, data):
+    xs, ys = fn.xs, fn.ys
+    big = st.integers(2**9000, 2**9001).flatmap(
+        lambda d: st.integers(-d, d).map(lambda n: Fraction(n, d))
+    )
+    argument = st.one_of(st.sampled_from(xs), unit_fractions, big)
+    value = st.one_of(st.sampled_from(ys), unit_fractions, big)
+    x, y = data.draw(argument), data.draw(value)
+    assert fn(x) == _bisect_eval(xs, ys, x)
+    assert fn.inverse(y) == _bisect_eval(ys, xs, y)
+    assert fn.segment_index(x) == min(max(bisect.bisect_right(xs, x) - 1, 0), len(xs) - 2)

@@ -6,11 +6,14 @@ literal, not toleranced.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planardyn.numerics import IDENTITY_PL, DomainError, PLFunction, pl_eval
+from planardyn import square_map
+from planardyn.dynamics import displacement_scan, map_registry
+from planardyn.numerics import IDENTITY_PL, DomainError, PLFunction
 from planardyn.square_map import (
     NAMED_POINTS,
     RegionTag,
@@ -26,7 +29,7 @@ from planardyn.square_map import (
     strip_shear,
     vertical_shift,
 )
-from planardyn.strips import SHIFT_PROFILE
+from planardyn.strips import SHIFT_PROFILE, Zone, strip_bounds, strip_locate
 
 coords = st.fractions(min_value=Fraction(-1), max_value=Fraction(1), max_denominator=128)
 points = st.tuples(coords, coords)
@@ -194,14 +197,14 @@ def test_reversal_symmetry(p):
 @settings(deadline=None)
 def test_heights_follow_the_shift_profile(p):
     # holds on every branch: the profile equals its own vertical-flip inverse
-    assert square_homeo(p)[1] == pl_eval(SHIFT_PROFILE, p[1])
+    assert square_homeo(p)[1] == SHIFT_PROFILE(p[1])
 
 
 def test_profile_flip_symmetry():
     # the identity behind the global height law and the time reversal
     for k in range(-8, 9):
         s = Fraction(k, 8)
-        assert pl_eval(SHIFT_PROFILE, s) == -pl_eval(SHIFT_PROFILE, -s, inverse=True)
+        assert SHIFT_PROFILE(s) == -SHIFT_PROFILE.inverse(-s)
 
 
 @given(coords)
@@ -212,3 +215,101 @@ def test_vertical_shift_fixes_r(r):
 @given(st.fractions(min_value=Fraction(1, 2), max_value=Fraction(1), max_denominator=128), coords)
 def test_strip_shear_fixes_heights(s, r):
     assert strip_shear((r, s))[1] == s
+
+
+# ~9000-bit odd denominators: the size of the coordinates that a lift from
+# the plane back onto a strip wall produces
+BIG = 2**9000
+
+
+def _unit(small: bool):
+    """Fractions in [0, 1): denominators up to 2^20, or ~9000-bit odd ones."""
+    if small:
+        return st.fractions(min_value=0, max_value=1, max_denominator=2**20).filter(
+            lambda u: u < 1
+        )
+    return st.integers(BIG, 2 * BIG).flatmap(
+        lambda d: st.integers(0, d | 1).map(lambda n: Fraction(n, d | 1))
+    ).filter(lambda u: u < 1)
+
+
+@st.composite
+def band_points(draw):
+    """(r, s, level, zone): s in the blend zone [lo, mid) or the shear zone
+    [mid, hi) of a level 2..14; r in [-1, 1]; each coordinate small or ~9000
+    bits."""
+    level = draw(st.integers(2, 14))
+    zone = draw(st.sampled_from((Zone.F_ZONE, Zone.B_ZONE)))
+    lo, mid, hi = strip_bounds(level)
+    a, b = (lo, mid) if zone is Zone.F_ZONE else (mid, hi)
+    s = a + (b - a) * draw(_unit(draw(st.booleans())))
+    assume(s != Fraction(3, 4))  # the floor of level 2 closes the core band
+    r = 2 * draw(_unit(draw(st.booleans()))) - 1
+    return r, s, level, zone
+
+
+@given(band_points())
+@settings(deadline=None, max_examples=150)
+def test_strip_shear_equals_the_built_row(point):
+    # the pointwise route against the reference: row_map builds the row as
+    # a PLFunction (PLFunction.blend on a blend zone) and evaluates it
+    r, s, level, zone = point
+    where = strip_locate(s)
+    assert (where.level, where.zone) == (level, zone)
+    row = row_map(s)
+    assert strip_shear((r, s)) == (row(r), s)
+    assert strip_shear((r, s), inverse=True) == (row.inverse(r), s)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# one point of every region of both directions; the rising ones land on (or
+# start from) a blend zone, a shear zone and the core band
+REGION_POINTS = {
+    False: {
+        RegionTag.R0: [(Fraction(1, 3), Fraction(5, 8)), (Fraction(-2, 7), Fraction(3, 4)),
+                       (Fraction(1, 3), Fraction(9, 16)), (Fraction(1, 5), Fraction(1, 8))],
+        RegionTag.D_MINUS_1: [(Fraction(1, 3), Fraction(-1, 4))],
+        RegionTag.R_MINUS_2: [(Fraction(1, 3), Fraction(-27, 32)),
+                              (Fraction(-5, 9), Fraction(-7, 8))],
+    },
+    True: {
+        RegionTag.R1: [(Fraction(1, 3), Fraction(27, 32)), (Fraction(-5, 9), Fraction(7, 8)),
+                       (Fraction(1, 3), Fraction(25, 32)), (Fraction(1, 5), Fraction(9, 16))],
+        RegionTag.D0: [(Fraction(1, 3), Fraction(1, 4))],
+        RegionTag.R_MINUS_1: [(Fraction(1, 3), Fraction(-5, 8)),
+                              (Fraction(-2, 7), Fraction(-3, 4))],
+    },
+}
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_square_homeo_validates_its_point_once(monkeypatch, inverse):
+    for tag, pts in REGION_POINTS[inverse].items():
+        for p in pts:
+            assert region_of(p[1], inverse=inverse) is tag
+            expected = square_homeo(p, inverse=inverse)
+            calls = _counting(monkeypatch, square_map, "as_square_point")
+            assert square_homeo(p, inverse=inverse) == expected
+            assert len(calls) == 1, (tag, p)
+            monkeypatch.undo()
+
+
+def test_plane_scan_builds_no_blended_row(monkeypatch):
+    # the displacement scan's points cross blend zones, whose rows are
+    # evaluated pointwise, never built with PLFunction.blend
+    calls = _counting(monkeypatch, PLFunction, "blend")
+    h = map_registry(mpmath.fp)["h"]
+    cert = displacement_scan(h, ((0.25, 0.75), (0.5, 1.0)), (20, 20), mpmath.fp)
+    assert cert.passed
+    assert calls == []
