@@ -14,7 +14,6 @@ machine floats instead.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -126,7 +125,7 @@ def _orbit_json(record, ctx) -> str:
         "metadata": {
             "precision": ctx.prec,
             "sampler_seed": None,
-            "tolerances": dataclasses.asdict(DEFAULT_TOLERANCES),
+            "tolerances": DEFAULT_TOLERANCES.report(ctx),
         },
     }
     return json.dumps(payload, indent=2) + "\n"

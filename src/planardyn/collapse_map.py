@@ -12,12 +12,14 @@ the only limit points.
 Construction on the right half (the left half is its mirror):
 
 * ``chart_S`` writes a point as (angle, radius) around the midpoint of the
-  right edge, the radius normalized so the half-square boundary is radius
-  one; the chart rectangle is [0, pi] x [0, 1], angle 0 pointing straight
-  down and pi straight up.
+  right edge; the chart rectangle is [0, pi] x [0, 1], angle 0 pointing
+  straight down and pi straight up.  The half-square is a sup-norm ball
+  about this center, so the radius is that sup norm, max(1 - x, |y|), and
+  the half-square boundary is radius one.
 * ``chart_T`` does the same around the outer slit endpoint (1/2, 0), with
-  the plain polar angle in [0, 2*pi]; the slit opens along the positive
-  axis, its top side at angle 0 and bottom side at 2*pi.
+  the plain polar angle in [0, 2*pi] and the radius max(|2x - 1|, |y|);
+  the slit opens along the positive axis, its top side at angle 0 and
+  bottom side at 2*pi.
 * ``boundary_reparam`` carries the boundary circle of the first rectangle
   onto that of the second.  The central arc uses theta = pi - arctan(2 s)
   so the vertical fiber is fixed pointwise; two narrow arcs next to the
@@ -29,7 +31,13 @@ Construction on the right half (the left half is its mirror):
   narrow enough that orbits of the induced plane map climb past norm 10**3
   before settling (see the excursion certificate).
 * ``cone_map`` extends the boundary correspondence radially from the
-  centers of the two rectangles.
+  centers of the two rectangles.  A rectangle is a sup-norm ball about its
+  center too, so a point's ray parameter is max(|d0| / c0, 2 |d1|) for
+  the offset d from the center (c0, 1/2): one division, no trigonometry.
+
+Each forward chart takes one arctangent for its angle; the radius needs
+only comparisons.  ``exit_point`` takes one tangent, and only the inverse
+charts call it.
 
 All functions take an explicit mpmath-style context; nothing reads or
 writes global precision.  Points may be handed in as exact rationals,
@@ -57,16 +65,27 @@ def _consts(ctx):
     return _consts_at(ctx, ctx.prec)
 
 
-@lru_cache(maxsize=None)
+# bounded: contexts are made freely (one per precision_scaling run), and an
+# unbounded cache would keep every one of them alive
+@lru_cache(maxsize=16)
 def _consts_at(ctx, prec):
     pi = +ctx.pi
+    corner = ctx.atan(2)  # slit-chart angle of the top-right corner
+    astar = pi / SLIT_ARC_DENOM
     return {
         "pi": pi,
         "two_pi": 2 * pi,
         "half_pi": pi / 2,
+        "three_half_pi": 3 * pi / 2,
         "quarter_pi": pi / 4,
-        "corner": ctx.atan(2),  # slit-chart angle of the top-right corner
-        "astar": pi / SLIT_ARC_DENOM,
+        "three_quarter_pi": 3 * pi / 4,
+        "third": 2 * pi / 3,
+        "corner": corner,
+        "pi_plus_corner": pi + corner,
+        "two_pi_minus_corner": 2 * pi - corner,
+        "astar": astar,
+        "span": pi / 4 - astar,  # angular width of each affine arc
+        "stretch": pi - corner,  # image width of each affine arc
         "one": to_bigfloat(1, ctx),
         "zero": to_bigfloat(0, ctx),
         "half": to_bigfloat(Fraction(1, 2), ctx),
@@ -83,20 +102,14 @@ def _pt(x, ctx):
     return (to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx))
 
 
-def _hyp(ctx, a, b):
-    # the machine-float context has no hypot; magnitudes here are <= 2
-    return ctx.sqrt(a * a + b * b)
-
-
 def _soft_clamp(v, lo, hi, ctx):
     """Clamp a value that may overshoot an interval by accumulated rounding."""
-    snap = _consts(ctx)["snap"]
     if v < lo:
-        if lo - v > snap * (1 + abs(lo)):
+        if lo - v > _consts(ctx)["snap"] * (1 + abs(lo)):
             raise DomainError(f"value {v} below {lo}")
         return lo
     if v > hi:
-        if v - hi > snap * (1 + abs(hi)):
+        if v - hi > _consts(ctx)["snap"] * (1 + abs(hi)):
             raise DomainError(f"value {v} above {hi}")
         return hi
     return v
@@ -108,7 +121,9 @@ def exit_point(center, angle, ctx) -> Tuple:
     The half-square is [0, 1] x [-1, 1].  From the right-edge midpoint the
     chart angle runs 0 (straight down) through pi/2 (toward the fiber) to
     pi (straight up); from the slit endpoint it is the polar angle in
-    [0, 2*pi].
+    [0, 2*pi].  Each branch takes one tangent: on a horizontal wall the
+    cotangent of the chart angle is written as minus the tangent of its
+    offset from pi/2 or 3*pi/2, an offset within pi/4 of zero.
     """
     k = _consts(ctx)
     a = to_bigfloat(angle, ctx)
@@ -117,19 +132,19 @@ def exit_point(center, angle, ctx) -> Tuple:
             raise DomainError(f"edge chart angle {a} outside [0, pi]")
         if a <= k["quarter_pi"]:
             return (1 - ctx.tan(a), -k["one"])
-        if a < 3 * k["quarter_pi"]:
-            return (k["zero"], -ctx.cos(a) / ctx.sin(a))
+        if a < k["three_quarter_pi"]:
+            return (k["zero"], ctx.tan(a - k["half_pi"]))
         return (1 - ctx.tan(k["pi"] - a), k["one"])
     if center == SLIT_OUTER:
         if a < 0 or a > k["two_pi"]:
             raise DomainError(f"slit chart angle {a} outside [0, 2*pi]")
-        if a <= k["corner"] or a >= k["two_pi"] - k["corner"]:
+        if a <= k["corner"] or a >= k["two_pi_minus_corner"]:
             return (k["one"], ctx.tan(a) / 2)
-        if a <= k["pi"] - k["corner"]:
-            return (k["half"] + ctx.cos(a) / ctx.sin(a), k["one"])
-        if a <= k["pi"] + k["corner"]:
+        if a <= k["stretch"]:  # pi - corner
+            return (k["half"] - ctx.tan(a - k["half_pi"]), k["one"])
+        if a <= k["pi_plus_corner"]:
             return (k["zero"], -ctx.tan(a) / 2)
-        return (k["half"] - ctx.cos(a) / ctx.sin(a), -k["one"])
+        return (k["half"] + ctx.tan(a - k["three_half_pi"]), -k["one"])
     raise DomainError(f"unknown chart center {center}")
 
 
@@ -137,8 +152,10 @@ def chart_S(x, ctx, inverse: bool = False):
     """Polar chart around the right-edge midpoint, rectangle [0, pi] x [0, 1].
 
     Forward input is a point of the right half-square other than the
-    center itself; output is (angle, radius).  Inverse maps a rectangle
-    point back into the half-square.
+    center itself; output is (angle, radius), the radius the sup norm
+    max(1 - x, |y|) of the offset from the center, so the half-square
+    boundary is radius one.  Inverse maps a rectangle point back into the
+    half-square along the ray to ``exit_point``.
     """
     k = _consts(ctx)
     if inverse:
@@ -155,9 +172,8 @@ def chart_S(x, ctx, inverse: bool = False):
     phi = ctx.atan2(dy, dx)
     if phi < k["half_pi"]:
         phi = phi + k["two_pi"]
-    alpha = _soft_clamp(3 * k["half_pi"] - phi, k["zero"], k["pi"], ctx)
-    e = exit_point(EDGE_MID, alpha, ctx)
-    rho = _hyp(ctx, dx, dy) / _hyp(ctx, e[0] - 1, e[1])
+    alpha = _soft_clamp(k["three_half_pi"] - phi, k["zero"], k["pi"], ctx)
+    rho = max(-dx, abs(dy))
     return (alpha, _soft_clamp(rho, k["zero"], k["one"], ctx))
 
 
@@ -166,7 +182,9 @@ def chart_T(y, ctx, inverse: bool = False):
 
     Forward input must stay off the closed slit ray (where the angle is
     ambiguous between the 0 and 2*pi sides); the center itself is
-    degenerate.  Inverse maps (angle, radius) back to the half-square.
+    degenerate.  The radius is the sup norm max(|2x - 1|, |y|), so the
+    half-square boundary is radius one.  Inverse maps (angle, radius) back
+    to the half-square along the ray to ``exit_point``.
     """
     k = _consts(ctx)
     if inverse:
@@ -178,8 +196,7 @@ def chart_T(y, ctx, inverse: bool = False):
     if py1 == 0 and py0 >= k["half"]:
         raise SlitError(f"point ({py0}, {py1}) lies on the slit ray")
     theta = angle_normalize((py0, py1), (k["half"], k["zero"]), ctx)
-    e = exit_point(SLIT_OUTER, theta, ctx)
-    rho = _hyp(ctx, py0 - k["half"], py1) / _hyp(ctx, e[0] - k["half"], e[1])
+    rho = max(2 * abs(py0 - k["half"]), abs(py1))
     return (theta, _soft_clamp(rho, k["zero"], k["one"], ctx))
 
 
@@ -199,17 +216,15 @@ def boundary_reparam(b, ctx, inverse: bool = False):
     """
     k = _consts(ctx)
     pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
-    span = k["quarter_pi"] - astar  # angular width of each affine arc
-    stretch = pi - k["corner"]  # image width of each affine arc
-    third = two_pi / 3
+    span, stretch, third = k["span"], k["stretch"], k["third"]
     if inverse:
         theta, rho = to_bigfloat(b[0], ctx), to_bigfloat(b[1], ctx)
         if rho == 1:
             if theta < 0 or theta > two_pi:
                 raise DomainError(f"slit chart angle {theta} outside [0, 2*pi]")
-            if theta <= pi - k["corner"]:
+            if theta <= stretch:  # pi - corner
                 return ((pi - astar) - theta * span / stretch, k["one"])
-            if theta <= pi + k["corner"]:
+            if theta <= k["pi_plus_corner"]:
                 return (k["half_pi"] + ctx.atan(ctx.tan(pi - theta) / 2), k["one"])
             return (astar + (two_pi - theta) * span / stretch, k["one"])
         if theta == 0:
@@ -231,7 +246,7 @@ def boundary_reparam(b, ctx, inverse: bool = False):
             return (two_pi, alpha / astar)
         if alpha < k["quarter_pi"]:
             return (two_pi - (alpha - astar) * stretch / span, k["one"])
-        if alpha <= 3 * k["quarter_pi"]:
+        if alpha <= k["three_quarter_pi"]:
             return (pi - ctx.atan(2 * ctx.tan(alpha - k["half_pi"])), k["one"])
         if alpha < pi - astar:
             return (((pi - astar) - alpha) * stretch / span, k["one"])
@@ -253,38 +268,32 @@ def _rect(which, ctx):
     return k["zero"], k["two_pi"], (k["pi"], k["half"])
 
 
-def _ray_exit(u, which, ctx):
-    """Boundary hit of the ray from the rectangle center through u.
+def _ray_exit(u0, u1, which, ctx):
+    """Boundary hit of the ray from the rectangle center through (u0, u1).
 
-    Returns (boundary point, ray parameter); the boundary point is snapped
-    exactly onto the achieving wall so the arc dispatch downstream sees
-    exact wall coordinates.
+    The coordinates are context floats.  The rectangle is the sup-norm ball
+    of radii (c0, 1/2) about its center (c0, 1/2), so the point sits at
+    fraction t = max(|d0| / c0, 2 |d1|) of the way out along its ray, d
+    being its offset from the center; the wall of the larger term is hit
+    first, the vertical one on a tie.  Returns (boundary point, t); the
+    boundary point is snapped exactly onto the achieving wall so the arc
+    dispatch downstream sees exact wall coordinates.
     """
     k = _consts(ctx)
     lo0, hi0, c = _rect(which, ctx)
-    u0 = _soft_clamp(to_bigfloat(u[0], ctx), lo0, hi0, ctx)
-    u1 = _soft_clamp(to_bigfloat(u[1], ctx), k["zero"], k["one"], ctx)
+    u0 = _soft_clamp(u0, lo0, hi0, ctx)
+    u1 = _soft_clamp(u1, k["zero"], k["one"], ctx)
     d0, d1 = u0 - c[0], u1 - c[1]
     if d0 == 0 and d1 == 0:
         raise DomainError("ray undefined at the rectangle center")
-    best = None
-    for d, lo, hi, ci, axis in ((d0, lo0, hi0, c[0], 0), (d1, k["zero"], k["one"], c[1], 1)):
-        if d == 0:
-            continue
-        tau = (hi - ci) / d if d > 0 else (lo - ci) / d
-        if best is None or tau < best[0]:
-            wall = hi if d > 0 else lo
-            best = (tau, axis, wall)
-    tau, axis, wall = best
-    b0 = c[0] + tau * d0
-    b1 = c[1] + tau * d1
-    if axis == 0:
-        b0 = wall
-        b1 = _soft_clamp(b1, k["zero"], k["one"], ctx)
+    s0, s1 = abs(d0) / c[0], 2 * abs(d1)
+    if s0 >= s1:
+        t = s0
+        b = (hi0 if d0 > 0 else lo0, _soft_clamp(c[1] + d1 / t, k["zero"], k["one"], ctx))
     else:
-        b1 = wall
-        b0 = _soft_clamp(b0, lo0, hi0, ctx)
-    return (b0, b1), tau
+        t = s1
+        b = (_soft_clamp(c[0] + d0 / t, lo0, hi0, ctx), k["one"] if d1 > 0 else k["zero"])
+    return b, t
 
 
 def cone_map(u, ctx, inverse: bool = False):
@@ -302,8 +311,7 @@ def cone_map(u, ctx, inverse: bool = False):
     u0, u1 = to_bigfloat(u[0], ctx), to_bigfloat(u[1], ctx)
     if u0 == c_src[0] and u1 == c_src[1]:
         return c_dst
-    b, tau = _ray_exit((u0, u1), src, ctx)
-    t = 1 / tau  # in (0, 1]; exactly 1 when u already sits on the boundary
+    b, t = _ray_exit(u0, u1, src, ctx)  # t in (0, 1]; 1 on the boundary
     lb = boundary_reparam(b, ctx, inverse=inverse)
     return (c_dst[0] + t * (lb[0] - c_dst[0]), c_dst[1] + t * (lb[1] - c_dst[1]))
 

@@ -15,7 +15,6 @@ statement.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -759,6 +758,34 @@ def check_interior_limits(rng_seed: int, tol: Tolerances) -> Certificate:
     return Certificate("boundedness", all_ok, evidence)
 
 
+_SLIT_MARGIN = Fraction(1, 1000)
+
+
+def _roundtrip_point(rng: random.Random) -> Tuple[Fraction, Fraction]:
+    """A random square point 1/1000 or more inside the boundary, kept the
+    same distance from the slits' preimage (the vertical-edge
+    neighborhoods map near the slits)."""
+    m = _SLIT_MARGIN
+    x = _rand_point(rng, -1 + m, 1 - m)
+    if abs(x[1]) < m and abs(x[0]) > Fraction(1, 3):
+        x = (x[0], x[1] + m if x[1] >= 0 else x[1] - m)
+    return x
+
+
+def _sup_error(y, target, ctx):
+    """Sup-norm distance of a context-float point from an exact one."""
+    return max(abs(y[0] - to_bigfloat(target[0], ctx)), abs(y[1] - to_bigfloat(target[1], ctx)))
+
+
+def _cone_roundtrip_error(rng: random.Random, pi, ctx):
+    """Sup-norm roundtrip defect of the cone map at a random point of its
+    source rectangle [0, pi] x [0, 1]."""
+    alpha = pi * to_bigfloat(_rand_fraction(rng, 0, 1), ctx)
+    rho = to_bigfloat(_rand_fraction(rng, 0, 1), ctx)
+    back = cone_map(cone_map((alpha, rho), ctx), ctx, inverse=True)
+    return max(abs(back[0] - alpha), abs(back[1] - rho))
+
+
 def check_collapse_conditions(
     ctx,
     tol: Tolerances,
@@ -794,17 +821,20 @@ def check_collapse_conditions(
     if edge_samples < 2 or edge_samples % 2:
         raise DomainError(f"edge_samples must be even and at least 2, got {edge_samples}")
     rng = random.Random(rng_seed)
-    com_tol = tol.commutation
+    pin_bound = tol.pin_bound(ctx)
+    commutation_bound = tol.commutation_bound(ctx)
+    roundtrip_bound = tol.chart_roundtrip_bound(ctx)
     worst = {"fiber": 0.0, "axis": 0.0, "edge": 0.0, "commutation": 0.0, "roundtrip": 0.0}
     ok = dict.fromkeys(worst, True)
 
-    def record(key, e, bound=com_tol):
-        worst[key] = max(worst[key], e)
+    def record(key, e, bound=pin_bound):
+        # compared as context floats: the bound may lie below the doubles
+        worst[key] = max(worst[key], float(e))
         if e > bound:
             ok[key] = False
 
-    def err(y, target) -> float:
-        return float(max(abs(y[0] - to_bigfloat(target[0], ctx)), abs(y[1] - to_bigfloat(target[1], ctx))))
+    def err(y, target):
+        return _sup_error(y, target, ctx)
 
     def charts(r, s):
         return _collapse_charts((to_bigfloat(r, ctx), to_bigfloat(s, ctx)), ctx)
@@ -843,24 +873,19 @@ def check_collapse_conditions(
         y_lvl = collapse(reflect(x, "level"), ctx)
         y_vrt = collapse(reflect(x, "vertical"), ctx)
         e = max(
-            float(abs(y_lvl[0] + y[0])),
-            float(abs(y_lvl[1] - y[1])),
-            float(abs(y_vrt[0] - y[0])),
-            float(abs(y_vrt[1] + y[1])),
+            abs(y_lvl[0] + y[0]),
+            abs(y_lvl[1] - y[1]),
+            abs(y_vrt[0] - y[0]),
+            abs(y_vrt[1] + y[1]),
         )
-        record("commutation", e)
-    margin = Fraction(1, 1000)
+        record("commutation", e, commutation_bound)
     image_off_slits = True
     for _ in range(roundtrip_samples):
-        x = _rand_point(rng, -1 + margin, 1 - margin)
-        if abs(x[1]) < margin and abs(x[0]) > Fraction(1, 3):
-            # keep the stated margin from the slits' preimage (the
-            # vertical-edge neighborhoods map near the slits)
-            x = (x[0], x[1] + margin if x[1] >= 0 else x[1] - margin)
+        x = _roundtrip_point(rng)
         y = collapse(x, ctx)
         if x[0] != 0 and x[1] != 0 and y[1] == 0:
             image_off_slits = False
-        record("roundtrip", err(collapse_inv(y, ctx), x), tol.chart_roundtrip)
+        record("roundtrip", err(collapse_inv(y, ctx), x), roundtrip_bound)
     passed = all(ok.values()) and path_ok and image_off_slits
     evidence = {
         "sampler_seed": rng_seed,
@@ -880,7 +905,11 @@ def check_collapse_conditions(
         "reflections_commute": ok["commutation"],
         "roundtrip_within_tolerance": ok["roundtrip"],
         "image_avoids_slits": image_off_slits,
-        "tolerances": {"pins": com_tol, "roundtrip": tol.chart_roundtrip},
+        "tolerances": {
+            "pins": float(pin_bound),
+            "commutation": float(commutation_bound),
+            "roundtrip": float(roundtrip_bound),
+        },
     }
     return Certificate("conjugacy", passed, evidence)
 
@@ -897,16 +926,13 @@ def check_cone_bijectivity(
         raise DomainError(f"samples must be at least 1, got {samples}")
     rng = random.Random(rng_seed)
     pi = +ctx.pi
+    bound = tol.pin_bound(ctx)
     ok = True
     worst = 0.0
     for _ in range(samples):
-        alpha = pi * to_bigfloat(_rand_fraction(rng, 0, 1), ctx)
-        rho = to_bigfloat(_rand_fraction(rng, 0, 1), ctx)
-        w = cone_map((alpha, rho), ctx)
-        back = cone_map(w, ctx, inverse=True)
-        e = float(max(abs(back[0] - alpha), abs(back[1] - rho)))
-        worst = max(worst, e)
-        if e > tol.commutation:
+        e = _cone_roundtrip_error(rng, pi, ctx)
+        worst = max(worst, float(e))
+        if e > bound:
             ok = False
     return Certificate(
         "conjugacy",
@@ -915,8 +941,52 @@ def check_cone_bijectivity(
             "samples": samples,
             "sampler_seed": rng_seed,
             "worst_error": worst,
-            "tolerance": tol.commutation,
+            "tolerance": float(bound),
         },
+    )
+
+
+def check_precision_scaling(
+    ctx,
+    tol: Tolerances,
+    rng_seed: int,
+    samples: int = 100,
+) -> Certificate:
+    """The chart and cone roundtrips at the run's precision p and at 2p.
+
+    Both precisions draw the same sample points, and each must meet the
+    bounds 2^(h - prec) of its own precision.  An error that does not shrink
+    with the precision fails at 2p: a value rounded through a double on the
+    chart path keeps an error near 2^-53 however many bits the context
+    carries.  At least one sample, so the check cannot pass on none.
+    """
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
+    rows = []
+    for c in (ctx, make_context(2 * ctx.prec)):
+        roundtrip_bound = tol.chart_roundtrip_bound(c)
+        cone_bound = tol.pin_bound(c)
+        rng = random.Random(rng_seed)
+        roundtrip = max(
+            _sup_error(collapse_inv(collapse(x, c), c), x, c)
+            for x in (_roundtrip_point(rng) for _ in range(samples))
+        )
+        pi = +c.pi
+        cone = max(_cone_roundtrip_error(rng, pi, c) for _ in range(samples))
+        rows.append(
+            {
+                "precision": c.prec,
+                "roundtrip_worst_error": float(roundtrip),
+                "roundtrip_tolerance": float(roundtrip_bound),
+                "cone_worst_error": float(cone),
+                "cone_tolerance": float(cone_bound),
+                "passed": bool(roundtrip <= roundtrip_bound and cone <= cone_bound),
+            }
+        )
+    return Certificate(
+        "conjugacy",
+        all(row["passed"] for row in rows),
+        {"samples": samples, "sampler_seed": rng_seed, "precisions": rows},
     )
 
 
@@ -1188,6 +1258,7 @@ SUITE_TABLE: Dict[str, Tuple[SuiteCheck, ...]] = {
     "xi": (
         SuiteCheck("collapse_conditions", check_collapse_conditions, 4, ("ctx", "tol")),
         SuiteCheck("cone_bijectivity", check_cone_bijectivity, 5, ("ctx", "tol")),
+        SuiteCheck("precision_scaling", check_precision_scaling, 10, ("ctx", "tol")),
     ),
     "plane": (
         SuiteCheck("slit_continuity", check_slit_continuity, None, ("ctx",)),
@@ -1238,6 +1309,6 @@ def run_suite(
         "metadata": {
             "sampler_seed": rng_seed,
             "precision": ctx.prec,
-            "tolerances": dataclasses.asdict(tol),
+            "tolerances": tol.report(ctx),
         },
     }

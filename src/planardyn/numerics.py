@@ -24,7 +24,7 @@ reductions divide by the small side only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
@@ -134,22 +134,60 @@ def angle_normalize(y, center, ctx):
 class Tolerances:
     """Named tolerances used across charts and dynamics.
 
-    chart_roundtrip : max |x - inv(fw(x))| for the collapse charts
-    commutation     : max defect in exact-symmetry identities checked in floats
-    limitset        : clustering radius / limit-set matching radius
-    horizon         : default orbit length for limit estimates
+    The chart bounds follow the working precision: a bound with headroom h
+    is 2^(h - prec) at ``prec`` bits, h bits above one unit in the last
+    place of 1.  A fixed bound sized for the coarsest precision would let a
+    finer run lose most of its digits unnoticed; a relative one fails any
+    run whose error does not shrink with the precision.
+
+    chart_roundtrip_headroom : max |x - inv(fw(x))| for the collapse charts
+    pin_headroom             : the collapse's pins (fiber, axis, edges) and
+                               the cone map's roundtrip
+    commutation_headroom     : the collapse's commutation with the two
+                               reflections.  It compares two chart
+                               evaluations, and near the slit arcs the
+                               cone map stretches by up to
+                               1 / slit_arc_angle = 2^15 / pi, so the
+                               defect reaches about 2^17 units there.
+    limitset                 : clustering radius / limit-set matching radius
+    horizon                  : default orbit length for limit estimates
     """
 
-    chart_roundtrip: float = 1e-25
-    commutation: float = 1e-30
+    chart_roundtrip_headroom: int = 16
+    pin_headroom: int = 14
+    commutation_headroom: int = 20
     limitset: float = 1e-3
     horizon: int = 400
 
     def __post_init__(self):
-        if not (self.chart_roundtrip > 0 and self.commutation > 0 and self.limitset > 0):
-            raise DomainError("tolerances must be positive")
+        for name in ("chart_roundtrip_headroom", "pin_headroom", "commutation_headroom"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+        if not self.limitset > 0:
+            raise DomainError("limitset must be positive")
         if self.horizon < 1:
             raise DomainError("horizon must be at least 1")
+
+    def chart_roundtrip_bound(self, ctx):
+        """2^(h - prec) for the chart roundtrip, as a float of ``ctx``."""
+        return ctx.ldexp(1, self.chart_roundtrip_headroom - ctx.prec)
+
+    def pin_bound(self, ctx):
+        """2^(h - prec) for the pins and the cone roundtrip, as a float of ``ctx``."""
+        return ctx.ldexp(1, self.pin_headroom - ctx.prec)
+
+    def commutation_bound(self, ctx):
+        """2^(h - prec) for the reflection identities, as a float of ``ctx``."""
+        return ctx.ldexp(1, self.commutation_headroom - ctx.prec)
+
+    def report(self, ctx) -> dict:
+        """JSON form: the fields plus the bounds at the context's precision."""
+        out = asdict(self)
+        out["chart_roundtrip_bound"] = float(self.chart_roundtrip_bound(ctx))
+        out["pin_bound"] = float(self.pin_bound(ctx))
+        out["commutation_bound"] = float(self.commutation_bound(ctx))
+        return out
 
 
 DEFAULT_TOLERANCES = Tolerances()

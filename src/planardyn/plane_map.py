@@ -59,15 +59,18 @@ def _rationalize_square(w, ctx) -> Tuple[Fraction, Fraction]:
 
     An overshoot of up to 2^-(prec-8) snaps, and never more than 2^-48 (the
     bound at 56 bits and below, the double context included); a larger one
-    is an escape, not rounding.
+    is an escape, not rounding.  Both tests compare integers: with q = n/d
+    (d > 0), |q| > 1 is |n| > d, and |q| - 1 > 2^-e is (|n| - d) 2^e > d.
     """
+    e = max(ctx.prec - 8, 48)
     out = []
     for v in w:
         q = bigfloat_to_rational(v)
-        if abs(q) > 1:
-            if abs(q) - 1 > Fraction(1, 2 ** max(ctx.prec - 8, 48)):
+        n, d = q.numerator, q.denominator
+        if n > d or -n > d:
+            if (abs(n) - d) << e > d:
                 raise DomainError(f"coordinate {q} escaped the square")
-            q = Fraction(1 if q > 0 else -1)
+            q = Fraction(1 if n > 0 else -1)
         out.append(q)
     return (out[0], out[1])
 

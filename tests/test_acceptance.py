@@ -51,15 +51,17 @@ def test_criterion_04_interior_limits(suite_report, tol):
             f"{cert.evidence['count']} seeds, tol {tol.limitset}")
 
 
-def test_criterion_05_collapse_conditions(suite_report, tol):
+def test_criterion_05_collapse_conditions(suite_report):
     (cert,) = _certs(suite_report, "xi", "collapse_conditions")
     (cone,) = _certs(suite_report, "xi", "cone_bijectivity")
+    (scaling,) = _certs(suite_report, "xi", "precision_scaling")
     worst = cert.evidence["worst_errors"]
     detail = (
-        f"roundtrip {worst['roundtrip']:.3g} < {tol.chart_roundtrip}, "
-        f"cone {cone.evidence['worst_error']:.3g} < {tol.commutation}"
+        f"roundtrip {worst['roundtrip']:.3g} < {cert.evidence['tolerances']['roundtrip']:.3g}, "
+        f"cone {cone.evidence['worst_error']:.3g} < {cone.evidence['tolerance']:.3g}"
     )
     assert cone.passed, f"criterion 05 cone extension: {cone.evidence}"
+    assert scaling.passed, f"criterion 05 precision scaling: {scaling.evidence}"
     _report(5, "collapse pins, charts, and cone extension", cert, detail)
 
 

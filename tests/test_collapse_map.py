@@ -12,6 +12,8 @@ from planardyn.collapse_map import (
     EDGE_MID,
     SLIT_ARC_DENOM,
     SLIT_OUTER,
+    _consts,
+    _ray_exit,
     boundary_reparam,
     chart_S,
     chart_T,
@@ -73,6 +75,29 @@ class TestExitPoint:
         with pytest.raises(DomainError):
             exit_point(SLIT_OUTER, -ctx.mpf(1), ctx)
 
+    @pytest.mark.parametrize(
+        "center, key",
+        [
+            (EDGE_MID, "quarter_pi"),
+            (EDGE_MID, "three_quarter_pi"),
+            (SLIT_OUTER, "corner"),
+            (SLIT_OUTER, "stretch"),  # pi - atan 2
+            (SLIT_OUTER, "pi_plus_corner"),
+            (SLIT_OUTER, "two_pi_minus_corner"),
+        ],
+    )
+    def test_branches_meet_at_the_corners(self, ctx, center, key):
+        # the one-tangent wall branches agree with their neighbours a few
+        # ulps either side of each corner angle
+        a = _consts(ctx)[key]
+        step = ctx.ldexp(a, 2 - ctx.prec)
+        below = exit_point(center, a - step, ctx)
+        above = exit_point(center, a + step, ctx)
+        at = exit_point(center, a, ctx)
+        eps = ctx.ldexp(1, 8 - ctx.prec)
+        assert max(abs(below[0] - above[0]), abs(below[1] - above[1])) <= eps
+        assert max(abs(at[0] - above[0]), abs(at[1] - above[1])) <= eps
+
 
 class TestCharts:
     def test_edge_chart_pins(self, ctx):
@@ -97,6 +122,16 @@ class TestCharts:
             for y in ("-0.75", "-0.0625", "0.25", "0.875"):
                 p = (ctx.mpf(x), ctx.mpf(y))
                 assert _close(chart_S(chart_S(p, ctx), ctx, inverse=True), p)
+
+    def test_radius_is_the_sup_norm(self, ctx):
+        # on dyadic points the forward radius is the sup-norm formula exactly
+        for x in ("0", "0.125", "0.5", "0.75", "1"):
+            for y in ("-1", "-0.625", "-0.0625", "0.25", "0.875", "1"):
+                px, py = ctx.mpf(x), ctx.mpf(y)
+                if (px, py) != (1, 0):
+                    assert chart_S((px, py), ctx)[1] == max(1 - px, abs(py))
+                if py != 0 or px < 0.5:
+                    assert chart_T((px, py), ctx)[1] == max(abs(2 * px - 1), abs(py))
 
     def test_slit_chart_roundtrip(self, ctx):
         for x in ("0.0625", "0.375", "0.875"):
@@ -148,6 +183,18 @@ class TestConeMap:
         out = cone_map((ctx.pi / 2, ctx.mpf("0.5")), ctx)
         assert _close(out, (+ctx.pi, ctx.mpf("0.5")))
 
+    def test_boundary_points_have_ray_parameter_one(self, ctx):
+        pi, one = +ctx.pi, ctx.mpf(1)
+        edge = [(ctx.mpf(0), ctx.mpf("0.3")), (pi, ctx.mpf("0.7")), (ctx.mpf("0.4"), one),
+                (ctx.mpf("2.9"), ctx.mpf(0)), (pi, one)]
+        slit = [(ctx.mpf(0), ctx.mpf("0.3")), (2 * pi, ctx.mpf("0.7")), (ctx.mpf(5), one)]
+        for which, points in (("U", edge), ("V", slit)):
+            for u in points:
+                b, t = _ray_exit(u[0], u[1], which, ctx)
+                assert t == 1
+                # c + (u - c) may round in the coordinate along the wall
+                assert _close(b, u, ctx.ldexp(1, 4 - ctx.prec))
+
     def test_roundtrip(self, ctx):
         for a in ("0.25", "1.125", "2.5"):
             for r in ("0.0625", "0.5", "0.9375"):
@@ -185,10 +232,32 @@ class TestCollapse:
                 back = collapse_inv(q, ctx)
                 back = tuple(to_bigfloat(c, ctx) for c in back)
                 worst = max(worst, abs(back[0] - p[0]), abs(back[1] - p[1]))
-        assert worst < tol.chart_roundtrip
+        assert worst < tol.chart_roundtrip_bound(ctx)
 
     def test_image_avoids_open_slits(self, ctx):
         for r in (Fraction(-9, 10), Fraction(3, 5), Fraction(99, 100)):
             for s in (Fraction(-1, 2), Fraction(1, 1000), Fraction(4, 5)):
                 x, y = collapse((r, s), ctx)
                 assert not (y == 0 and abs(x) > Fraction(1, 2))
+
+
+def test_collapse_takes_no_sqrt_sin_or_cos(monkeypatch):
+    # the radii and ray exits are sup norms: each direction costs one
+    # arctangent for its forward chart, one tangent for its exit point and
+    # at most a tangent and an arctangent on the central arc, nothing else
+    ctx = make_context(256)
+    calls = {}
+    for name in ("atan2", "atan", "tan", "sin", "cos", "sqrt"):
+        def counted(*args, _name=name, _fn=getattr(ctx, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ctx, name, counted, raising=False)
+    _consts(ctx)  # constants are computed once per precision, outside the count
+    calls.clear()
+    points = [(Fraction(1, 3), Fraction(1, 5)), (Fraction(-7, 8), Fraction(2, 3)),
+              (Fraction(9, 10), Fraction(-1, 100)), (Fraction(1, 50), Fraction(-49, 50))]
+    for x in points:
+        collapse_inv(collapse(x, ctx), ctx)
+    assert not {"sin", "cos", "sqrt"} & set(calls), calls
+    assert sum(calls.values()) <= 8 * len(points), calls

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from planardyn import collapse_map
 from planardyn.collapse_map import collapse
-from planardyn.numerics import DEFAULT_TOLERANCES, DomainError
+from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
 from planardyn import dynamics as dyn
 from planardyn import plane_map
 from planardyn.plane_map import lifted_core
@@ -209,6 +210,30 @@ def test_cone_bijectivity_rejects_zero_samples(ctx, tol):
     assert dyn.check_cone_bijectivity(ctx, tol, 0, samples=1).evidence["samples"] == 1
 
 
+def test_precision_scaling_rejects_zero_samples(ctx, tol):
+    with pytest.raises(DomainError, match="samples"):
+        dyn.check_precision_scaling(ctx, tol, 0, samples=0)
+
+
+def test_precision_scaling_catches_a_double_on_the_chart_path(monkeypatch, tol):
+    ctx = make_context(64)
+    cert = dyn.check_precision_scaling(ctx, tol, 0, samples=8)
+    assert cert.passed
+    assert [row["precision"] for row in cert.evidence["precisions"]] == [64, 128]
+    # round every point entering a forward chart through a double: the
+    # roundtrip error stays near 2^-53, inside the 64-bit bound and far
+    # outside the 128-bit one
+    exact = collapse_map.to_bigfloat
+    monkeypatch.setattr(
+        collapse_map, "_pt", lambda x, c: tuple(c.mpf(float(exact(v, c))) for v in x)
+    )
+    cert = dyn.check_precision_scaling(ctx, tol, 0, samples=8)
+    assert not cert.passed
+    low, high = cert.evidence["precisions"]
+    assert low["passed"] and not high["passed"]
+    assert high["roundtrip_worst_error"] > 2.0**-60 > high["roundtrip_tolerance"]
+
+
 def test_checks_take_seed_and_tolerances_from_the_table():
     # the suite table is the only statement of a check's seed and run values
     for row in dyn.SUITE_TABLE["all"]:
@@ -268,6 +293,7 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
     assert [c["evidence"]["check"] for c in xi["certificates"]] == [
         "collapse_conditions",
         "cone_bijectivity",
+        "precision_scaling",
     ]
     plane = dyn.run_suite("plane", ctx, tol, rng_seed=100)
     assert [c["evidence"]["check"] for c in plane["certificates"]] == [
@@ -288,6 +314,7 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
     assert seeds == [
         ("collapse_conditions", 104),
         ("cone_bijectivity", 105),
+        ("precision_scaling", 110),
         ("slit_continuity", None),
         ("rays_exact", 106),
         ("plane_convergence", None),
@@ -308,7 +335,7 @@ def test_xi_report_matches_golden(suite_report):
     golden = Path(__file__).parent / "data" / "verify_xi.json"
     report = suite_report("xi")
     assert report["metadata"]["precision"] == 256
-    assert report["metadata"]["tolerances"] == dataclasses.asdict(DEFAULT_TOLERANCES)
+    assert report["metadata"]["tolerances"] == DEFAULT_TOLERANCES.report(make_context(256))
     assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
 

@@ -148,3 +148,16 @@ def test_rationalize_square_snap_follows_precision():
     assert _rationalize_square((1 + 2.0**-50, 0.0), mpmath.fp) == (1, 0)
     with pytest.raises(DomainError):
         _rationalize_square((1 + 2.0**-40, 0.0), mpmath.fp)
+
+
+def test_rationalize_square_bound_is_exact():
+    # the overshoot bound 2^-(prec-8) itself snaps; one ulp past it escapes
+    ctx = make_context(256)
+    one = ctx.mpf(1)
+    edge = one + ctx.ldexp(one, -248)
+    assert _rationalize_square((edge, -edge), ctx) == (1, -1)
+    with pytest.raises(DomainError):
+        _rationalize_square((ctx.mpf(0), -(edge + ctx.ldexp(one, -255))), ctx)
+    # points inside the square come back as their exact values
+    inside = (ctx.mpf("0.375"), -ctx.mpf(1))
+    assert _rationalize_square(inside, ctx) == (Fraction(3, 8), Fraction(-1))
