@@ -40,8 +40,10 @@ only comparisons.  ``exit_point`` takes one tangent, and only the inverse
 charts call it.
 
 All functions take an explicit mpmath-style context; nothing reads or
-writes global precision.  Points may be handed in as exact rationals,
-floats, or context floats.
+writes global precision.  Only the entry points (``collapse``,
+``collapse_inv``, ``cone_map``, ``_collapse_charts``) take exact rationals,
+floats or context floats, converted once in ``_pt``; the chart steps take
+floats of the context.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .numerics import DomainError, SlitError, angle_normalize, to_bigfloat
+from .numerics import DomainError, SlitError, to_bigfloat
 
 # Chart anchor points: midpoint of the right edge, outer right slit endpoint.
 EDGE_MID = (Fraction(1), Fraction(0))
@@ -72,6 +74,7 @@ def _consts_at(ctx, prec):
     pi = +ctx.pi
     corner = ctx.atan(2)  # slit-chart angle of the top-right corner
     astar = pi / SLIT_ARC_DENOM
+    zero, half = to_bigfloat(0, ctx), to_bigfloat(Fraction(1, 2), ctx)
     return {
         "pi": pi,
         "two_pi": 2 * pi,
@@ -87,9 +90,12 @@ def _consts_at(ctx, prec):
         "span": pi / 4 - astar,  # angular width of each affine arc
         "stretch": pi - corner,  # image width of each affine arc
         "one": to_bigfloat(1, ctx),
-        "zero": to_bigfloat(0, ctx),
-        "half": to_bigfloat(Fraction(1, 2), ctx),
+        "zero": zero,
+        "half": half,
         "snap": to_bigfloat(Fraction(1, 2 ** max(prec - 8, 16)), ctx),
+        # chart rectangles as (lo0, hi0, center); radial bounds are [0, 1]
+        "U": (zero, pi, (pi / 2, half)),
+        "V": (zero, 2 * pi, (pi, half)),
     }
 
 
@@ -99,6 +105,7 @@ def slit_arc_angle(ctx):
 
 
 def _pt(x, ctx):
+    """The point as two floats of ``ctx``: the one conversion of an entry point."""
     return (to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx))
 
 
@@ -115,7 +122,7 @@ def _soft_clamp(v, lo, hi, ctx):
     return v
 
 
-def exit_point(center, angle, ctx) -> Tuple:
+def exit_point(center, a, ctx) -> Tuple:
     """Where the ray from a chart center at a chart angle leaves the half-square.
 
     The half-square is [0, 1] x [-1, 1].  From the right-edge midpoint the
@@ -123,10 +130,10 @@ def exit_point(center, angle, ctx) -> Tuple:
     pi (straight up); from the slit endpoint it is the polar angle in
     [0, 2*pi].  Each branch takes one tangent: on a horizontal wall the
     cotangent of the chart angle is written as minus the tangent of its
-    offset from pi/2 or 3*pi/2, an offset within pi/4 of zero.
+    offset from pi/2 or 3*pi/2, an offset within pi/4 of zero.  The angle
+    ``a`` is a float of ``ctx``.
     """
     k = _consts(ctx)
-    a = to_bigfloat(angle, ctx)
     if center == EDGE_MID:
         if a < 0 or a > k["pi"]:
             raise DomainError(f"edge chart angle {a} outside [0, pi]")
@@ -154,16 +161,18 @@ def chart_S(x, ctx, inverse: bool = False):
     Forward input is a point of the right half-square other than the
     center itself; output is (angle, radius), the radius the sup norm
     max(1 - x, |y|) of the offset from the center, so the half-square
-    boundary is radius one.  Inverse maps a rectangle point back into the
-    half-square along the ray to ``exit_point``.
+    boundary is radius one.  The angle is not clamped: rounding may leave
+    it a few ulps outside [0, pi], and ``cone_map`` clamps its input.
+    Inverse maps a rectangle point back into the half-square along the ray
+    to ``exit_point``.  Both directions take floats of ``ctx``.
     """
     k = _consts(ctx)
     if inverse:
-        alpha = _soft_clamp(to_bigfloat(x[0], ctx), k["zero"], k["pi"], ctx)
-        rho = _soft_clamp(to_bigfloat(x[1], ctx), k["zero"], k["one"], ctx)
+        alpha = _soft_clamp(x[0], k["zero"], k["pi"], ctx)
+        rho = _soft_clamp(x[1], k["zero"], k["one"], ctx)
         e = exit_point(EDGE_MID, alpha, ctx)
         return (1 + rho * (e[0] - 1), rho * e[1])
-    px, py = _pt(x, ctx)
+    px, py = x
     if px < 0 or px > 1 or py < -1 or py > 1:
         raise DomainError(f"point ({px}, {py}) outside the right half-square")
     dx, dy = px - 1, py
@@ -172,9 +181,7 @@ def chart_S(x, ctx, inverse: bool = False):
     phi = ctx.atan2(dy, dx)
     if phi < k["half_pi"]:
         phi = phi + k["two_pi"]
-    alpha = _soft_clamp(k["three_half_pi"] - phi, k["zero"], k["pi"], ctx)
-    rho = max(-dx, abs(dy))
-    return (alpha, _soft_clamp(rho, k["zero"], k["one"], ctx))
+    return (k["three_half_pi"] - phi, max(-dx, abs(dy)))
 
 
 def chart_T(y, ctx, inverse: bool = False):
@@ -183,21 +190,29 @@ def chart_T(y, ctx, inverse: bool = False):
     Forward input must stay off the closed slit ray (where the angle is
     ambiguous between the 0 and 2*pi sides); the center itself is
     degenerate.  The radius is the sup norm max(|2x - 1|, |y|), so the
-    half-square boundary is radius one.  Inverse maps (angle, radius) back
-    to the half-square along the ray to ``exit_point``.
+    half-square boundary is radius one and a point outside it raises.
+    Inverse maps (angle, radius) back to the half-square along the ray to
+    ``exit_point``.  Both directions take floats of ``ctx``.
     """
     k = _consts(ctx)
     if inverse:
-        theta = _soft_clamp(to_bigfloat(y[0], ctx), k["zero"], k["two_pi"], ctx)
-        rho = _soft_clamp(to_bigfloat(y[1], ctx), k["zero"], k["one"], ctx)
+        theta = _soft_clamp(y[0], k["zero"], k["two_pi"], ctx)
+        rho = _soft_clamp(y[1], k["zero"], k["one"], ctx)
         e = exit_point(SLIT_OUTER, theta, ctx)
         return (k["half"] + rho * (e[0] - k["half"]), rho * e[1])
-    py0, py1 = _pt(y, ctx)
+    py0, py1 = y
     if py1 == 0 and py0 >= k["half"]:
         raise SlitError(f"point ({py0}, {py1}) lies on the slit ray")
-    theta = angle_normalize((py0, py1), (k["half"], k["zero"]), ctx)
     rho = max(2 * abs(py0 - k["half"]), abs(py1))
-    return (theta, _soft_clamp(rho, k["zero"], k["one"], ctx))
+    if rho > 1:
+        raise DomainError(f"point ({py0}, {py1}) outside the right half-square")
+    theta = ctx.atan2(py1, py0 - k["half"])
+    if theta < 0:
+        theta = theta + k["two_pi"]
+    # atan2(-0.0, positive) can leave an exact 2*pi after the wrap
+    if theta >= k["two_pi"]:
+        theta = k["zero"]
+    return (theta, rho)
 
 
 def boundary_reparam(b, ctx, inverse: bool = False):
@@ -212,13 +227,13 @@ def boundary_reparam(b, ctx, inverse: bool = False):
     wrapping onto the slit's 0 side.  The other three walls land affinely
     on the radius-zero wall of the target.  Bijective on the boundary
     circles; conjugates the vertical flip (angle -> pi - angle) to the
-    reflection theta -> 2*pi - theta.
+    reflection theta -> 2*pi - theta.  Takes floats of ``ctx``.
     """
     k = _consts(ctx)
     pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
     span, stretch, third = k["span"], k["stretch"], k["third"]
     if inverse:
-        theta, rho = to_bigfloat(b[0], ctx), to_bigfloat(b[1], ctx)
+        theta, rho = b
         if rho == 1:
             if theta < 0 or theta > two_pi:
                 raise DomainError(f"slit chart angle {theta} outside [0, 2*pi]")
@@ -238,7 +253,7 @@ def boundary_reparam(b, ctx, inverse: bool = False):
                 return (two_pi - 3 * theta / 2, k["zero"])
             return (k["zero"], (theta - 2 * third) / third)
         raise DomainError(f"({theta}, {rho}) not on the slit-chart boundary")
-    alpha, rho = to_bigfloat(b[0], ctx), to_bigfloat(b[1], ctx)
+    alpha, rho = b
     if rho == 1:
         if alpha < 0 or alpha > pi:
             raise DomainError(f"edge chart angle {alpha} outside [0, pi]")
@@ -260,29 +275,20 @@ def boundary_reparam(b, ctx, inverse: bool = False):
     raise DomainError(f"({alpha}, {rho}) not on the edge-chart boundary")
 
 
-def _rect(which, ctx):
-    """(lo0, hi0, center) of a chart rectangle; radial bounds are [0, 1]."""
-    k = _consts(ctx)
-    if which == "U":
-        return k["zero"], k["pi"], (k["half_pi"], k["half"])
-    return k["zero"], k["two_pi"], (k["pi"], k["half"])
-
-
 def _ray_exit(u0, u1, which, ctx):
     """Boundary hit of the ray from the rectangle center through (u0, u1).
 
-    The coordinates are context floats.  The rectangle is the sup-norm ball
-    of radii (c0, 1/2) about its center (c0, 1/2), so the point sits at
-    fraction t = max(|d0| / c0, 2 |d1|) of the way out along its ray, d
+    The coordinates are floats of ``ctx``, clamped onto the rectangle by
+    ``cone_map``.  The rectangle is the sup-norm ball of radii (c0, 1/2)
+    about its center (c0, 1/2), so the point sits at fraction
+    t = max(|d0| / c0, 2 |d1|) of the way out along its ray, d
     being its offset from the center; the wall of the larger term is hit
     first, the vertical one on a tie.  Returns (boundary point, t); the
     boundary point is snapped exactly onto the achieving wall so the arc
     dispatch downstream sees exact wall coordinates.
     """
     k = _consts(ctx)
-    lo0, hi0, c = _rect(which, ctx)
-    u0 = _soft_clamp(u0, lo0, hi0, ctx)
-    u1 = _soft_clamp(u1, k["zero"], k["one"], ctx)
+    lo0, hi0, c = k[which]
     d0, d1 = u0 - c[0], u1 - c[1]
     if d0 == 0 and d1 == 0:
         raise DomainError("ray undefined at the rectangle center")
@@ -303,12 +309,16 @@ def cone_map(u, ctx, inverse: bool = False):
     the center (pi/2, 1/2) goes to (pi, 1/2), and the point at fraction t
     of the way from the center to a boundary point goes to the fraction-t
     point toward that boundary point's image.  Bijective; the inverse runs
-    the same recipe through the inverse boundary correspondence.
+    the same recipe through the inverse boundary correspondence.  A point
+    up to rounding outside its rectangle is clamped onto it.
     """
+    k = _consts(ctx)
     src, dst = ("V", "U") if inverse else ("U", "V")
-    _, _, c_src = _rect(src, ctx)
-    _, _, c_dst = _rect(dst, ctx)
-    u0, u1 = to_bigfloat(u[0], ctx), to_bigfloat(u[1], ctx)
+    lo0, hi0, c_src = k[src]
+    c_dst = k[dst][2]
+    u0, u1 = _pt(u, ctx)
+    u0 = _soft_clamp(u0, lo0, hi0, ctx)
+    u1 = _soft_clamp(u1, k["zero"], k["one"], ctx)
     if u0 == c_src[0] and u1 == c_src[1]:
         return c_dst
     b, t = _ray_exit(u0, u1, src, ctx)  # t in (0, 1]; 1 on the boundary
@@ -322,11 +332,10 @@ def _collapse_charts(x, ctx):
     Used by the verification suite to confirm that the pinned values
     (fiber, axis, edges) are what the charts themselves produce.
     """
-    px, py = _pt(x, ctx)
-    if px < 0:
-        mirrored = _collapse_charts((-px, py), ctx)
+    if x[0] < 0:
+        mirrored = _collapse_charts((-x[0], x[1]), ctx)
         return (-mirrored[0], mirrored[1])
-    a = chart_S((px, py), ctx)
+    a = chart_S(_pt(x, ctx), ctx)
     w = cone_map(a, ctx)
     return chart_T(w, ctx, inverse=True)
 
@@ -343,7 +352,7 @@ def collapse(x, ctx):
     if abs(r) > 1 or abs(s) > 1:
         raise DomainError(f"point ({r}, {s}) outside the square")
     if r == 0:
-        return (_consts(ctx)["zero"], to_bigfloat(s, ctx))
+        return (_consts(ctx)["zero"], _pt(x, ctx)[1])
     if r < 0:
         y = collapse((-r, s), ctx)
         return (-y[0], y[1])
@@ -351,7 +360,7 @@ def collapse(x, ctx):
         k = _consts(ctx)
         return (k["half"], k["zero"])
     if s == 0:
-        return (to_bigfloat(r, ctx) / 2, _consts(ctx)["zero"])
+        return (_pt(x, ctx)[0] / 2, _consts(ctx)["zero"])
     return _collapse_charts((r, s), ctx)
 
 
@@ -366,14 +375,14 @@ def collapse_inv(y, ctx):
     if abs(y1) >= 1 or abs(y2) >= 1:
         raise DomainError(f"point ({y1}, {y2}) outside the open square")
     if y1 == 0:
-        return (_consts(ctx)["zero"], to_bigfloat(y2, ctx))
+        return (_consts(ctx)["zero"], _pt(y, ctx)[1])
     if y2 == 0:
         if 2 * abs(y1) >= 1:
             raise SlitError(f"point ({y1}, 0) lies on a collapse slit")
-        return (2 * to_bigfloat(y1, ctx), _consts(ctx)["zero"])
+        return (2 * _pt(y, ctx)[0], _consts(ctx)["zero"])
     if y1 < 0:
         xm = collapse_inv((-y1, y2), ctx)
         return (-xm[0], xm[1])
-    w = chart_T((to_bigfloat(y1, ctx), to_bigfloat(y2, ctx)), ctx)
+    w = chart_T(_pt(y, ctx), ctx)
     a = cone_map(w, ctx, inverse=True)
     return chart_S(a, ctx, inverse=True)

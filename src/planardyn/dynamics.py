@@ -397,8 +397,11 @@ def orientation_probe(
     Samples whose triangle straddles a nonsmooth seam are re-drawn, at most
     five times: detected exactly through the map's affine piece key when
     available, otherwise inferred from a non-negative area (seams have
-    measure zero, so redraws stay rare); redraw counts are reported.
+    measure zero, so redraws stay rare); redraw counts are reported.  At
+    least one sample, so the probe cannot pass on none.
     """
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     rng = random.Random(rng_seed)
     leg = Fraction(1, 2**20)
     max_redraw = 5
@@ -535,9 +538,12 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
     """Pushforward check: collapse-then-tangent of the square map's limit
     candidates against the plane map's own limit candidates, both sides.
 
-    Seeds are exact rational points of the open square.  Non-converged
-    estimates mark a seed inconclusive instead of failing it.
+    Seeds are exact rational points of the open square, at least one, so
+    the probe cannot pass on none.  Non-converged estimates mark a seed
+    inconclusive instead of failing it.
     """
+    if not seeds:
+        raise DomainError("semiconjugacy_probe needs at least one seed")
     reg = map_registry(ctx)
     f_spec, h_spec = reg["f"], reg["h"]
     rows = []
@@ -837,7 +843,7 @@ def check_collapse_conditions(
         return _sup_error(y, target, ctx)
 
     def charts(r, s):
-        return _collapse_charts((to_bigfloat(r, ctx), to_bigfloat(s, ctx)), ctx)
+        return _collapse_charts((r, s), ctx)
 
     for _ in range(pin_samples):
         s = _rand_fraction(rng, -1, 1)

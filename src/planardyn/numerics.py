@@ -112,24 +112,6 @@ def bigfloat_to_rational(x) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def angle_normalize(y, center, ctx):
-    """Polar angle of ``y`` around ``center`` normalized into [0, 2*pi).
-
-    Raises DomainError when ``y == center`` (direction undefined).
-    """
-    dx = to_bigfloat(y[0], ctx) - to_bigfloat(center[0], ctx)
-    dy = to_bigfloat(y[1], ctx) - to_bigfloat(center[1], ctx)
-    if dx == 0 and dy == 0:
-        raise DomainError("angle undefined at the center itself")
-    theta = ctx.atan2(dy, dx)
-    if theta < 0:
-        theta = theta + 2 * ctx.pi
-    # atan2(-0.0, positive) can leave an exact 2*pi after the wrap
-    if theta >= 2 * ctx.pi:
-        theta = ctx.zero
-    return theta
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Named tolerances used across charts and dynamics.
@@ -166,8 +148,8 @@ class Tolerances:
                 raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
         if not self.limitset > 0:
             raise DomainError("limitset must be positive")
-        if self.horizon < 1:
-            raise DomainError("horizon must be at least 1")
+        if type(self.horizon) is not int or self.horizon < 1:
+            raise DomainError(f"horizon must be an integer of at least 1, got {self.horizon!r}")
 
     def chart_roundtrip_bound(self, ctx):
         """2^(h - prec) for the chart roundtrip, as a float of ``ctx``."""

@@ -11,8 +11,9 @@ chart images of the slit endpoints' approach directions.
 ``lifted_orbit`` is the default way to iterate: it pulls the seed back to
 an exact rational point of the square once, iterates the exact square map,
 and pushes each iterate forward, so long orbits accumulate no rounding.
-Iterating ``plane_homeo`` directly (the naive composition) is kept for
-cross-validation over short horizons.
+``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
+forward map in ``dynamics.map_registry``, so the displacement and
+orientation certificates evaluate it once per sample point.
 
 ``example_shift_reflection`` is the classical shift-composed-with-
 reflection example of a fixed-point-free plane map with unbounded orbits,

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from planardyn import collapse_map
 from planardyn.collapse_map import (
     EDGE_MID,
     SLIT_ARC_DENOM,
@@ -111,11 +112,27 @@ class TestCharts:
         assert _close(chart_T((ctx.mpf("0.5"), ctx.mpf(1)), ctx), (pi / 2, 1))
         assert _close(chart_T((ctx.mpf(0), ctx.mpf(0)), ctx), (pi, 1))
 
+    def test_slit_chart_forward_angles(self, ctx):
+        # the polar angle about (1/2, 0), wrapped into [0, 2*pi)
+        pi, tiny = +ctx.pi, ctx.ldexp(1, -20)
+        # just above the slit ray the angle starts at 0; straight up it is pi/2
+        assert 0 < chart_T((ctx.mpf(1), tiny), ctx)[0] < ctx.ldexp(1, -18)
+        assert abs(chart_T((ctx.mpf("0.5"), ctx.mpf(1)), ctx)[0] - pi / 2) < 1e-70
+        # along the negative axis it is pi
+        assert chart_T((ctx.mpf("0.25"), ctx.mpf(0)), ctx)[0] == pi
+        # just below the slit ray it is near 2*pi, not wrapped to 0
+        below = chart_T((ctx.mpf("0.75"), -tiny), ctx)[0]
+        assert abs(below - (2 * pi - ctx.atan(4 * tiny))) < 1e-70
+        # a wrapped angle that rounds to 2*pi itself is the top side's 0
+        assert chart_T((ctx.mpf(1), -ctx.ldexp(1, -2 * ctx.prec)), ctx)[0] == 0
+
     def test_degenerate_inputs(self, ctx):
         with pytest.raises(DomainError):
             chart_S((ctx.mpf(1), ctx.mpf(0)), ctx)
         with pytest.raises(SlitError):
             chart_T((ctx.mpf("0.8"), ctx.mpf(0)), ctx)
+        with pytest.raises(DomainError):
+            chart_T((ctx.mpf("0.25"), ctx.mpf("1.5")), ctx)
 
     def test_edge_chart_roundtrip(self, ctx):
         for x in ("0.125", "0.5", "0.9375"):
@@ -261,3 +278,36 @@ def test_collapse_takes_no_sqrt_sin_or_cos(monkeypatch):
         collapse_inv(collapse(x, ctx), ctx)
     assert not {"sin", "cos", "sqrt"} & set(calls), calls
     assert sum(calls.values()) <= 8 * len(points), calls
+
+
+def test_round_trip_converts_at_entry_and_clamps_once_per_hand_off(monkeypatch):
+    # each entry point converts its point once and each chart-to-chart
+    # hand-off is clamped once: the chart steps take floats of the context
+    ctx = make_context(256)
+    _consts(ctx)  # constants are converted once per precision, outside the count
+    calls = {"to_bigfloat": 0, "_soft_clamp": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(collapse_map, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(collapse_map, name, counted)
+    for x in [(Fraction(1, 3), Fraction(1, 5)), (Fraction(-7, 8), Fraction(2, 3)),
+              (Fraction(9, 10), Fraction(-1, 100))]:
+        calls.update(dict.fromkeys(calls, 0))
+        collapse_inv(collapse(x, ctx), ctx)
+        assert calls["to_bigfloat"] <= 8 and calls["_soft_clamp"] <= 10, (x, calls)
+
+
+def test_entry_points_retype_foreign_floats():
+    # floats of a finer context come back as floats of the working one
+    fine, ctx = make_context(256), make_context(128)
+    x = (fine.mpf(1) / 3, fine.mpf(1) / 5)
+    outputs = [
+        collapse(x, ctx),
+        collapse_inv(collapse(x, fine), ctx),
+        cone_map((fine.mpf("0.3"), fine.mpf("0.7")), ctx),
+        cone_map((fine.mpf("4.1"), fine.mpf("0.2")), ctx, inverse=True),
+    ]
+    for out in outputs:
+        assert [type(v) for v in out] == [ctx.mpf, ctx.mpf], out

@@ -162,6 +162,13 @@ def test_orientation_probe_detects_preservation(registry):
     assert cert.evidence["signs"]["negative"] == 0
 
 
+@pytest.mark.parametrize("name", ["f", "h"])
+def test_orientation_probe_rejects_zero_samples(registry, ctx, name):
+    # zero samples would pass with all-zero signs
+    with pytest.raises(DomainError, match="samples"):
+        dyn.orientation_probe(registry[name], 0, rng_seed=7, ctx=ctx)
+
+
 def test_boundedness_certificate_ray(ctx, tol):
     cert = dyn.boundedness_certificate((Fraction(2), Fraction(0)), (-10, 10), ctx, tol)
     assert cert.passed
@@ -180,6 +187,12 @@ def test_semiconjugacy_probe_single_seed(ctx, tol):
     cert = dyn.semiconjugacy_probe([(Fraction(1, 3), Fraction(1, 5))], tol, ctx)
     assert cert.passed
     assert cert.evidence["inconclusive"] == 0
+
+
+def test_semiconjugacy_probe_rejects_no_seeds(ctx, tol):
+    # an empty seed list would pass with no rows
+    with pytest.raises(DomainError, match="seed"):
+        dyn.semiconjugacy_probe([], tol, ctx)
 
 
 def test_collapse_conditions_rejects_odd_edge_samples(ctx, tol):

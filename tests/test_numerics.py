@@ -17,7 +17,6 @@ from planardyn.numerics import (
     PLFunction,
     SlitError,
     Tolerances,
-    angle_normalize,
     as_rational,
     bigfloat_to_rational,
     make_context,
@@ -151,13 +150,6 @@ def test_as_rational_wraps_only_non_fractions():
     assert as_rational("3/7") == f
 
 
-def test_angle_normalize_range(ctx):
-    # angle 0 along the positive horizontal from the center, pi/2 straight up
-    assert angle_normalize((ctx.mpf(1), ctx.mpf(0)), (ctx.mpf(0.5), ctx.mpf(0)), ctx) == 0
-    up = angle_normalize((ctx.mpf(0.5), ctx.mpf(1)), (ctx.mpf(0.5), ctx.mpf(0)), ctx)
-    assert abs(up - ctx.pi / 2) < ctx.mpf(10) ** -70
-
-
 def test_tolerances_defaults():
     t = DEFAULT_TOLERANCES
     assert t.chart_roundtrip_headroom == 16
@@ -195,6 +187,11 @@ def test_tolerances_validate():
             Tolerances(commutation_headroom=bad)
     with pytest.raises(DomainError):
         Tolerances(limitset=0.0)
+    # a fractional horizon used to pass here and fail later in range()
+    for bad in (2.5, "5", True, 0):
+        with pytest.raises(DomainError, match="horizon"):
+            Tolerances(horizon=bad)
+    assert Tolerances(horizon=1).horizon == 1
 
 
 def test_slit_error_is_domain_error():
