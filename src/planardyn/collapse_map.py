@@ -44,6 +44,20 @@ writes global precision.  Only the entry points (``collapse``,
 ``collapse_inv``, ``cone_map``, ``_collapse_charts``) take exact rationals,
 floats or context floats, converted once in ``_pt``; the chart steps take
 floats of the context.
+
+Each fact is checked once.  The entry points check their point and decide
+its pins: ``collapse`` reads a point of two Fractions off numerators and
+denominators (square, fiber, edges, axis) and mirrors the left half after
+converting, since both roundings (toward zero for rationals, to nearest
+in doubles) are symmetric about zero.  The public ``chart_S``, ``chart_T``,
+``exit_point`` and ``boundary_reparam`` keep their domain, slit and wall
+checks and delegate to unchecked steps (``_edge_chart``, ``_slit_chart``
+and their inverses, ``_edge_exit``, ``_slit_exit``, ``_edge_to_slit``,
+``_slit_to_edge``), which take the constants ``k = _consts(ctx)`` from
+their caller.  The entry points call the steps directly: a step's input
+is in range by construction, through the entry checks, the clamps at the
+cone's entry and at the chart inverses, and the ray exit's snap onto a
+wall.
 """
 
 from __future__ import annotations
@@ -74,6 +88,7 @@ def _consts_at(ctx, prec):
     pi = +ctx.pi
     corner = ctx.atan(2)  # slit-chart angle of the top-right corner
     astar = pi / SLIT_ARC_DENOM
+    third = 2 * pi / 3
     zero, half = to_bigfloat(0, ctx), to_bigfloat(Fraction(1, 2), ctx)
     return {
         "pi": pi,
@@ -82,14 +97,20 @@ def _consts_at(ctx, prec):
         "three_half_pi": 3 * pi / 2,
         "quarter_pi": pi / 4,
         "three_quarter_pi": 3 * pi / 4,
-        "third": 2 * pi / 3,
+        "third": third,
+        "two_thirds": 2 * third,
         "corner": corner,
         "pi_plus_corner": pi + corner,
         "two_pi_minus_corner": 2 * pi - corner,
         "astar": astar,
+        "pi_minus_astar": pi - astar,
         "span": pi / 4 - astar,  # angular width of each affine arc
         "stretch": pi - corner,  # image width of each affine arc
+        # small integers as context floats: each converts exactly
+        "minus_one": to_bigfloat(-1, ctx),
         "one": to_bigfloat(1, ctx),
+        "two": to_bigfloat(2, ctx),
+        "three": to_bigfloat(3, ctx),
         "zero": zero,
         "half": half,
         "snap": to_bigfloat(Fraction(1, 2 ** max(prec - 8, 16)), ctx),
@@ -109,17 +130,37 @@ def _pt(x, ctx):
     return (to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx))
 
 
-def _soft_clamp(v, lo, hi, ctx):
+def _soft_clamp(v, lo, hi, k):
     """Clamp a value that may overshoot an interval by accumulated rounding."""
     if v < lo:
-        if lo - v > _consts(ctx)["snap"] * (1 + abs(lo)):
+        if lo - v > k["snap"] * (1 + abs(lo)):
             raise DomainError(f"value {v} below {lo}")
         return lo
     if v > hi:
-        if v - hi > _consts(ctx)["snap"] * (1 + abs(hi)):
+        if v - hi > k["snap"] * (1 + abs(hi)):
             raise DomainError(f"value {v} above {hi}")
         return hi
     return v
+
+
+def _edge_exit(a, k, ctx):
+    """``exit_point`` from the right-edge midpoint, for ``a`` in [0, pi]."""
+    if a <= k["quarter_pi"]:
+        return (k["one"] - ctx.tan(a), k["minus_one"])
+    if a < k["three_quarter_pi"]:
+        return (k["zero"], ctx.tan(a - k["half_pi"]))
+    return (k["one"] - ctx.tan(k["pi"] - a), k["one"])
+
+
+def _slit_exit(a, k, ctx):
+    """``exit_point`` from the outer slit endpoint, for ``a`` in [0, 2*pi]."""
+    if a <= k["corner"] or a >= k["two_pi_minus_corner"]:
+        return (k["one"], ctx.tan(a) / 2)
+    if a <= k["stretch"]:  # pi - corner
+        return (k["half"] - ctx.tan(a - k["half_pi"]), k["one"])
+    if a <= k["pi_plus_corner"]:
+        return (k["zero"], -ctx.tan(a) / 2)
+    return (k["half"] + ctx.tan(a - k["three_half_pi"]), k["minus_one"])
 
 
 def exit_point(center, a, ctx) -> Tuple:
@@ -135,24 +176,39 @@ def exit_point(center, a, ctx) -> Tuple:
     """
     k = _consts(ctx)
     if center == EDGE_MID:
-        if a < 0 or a > k["pi"]:
+        if a < k["zero"] or a > k["pi"]:
             raise DomainError(f"edge chart angle {a} outside [0, pi]")
-        if a <= k["quarter_pi"]:
-            return (1 - ctx.tan(a), -k["one"])
-        if a < k["three_quarter_pi"]:
-            return (k["zero"], ctx.tan(a - k["half_pi"]))
-        return (1 - ctx.tan(k["pi"] - a), k["one"])
+        return _edge_exit(a, k, ctx)
     if center == SLIT_OUTER:
-        if a < 0 or a > k["two_pi"]:
+        if a < k["zero"] or a > k["two_pi"]:
             raise DomainError(f"slit chart angle {a} outside [0, 2*pi]")
-        if a <= k["corner"] or a >= k["two_pi_minus_corner"]:
-            return (k["one"], ctx.tan(a) / 2)
-        if a <= k["stretch"]:  # pi - corner
-            return (k["half"] - ctx.tan(a - k["half_pi"]), k["one"])
-        if a <= k["pi_plus_corner"]:
-            return (k["zero"], -ctx.tan(a) / 2)
-        return (k["half"] + ctx.tan(a - k["three_half_pi"]), -k["one"])
+        return _slit_exit(a, k, ctx)
     raise DomainError(f"unknown chart center {center}")
+
+
+def _edge_chart(px, py, k, ctx):
+    """``chart_S`` forward at a point of the right half-square off its center."""
+    dx = px - k["one"]
+    phi = ctx.atan2(py, dx)
+    if phi < k["half_pi"]:
+        phi = phi + k["two_pi"]
+    return (k["three_half_pi"] - phi, max(-dx, abs(py)))
+
+
+def _edge_chart_inv(alpha, rho, k, ctx):
+    """``chart_S`` inverse: the input is clamped onto [0, pi] x [0, 1]."""
+    alpha = _soft_clamp(alpha, k["zero"], k["pi"], k)
+    rho = _soft_clamp(rho, k["zero"], k["one"], k)
+    e0, e1 = _edge_exit(alpha, k, ctx)
+    return (k["one"] + rho * (e0 - k["one"]), rho * e1)
+
+
+def _check_edge_chart(px, py, k):
+    """The forward edge chart's domain: the right half-square but its center."""
+    if px < k["zero"] or px > k["one"] or py < k["minus_one"] or py > k["one"]:
+        raise DomainError(f"point ({px}, {py}) outside the right half-square")
+    if px == k["one"] and py == k["zero"]:
+        raise DomainError("edge chart is degenerate at its center")
 
 
 def chart_S(x, ctx, inverse: bool = False):
@@ -168,20 +224,30 @@ def chart_S(x, ctx, inverse: bool = False):
     """
     k = _consts(ctx)
     if inverse:
-        alpha = _soft_clamp(x[0], k["zero"], k["pi"], ctx)
-        rho = _soft_clamp(x[1], k["zero"], k["one"], ctx)
-        e = exit_point(EDGE_MID, alpha, ctx)
-        return (1 + rho * (e[0] - 1), rho * e[1])
-    px, py = x
-    if px < 0 or px > 1 or py < -1 or py > 1:
-        raise DomainError(f"point ({px}, {py}) outside the right half-square")
-    dx, dy = px - 1, py
-    if dx == 0 and dy == 0:
-        raise DomainError("edge chart is degenerate at its center")
-    phi = ctx.atan2(dy, dx)
-    if phi < k["half_pi"]:
-        phi = phi + k["two_pi"]
-    return (k["three_half_pi"] - phi, max(-dx, abs(dy)))
+        return _edge_chart_inv(x[0], x[1], k, ctx)
+    _check_edge_chart(x[0], x[1], k)
+    return _edge_chart(x[0], x[1], k, ctx)
+
+
+def _slit_chart(py0, py1, k, ctx):
+    """``chart_T`` forward at a point of the right half-square off the slit ray."""
+    d0 = py0 - k["half"]
+    rho = max(k["two"] * abs(d0), abs(py1))
+    theta = ctx.atan2(py1, d0)
+    if theta < k["zero"]:
+        theta = theta + k["two_pi"]
+    # atan2(-0.0, positive) can leave an exact 2*pi after the wrap
+    if theta >= k["two_pi"]:
+        theta = k["zero"]
+    return (theta, rho)
+
+
+def _slit_chart_inv(theta, rho, k, ctx):
+    """``chart_T`` inverse: the input is clamped onto [0, 2*pi] x [0, 1]."""
+    theta = _soft_clamp(theta, k["zero"], k["two_pi"], k)
+    rho = _soft_clamp(rho, k["zero"], k["one"], k)
+    e0, e1 = _slit_exit(theta, k, ctx)
+    return (k["half"] + rho * (e0 - k["half"]), rho * e1)
 
 
 def chart_T(y, ctx, inverse: bool = False):
@@ -196,23 +262,57 @@ def chart_T(y, ctx, inverse: bool = False):
     """
     k = _consts(ctx)
     if inverse:
-        theta = _soft_clamp(y[0], k["zero"], k["two_pi"], ctx)
-        rho = _soft_clamp(y[1], k["zero"], k["one"], ctx)
-        e = exit_point(SLIT_OUTER, theta, ctx)
-        return (k["half"] + rho * (e[0] - k["half"]), rho * e[1])
+        return _slit_chart_inv(y[0], y[1], k, ctx)
     py0, py1 = y
-    if py1 == 0 and py0 >= k["half"]:
+    if py1 == k["zero"] and py0 >= k["half"]:
         raise SlitError(f"point ({py0}, {py1}) lies on the slit ray")
-    rho = max(2 * abs(py0 - k["half"]), abs(py1))
-    if rho > 1:
+    out = _slit_chart(py0, py1, k, ctx)
+    if out[1] > k["one"]:
         raise DomainError(f"point ({py0}, {py1}) outside the right half-square")
-    theta = ctx.atan2(py1, py0 - k["half"])
-    if theta < 0:
-        theta = theta + k["two_pi"]
-    # atan2(-0.0, positive) can leave an exact 2*pi after the wrap
-    if theta >= k["two_pi"]:
-        theta = k["zero"]
-    return (theta, rho)
+    return out
+
+
+def _edge_to_slit(alpha, rho, k, ctx):
+    """``boundary_reparam`` forward at a point on a wall of [0, pi] x [0, 1]."""
+    pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
+    span, stretch, third = k["span"], k["stretch"], k["third"]
+    if rho == k["one"]:
+        if alpha <= astar:
+            return (two_pi, alpha / astar)
+        if alpha < k["quarter_pi"]:
+            return (two_pi - (alpha - astar) * stretch / span, k["one"])
+        if alpha <= k["three_quarter_pi"]:
+            return (pi - ctx.atan(k["two"] * ctx.tan(alpha - k["half_pi"])), k["one"])
+        if alpha < k["pi_minus_astar"]:
+            return ((k["pi_minus_astar"] - alpha) * stretch / span, k["one"])
+        return (k["zero"], (pi - alpha) / astar)
+    if rho == k["zero"]:
+        return (third * (k["two"] - alpha / pi), k["zero"])
+    if alpha == pi:
+        return (third * (k["one"] - rho), k["zero"])
+    return (k["two_thirds"] + rho * third, k["zero"])  # alpha == 0
+
+
+def _slit_to_edge(theta, rho, k, ctx):
+    """``boundary_reparam`` inverse at a point on a wall of [0, 2*pi] x [0, 1]."""
+    pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
+    span, stretch, third = k["span"], k["stretch"], k["third"]
+    if rho == k["one"]:
+        if theta <= stretch:  # pi - corner
+            return (k["pi_minus_astar"] - theta * span / stretch, k["one"])
+        if theta <= k["pi_plus_corner"]:
+            return (k["half_pi"] + ctx.atan(ctx.tan(pi - theta) / 2), k["one"])
+        return (astar + (two_pi - theta) * span / stretch, k["one"])
+    if theta == k["zero"]:
+        return (pi - astar * rho, k["one"])
+    if theta == two_pi:
+        return (astar * rho, k["one"])
+    # rho == 0
+    if theta <= third:
+        return (pi, k["one"] - theta / third)
+    if theta <= k["two_thirds"]:
+        return (two_pi - k["three"] * theta / 2, k["zero"])
+    return (k["zero"], (theta - k["two_thirds"]) / third)
 
 
 def boundary_reparam(b, ctx, inverse: bool = False):
@@ -230,75 +330,44 @@ def boundary_reparam(b, ctx, inverse: bool = False):
     reflection theta -> 2*pi - theta.  Takes floats of ``ctx``.
     """
     k = _consts(ctx)
-    pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
-    span, stretch, third = k["span"], k["stretch"], k["third"]
+    a, rho = b
     if inverse:
-        theta, rho = b
-        if rho == 1:
-            if theta < 0 or theta > two_pi:
-                raise DomainError(f"slit chart angle {theta} outside [0, 2*pi]")
-            if theta <= stretch:  # pi - corner
-                return ((pi - astar) - theta * span / stretch, k["one"])
-            if theta <= k["pi_plus_corner"]:
-                return (k["half_pi"] + ctx.atan(ctx.tan(pi - theta) / 2), k["one"])
-            return (astar + (two_pi - theta) * span / stretch, k["one"])
-        if theta == 0:
-            return (pi - astar * rho, k["one"])
-        if theta == two_pi:
-            return (astar * rho, k["one"])
-        if rho == 0:
-            if theta <= third:
-                return (pi, 1 - theta / third)
-            if theta <= 2 * third:
-                return (two_pi - 3 * theta / 2, k["zero"])
-            return (k["zero"], (theta - 2 * third) / third)
-        raise DomainError(f"({theta}, {rho}) not on the slit-chart boundary")
-    alpha, rho = b
-    if rho == 1:
-        if alpha < 0 or alpha > pi:
-            raise DomainError(f"edge chart angle {alpha} outside [0, pi]")
-        if alpha <= astar:
-            return (two_pi, alpha / astar)
-        if alpha < k["quarter_pi"]:
-            return (two_pi - (alpha - astar) * stretch / span, k["one"])
-        if alpha <= k["three_quarter_pi"]:
-            return (pi - ctx.atan(2 * ctx.tan(alpha - k["half_pi"])), k["one"])
-        if alpha < pi - astar:
-            return (((pi - astar) - alpha) * stretch / span, k["one"])
-        return (k["zero"], (pi - alpha) / astar)
-    if rho == 0:
-        return (third * (2 - alpha / pi), k["zero"])
-    if alpha == pi:
-        return (third * (1 - rho), k["zero"])
-    if alpha == 0:
-        return (2 * third + rho * third, k["zero"])
-    raise DomainError(f"({alpha}, {rho}) not on the edge-chart boundary")
+        if rho == k["one"]:
+            if a < k["zero"] or a > k["two_pi"]:
+                raise DomainError(f"slit chart angle {a} outside [0, 2*pi]")
+        elif not (a == k["zero"] or a == k["two_pi"] or rho == k["zero"]):
+            raise DomainError(f"({a}, {rho}) not on the slit-chart boundary")
+        return _slit_to_edge(a, rho, k, ctx)
+    if rho == k["one"]:
+        if a < k["zero"] or a > k["pi"]:
+            raise DomainError(f"edge chart angle {a} outside [0, pi]")
+    elif not (rho == k["zero"] or a == k["pi"] or a == k["zero"]):
+        raise DomainError(f"({a}, {rho}) not on the edge-chart boundary")
+    return _edge_to_slit(a, rho, k, ctx)
 
 
-def _ray_exit(u0, u1, which, ctx):
+def _ray_exit(u0, u1, which, k):
     """Boundary hit of the ray from the rectangle center through (u0, u1).
 
-    The coordinates are floats of ``ctx``, clamped onto the rectangle by
-    ``cone_map``.  The rectangle is the sup-norm ball of radii (c0, 1/2)
-    about its center (c0, 1/2), so the point sits at fraction
-    t = max(|d0| / c0, 2 |d1|) of the way out along its ray, d
-    being its offset from the center; the wall of the larger term is hit
-    first, the vertical one on a tie.  Returns (boundary point, t); the
-    boundary point is snapped exactly onto the achieving wall so the arc
-    dispatch downstream sees exact wall coordinates.
+    The coordinates are floats of the context, clamped onto the rectangle
+    ``k[which]`` and off its center by ``cone_map``.  The rectangle is the
+    sup-norm ball of radii (c0, 1/2) about its center (c0, 1/2), so the
+    point sits at fraction t = max(|d0| / c0, 2 |d1|) of the way out along
+    its ray, d being its offset from the center; the wall of the larger
+    term is hit first, the vertical one on a tie.  Returns
+    (boundary point, t); the boundary point is snapped exactly onto the
+    achieving wall so the arc dispatch downstream sees exact wall
+    coordinates.
     """
-    k = _consts(ctx)
     lo0, hi0, c = k[which]
     d0, d1 = u0 - c[0], u1 - c[1]
-    if d0 == 0 and d1 == 0:
-        raise DomainError("ray undefined at the rectangle center")
-    s0, s1 = abs(d0) / c[0], 2 * abs(d1)
+    s0, s1 = abs(d0) / c[0], k["two"] * abs(d1)
     if s0 >= s1:
         t = s0
-        b = (hi0 if d0 > 0 else lo0, _soft_clamp(c[1] + d1 / t, k["zero"], k["one"], ctx))
+        b = (hi0 if d0 > k["zero"] else lo0, _soft_clamp(c[1] + d1 / t, k["zero"], k["one"], k))
     else:
         t = s1
-        b = (_soft_clamp(c[0] + d0 / t, lo0, hi0, ctx), k["one"] if d1 > 0 else k["zero"])
+        b = (_soft_clamp(c[0] + d0 / t, lo0, hi0, k), k["one"] if d1 > k["zero"] else k["zero"])
     return b, t
 
 
@@ -317,13 +386,19 @@ def cone_map(u, ctx, inverse: bool = False):
     lo0, hi0, c_src = k[src]
     c_dst = k[dst][2]
     u0, u1 = _pt(u, ctx)
-    u0 = _soft_clamp(u0, lo0, hi0, ctx)
-    u1 = _soft_clamp(u1, k["zero"], k["one"], ctx)
+    u0 = _soft_clamp(u0, lo0, hi0, k)
+    u1 = _soft_clamp(u1, k["zero"], k["one"], k)
     if u0 == c_src[0] and u1 == c_src[1]:
         return c_dst
-    b, t = _ray_exit(u0, u1, src, ctx)  # t in (0, 1]; 1 on the boundary
-    lb = boundary_reparam(b, ctx, inverse=inverse)
+    b, t = _ray_exit(u0, u1, src, k)  # t in (0, 1]; 1 on the boundary
+    lb = (_slit_to_edge if inverse else _edge_to_slit)(b[0], b[1], k, ctx)
     return (c_dst[0] + t * (lb[0] - c_dst[0]), c_dst[1] + t * (lb[1] - c_dst[1]))
+
+
+def _right_half(px, py, k, ctx):
+    """The collapse's chart composition at a point of the right half-square."""
+    w = cone_map(_edge_chart(px, py, k, ctx), ctx)
+    return _slit_chart_inv(w[0], w[1], k, ctx)
 
 
 def _collapse_charts(x, ctx):
@@ -332,12 +407,14 @@ def _collapse_charts(x, ctx):
     Used by the verification suite to confirm that the pinned values
     (fiber, axis, edges) are what the charts themselves produce.
     """
-    if x[0] < 0:
-        mirrored = _collapse_charts((-x[0], x[1]), ctx)
-        return (-mirrored[0], mirrored[1])
-    a = chart_S(_pt(x, ctx), ctx)
-    w = cone_map(a, ctx)
-    return chart_T(w, ctx, inverse=True)
+    k = _consts(ctx)
+    left = x[0] < 0
+    px, py = _pt(x, ctx)
+    if left:
+        px = -px
+    _check_edge_chart(px, py, k)
+    y0, y1 = _right_half(px, py, k, ctx)
+    return (-y0, y1) if left else (y0, y1)
 
 
 def collapse(x, ctx):
@@ -346,22 +423,31 @@ def collapse(x, ctx):
     Pins: the central fiber is fixed pointwise, the horizontal axis is
     halved, each vertical edge goes to the slit endpoint on its side, and
     the map commutes with both reflections of the square.  Interior points
-    off the axis and fiber go through the charts.
+    off the axis and fiber go through the charts.  A point of two
+    Fractions is checked and pinned on its numerators and denominators.
     """
     r, s = x
-    if abs(r) > 1 or abs(s) > 1:
-        raise DomainError(f"point ({r}, {s}) outside the square")
-    if r == 0:
-        return (_consts(ctx)["zero"], _pt(x, ctx)[1])
-    if r < 0:
-        y = collapse((-r, s), ctx)
-        return (-y[0], y[1])
-    if r == 1:
-        k = _consts(ctx)
-        return (k["half"], k["zero"])
-    if s == 0:
-        return (_pt(x, ctx)[0] / 2, _consts(ctx)["zero"])
-    return _collapse_charts((r, s), ctx)
+    if type(r) is Fraction and type(s) is Fraction:
+        n, d, m, e = r.numerator, r.denominator, s.numerator, s.denominator
+        if n > d or -n > d or m > e or -m > e:
+            raise DomainError(f"point ({r}, {s}) outside the square")
+        fiber, left, edge, axis = n == 0, n < 0, n == d or -n == d, m == 0
+    else:
+        if abs(r) > 1 or abs(s) > 1:
+            raise DomainError(f"point ({r}, {s}) outside the square")
+        fiber, left, edge, axis = r == 0, r < 0, abs(r) == 1, s == 0
+    k = _consts(ctx)
+    if edge:
+        return (-k["half"] if left else k["half"], k["zero"])
+    u0, u1 = _pt(x, ctx)
+    if fiber:
+        return (k["zero"], u1)
+    if axis:
+        return (u0 / 2, k["zero"])
+    if left:
+        y0, y1 = _right_half(-u0, u1, k, ctx)
+        return (-y0, y1)
+    return _right_half(u0, u1, k, ctx)
 
 
 def collapse_inv(y, ctx):
@@ -374,15 +460,20 @@ def collapse_inv(y, ctx):
     y1, y2 = y
     if abs(y1) >= 1 or abs(y2) >= 1:
         raise DomainError(f"point ({y1}, {y2}) outside the open square")
+    k = _consts(ctx)
     if y1 == 0:
-        return (_consts(ctx)["zero"], _pt(y, ctx)[1])
+        return (k["zero"], _pt(y, ctx)[1])
     if y2 == 0:
         if 2 * abs(y1) >= 1:
             raise SlitError(f"point ({y1}, 0) lies on a collapse slit")
-        return (2 * _pt(y, ctx)[0], _consts(ctx)["zero"])
-    if y1 < 0:
-        xm = collapse_inv((-y1, y2), ctx)
-        return (-xm[0], xm[1])
-    w = chart_T(_pt(y, ctx), ctx)
-    a = cone_map(w, ctx, inverse=True)
-    return chart_S(a, ctx, inverse=True)
+        return (2 * _pt(y, ctx)[0], k["zero"])
+    left = y1 < 0
+    u0, u1 = _pt(y, ctx)
+    if left:
+        u0 = -u0
+    # a height below the doubles' range rounds to zero, onto the slit ray
+    if u1 == k["zero"] and u0 >= k["half"]:
+        raise SlitError(f"point ({u0}, {u1}) lies on the slit ray")
+    w = cone_map(_slit_chart(u0, u1, k, ctx), ctx, inverse=True)
+    x0, x1 = _edge_chart_inv(w[0], w[1], k, ctx)
+    return (-x0, x1) if left else (x0, x1)

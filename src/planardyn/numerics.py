@@ -30,7 +30,7 @@ from typing import Sequence, Tuple, Union
 
 import mpmath
 from mpmath.ctx_fp import FPContext
-from mpmath.libmp import from_man_exp, round_down
+from mpmath.libmp import from_man_exp, round_down, to_rational
 
 Numeric = Union[Fraction, int, float]
 
@@ -79,10 +79,13 @@ def as_rational(x) -> Fraction:
 def to_bigfloat(value, ctx):
     """Convert a Fraction/int/float/str to the context's float type.
 
-    A Fraction p/q is rounded toward zero at ``ctx.prec`` bits, the rounding
-    ``ctx.convert`` applies to rationals; on ``mpmath.fp`` it is the double
-    nearest to p/q.  Other inputs go through ``ctx.convert``: context floats,
-    ints and floats come back exactly, strings rounded at the precision.
+    A float of ``ctx`` itself comes back untouched.  A Fraction p/q is
+    rounded toward zero at ``ctx.prec`` bits, the rounding ``ctx.convert``
+    applies to rationals; on ``mpmath.fp`` it is the double nearest to p/q.
+    A float of another context is rounded at ``ctx.prec`` the way
+    ``ctx.mpf`` rounds it, so no value wider than the precision gets in.
+    Other inputs go through ``ctx.convert``: ints and floats come back
+    exactly, strings rounded at the precision.
 
     The truncation takes one exact floor division: with
     ``k = prec + 1 - (bits(|p|) - bits(q))`` the integer
@@ -91,7 +94,10 @@ def to_bigfloat(value, ctx):
     So the result is bit for bit ``from_rational(p, q, prec)``, without
     normalising the full-size operands of a 10^4-bit fraction first.
     """
-    if type(value) is Fraction:  # not isinstance: Fraction's ABC check is slow
+    kind = type(value)
+    if kind is ctx.mpf:
+        return value
+    if kind is Fraction:  # not isinstance: Fraction's ABC check is slow
         p, q = value.numerator, value.denominator
         if isinstance(ctx, FPContext):
             return p / q
@@ -99,7 +105,18 @@ def to_bigfloat(value, ctx):
         k = ctx.prec + 1 - (a.bit_length() - q.bit_length())
         m = (a << k) // q if k >= 0 else a // (q << -k)
         return ctx.make_mpf(from_man_exp(-m if p < 0 else m, -k, ctx.prec, round_down))
+    if hasattr(value, "_mpf_"):
+        return ctx.mpf(value)
     return ctx.convert(value)
+
+
+def integer_ratio(x) -> Tuple[int, int]:
+    """Exact value of a finite double or big float as (numerator,
+    denominator) in lowest terms, denominator positive."""
+    if type(x) is float:
+        return x.as_integer_ratio()
+    p, q = to_rational(x._mpf_)
+    return int(p), int(q)
 
 
 def bigfloat_to_rational(x) -> Fraction:
@@ -108,8 +125,7 @@ def bigfloat_to_rational(x) -> Fraction:
         return x
     if isinstance(x, (int, float)):
         return Fraction(x)
-    p, q = mpmath.libmp.to_rational(x._mpf_)
-    return Fraction(int(p), int(q))
+    return Fraction(*integer_ratio(x))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .collapse_map import collapse, collapse_inv
-from .numerics import DomainError, bigfloat_to_rational, to_bigfloat
+from .numerics import DomainError, integer_ratio, to_bigfloat
 from .square_map import square_homeo
 
 
@@ -60,19 +60,20 @@ def _rationalize_square(w, ctx) -> Tuple[Fraction, Fraction]:
 
     An overshoot of up to 2^-(prec-8) snaps, and never more than 2^-48 (the
     bound at 56 bits and below, the double context included); a larger one
-    is an escape, not rounding.  Both tests compare integers: with q = n/d
-    (d > 0), |q| > 1 is |n| > d, and |q| - 1 > 2^-e is (|n| - d) 2^e > d.
+    is an escape, not rounding.  Each coordinate is read as its exact
+    integer ratio n/d (d > 0), so both tests compare integers: |q| > 1 is
+    |n| > d, and |q| - 1 > 2^-e is (|n| - d) 2^e > d.  One Fraction is built
+    per coordinate.
     """
     e = max(ctx.prec - 8, 48)
     out = []
     for v in w:
-        q = bigfloat_to_rational(v)
-        n, d = q.numerator, q.denominator
+        n, d = integer_ratio(v)
         if n > d or -n > d:
             if (abs(n) - d) << e > d:
-                raise DomainError(f"coordinate {q} escaped the square")
-            q = Fraction(1 if n > 0 else -1)
-        out.append(q)
+                raise DomainError(f"coordinate {Fraction(n, d)} escaped the square")
+            n, d = (1 if n > 0 else -1), 1
+        out.append(Fraction(n, d))
     return (out[0], out[1])
 
 

@@ -27,8 +27,9 @@ Everything here is exact on rational points.  The public maps validate
 their point; ``square_homeo`` validates once and then runs the private
 forms (``_rise``, ``_descend``, ``_row``), which take a checked point.  A
 row of the strip shear is evaluated pointwise, on a blend zone from the
-zone's cached coefficients, never built as a PLFunction; ``row_map``
-builds it, as the reference the pointwise route is tested against.
+level's cached coefficients (affine in the height), never built as a
+PLFunction; ``row_map`` builds it, as the reference the pointwise route
+is tested against.
 """
 
 from __future__ import annotations
@@ -155,84 +156,87 @@ def row_map(s: Fraction) -> PLFunction:
 
 
 class _BlendZone:
-    """The rows of a blend zone, exact, as functions of the blend weight t.
+    """The rows of one level's blend zone, exact, as functions of the height.
 
-    The zone blends ``prev`` into ``rule``; both are affine on each piece
-    between consecutive merged abscissas, and so is every blended row.
+    The zone [lo, mid) blends ``prev`` into ``rule`` with the weight
+    t = (s - lo) / (mid - lo).  Both rules are affine on each piece between
+    consecutive merged abscissas, and so is every blended row; its slope
+    and intercept there are affine in t, hence in s.  The coefficients are
+    per level: they fold in the level's lo and mid.
 
     xkeys  : interior merged abscissas, as integer pairs
-    pieces : per merged piece (a, da, b, db): prev is a*x + b there and
-             rule is (a + da)*x + (b + db), so the row at weight t is
-             (a + t*da)*x + (b + t*db)
+    pieces : per merged piece (a0, a1, b0, b1): the row at height s is
+             (a0 + a1*s)*x + (b0 + b1*s) there
     ykeys  : per interior merged abscissa, integers (u, v, w) with the
-             row's ordinate there at weight t equal to (u + t*v) / w
+             row's ordinate there at height s = p/q equal to (u*q + v*p) / (w*q)
     """
 
     __slots__ = ("xkeys", "pieces", "ykeys")
 
-    def __init__(self, prev: PLFunction, rule: PLFunction):
+    def __init__(self, prev: PLFunction, rule: PLFunction, lo: Fraction, mid: Fraction):
         xs = sorted(set(prev.xs) | set(rule.xs))
         ya = [prev(x) for x in xs]
         yb = [rule(x) for x in xs]
+        width = mid - lo
+
+        def in_s(c, c2):
+            # c + t*(c2 - c) as c0 + c1*s
+            c1 = (c2 - c) / width
+            return c - c1 * lo, c1
+
         pieces = []
         for k in range(len(xs) - 1):
             w = xs[k + 1] - xs[k]
             a = (ya[k + 1] - ya[k]) / w
             a2 = (yb[k + 1] - yb[k]) / w
-            b, b2 = ya[k] - a * xs[k], yb[k] - a2 * xs[k]
-            pieces.append((a, a2 - a, b, b2 - b))
+            pieces.append(in_s(a, a2) + in_s(ya[k] - a * xs[k], yb[k] - a2 * xs[k]))
         ykeys = []
         for y, y2 in zip(ya[1:-1], yb[1:-1]):
-            dy = y2 - y  # y + t*dy = (y.n*dy.d + t*dy.n*y.d) / (y.d*dy.d)
+            c0, c1 = in_s(y, y2)  # c0 + c1*p/q over the common denominator
             ykeys.append(
-                (y.numerator * dy.denominator, dy.numerator * y.denominator,
-                 y.denominator * dy.denominator)
+                (c0.numerator * c1.denominator, c1.numerator * c0.denominator,
+                 c0.denominator * c1.denominator)
             )
         self.xkeys = _int_pairs(xs[1:-1])
         self.pieces = tuple(pieces)
         self.ykeys = tuple(ykeys)
 
 
-# one zone per pair of rules, shared by every level that blends the pair
-_blend_zone = lru_cache(maxsize=None)(_BlendZone)
-
-
 @lru_cache(maxsize=None)
 def _level_zone(i: int) -> _BlendZone:
     """The blend zone of strip level i >= 2 (its bounds and rule are cached
     by ``strip_bounds`` and ``line_rule``)."""
-    return _blend_zone(line_rule(i - 1), line_rule(i))
+    lo, mid, _ = strip_bounds(i)
+    return _BlendZone(line_rule(i - 1), line_rule(i), lo, mid)
 
 
 def _row(r: Fraction, s: Fraction, inverse: bool) -> Fraction:
     """``row_map(s)(r)`` (or its inverse at r) for a checked point with
     s in [1/2, 1], evaluated pointwise.
 
-    On a blend zone the row's coefficients are blended from the weight t
-    first, so the full-size r meets only small coefficients.
+    On a blend zone the row's slope and intercept are read off the height
+    first, from the level's coefficients, and only then meet r.
     """
     p, q = s.numerator, s.denominator
     if 4 * p <= 3 * q or p == q:  # closed core band, or the top line
         return r
     i = _level_of(p, q)
-    lo, mid, _ = strip_bounds(i)
+    mid = strip_bounds(i)[1]
     if p * mid.denominator >= mid.numerator * q:  # shear zone: the level's rule
         rule = line_rule(i)
         return rule._preimage(r) if inverse else rule._value(r)
     zone = _level_zone(i)
-    t = (s - lo) / (mid - lo)
+    rn, rd = r.numerator, r.denominator
     if inverse:
-        rn, rd = r.numerator, r.denominator
-        tn, td = t.numerator, t.denominator
         k = 0
         for u, v, w in zone.ykeys:  # stop at the first row ordinate above r
-            if rn * w * td < (u * td + v * tn) * rd:
+            if rn * w * q < (u * q + v * p) * rd:
                 break
             k += 1
     else:
-        k = _piece(zone.xkeys, r.numerator, r.denominator)
-    a, da, b, db = zone.pieces[k]
-    slope, intercept = a + t * da, b + t * db
+        k = _piece(zone.xkeys, rn, rd)
+    a0, a1, b0, b1 = zone.pieces[k]
+    slope, intercept = a0 + a1 * s, b0 + b1 * s
     return (r - intercept) / slope if inverse else slope * r + intercept
 
 

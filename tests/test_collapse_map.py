@@ -6,6 +6,7 @@ a few digits below the working precision (256 bits ~ 77 decimal digits).
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from planardyn import collapse_map
@@ -184,6 +185,20 @@ class TestBoundaryReparam:
             b = (ctx.mpf(0), ctx.mpf(k) / 16)
             assert _close(lam(lam(b, ctx), ctx, inverse=True), b)
 
+    def test_off_boundary_points_and_angles_raise(self, ctx):
+        pi, one, half = +ctx.pi, ctx.mpf(1), ctx.mpf("0.5")
+        lam = boundary_reparam
+        with pytest.raises(DomainError, match="not on the edge-chart boundary"):
+            lam((pi / 2, half), ctx)
+        with pytest.raises(DomainError, match="not on the slit-chart boundary"):
+            lam((pi, half), ctx, inverse=True)
+        for angle in (-one / 8, pi + one / 8):
+            with pytest.raises(DomainError, match="outside"):
+                lam((angle, one), ctx)
+        for angle in (-one / 8, 2 * pi + one / 8):
+            with pytest.raises(DomainError, match="outside"):
+                lam((angle, one), ctx, inverse=True)
+
     def test_conjugates_the_vertical_flip(self, ctx):
         pi, two_pi = +ctx.pi, 2 * ctx.pi
         lam = boundary_reparam
@@ -207,7 +222,7 @@ class TestConeMap:
         slit = [(ctx.mpf(0), ctx.mpf("0.3")), (2 * pi, ctx.mpf("0.7")), (ctx.mpf(5), one)]
         for which, points in (("U", edge), ("V", slit)):
             for u in points:
-                b, t = _ray_exit(u[0], u[1], which, ctx)
+                b, t = _ray_exit(u[0], u[1], which, _consts(ctx))
                 assert t == 1
                 # c + (u - c) may round in the coordinate along the wall
                 assert _close(b, u, ctx.ldexp(1, 4 - ctx.prec))
@@ -300,7 +315,8 @@ def test_round_trip_converts_at_entry_and_clamps_once_per_hand_off(monkeypatch):
 
 
 def test_entry_points_retype_foreign_floats():
-    # floats of a finer context come back as floats of the working one
+    # floats of a finer context come back as floats of the working one,
+    # rounded at its precision: the fiber pins return the height rounded
     fine, ctx = make_context(256), make_context(128)
     x = (fine.mpf(1) / 3, fine.mpf(1) / 5)
     outputs = [
@@ -308,6 +324,90 @@ def test_entry_points_retype_foreign_floats():
         collapse_inv(collapse(x, fine), ctx),
         cone_map((fine.mpf("0.3"), fine.mpf("0.7")), ctx),
         cone_map((fine.mpf("4.1"), fine.mpf("0.2")), ctx, inverse=True),
+        collapse((0, x[0]), ctx),
+        collapse_inv((0, x[0]), ctx),
     ]
     for out in outputs:
         assert [type(v) for v in out] == [ctx.mpf, ctx.mpf], out
+        assert all(v._mpf_[1].bit_length() <= 128 for v in out), out
+    assert collapse((0, x[0]), ctx)[1] == collapse_inv((0, x[0]), ctx)[1] == ctx.mpf(x[0])
+
+
+OFF_AXIS = [(Fraction(1, 3), Fraction(1, 5)), (Fraction(-7, 8), Fraction(2, 3)),
+            (Fraction(9, 10), Fraction(-1, 100))]
+EXACT_PINS = [(Fraction(0), Fraction(1, 3)), (Fraction(1), Fraction(1, 3)),
+              (Fraction(-1, 3), Fraction(0))]
+
+
+def _context(prec):
+    return mpmath.fp if prec is None else make_context(prec)
+
+
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+def test_collapse_of_fractions_makes_no_fraction_comparison(monkeypatch, prec):
+    # the square check and the pins are read off numerators and denominators
+    ctx = _context(prec)
+    calls = {"_richcmp": 0, "__abs__": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) < Fraction(1) and abs(Fraction(-1, 2)) == Fraction(1, 2)
+    assert calls["_richcmp"] > 0 and calls["__abs__"] == 1  # the counters count
+    calls.update(dict.fromkeys(calls, 0))
+    for x in OFF_AXIS + EXACT_PINS:
+        collapse(x, ctx)
+    assert calls == {"_richcmp": 0, "__abs__": 0}
+
+
+def test_round_trip_looks_up_the_constants_at_most_five_times(monkeypatch):
+    # each entry point looks the constants up once and hands them to its steps
+    ctx = make_context(256)
+    calls = []
+    real = collapse_map._consts
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(collapse_map, "_consts", counted)
+    for x in OFF_AXIS:
+        calls.clear()
+        collapse_inv(collapse(x, ctx), ctx)
+        assert len(calls) <= 5, (x, len(calls))
+
+
+@pytest.mark.parametrize("prec", [64, 256, None], ids=["64", "256", "fp"])
+def test_collapse_decides_domain_on_the_exact_point(prec):
+    # 1 + 2^-300 rounds to 1 at these precisions; the exact point is outside
+    ctx = _context(prec)
+    over = 1 + Fraction(1, 2**300)
+    for x in ((over, Fraction(1, 2)), (-over, Fraction(1, 2)), (Fraction(1, 2), -over)):
+        with pytest.raises(DomainError):
+            collapse(x, ctx)
+
+
+def test_collapse_mirrors_a_point_that_rounds_onto_the_edge():
+    # -(1 - 2^-300) rounds to -(1 - 2^-256) but is not the left edge: its
+    # image is the exact mirror of the right point's chart image, 2^-250
+    # away from the slit endpoint, not the slit-endpoint pin
+    ctx = make_context(256)
+    near, s = 1 - Fraction(1, 2**300), Fraction(1, 2**250)
+    right = collapse((near, s), ctx)
+    left = collapse((-near, s), ctx)
+    assert left == (-right[0], right[1])
+    assert left[0] != -ctx.mpf(1) / 2 and left[1] != 0
+    assert collapse((-Fraction(1), s), ctx) == (-ctx.mpf(1) / 2, 0)
+
+
+def test_heights_below_the_doubles_keep_their_errors(fp):
+    # a nonzero height that rounds to zero in doubles puts the rounded point
+    # on the slit ray (inverse) or on the edge chart's center (forward)
+    tiny = Fraction(1, 2**1100)
+    for y in ((Fraction(3, 4), tiny), (Fraction(-3, 4), -tiny)):
+        with pytest.raises(SlitError):
+            collapse_inv(y, fp)
+    with pytest.raises(DomainError):
+        collapse((1 - Fraction(1, 2**60), tiny), fp)

@@ -142,6 +142,19 @@ def test_to_bigfloat_other_inputs_follow_convert(value, prec):
     assert to_bigfloat(x, ctx) is x
 
 
+def test_to_bigfloat_rounds_floats_of_another_context():
+    # a float of a finer context is rounded at the working precision, the
+    # way ctx.mpf rounds it; a float of the context itself passes untouched
+    fine, ctx = make_context(256), make_context(128)
+    for x in (fine.mpf(1) / 3, -fine.mpf(2) / 7, fine.mpf(1) - fine.ldexp(1, -200)):
+        y = to_bigfloat(x, ctx)
+        assert type(y) is ctx.mpf
+        assert y._mpf_[1].bit_length() <= 128
+        assert y._mpf_ == ctx.mpf(x)._mpf_
+        assert to_bigfloat(y, ctx) is y
+    assert to_bigfloat(fine.mpf(1) / 3, mpmath.fp) == 1 / 3
+
+
 def test_as_rational_wraps_only_non_fractions():
     f = Fraction(3, 7)
     assert as_rational(f) is f

@@ -236,9 +236,9 @@ def _unit(small: bool):
 @st.composite
 def band_points(draw):
     """(r, s, level, zone): s in the blend zone [lo, mid) or the shear zone
-    [mid, hi) of a level 2..14; r in [-1, 1]; each coordinate small or ~9000
-    bits."""
-    level = draw(st.integers(2, 14))
+    [mid, hi) of a level 2..60; r in [-1, 1]; each coordinate small or ~9000
+    bits.  A level's blend-row coefficients grow with the level."""
+    level = draw(st.integers(2, 60))
     zone = draw(st.sampled_from((Zone.F_ZONE, Zone.B_ZONE)))
     lo, mid, hi = strip_bounds(level)
     a, b = (lo, mid) if zone is Zone.F_ZONE else (mid, hi)
