@@ -43,7 +43,8 @@ All functions take an explicit mpmath-style context; nothing reads or
 writes global precision.  Only the entry points (``collapse``,
 ``collapse_inv``, ``cone_map``, ``_collapse_charts``) take exact rationals,
 floats or context floats, converted once in ``_pt``; the chart steps take
-floats of the context.
+floats of the context.  ``cone_map`` converts only a point that is not
+already two floats of the context, which on the collapse path it always is.
 
 Each fact is checked once.  The entry points check their point and decide
 its pins: ``collapse`` reads a point of two Fractions off numerators and
@@ -385,7 +386,10 @@ def cone_map(u, ctx, inverse: bool = False):
     src, dst = ("V", "U") if inverse else ("U", "V")
     lo0, hi0, c_src = k[src]
     c_dst = k[dst][2]
-    u0, u1 = _pt(u, ctx)
+    u0, u1 = u
+    # the collapse path hands over floats of ctx; other callers may not
+    if type(u0) is not ctx.mpf or type(u1) is not ctx.mpf:
+        u0, u1 = _pt(u, ctx)
     u0 = _soft_clamp(u0, lo0, hi0, k)
     u1 = _soft_clamp(u1, k["zero"], k["one"], k)
     if u0 == c_src[0] and u1 == c_src[1]:
@@ -445,9 +449,12 @@ def collapse(x, ctx):
     if axis:
         return (u0 / 2, k["zero"])
     if left:
-        y0, y1 = _right_half(-u0, u1, k, ctx)
-        return (-y0, y1)
-    return _right_half(u0, u1, k, ctx)
+        u0 = -u0
+    # in doubles a point next to an edge can round onto the chart's center
+    if not u1 and u0 == k["one"]:
+        raise DomainError("edge chart is degenerate at its center")
+    y0, y1 = _right_half(u0, u1, k, ctx)
+    return (-y0, y1) if left else (y0, y1)
 
 
 def collapse_inv(y, ctx):

@@ -13,19 +13,33 @@ int, float and str input into a Fraction (or raises) and hands a Fraction
 back untouched.  Internal calls pass Fractions through, so the exact core
 never rebuilds a value it already holds.
 
-Exact evaluation keeps two more rules.  A piece is found by an integer
-search: a breakpoint n/d (d > 0) lies above x = p/q (q > 0) exactly when
-p*d < n*q, so no Fraction comparison runs.  A value never takes a gcd of
-two full-size operands: orbit coordinates can grow to 10^4 bits while the
-maps' coefficients stay small, so an evaluation pairs each full-size
-operand with a small stored Fraction (``slope * x + intercept``), whose
-reductions divide by the small side only.
+Exact evaluation runs on integer pairs (numerator, denominator), every
+pair in lowest terms with a positive denominator, and builds one Fraction
+per result with :func:`coprime_fraction`, which takes such a pair as it is
+(``Fraction._from_coprime_ints`` on Python 3.12+, ``Fraction(n, d,
+_normalize=False)`` before), as the stdlib's own arithmetic does.  So no
+evaluation pays Fraction's operator dispatch or its ``__new__`` per step,
+and nothing takes a plain ``gcd(n, d)`` of a full-size result: orbit
+coordinates grow to 10^4 bits, where that one gcd costs more than the
+whole evaluation.
+
+A piece is found by an integer search: a breakpoint n/d (d > 0) lies above
+x = p/q (q > 0) exactly when p*d < n*q, so no Fraction comparison runs.
+An affine piece, slope a/b and intercept e/f, is stored as the small
+integers (a*f, e*b, b*f), and its value at p/q is reduced by two gcds
+that each have one small operand (:func:`_affine`).  The blend rows of the
+square map are affine in x with coefficients affine in the height; those
+coefficients come from the same step, and meet x in Fraction's own
+cross-reduction order (the products' gcds, then the gcd of the two
+denominators of the sum), which pairs two full-size operands only where
+both the height and x are full size.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Tuple, Union
 
 import mpmath
@@ -65,6 +79,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not an exact rational literal: {text!r}") from exc
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    coprime_fraction = Fraction._from_coprime_ints
+else:
+
+    def coprime_fraction(n: int, d: int) -> Fraction:
+        """The Fraction n/d of a pair already in lowest terms with d > 0,
+        built without the gcd of a normalisation."""
+        return Fraction(n, d, _normalize=False)
 
 
 def as_rational(x) -> Fraction:
@@ -205,6 +229,34 @@ def _int_pairs(values) -> Tuple[Tuple[int, int], ...]:
     return tuple((v.numerator, v.denominator) for v in values)
 
 
+def _affine_piece(m: Fraction, c: Fraction) -> Tuple[int, int, int]:
+    """The map x -> m*x + c as the integers (A, E, D) of ``_affine``: with
+    m = a/b and c = e/f, A = a*f, E = e*b and D = b*f."""
+    return (m.numerator * c.denominator, c.numerator * m.denominator,
+            m.denominator * c.denominator)
+
+
+def _affine(piece: Tuple[int, int, int], p: int, q: int) -> Tuple[int, int]:
+    """(A*p + E*q) / (D*q) in lowest terms, for p/q in lowest terms, q > 0
+    and D > 0: the value of the affine ``piece`` (A, E, D) at p/q.
+
+    Both gcds have one small operand.  The first, gcd(A, q), equals
+    gcd(A*p + E*q, q) because gcd(p, q) = 1; after dividing it out the
+    numerator is prime to what is left of q, so the second only needs D.
+    """
+    a, e, d = piece
+    n = a * p + e * q
+    g = gcd(a, q)
+    if g > 1:
+        n //= g
+        q //= g
+    g = gcd(n, d)
+    if g > 1:
+        n //= g
+        d //= g
+    return n, d * q
+
+
 def _unit_rational(x, what: str) -> Fraction:
     """``as_rational(x)``, checked to lie in [-1, 1]."""
     x = as_rational(x)
@@ -220,8 +272,11 @@ class PLFunction:
     coordinates, with endpoints (-1, -1) ... (1, 1) pinned.  Evaluation and
     inversion are exact on rational inputs: the piece is found by the
     integer search on the interior breakpoints, and its value is
-    ``slope * x + intercept`` with both coefficients stored per piece (for
-    the inverse, the reciprocal slope and its intercept).
+    ``slope * x + intercept`` with both coefficients stored per piece as
+    the integers of ``_affine`` (for the inverse, the reciprocal slope and
+    its intercept).  ``_value`` and ``_preimage`` take and return integer
+    pairs in lowest terms; ``__call__`` and ``inverse`` check their
+    argument and build the one Fraction of the result.
     """
 
     __slots__ = ("xs", "ys", "slopes", "_xkeys", "_ykeys", "_forward", "_backward")
@@ -254,8 +309,12 @@ class PLFunction:
             "slopes": slopes,
             "_xkeys": _int_pairs(xs[1:-1]),
             "_ykeys": _int_pairs(ys[1:-1]),
-            "_forward": tuple((m, y - m * x) for m, x, y in zip(slopes, xs, ys)),
-            "_backward": tuple((1 / m, x - y / m) for m, x, y in zip(slopes, xs, ys)),
+            "_forward": tuple(
+                _affine_piece(m, y - m * x) for m, x, y in zip(slopes, xs, ys)
+            ),
+            "_backward": tuple(
+                _affine_piece(1 / m, x - y / m) for m, x, y in zip(slopes, xs, ys)
+            ),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -287,20 +346,20 @@ class PLFunction:
         return _piece(self._xkeys, x.numerator, x.denominator)
 
     def __call__(self, x: Numeric) -> Fraction:
-        return self._value(_unit_rational(x, "argument"))
+        x = _unit_rational(x, "argument")
+        return coprime_fraction(*self._value(x.numerator, x.denominator))
 
     def inverse(self, y: Numeric) -> Fraction:
-        return self._preimage(_unit_rational(y, "value"))
+        y = _unit_rational(y, "value")
+        return coprime_fraction(*self._preimage(y.numerator, y.denominator))
 
-    def _value(self, x: Fraction) -> Fraction:
-        """``self(x)`` for a Fraction x already known to lie in [-1, 1]."""
-        m, c = self._forward[_piece(self._xkeys, x.numerator, x.denominator)]
-        return m * x + c
+    def _value(self, p: int, q: int) -> Tuple[int, int]:
+        """``self(p/q)`` as a pair, for p/q in lowest terms in [-1, 1], q > 0."""
+        return _affine(self._forward[_piece(self._xkeys, p, q)], p, q)
 
-    def _preimage(self, y: Fraction) -> Fraction:
-        """``self.inverse(y)`` for a Fraction y already known to lie in [-1, 1]."""
-        m, c = self._backward[_piece(self._ykeys, y.numerator, y.denominator)]
-        return m * y + c
+    def _preimage(self, p: int, q: int) -> Tuple[int, int]:
+        """``self.inverse(p/q)`` as a pair, for p/q in lowest terms in [-1, 1], q > 0."""
+        return _affine(self._backward[_piece(self._ykeys, p, q)], p, q)
 
     def inverse_fn(self) -> "PLFunction":
         """The inverse bijection as a PLFunction (ordinates become abscissas)."""

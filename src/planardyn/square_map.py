@@ -25,11 +25,15 @@ corners (backward).
 
 Everything here is exact on rational points.  The public maps validate
 their point; ``square_homeo`` validates once and then runs the private
-forms (``_rise``, ``_descend``, ``_row``), which take a checked point.  A
-row of the strip shear is evaluated pointwise, on a blend zone from the
-level's cached coefficients (affine in the height), never built as a
-PLFunction; ``row_map`` builds it, as the reference the pointwise route
-is tested against.
+forms (``_rise``, ``_descend``, ``_row``), which take a checked point as
+integer pairs (numerator, denominator) in lowest terms and return pairs,
+so each output coordinate is built as a Fraction once, at the end.  A row
+of the strip shear is evaluated pointwise, never built as a PLFunction: on
+a shear zone by the level's rule, on a blend zone from the level's cached
+coefficients, whose slope and intercept are affine in the height and are
+read off it first, by the same integer step as a PL piece, then meet r in
+Fraction's cross-reduction order.  ``row_map`` builds the row, as the
+reference the pointwise route is tested against.
 """
 
 from __future__ import annotations
@@ -37,9 +41,20 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Tuple
 
-from .numerics import DomainError, IDENTITY_PL, PLFunction, _int_pairs, _piece, as_rational
+from .numerics import (
+    IDENTITY_PL,
+    DomainError,
+    PLFunction,
+    _affine,
+    _affine_piece,
+    _int_pairs,
+    _piece,
+    as_rational,
+    coprime_fraction,
+)
 from .strips import (
     HALF,
     MINUS_HALF,
@@ -53,6 +68,8 @@ from .strips import (
 )
 
 SquarePoint = Tuple[Fraction, Fraction]
+# a point as integers (rn, rd, sn, sd): r = rn/rd and s = sn/sd in lowest terms
+PointPairs = Tuple[int, int, int, int]
 
 INV_SHIFT_PROFILE = SHIFT_PROFILE.inverse_fn()
 
@@ -155,6 +172,34 @@ def row_map(s: Fraction) -> PLFunction:
     return line_rule(d.level - 1).blend(line_rule(d.level), t)
 
 
+def _sum(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
+    """na/da + nb/db for pairs in lowest terms, reduced as ``Fraction`` adds:
+    by the gcd of the denominators, then by its gcd with the new numerator."""
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
+
+
+def _product(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
+    """(na/da) * (nb/db) for pairs in lowest terms, reduced as ``Fraction``
+    multiplies: across, by gcd(na, db) and gcd(nb, da)."""
+    g = gcd(na, db)
+    if g > 1:
+        na //= g
+        db //= g
+    g = gcd(nb, da)
+    if g > 1:
+        nb //= g
+        da //= g
+    return na * nb, da * db
+
+
 class _BlendZone:
     """The rows of one level's blend zone, exact, as functions of the height.
 
@@ -162,13 +207,15 @@ class _BlendZone:
     t = (s - lo) / (mid - lo).  Both rules are affine on each piece between
     consecutive merged abscissas, and so is every blended row; its slope
     and intercept there are affine in t, hence in s.  The coefficients are
-    per level: they fold in the level's lo and mid.
+    per level: they fold in the level's lo and mid.  Each function of s is
+    stored as the integers of ``numerics._affine``, so at a height p/q it
+    is one ``_affine`` step.
 
     xkeys  : interior merged abscissas, as integer pairs
-    pieces : per merged piece (a0, a1, b0, b1): the row at height s is
-             (a0 + a1*s)*x + (b0 + b1*s) there
-    ykeys  : per interior merged abscissa, integers (u, v, w) with the
-             row's ordinate there at height s = p/q equal to (u*q + v*p) / (w*q)
+    pieces : per merged piece, (slope, intercept) of the row as functions
+             of s: the row at height s is slope(s)*x + intercept(s) there
+    ykeys  : per interior merged abscissa, the row's ordinate there as a
+             function of s
     """
 
     __slots__ = ("xkeys", "pieces", "ykeys")
@@ -180,26 +227,41 @@ class _BlendZone:
         width = mid - lo
 
         def in_s(c, c2):
-            # c + t*(c2 - c) as c0 + c1*s
+            # c + t*(c2 - c) as c0 + c1*s, stored for ``_affine``
             c1 = (c2 - c) / width
-            return c - c1 * lo, c1
+            return _affine_piece(c1, c - c1 * lo)
 
         pieces = []
         for k in range(len(xs) - 1):
             w = xs[k + 1] - xs[k]
             a = (ya[k + 1] - ya[k]) / w
             a2 = (yb[k + 1] - yb[k]) / w
-            pieces.append(in_s(a, a2) + in_s(ya[k] - a * xs[k], yb[k] - a2 * xs[k]))
-        ykeys = []
-        for y, y2 in zip(ya[1:-1], yb[1:-1]):
-            c0, c1 = in_s(y, y2)  # c0 + c1*p/q over the common denominator
-            ykeys.append(
-                (c0.numerator * c1.denominator, c1.numerator * c0.denominator,
-                 c0.denominator * c1.denominator)
-            )
+            pieces.append((in_s(a, a2), in_s(ya[k] - a * xs[k], yb[k] - a2 * xs[k])))
         self.xkeys = _int_pairs(xs[1:-1])
         self.pieces = tuple(pieces)
-        self.ykeys = tuple(ykeys)
+        self.ykeys = tuple(in_s(y, y2) for y, y2 in zip(ya[1:-1], yb[1:-1]))
+
+    def value(self, rn: int, rd: int, p: int, q: int) -> Tuple[int, int]:
+        """The row at height p/q, evaluated at rn/rd: slope * r + intercept."""
+        slope, intercept = self.pieces[_piece(self.xkeys, rn, rd)]
+        mn, md = _product(*_affine(slope, p, q), rn, rd)
+        return _sum(mn, md, *_affine(intercept, p, q))
+
+    def preimage(self, rn: int, rd: int, p: int, q: int) -> Tuple[int, int]:
+        """The row's inverse at height p/q, evaluated at rn/rd:
+        (r - intercept) / slope."""
+        k = 0
+        for a, e, d in self.ykeys:  # stop at the first row ordinate above r
+            if rn * d * q < (a * p + e * q) * rd:
+                break
+            k += 1
+        slope, intercept = self.pieces[k]
+        cn, cd = _affine(intercept, p, q)
+        n, nd = _sum(rn, rd, -cn, cd)
+        mn, md = _affine(slope, p, q)
+        # an increasing row's slope is positive: dividing by it multiplies
+        # by md/mn, a pair in lowest terms, as ``Fraction`` divides
+        return _product(n, nd, md, mn)
 
 
 @lru_cache(maxsize=None)
@@ -210,34 +272,23 @@ def _level_zone(i: int) -> _BlendZone:
     return _BlendZone(line_rule(i - 1), line_rule(i), lo, mid)
 
 
-def _row(r: Fraction, s: Fraction, inverse: bool) -> Fraction:
-    """``row_map(s)(r)`` (or its inverse at r) for a checked point with
-    s in [1/2, 1], evaluated pointwise.
-
-    On a blend zone the row's slope and intercept are read off the height
-    first, from the level's coefficients, and only then meet r.
-    """
-    p, q = s.numerator, s.denominator
+def _row(rn: int, rd: int, p: int, q: int, inverse: bool) -> Tuple[int, int]:
+    """``row_map(p/q)(rn/rd)`` (or its inverse at rn/rd) as a pair, for a
+    checked point with p/q in [1/2, 1], evaluated pointwise."""
     if 4 * p <= 3 * q or p == q:  # closed core band, or the top line
-        return r
+        return rn, rd
     i = _level_of(p, q)
     mid = strip_bounds(i)[1]
     if p * mid.denominator >= mid.numerator * q:  # shear zone: the level's rule
         rule = line_rule(i)
-        return rule._preimage(r) if inverse else rule._value(r)
+        return rule._preimage(rn, rd) if inverse else rule._value(rn, rd)
     zone = _level_zone(i)
-    rn, rd = r.numerator, r.denominator
-    if inverse:
-        k = 0
-        for u, v, w in zone.ykeys:  # stop at the first row ordinate above r
-            if rn * w * q < (u * q + v * p) * rd:
-                break
-            k += 1
-    else:
-        k = _piece(zone.xkeys, rn, rd)
-    a0, a1, b0, b1 = zone.pieces[k]
-    slope, intercept = a0 + a1 * s, b0 + b1 * s
-    return (r - intercept) / slope if inverse else slope * r + intercept
+    return zone.preimage(rn, rd, p, q) if inverse else zone.value(rn, rd, p, q)
+
+
+def _fractions(x: PointPairs) -> SquarePoint:
+    """The square point of four integers in lowest terms, one Fraction each."""
+    return (coprime_fraction(x[0], x[1]), coprime_fraction(x[2], x[3]))
 
 
 def strip_shear(p, inverse: bool = False) -> SquarePoint:
@@ -245,15 +296,17 @@ def strip_shear(p, inverse: bool = False) -> SquarePoint:
     r, s = as_square_point(p)
     if s < HALF:
         raise DomainError(f"strip shear is defined on the band [1/2, 1], got s = {s}")
-    return (_row(r, s, inverse), s)
+    n, d = _row(r.numerator, r.denominator, s.numerator, s.denominator, inverse)
+    return (coprime_fraction(n, d), s)
 
 
-def _rise(r: Fraction, s: Fraction, inverse: bool) -> SquarePoint:
-    """``rise_map`` at a checked point of its domain."""
+def _rise(rn: int, rd: int, p: int, q: int, inverse: bool) -> PointPairs:
+    """``rise_map`` at a checked point of its domain, on integer pairs."""
     if inverse:
-        return (-_row(r, s, True), SHIFT_PROFILE._preimage(s))
-    s = SHIFT_PROFILE._value(s)
-    return (_row(-r, s, False), s)
+        rn, rd = _row(rn, rd, p, q, True)
+        return (-rn, rd) + SHIFT_PROFILE._preimage(p, q)
+    p, q = SHIFT_PROFILE._value(p, q)
+    return _row(-rn, rd, p, q, False) + (p, q)
 
 
 def rise_map(p, inverse: bool = False) -> SquarePoint:
@@ -268,14 +321,14 @@ def rise_map(p, inverse: bool = False) -> SquarePoint:
             raise DomainError(f"rising-map inverse needs s in [1/2, 1], got {s}")
     elif s < 0:
         raise DomainError(f"rising map needs s in [0, 1], got {s}")
-    return _rise(r, s, inverse)
+    return _fractions(_rise(r.numerator, r.denominator, s.numerator, s.denominator, inverse))
 
 
-def _descend(r: Fraction, s: Fraction, inverse: bool) -> SquarePoint:
-    """``descend_map`` at a checked point of its domain: the rising map
-    conjugated by the vertical flip."""
-    r, s = _rise(r, -s, inverse)
-    return (r, -s)
+def _descend(rn: int, rd: int, p: int, q: int, inverse: bool) -> PointPairs:
+    """``descend_map`` at a checked point of its domain, on integer pairs:
+    the rising map conjugated by the vertical flip."""
+    rn, rd, p, q = _rise(rn, rd, -p, q, inverse)
+    return (rn, rd, -p, q)
 
 
 def descend_map(p, inverse: bool = False) -> SquarePoint:
@@ -290,12 +343,11 @@ def descend_map(p, inverse: bool = False) -> SquarePoint:
             raise DomainError(f"descending-map inverse needs s in [-1, -1/2], got {s}")
     elif s > 0:
         raise DomainError(f"descending map needs s in [-1, 0], got {s}")
-    return _descend(r, s, inverse)
+    return _fractions(_descend(r.numerator, r.denominator, s.numerator, s.denominator, inverse))
 
 
-def _region(s: Fraction, inverse: bool) -> RegionTag:
-    """Region of a checked height, read off its numerator and denominator."""
-    p, q = s.numerator, s.denominator
+def _region(p: int, q: int, inverse: bool) -> RegionTag:
+    """Region of a checked height p/q, read off its numerator and denominator."""
     if inverse:
         if 2 * p >= q:
             return RegionTag.R1
@@ -314,25 +366,29 @@ def region_of(s: Fraction, inverse: bool = False) -> RegionTag:
     s = as_rational(s)
     if abs(s.numerator) > s.denominator:
         raise DomainError(f"height {s} outside [-1, 1]")
-    return _region(s, inverse)
+    return _region(s.numerator, s.denominator, inverse)
 
 
 def square_homeo(p, inverse: bool = False) -> SquarePoint:
     """The square homeomorphism: rising above the axis, reflected shift on
     the band below it, inverse descending on the bottom quarter."""
     r, s = as_square_point(p)
-    tag = _region(s, inverse)
+    rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+    tag = _region(sn, sd, inverse)
     if inverse:
         if tag is RegionTag.R1:
-            return _rise(r, s, True)
-        if tag is RegionTag.D0:
-            return (-r, SHIFT_PROFILE._preimage(s))
-        return _descend(r, s, False)
-    if tag is RegionTag.R0:
-        return _rise(r, s, False)
-    if tag is RegionTag.D_MINUS_1:
-        return (-r, SHIFT_PROFILE._value(s))
-    return _descend(r, s, True)
+            out = _rise(rn, rd, sn, sd, True)
+        elif tag is RegionTag.D0:
+            out = (-rn, rd) + SHIFT_PROFILE._preimage(sn, sd)
+        else:
+            out = _descend(rn, rd, sn, sd, False)
+    elif tag is RegionTag.R0:
+        out = _rise(rn, rd, sn, sd, False)
+    elif tag is RegionTag.D_MINUS_1:
+        out = (-rn, rd) + SHIFT_PROFILE._value(sn, sd)
+    else:
+        out = _descend(rn, rd, sn, sd, True)
+    return _fractions(out)
 
 
 def _forward_piece_key(p) -> tuple:

@@ -2,6 +2,7 @@
 
 import bisect
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +20,7 @@ from planardyn.numerics import (
     Tolerances,
     as_rational,
     bigfloat_to_rational,
+    coprime_fraction,
     make_context,
     parse_rational,
     to_bigfloat,
@@ -153,6 +155,18 @@ def test_to_bigfloat_rounds_floats_of_another_context():
         assert y._mpf_ == ctx.mpf(x)._mpf_
         assert to_bigfloat(y, ctx) is y
     assert to_bigfloat(fine.mpf(1) / 3, mpmath.fp) == 1 / 3
+
+
+def test_coprime_fraction_takes_a_reduced_pair_as_it_is():
+    big = 3**6000
+    for n, d in ((0, 1), (-7, 12), (5, 1), (2**9000 + 1, big), (-big, 2**53)):
+        x = coprime_fraction(n, d)
+        assert type(x) is Fraction and (x.numerator, x.denominator) == (n, d)
+        assert x == Fraction(n, d) and hash(x) == hash(Fraction(n, d))
+    # no normalisation: the pair must already be in lowest terms
+    assert coprime_fraction(2, 4).numerator == 2
+    if sys.version_info >= (3, 12):
+        assert coprime_fraction == Fraction._from_coprime_ints
 
 
 def test_as_rational_wraps_only_non_fractions():

@@ -5,6 +5,7 @@ literal, not toleranced.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -261,6 +262,28 @@ def test_strip_shear_equals_the_built_row(point):
     assert strip_shear((r, s), inverse=True) == (row.inverse(r), s)
 
 
+def _lowest_terms(x) -> bool:
+    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+@given(band_points())
+@settings(deadline=None, max_examples=60)
+def test_exact_maps_return_lowest_terms(point):
+    # the pair kernel builds its Fractions without normalising them; an
+    # unreduced one would compare unequal to the same value in lowest terms
+    r, s, level, _ = point
+    s0 = SHIFT_PROFILE.inverse(s)  # rises onto the sampled zone
+    outputs = [SHIFT_PROFILE(s), s0, line_rule(level)(r), line_rule(level).inverse(r)]
+    for inverse in (False, True):
+        outputs += strip_shear((r, s), inverse)
+        outputs += rise_map((r, s if inverse else s0), inverse)
+        outputs += descend_map((r, -s if inverse else -s0), inverse)
+        # every region of both directions: R0 / R1 ... R_MINUS_2 / R_MINUS_1
+        for h in (s, s0, 1 - s, s - 1, -s, -s0):
+            outputs += square_homeo((r, h), inverse)
+    assert all(_lowest_terms(x) for x in outputs)
+
+
 def _counting(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
@@ -303,6 +326,23 @@ def test_square_homeo_validates_its_point_once(monkeypatch, inverse):
             assert square_homeo(p, inverse=inverse) == expected
             assert len(calls) == 1, (tag, p)
             monkeypatch.undo()
+
+
+def test_square_homeo_on_a_blend_zone_makes_no_fraction_arithmetic(monkeypatch):
+    # the map runs on integer pairs and builds only its two output Fractions;
+    # each point lands on (or starts from) the blend zone [3/4, 13/16) of
+    # level 2, forward and inverse, above and below the axis
+    cases = [((Fraction(1, 3), Fraction(9, 16)), False), ((Fraction(1, 3), Fraction(25, 32)), True),
+             ((Fraction(-2, 7), Fraction(-25, 32)), False),
+             ((Fraction(-2, 7), Fraction(-9, 16)), True)]
+    assert strip_locate(Fraction(25, 32)).zone is Zone.F_ZONE
+    expected = [square_homeo(p, inverse) for p, inverse in cases]  # fills the caches
+    calls = {name: _counting(monkeypatch, Fraction, name)
+             for name in ("__add__", "__sub__", "__mul__", "__truediv__")}
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and calls["__add__"]  # counts
+    calls["__add__"].clear()
+    assert [square_homeo(p, inverse) for p, inverse in cases] == expected
+    assert all(not c for c in calls.values()), calls
 
 
 def test_plane_scan_builds_no_blended_row(monkeypatch):
