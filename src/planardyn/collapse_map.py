@@ -47,18 +47,21 @@ floats of the context.  ``cone_map`` converts only a point that is not
 already two floats of the context, which on the collapse path it always is.
 
 Each fact is checked once.  The entry points check their point and decide
-its pins: ``collapse`` reads a point of two Fractions off numerators and
-denominators (square, fiber, edges, axis) and mirrors the left half after
-converting, since both roundings (toward zero for rationals, to nearest
-in doubles) are symmetric about zero.  The public ``chart_S``, ``chart_T``,
-``exit_point`` and ``boundary_reparam`` keep their domain, slit and wall
-checks and delegate to unchecked steps (``_edge_chart``, ``_slit_chart``
-and their inverses, ``_edge_exit``, ``_slit_exit``, ``_edge_to_slit``,
-``_slit_to_edge``), which take the constants ``k = _consts(ctx)`` from
-their caller.  The entry points call the steps directly: a step's input
-is in range by construction, through the entry checks, the clamps at the
-cone's entry and at the chart inverses, and the ray exit's snap onto a
-wall.
+its pins: ``collapse`` hands a point of two Fractions to its exact entry
+``_collapse_exact``, which takes the point as two integer pairs (the plane
+map calls it with the square map's pairs, building no Fraction), checks
+and pins it on numerators and denominators (square, fiber, edges, axis)
+and converts each coordinate once with ``pair_to_bigfloat``.  Both entries
+mirror the left half after converting, since both roundings (toward zero
+for rationals, to nearest in doubles) are symmetric about zero.  The
+public ``chart_S``, ``chart_T``, ``exit_point`` and ``boundary_reparam``
+keep their domain, slit and wall checks and delegate to unchecked steps
+(``_edge_chart``, ``_slit_chart`` and their inverses, ``_edge_exit``,
+``_slit_exit``, ``_edge_to_slit``, ``_slit_to_edge``), which take the
+constants ``k = _consts(ctx)`` from their caller.  The entry points call
+the steps directly: a step's input is in range by construction, through
+the entry checks, the clamps at the cone's entry and at the chart
+inverses, and the ray exit's snap onto a wall.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .numerics import DomainError, SlitError, to_bigfloat
+from .numerics import DomainError, SlitError, coprime_fraction, pair_to_bigfloat, to_bigfloat
 
 # Chart anchor points: midpoint of the right edge, outer right slit endpoint.
 EDGE_MID = (Fraction(1), Fraction(0))
@@ -421,29 +424,9 @@ def _collapse_charts(x, ctx):
     return (-y0, y1) if left else (y0, y1)
 
 
-def collapse(x, ctx):
-    """The boundary collapse.  Defined on the whole closed square.
-
-    Pins: the central fiber is fixed pointwise, the horizontal axis is
-    halved, each vertical edge goes to the slit endpoint on its side, and
-    the map commutes with both reflections of the square.  Interior points
-    off the axis and fiber go through the charts.  A point of two
-    Fractions is checked and pinned on its numerators and denominators.
-    """
-    r, s = x
-    if type(r) is Fraction and type(s) is Fraction:
-        n, d, m, e = r.numerator, r.denominator, s.numerator, s.denominator
-        if n > d or -n > d or m > e or -m > e:
-            raise DomainError(f"point ({r}, {s}) outside the square")
-        fiber, left, edge, axis = n == 0, n < 0, n == d or -n == d, m == 0
-    else:
-        if abs(r) > 1 or abs(s) > 1:
-            raise DomainError(f"point ({r}, {s}) outside the square")
-        fiber, left, edge, axis = r == 0, r < 0, abs(r) == 1, s == 0
-    k = _consts(ctx)
-    if edge:
-        return (-k["half"] if left else k["half"], k["zero"])
-    u0, u1 = _pt(x, ctx)
+def _collapse_pinned(u0, u1, fiber, left, axis, k, ctx):
+    """The collapse at a point of the square off its vertical edges, given
+    as two floats of ``ctx`` with its pins decided on the input."""
     if fiber:
         return (k["zero"], u1)
     if axis:
@@ -455,6 +438,41 @@ def collapse(x, ctx):
         raise DomainError("edge chart is degenerate at its center")
     y0, y1 = _right_half(u0, u1, k, ctx)
     return (-y0, y1) if left else (y0, y1)
+
+
+def _collapse_exact(n: int, d: int, m: int, e: int, ctx):
+    """``collapse`` at the point (n/d, m/e), both pairs in lowest terms with
+    positive denominators, checked and pinned on the integers."""
+    if n > d or -n > d or m > e or -m > e:
+        r, s = coprime_fraction(n, d), coprime_fraction(m, e)
+        raise DomainError(f"point ({r}, {s}) outside the square")
+    k = _consts(ctx)
+    if n == d or -n == d:
+        return (-k["half"] if n < 0 else k["half"], k["zero"])
+    return _collapse_pinned(
+        pair_to_bigfloat(n, d, ctx), pair_to_bigfloat(m, e, ctx), n == 0, n < 0, m == 0, k, ctx
+    )
+
+
+def collapse(x, ctx):
+    """The boundary collapse.  Defined on the whole closed square.
+
+    Pins: the central fiber is fixed pointwise, the horizontal axis is
+    halved, each vertical edge goes to the slit endpoint on its side, and
+    the map commutes with both reflections of the square.  Interior points
+    off the axis and fiber go through the charts.  A point of two
+    Fractions is checked and pinned on its numerators and denominators.
+    """
+    r, s = x
+    if type(r) is Fraction and type(s) is Fraction:
+        return _collapse_exact(r.numerator, r.denominator, s.numerator, s.denominator, ctx)
+    if abs(r) > 1 or abs(s) > 1:
+        raise DomainError(f"point ({r}, {s}) outside the square")
+    k = _consts(ctx)
+    if abs(r) == 1:
+        return (-k["half"] if r < 0 else k["half"], k["zero"])
+    u0, u1 = _pt(x, ctx)
+    return _collapse_pinned(u0, u1, r == 0, r < 0, s == 0, k, ctx)
 
 
 def collapse_inv(y, ctx):

@@ -374,9 +374,11 @@ def displacement_scan(
 
 
 def _rand_fraction(rng: random.Random, lo, hi, denom: int = 999983) -> Fraction:
-    return Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(
-        rng.randint(1, denom - 1), denom
-    )
+    """lo + (hi - lo) k / denom for a random k in [1, denom - 1]; lo and hi
+    are ints or Fractions, and the value is built as one Fraction."""
+    k = rng.randint(1, denom - 1)
+    a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return Fraction(a * e * denom + (c * b - a * e) * k, b * e * denom)
 
 
 def _rand_point(rng: random.Random, lo, hi) -> Tuple[Fraction, Fraction]:

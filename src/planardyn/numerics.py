@@ -16,12 +16,14 @@ never rebuilds a value it already holds.
 Exact evaluation runs on integer pairs (numerator, denominator), every
 pair in lowest terms with a positive denominator, and builds one Fraction
 per result with :func:`coprime_fraction`, which takes such a pair as it is
-(``Fraction._from_coprime_ints`` on Python 3.12+, ``Fraction(n, d,
-_normalize=False)`` before), as the stdlib's own arithmetic does.  So no
-evaluation pays Fraction's operator dispatch or its ``__new__`` per step,
-and nothing takes a plain ``gcd(n, d)`` of a full-size result: orbit
-coordinates grow to 10^4 bits, where that one gcd costs more than the
-whole evaluation.
+(``Fraction._from_coprime_ints`` on Python 3.12+; before, a bare instance
+with its two slots set, which is what that method does), as the stdlib's
+own arithmetic does.  So no evaluation pays Fraction's operator dispatch
+or its ``__new__`` per step, and nothing takes a plain ``gcd(n, d)`` of a
+full-size result: orbit coordinates grow to 10^4 bits, where that one gcd
+costs more than the whole evaluation.  A pair that goes on to the charts
+needs no Fraction at all: :func:`pair_to_bigfloat` rounds it into a
+context as :func:`to_bigfloat` rounds the Fraction.
 
 A piece is found by an integer search: a breakpoint n/d (d > 0) lies above
 x = p/q (q > 0) exactly when p*d < n*q, so no Fraction comparison runs.
@@ -88,7 +90,10 @@ else:
     def coprime_fraction(n: int, d: int) -> Fraction:
         """The Fraction n/d of a pair already in lowest terms with d > 0,
         built without the gcd of a normalisation."""
-        return Fraction(n, d, _normalize=False)
+        x = object.__new__(Fraction)
+        x._numerator = n
+        x._denominator = d
+        return x
 
 
 def as_rational(x) -> Fraction:
@@ -103,13 +108,29 @@ def as_rational(x) -> Fraction:
 def to_bigfloat(value, ctx):
     """Convert a Fraction/int/float/str to the context's float type.
 
-    A float of ``ctx`` itself comes back untouched.  A Fraction p/q is
-    rounded toward zero at ``ctx.prec`` bits, the rounding ``ctx.convert``
+    A float of ``ctx`` itself comes back untouched.  A Fraction goes
+    through :func:`pair_to_bigfloat`.  A float of another context is
+    rounded at ``ctx.prec`` the way ``ctx.mpf`` rounds it, so no value
+    wider than the precision gets in.  Other inputs go through
+    ``ctx.convert``: ints and floats come back exactly, strings rounded at
+    the precision.
+    """
+    kind = type(value)
+    if kind is ctx.mpf:
+        return value
+    if kind is Fraction:  # not isinstance: Fraction's ABC check is slow
+        return pair_to_bigfloat(value.numerator, value.denominator, ctx)
+    if hasattr(value, "_mpf_"):
+        return ctx.mpf(value)
+    return ctx.convert(value)
+
+
+def pair_to_bigfloat(p: int, q: int, ctx):
+    """The rational p/q (q > 0) as a float of ``ctx``.
+
+    Rounded toward zero at ``ctx.prec`` bits, the rounding ``ctx.convert``
     applies to rationals; on ``mpmath.fp`` it is the double nearest to p/q.
-    A float of another context is rounded at ``ctx.prec`` the way
-    ``ctx.mpf`` rounds it, so no value wider than the precision gets in.
-    Other inputs go through ``ctx.convert``: ints and floats come back
-    exactly, strings rounded at the precision.
+    The pair need not be in lowest terms.
 
     The truncation takes one exact floor division: with
     ``k = prec + 1 - (bits(|p|) - bits(q))`` the integer
@@ -118,20 +139,12 @@ def to_bigfloat(value, ctx):
     So the result is bit for bit ``from_rational(p, q, prec)``, without
     normalising the full-size operands of a 10^4-bit fraction first.
     """
-    kind = type(value)
-    if kind is ctx.mpf:
-        return value
-    if kind is Fraction:  # not isinstance: Fraction's ABC check is slow
-        p, q = value.numerator, value.denominator
-        if isinstance(ctx, FPContext):
-            return p / q
-        a = abs(p)
-        k = ctx.prec + 1 - (a.bit_length() - q.bit_length())
-        m = (a << k) // q if k >= 0 else a // (q << -k)
-        return ctx.make_mpf(from_man_exp(-m if p < 0 else m, -k, ctx.prec, round_down))
-    if hasattr(value, "_mpf_"):
-        return ctx.mpf(value)
-    return ctx.convert(value)
+    if isinstance(ctx, FPContext):
+        return p / q
+    a = abs(p)
+    k = ctx.prec + 1 - (a.bit_length() - q.bit_length())
+    m = (a << k) // q if k >= 0 else a // (q << -k)
+    return ctx.make_mpf(from_man_exp(-m if p < 0 else m, -k, ctx.prec, round_down))
 
 
 def integer_ratio(x) -> Tuple[int, int]:

@@ -25,9 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .collapse_map import collapse, collapse_inv
-from .numerics import DomainError, integer_ratio, to_bigfloat
-from .square_map import square_homeo
+from .collapse_map import _collapse_exact, collapse, collapse_inv
+from .numerics import DomainError, coprime_fraction, integer_ratio, to_bigfloat
+from .square_map import PointPairs, _fractions, _homeo, square_homeo
 
 
 def tangent_chart(p, ctx, inverse: bool = False):
@@ -54,27 +54,33 @@ def _pinned(r, s) -> bool:
     return abs(r) == 1 or abs(s) == 1 or (s == 0 and 2 * abs(r) >= 1)
 
 
-def _rationalize_square(w, ctx) -> Tuple[Fraction, Fraction]:
-    """Exact rational value of a big-float square point, nudged back onto
-    the square when rounding overshot the boundary by a few ulps.
+def _square_pairs(w, ctx) -> PointPairs:
+    """Exact value of a big-float square point as integer pairs
+    (rn, rd, sn, sd) in lowest terms, nudged back onto the square when
+    rounding overshot the boundary by a few ulps.
 
     An overshoot of up to 2^-(prec-8) snaps, and never more than 2^-48 (the
     bound at 56 bits and below, the double context included); a larger one
     is an escape, not rounding.  Each coordinate is read as its exact
     integer ratio n/d (d > 0), so both tests compare integers: |q| > 1 is
-    |n| > d, and |q| - 1 > 2^-e is (|n| - d) 2^e > d.  One Fraction is built
-    per coordinate.
+    |n| > d, and |q| - 1 > 2^-e is (|n| - d) 2^e > d.
     """
     e = max(ctx.prec - 8, 48)
-    out = []
+    out = ()
     for v in w:
         n, d = integer_ratio(v)
         if n > d or -n > d:
             if (abs(n) - d) << e > d:
-                raise DomainError(f"coordinate {Fraction(n, d)} escaped the square")
+                raise DomainError(f"coordinate {coprime_fraction(n, d)} escaped the square")
             n, d = (1 if n > 0 else -1), 1
-        out.append(Fraction(n, d))
-    return (out[0], out[1])
+        out += (n, d)
+    return out
+
+
+def _rationalize_square(w, ctx) -> Tuple[Fraction, Fraction]:
+    """``_square_pairs`` as a square point of two Fractions, one built per
+    coordinate from its pair, which is already in lowest terms."""
+    return _fractions(_square_pairs(w, ctx))
 
 
 def quotient_square_map(x, ctx, inverse: bool = False):
@@ -83,16 +89,17 @@ def quotient_square_map(x, ctx, inverse: bool = False):
     On the pinned set (square boundary and both closed slits) the map is
     the reflection across the vertical axis, matching the interior limit;
     elsewhere it is collapse o square map o collapse-inverse, with the
-    middle step running on exact rationals.
+    middle step running on exact rationals.  The point is handed from step
+    to step as integer pairs: the exact value of ``collapse_inv``'s floats,
+    the square map's pair kernel, the collapse's exact entry.
     """
     r, s = x
     if abs(r) > 1 or abs(s) > 1:
         raise DomainError(f"point ({r}, {s}) outside the square")
     if _pinned(r, s):
         return (-r, s)
-    w = _rationalize_square(collapse_inv((r, s), ctx), ctx)
-    image = square_homeo(w, inverse=inverse)
-    return collapse(image, ctx)
+    w = _square_pairs(collapse_inv((r, s), ctx), ctx)
+    return _collapse_exact(*_homeo(*w, inverse), ctx)
 
 
 def on_ray(x) -> bool:

@@ -25,15 +25,16 @@ corners (backward).
 
 Everything here is exact on rational points.  The public maps validate
 their point; ``square_homeo`` validates once and then runs the private
-forms (``_rise``, ``_descend``, ``_row``), which take a checked point as
-integer pairs (numerator, denominator) in lowest terms and return pairs,
-so each output coordinate is built as a Fraction once, at the end.  A row
-of the strip shear is evaluated pointwise, never built as a PLFunction: on
-a shear zone by the level's rule, on a blend zone from the level's cached
-coefficients, whose slope and intercept are affine in the height and are
-read off it first, by the same integer step as a PL piece, then meet r in
-Fraction's cross-reduction order.  ``row_map`` builds the row, as the
-reference the pointwise route is tested against.
+forms (``_homeo``, ``_rise``, ``_descend``, ``_row``), which take a
+checked point as integer pairs (numerator, denominator) in lowest terms
+and return pairs, so a caller that holds pairs, as the plane map does,
+builds no Fraction, and ``square_homeo`` builds one per output coordinate,
+at the end.  A row of the strip shear is evaluated pointwise, never built
+as a PLFunction: on a shear zone by the level's rule, on a blend zone from
+the level's cached coefficients, whose slope and intercept are affine in
+the height and are read off it first, by the same integer step as a PL
+piece, then meet r in Fraction's cross-reduction order.  ``row_map``
+builds the row, as the reference the pointwise route is tested against.
 """
 
 from __future__ import annotations
@@ -369,26 +370,27 @@ def region_of(s: Fraction, inverse: bool = False) -> RegionTag:
     return _region(s.numerator, s.denominator, inverse)
 
 
+def _homeo(rn: int, rd: int, sn: int, sd: int, inverse: bool) -> PointPairs:
+    """``square_homeo`` at a checked point, on integer pairs."""
+    tag = _region(sn, sd, inverse)
+    if inverse:
+        if tag is RegionTag.R1:
+            return _rise(rn, rd, sn, sd, True)
+        if tag is RegionTag.D0:
+            return (-rn, rd) + SHIFT_PROFILE._preimage(sn, sd)
+        return _descend(rn, rd, sn, sd, False)
+    if tag is RegionTag.R0:
+        return _rise(rn, rd, sn, sd, False)
+    if tag is RegionTag.D_MINUS_1:
+        return (-rn, rd) + SHIFT_PROFILE._value(sn, sd)
+    return _descend(rn, rd, sn, sd, True)
+
+
 def square_homeo(p, inverse: bool = False) -> SquarePoint:
     """The square homeomorphism: rising above the axis, reflected shift on
     the band below it, inverse descending on the bottom quarter."""
     r, s = as_square_point(p)
-    rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
-    tag = _region(sn, sd, inverse)
-    if inverse:
-        if tag is RegionTag.R1:
-            out = _rise(rn, rd, sn, sd, True)
-        elif tag is RegionTag.D0:
-            out = (-rn, rd) + SHIFT_PROFILE._preimage(sn, sd)
-        else:
-            out = _descend(rn, rd, sn, sd, False)
-    elif tag is RegionTag.R0:
-        out = _rise(rn, rd, sn, sd, False)
-    elif tag is RegionTag.D_MINUS_1:
-        out = (-rn, rd) + SHIFT_PROFILE._value(sn, sd)
-    else:
-        out = _descend(rn, rd, sn, sd, True)
-    return _fractions(out)
+    return _fractions(_homeo(r.numerator, r.denominator, s.numerator, s.denominator, inverse))
 
 
 def _forward_piece_key(p) -> tuple:

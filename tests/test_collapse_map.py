@@ -272,6 +272,18 @@ class TestCollapse:
                 x, y = collapse((r, s), ctx)
                 assert not (y == 0 and abs(x) > Fraction(1, 2))
 
+    def test_fraction_points_outside_the_square_raise(self, ctx):
+        cases = {
+            (Fraction(3, 2), Fraction(-1, 3)): "point (3/2, -1/3) outside the square",
+            (Fraction(0), Fraction(-5, 4)): "point (0, -5/4) outside the square",
+            (Fraction(-7), Fraction(1)): "point (-7, 1) outside the square",
+        }
+        for p, message in cases.items():
+            for c in (ctx, mpmath.fp):
+                with pytest.raises(DomainError) as err:
+                    collapse(p, c)
+                assert str(err.value) == message
+
 
 def test_collapse_takes_no_sqrt_sin_or_cos(monkeypatch):
     # the radii and ray exits are sup norms: each direction costs one

@@ -1,6 +1,8 @@
 """Exact piecewise-linear functions and the big-float working context."""
 
 import bisect
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -22,6 +24,7 @@ from planardyn.numerics import (
     bigfloat_to_rational,
     coprime_fraction,
     make_context,
+    pair_to_bigfloat,
     parse_rational,
     to_bigfloat,
 )
@@ -77,9 +80,12 @@ def big_rationals(draw, max_bits=30000):
 @settings(max_examples=40, deadline=None)
 @given(big_rationals())
 def test_to_bigfloat_rounds_rationals_like_convert(value):
+    p, q = value.numerator, value.denominator
     for prec in CONVERSION_PRECISIONS:
         ctx = make_context(prec)
         assert to_bigfloat(value, ctx)._mpf_ == ctx.convert(value)._mpf_
+        # the pair form rounds the value, whether or not it is reduced
+        assert pair_to_bigfloat(6 * p, 6 * q, ctx)._mpf_ == ctx.convert(value)._mpf_
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,10 +165,22 @@ def test_to_bigfloat_rounds_floats_of_another_context():
 
 def test_coprime_fraction_takes_a_reduced_pair_as_it_is():
     big = 3**6000
-    for n, d in ((0, 1), (-7, 12), (5, 1), (2**9000 + 1, big), (-big, 2**53)):
-        x = coprime_fraction(n, d)
+    pairs = ((0, 1), (-7, 12), (5, 1), (2**9000 + 1, big), (-big, 2**53))
+    for n, d in pairs:
+        x, ref = coprime_fraction(n, d), Fraction(n, d)
         assert type(x) is Fraction and (x.numerator, x.denominator) == (n, d)
-        assert x == Fraction(n, d) and hash(x) == hash(Fraction(n, d))
+        assert x == ref and hash(x) == hash(ref)
+        # it behaves as the normalised Fraction everywhere
+        assert str(x) == str(ref) and repr(x) == repr(ref)
+        for y in (Fraction(-7, 12), Fraction(1, 3), 2):
+            assert x + y == ref + y and x - y == ref - y and x * y == ref * y
+            assert x / y == ref / y and y - x == y - ref
+        for y in (Fraction(-7, 12), Fraction(1, 3), 2, 0.5):
+            assert (x < y, x <= y, x > y, x >= y) == (ref < y, ref <= y, ref > y, ref >= y)
+        assert -x == -ref and abs(x) == abs(ref) and x**2 == ref**2
+        for back in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(back) is Fraction and back == ref
+            assert (back.numerator, back.denominator) == (n, d)
     # no normalisation: the pair must already be in lowest terms
     assert coprime_fraction(2, 4).numerator == 2
     if sys.version_info >= (3, 12):

@@ -5,8 +5,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from planardyn import plane_map
 from planardyn.numerics import DomainError, make_context, to_bigfloat
 from planardyn.plane_map import (
+    _pinned,
     _rationalize_square,
     example_shift_reflection,
     lifted_core,
@@ -112,6 +114,52 @@ def test_quotient_map_commutes_at_a_point(ctx):
 def test_quotient_map_frozen_value(ctx):
     out = quotient_square_map(collapse((Fraction(0), Fraction(0)), ctx), ctx)
     assert _close(out, (0, Fraction(1, 2)), 1e-60)
+
+
+def _bits(v):
+    # the exact representation: sign of zero included in doubles
+    return (type(v), v.hex() if type(v) is float else v._mpf_)
+
+
+def _composed(q, ctx, inverse):
+    """quotient_square_map as the composition of the public maps."""
+    w = _rationalize_square(plane_map.collapse_inv(q, ctx), ctx)
+    return collapse(square_homeo(w, inverse=inverse), ctx)
+
+
+@pytest.mark.parametrize("prec", [None, 128, 256])
+def test_quotient_map_is_the_composition_bit_for_bit(prec, monkeypatch):
+    ctx = mpmath.fp if prec is None else make_context(prec)
+    one = ctx.mpf(1)
+    grid = [to_bigfloat(Fraction(k, 7), ctx) for k in range(-6, 7)]
+    points = [(r, s) for r in grid for s in grid if not _pinned(r, s)]
+    # collapse_inv's own rounding stays inside the square, so overshoots
+    # are planted: one ulp, and the largest overshoot that still snaps
+    ulp, bound = ctx.ldexp(one, 1 - ctx.prec), ctx.ldexp(one, -max(ctx.prec - 8, 48))
+    third = to_bigfloat(Fraction(1, 3), ctx)
+    planted = {
+        (third, third): (one + ulp, third),
+        (third, -third): (-third, -one - ulp),
+        (-third, third): (-one - bound, one + bound),
+        (-third, -third): (third, one + ctx.ldexp(one, -40)),  # escapes
+    }
+    real = plane_map.collapse_inv
+    monkeypatch.setattr(plane_map, "collapse_inv", lambda q, c: planted.get(q) or real(q, c))
+    escapes = 0
+    for q in points + list(planted):
+        for inverse in (False, True):
+            try:
+                want = _composed(q, ctx, inverse)
+            except DomainError as err:
+                assert "escaped the square" in str(err) and q == (-third, -third)
+                with pytest.raises(DomainError) as got:
+                    quotient_square_map(q, ctx, inverse)
+                assert str(got.value) == str(err)
+                escapes += 1
+                continue
+            got = quotient_square_map(q, ctx, inverse)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], (q, inverse)
+    assert escapes == 2
 
 
 def test_example_frozen_values(ctx):
