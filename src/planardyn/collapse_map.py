@@ -11,16 +11,18 @@ the only limit points.
 
 Construction on the right half (the left half is its mirror):
 
-* ``chart_S`` writes a point as (angle, radius) around the midpoint of the
-  right edge; the chart rectangle is [0, pi] x [0, 1], angle 0 pointing
-  straight down and pi straight up.  The half-square is a sup-norm ball
-  about this center, so the radius is that sup norm, max(1 - x, |y|), and
-  the half-square boundary is radius one.
-* ``chart_T`` does the same around the outer slit endpoint (1/2, 0), with
-  the plain polar angle in [0, 2*pi] and the radius max(|2x - 1|, |y|);
-  the slit opens along the positive axis, its top side at angle 0 and
-  bottom side at 2*pi.
-* ``boundary_reparam`` carries the boundary circle of the first rectangle
+* the edge chart (``_edge_chart`` and its inverse) writes a point as
+  (angle, radius) around the midpoint of the right edge; the chart
+  rectangle is [0, pi] x [0, 1], angle 0 pointing straight down and pi
+  straight up.  The half-square is a sup-norm ball about this center, so
+  the radius is that sup norm, max(1 - x, |y|), and the half-square
+  boundary is radius one.
+* the slit chart (``_slit_chart`` and its inverse) does the same around the
+  outer slit endpoint (1/2, 0), with the plain polar angle in [0, 2*pi] and
+  the radius max(|2x - 1|, |y|); the slit opens along the positive axis,
+  its top side at angle 0 and bottom side at 2*pi.
+* the boundary correspondence (``_edge_to_slit``, inverse
+  ``_slit_to_edge``) carries the boundary circle of the first rectangle
   onto that of the second.  The central arc uses theta = pi - arctan(2 s)
   so the vertical fiber is fixed pointwise; two narrow arcs next to the
   straight-up and straight-down directions wrap onto the slit sides; the
@@ -36,45 +38,36 @@ Construction on the right half (the left half is its mirror):
   the offset d from the center (c0, 1/2): one division, no trigonometry.
 
 Each forward chart takes one arctangent for its angle; the radius needs
-only comparisons.  ``exit_point`` takes one tangent, and only the inverse
-charts call it.
+only comparisons.  Each chart inverse takes one tangent, for the point
+where its ray leaves the half-square (``_edge_exit``, ``_slit_exit``).
 
 All functions take an explicit mpmath-style context; nothing reads or
 writes global precision.  Only the entry points (``collapse``,
 ``collapse_inv``, ``cone_map``, ``_collapse_charts``) take exact rationals,
 floats or context floats, converted once in ``_pt``; the chart steps take
-floats of the context.  ``cone_map`` converts only a point that is not
-already two floats of the context, which on the collapse path it always is.
+floats of the context and the constants ``k = _consts(ctx)`` from their
+caller.  ``cone_map`` converts only a point that is not already two floats
+of the context, which on the collapse path it always is.
 
-Each fact is checked once.  The entry points check their point and decide
-its pins: ``collapse`` hands a point of two Fractions to its exact entry
-``_collapse_exact``, which takes the point as two integer pairs (the plane
-map calls it with the square map's pairs, building no Fraction), checks
-and pins it on numerators and denominators (square, fiber, edges, axis)
-and converts each coordinate once with ``pair_to_bigfloat``.  Both entries
-mirror the left half after converting, since both roundings (toward zero
-for rationals, to nearest in doubles) are symmetric about zero.  The
-public ``chart_S``, ``chart_T``, ``exit_point`` and ``boundary_reparam``
-keep their domain, slit and wall checks and delegate to unchecked steps
-(``_edge_chart``, ``_slit_chart`` and their inverses, ``_edge_exit``,
-``_slit_exit``, ``_edge_to_slit``, ``_slit_to_edge``), which take the
-constants ``k = _consts(ctx)`` from their caller.  The entry points call
-the steps directly: a step's input is in range by construction, through
-the entry checks, the clamps at the cone's entry and at the chart
-inverses, and the ray exit's snap onto a wall.
+Each fact is checked once, at the entry points, which check their point
+and decide its pins: ``collapse`` hands a point of two Fractions to its
+exact entry ``_collapse_exact``, which takes the point as two integer
+pairs (the plane map calls it with the square map's pairs, building no
+Fraction), checks and pins it on numerators and denominators (square,
+fiber, edges, axis) and converts each coordinate once with
+``pair_to_bigfloat``.  Both entries mirror the left half after converting,
+since both roundings (toward zero for rationals, to nearest in doubles)
+are symmetric about zero.  The steps check nothing: a step's input is in
+range by construction, through the entry checks, the clamps at the cone's
+entry and at the chart inverses, and the ray exit's snap onto a wall.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
 
 from .numerics import DomainError, SlitError, coprime_fraction, pair_to_bigfloat, to_bigfloat
-
-# Chart anchor points: midpoint of the right edge, outer right slit endpoint.
-EDGE_MID = (Fraction(1), Fraction(0))
-SLIT_OUTER = (Fraction(1, 2), Fraction(0))
 
 # slit_arc_angle = pi / SLIT_ARC_DENOM
 SLIT_ARC_DENOM = 32768
@@ -148,7 +141,14 @@ def _soft_clamp(v, lo, hi, k):
 
 
 def _edge_exit(a, k, ctx):
-    """``exit_point`` from the right-edge midpoint, for ``a`` in [0, pi]."""
+    """Where the ray from the right-edge midpoint (1, 0) at edge-chart
+    angle ``a`` in [0, pi] leaves the half-square [0, 1] x [-1, 1].
+
+    The angle runs 0 (straight down) through pi/2 (toward the fiber) to pi
+    (straight up).  Each branch takes one tangent: on a horizontal wall the
+    cotangent of the angle is written as minus the tangent of its offset
+    from pi/2, an offset within pi/4 of zero.
+    """
     if a <= k["quarter_pi"]:
         return (k["one"] - ctx.tan(a), k["minus_one"])
     if a < k["three_quarter_pi"]:
@@ -157,7 +157,13 @@ def _edge_exit(a, k, ctx):
 
 
 def _slit_exit(a, k, ctx):
-    """``exit_point`` from the outer slit endpoint, for ``a`` in [0, 2*pi]."""
+    """Where the ray from the outer slit endpoint (1/2, 0) at polar angle
+    ``a`` in [0, 2*pi] leaves the half-square [0, 1] x [-1, 1].
+
+    Each branch takes one tangent: on a horizontal wall the cotangent of
+    the angle is written as minus the tangent of its offset from pi/2 or
+    3*pi/2, an offset within pi/4 of zero.
+    """
     if a <= k["corner"] or a >= k["two_pi_minus_corner"]:
         return (k["one"], ctx.tan(a) / 2)
     if a <= k["stretch"]:  # pi - corner
@@ -167,31 +173,15 @@ def _slit_exit(a, k, ctx):
     return (k["half"] + ctx.tan(a - k["three_half_pi"]), k["minus_one"])
 
 
-def exit_point(center, a, ctx) -> Tuple:
-    """Where the ray from a chart center at a chart angle leaves the half-square.
-
-    The half-square is [0, 1] x [-1, 1].  From the right-edge midpoint the
-    chart angle runs 0 (straight down) through pi/2 (toward the fiber) to
-    pi (straight up); from the slit endpoint it is the polar angle in
-    [0, 2*pi].  Each branch takes one tangent: on a horizontal wall the
-    cotangent of the chart angle is written as minus the tangent of its
-    offset from pi/2 or 3*pi/2, an offset within pi/4 of zero.  The angle
-    ``a`` is a float of ``ctx``.
-    """
-    k = _consts(ctx)
-    if center == EDGE_MID:
-        if a < k["zero"] or a > k["pi"]:
-            raise DomainError(f"edge chart angle {a} outside [0, pi]")
-        return _edge_exit(a, k, ctx)
-    if center == SLIT_OUTER:
-        if a < k["zero"] or a > k["two_pi"]:
-            raise DomainError(f"slit chart angle {a} outside [0, 2*pi]")
-        return _slit_exit(a, k, ctx)
-    raise DomainError(f"unknown chart center {center}")
-
-
 def _edge_chart(px, py, k, ctx):
-    """``chart_S`` forward at a point of the right half-square off its center."""
+    """Edge chart forward: (angle, radius) of a point of the right
+    half-square other than the right-edge midpoint.
+
+    The radius is the sup norm max(1 - x, |y|) of the offset from the
+    midpoint, so the half-square boundary is radius one.  The angle is not
+    clamped: rounding may leave it a few ulps outside [0, pi], and
+    ``cone_map`` clamps its input.
+    """
     dx = px - k["one"]
     phi = ctx.atan2(py, dx)
     if phi < k["half_pi"]:
@@ -200,41 +190,21 @@ def _edge_chart(px, py, k, ctx):
 
 
 def _edge_chart_inv(alpha, rho, k, ctx):
-    """``chart_S`` inverse: the input is clamped onto [0, pi] x [0, 1]."""
+    """Edge chart inverse, along the ray to ``_edge_exit``; the input is
+    clamped onto [0, pi] x [0, 1]."""
     alpha = _soft_clamp(alpha, k["zero"], k["pi"], k)
     rho = _soft_clamp(rho, k["zero"], k["one"], k)
     e0, e1 = _edge_exit(alpha, k, ctx)
     return (k["one"] + rho * (e0 - k["one"]), rho * e1)
 
 
-def _check_edge_chart(px, py, k):
-    """The forward edge chart's domain: the right half-square but its center."""
-    if px < k["zero"] or px > k["one"] or py < k["minus_one"] or py > k["one"]:
-        raise DomainError(f"point ({px}, {py}) outside the right half-square")
-    if px == k["one"] and py == k["zero"]:
-        raise DomainError("edge chart is degenerate at its center")
-
-
-def chart_S(x, ctx, inverse: bool = False):
-    """Polar chart around the right-edge midpoint, rectangle [0, pi] x [0, 1].
-
-    Forward input is a point of the right half-square other than the
-    center itself; output is (angle, radius), the radius the sup norm
-    max(1 - x, |y|) of the offset from the center, so the half-square
-    boundary is radius one.  The angle is not clamped: rounding may leave
-    it a few ulps outside [0, pi], and ``cone_map`` clamps its input.
-    Inverse maps a rectangle point back into the half-square along the ray
-    to ``exit_point``.  Both directions take floats of ``ctx``.
-    """
-    k = _consts(ctx)
-    if inverse:
-        return _edge_chart_inv(x[0], x[1], k, ctx)
-    _check_edge_chart(x[0], x[1], k)
-    return _edge_chart(x[0], x[1], k, ctx)
-
-
 def _slit_chart(py0, py1, k, ctx):
-    """``chart_T`` forward at a point of the right half-square off the slit ray."""
+    """Slit chart forward: (polar angle in [0, 2*pi), radius) about (1/2, 0)
+    of a point of the right half-square off the closed slit ray.
+
+    On the ray the angle is ambiguous between the slit's top side, 0, and
+    its bottom side, 2*pi.  The radius is the sup norm max(|2x - 1|, |y|).
+    """
     d0 = py0 - k["half"]
     rho = max(k["two"] * abs(d0), abs(py1))
     theta = ctx.atan2(py1, d0)
@@ -247,37 +217,26 @@ def _slit_chart(py0, py1, k, ctx):
 
 
 def _slit_chart_inv(theta, rho, k, ctx):
-    """``chart_T`` inverse: the input is clamped onto [0, 2*pi] x [0, 1]."""
+    """Slit chart inverse, along the ray to ``_slit_exit``; the input is
+    clamped onto [0, 2*pi] x [0, 1]."""
     theta = _soft_clamp(theta, k["zero"], k["two_pi"], k)
     rho = _soft_clamp(rho, k["zero"], k["one"], k)
     e0, e1 = _slit_exit(theta, k, ctx)
     return (k["half"] + rho * (e0 - k["half"]), rho * e1)
 
 
-def chart_T(y, ctx, inverse: bool = False):
-    """Polar chart around the outer slit endpoint, rectangle [0, 2*pi] x [0, 1].
-
-    Forward input must stay off the closed slit ray (where the angle is
-    ambiguous between the 0 and 2*pi sides); the center itself is
-    degenerate.  The radius is the sup norm max(|2x - 1|, |y|), so the
-    half-square boundary is radius one and a point outside it raises.
-    Inverse maps (angle, radius) back to the half-square along the ray to
-    ``exit_point``.  Both directions take floats of ``ctx``.
-    """
-    k = _consts(ctx)
-    if inverse:
-        return _slit_chart_inv(y[0], y[1], k, ctx)
-    py0, py1 = y
-    if py1 == k["zero"] and py0 >= k["half"]:
-        raise SlitError(f"point ({py0}, {py1}) lies on the slit ray")
-    out = _slit_chart(py0, py1, k, ctx)
-    if out[1] > k["one"]:
-        raise DomainError(f"point ({py0}, {py1}) outside the right half-square")
-    return out
-
-
 def _edge_to_slit(alpha, rho, k, ctx):
-    """``boundary_reparam`` forward at a point on a wall of [0, pi] x [0, 1]."""
+    """Boundary correspondence, edge-chart wall to slit-chart wall.
+
+    The radius-one wall splits into five arcs: slit-bottom [0, astar]
+    wrapping onto the slit's 2*pi side, an affine arc [astar, pi/4], the
+    central arc [pi/4, 3*pi/4] carried by theta = pi - arctan(2*tan(angle -
+    pi/2)), an affine arc [3*pi/4, pi - astar], and slit-top
+    [pi - astar, pi] wrapping onto the slit's 0 side.  The other three walls
+    land affinely on the radius-zero wall of the target.  Bijective on the
+    boundary circles (``_slit_to_edge`` is the inverse); conjugates the
+    vertical flip angle -> pi - angle to the reflection theta -> 2*pi - theta.
+    """
     pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
     span, stretch, third = k["span"], k["stretch"], k["third"]
     if rho == k["one"]:
@@ -298,7 +257,7 @@ def _edge_to_slit(alpha, rho, k, ctx):
 
 
 def _slit_to_edge(theta, rho, k, ctx):
-    """``boundary_reparam`` inverse at a point on a wall of [0, 2*pi] x [0, 1]."""
+    """Boundary correspondence inverse, slit-chart wall to edge-chart wall."""
     pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
     span, stretch, third = k["span"], k["stretch"], k["third"]
     if rho == k["one"]:
@@ -317,37 +276,6 @@ def _slit_to_edge(theta, rho, k, ctx):
     if theta <= k["two_thirds"]:
         return (two_pi - k["three"] * theta / 2, k["zero"])
     return (k["zero"], (theta - k["two_thirds"]) / third)
-
-
-def boundary_reparam(b, ctx, inverse: bool = False):
-    """Boundary correspondence between the two chart rectangles.
-
-    Forward: a boundary point (angle, radius) of the edge-chart rectangle
-    goes to a boundary point of the slit-chart rectangle.  The radius-one
-    wall splits into five arcs: slit-bottom [0, astar] wrapping onto the
-    slit's 2*pi side, an affine arc [astar, pi/4], the central arc
-    [pi/4, 3*pi/4] carried by theta = pi - arctan(2*tan(angle - pi/2)),
-    an affine arc [3*pi/4, pi - astar], and slit-top [pi - astar, pi]
-    wrapping onto the slit's 0 side.  The other three walls land affinely
-    on the radius-zero wall of the target.  Bijective on the boundary
-    circles; conjugates the vertical flip (angle -> pi - angle) to the
-    reflection theta -> 2*pi - theta.  Takes floats of ``ctx``.
-    """
-    k = _consts(ctx)
-    a, rho = b
-    if inverse:
-        if rho == k["one"]:
-            if a < k["zero"] or a > k["two_pi"]:
-                raise DomainError(f"slit chart angle {a} outside [0, 2*pi]")
-        elif not (a == k["zero"] or a == k["two_pi"] or rho == k["zero"]):
-            raise DomainError(f"({a}, {rho}) not on the slit-chart boundary")
-        return _slit_to_edge(a, rho, k, ctx)
-    if rho == k["one"]:
-        if a < k["zero"] or a > k["pi"]:
-            raise DomainError(f"edge chart angle {a} outside [0, pi]")
-    elif not (rho == k["zero"] or a == k["pi"] or a == k["zero"]):
-        raise DomainError(f"({a}, {rho}) not on the edge-chart boundary")
-    return _edge_to_slit(a, rho, k, ctx)
 
 
 def _ray_exit(u0, u1, which, k):
@@ -402,31 +330,10 @@ def cone_map(u, ctx, inverse: bool = False):
     return (c_dst[0] + t * (lb[0] - c_dst[0]), c_dst[1] + t * (lb[1] - c_dst[1]))
 
 
-def _right_half(px, py, k, ctx):
-    """The collapse's chart composition at a point of the right half-square."""
-    w = cone_map(_edge_chart(px, py, k, ctx), ctx)
-    return _slit_chart_inv(w[0], w[1], k, ctx)
-
-
-def _collapse_charts(x, ctx):
-    """Chart composition of the collapse on the right half, no shortcut pins.
-
-    Used by the verification suite to confirm that the pinned values
-    (fiber, axis, edges) are what the charts themselves produce.
-    """
-    k = _consts(ctx)
-    left = x[0] < 0
-    px, py = _pt(x, ctx)
-    if left:
-        px = -px
-    _check_edge_chart(px, py, k)
-    y0, y1 = _right_half(px, py, k, ctx)
-    return (-y0, y1) if left else (y0, y1)
-
-
 def _collapse_pinned(u0, u1, fiber, left, axis, k, ctx):
-    """The collapse at a point of the square off its vertical edges, given
-    as two floats of ``ctx`` with its pins decided on the input."""
+    """The collapse at a point of the square, given as two floats of
+    ``ctx`` with its pins decided on the input; a point that takes no pin
+    goes through the charts, mirrored from the right half."""
     if fiber:
         return (k["zero"], u1)
     if axis:
@@ -436,8 +343,22 @@ def _collapse_pinned(u0, u1, fiber, left, axis, k, ctx):
     # in doubles a point next to an edge can round onto the chart's center
     if not u1 and u0 == k["one"]:
         raise DomainError("edge chart is degenerate at its center")
-    y0, y1 = _right_half(u0, u1, k, ctx)
+    w = cone_map(_edge_chart(u0, u1, k, ctx), ctx)
+    y0, y1 = _slit_chart_inv(w[0], w[1], k, ctx)
     return (-y0, y1) if left else (y0, y1)
+
+
+def _collapse_charts(x, ctx):
+    """Chart composition of the collapse at a point of the square, no
+    shortcut pins.
+
+    Used by the verification suite to confirm that the pinned values
+    (fiber, axis, edges) are what the charts themselves produce.  The
+    suite passes points of the square only; of the domain, only the edge
+    chart's center is checked here.
+    """
+    u0, u1 = _pt(x, ctx)
+    return _collapse_pinned(u0, u1, False, x[0] < 0, False, _consts(ctx), ctx)
 
 
 def _collapse_exact(n: int, d: int, m: int, e: int, ctx):

@@ -66,10 +66,12 @@ def make_context(prec: int = DEFAULT_PRECISION):
 
     Contexts are cheap; make one per run / per precision and pass it
     explicitly.  ``mpmath.fp`` (hardware doubles, same method surface) is
-    accepted anywhere a context is, for coarse fast scans.
+    accepted anywhere a context is, for coarse fast scans.  The precision
+    is at least 53 bits, that of those doubles: below it rounding outgrows
+    the collapse's clamp tolerances and can put a point on a slit.
     """
-    if prec < 8:
-        raise DomainError(f"precision too small: {prec}")
+    if prec < 53:
+        raise DomainError(f"precision must be at least 53 bits, got {prec}")
     ctx = mpmath.mp.clone()
     ctx.prec = prec
     return ctx
@@ -154,15 +156,6 @@ def integer_ratio(x) -> Tuple[int, int]:
         return x.as_integer_ratio()
     p, q = to_rational(x._mpf_)
     return int(p), int(q)
-
-
-def bigfloat_to_rational(x) -> Fraction:
-    """Exact rational value of a finite big float (every mpf is dyadic)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    return Fraction(*integer_ratio(x))
 
 
 @dataclass(frozen=True)
@@ -292,7 +285,7 @@ class PLFunction:
     argument and build the one Fraction of the result.
     """
 
-    __slots__ = ("xs", "ys", "slopes", "_xkeys", "_ykeys", "_forward", "_backward")
+    __slots__ = ("xs", "ys", "_xkeys", "_ykeys", "_forward", "_backward")
 
     def __init__(self, points: Sequence[Tuple[Numeric, Numeric]]):
         cleaned = []
@@ -319,7 +312,6 @@ class PLFunction:
         fields = {
             "xs": xs,
             "ys": ys,
-            "slopes": slopes,
             "_xkeys": _int_pairs(xs[1:-1]),
             "_ykeys": _int_pairs(ys[1:-1]),
             "_forward": tuple(

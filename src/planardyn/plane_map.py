@@ -11,6 +11,12 @@ chart images of the slit endpoints' approach directions.
 ``lifted_orbit`` is the default way to iterate: it pulls the seed back to
 an exact rational point of the square once, iterates the exact square map,
 and pushes each iterate forward, so long orbits accumulate no rounding.
+The orbit runs on integer pairs (numerator, denominator) from end to end:
+the seed's lift is read off ``collapse_inv``'s floats as pairs, the square
+map's pair kernel iterates them, and each kept step goes to the collapse's
+exact entry as pairs; only the lifts that ``lifted_core`` returns are built
+as Fractions.
+
 ``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
 forward map in ``dynamics.map_registry``, so the displacement and
 orientation certificates evaluate it once per sample point.
@@ -25,9 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .collapse_map import _collapse_exact, collapse, collapse_inv
+from .collapse_map import _collapse_exact, collapse_inv
 from .numerics import DomainError, coprime_fraction, integer_ratio, to_bigfloat
-from .square_map import PointPairs, _fractions, _homeo, square_homeo
+from .square_map import PointPairs, _fractions, _homeo
 
 
 def tangent_chart(p, ctx, inverse: bool = False):
@@ -77,12 +83,6 @@ def _square_pairs(w, ctx) -> PointPairs:
     return out
 
 
-def _rationalize_square(w, ctx) -> Tuple[Fraction, Fraction]:
-    """``_square_pairs`` as a square point of two Fractions, one built per
-    coordinate from its pair, which is already in lowest terms."""
-    return _fractions(_square_pairs(w, ctx))
-
-
 def quotient_square_map(x, ctx, inverse: bool = False):
     """The square homeomorphism pushed through the boundary collapse.
 
@@ -129,12 +129,14 @@ def lifted_core(
     """Exact-core orbit data of the plane map.
 
     Returns a list of (n, square lift, plane point) for n in the inclusive
-    range.  The seed is pulled back to an exact rational square point once;
-    all iteration happens there, starting at the seed (step 0) whether or
-    not the range contains 0.  Only the requested steps are kept, returned
-    and pushed forward through the collapse and the tangent chart.  Ray seeds
-    have no square lift (entry None) and alternate exactly between their
-    two positions.
+    range.  The seed is pulled back to an exact rational square point once,
+    as integer pairs (``_square_pairs``); all iteration happens there, on
+    the square map's pair kernel, starting at the seed (step 0) whether or
+    not the range contains 0.  Only the requested steps are kept: each is
+    pushed forward through the collapse's exact entry and the tangent
+    chart, and its lift is built as two Fractions.  Ray seeds have no
+    square lift (entry None) and alternate exactly between their two
+    positions.
     """
     n_lo, n_hi = n_range
     if n_lo > n_hi:
@@ -145,18 +147,18 @@ def lifted_core(
             (n, None, (x1 if n % 2 == 0 else -x1, x2)) for n in range(n_lo, n_hi + 1)
         ]
     q = tangent_chart((x1, x2), ctx, inverse=True)
-    w0 = _rationalize_square(collapse_inv(q, ctx), ctx)
+    w0 = _square_pairs(collapse_inv(q, ctx), ctx)
     lifts = {0: w0}
     for step, stop in ((1, n_hi), (-1, n_lo)):
         w = w0
         for n in range(step, stop + step, step):
-            w = square_homeo(w, inverse=step < 0)
+            w = _homeo(*w, step < 0)
             if n_lo <= n <= n_hi:
                 lifts[n] = w
     out = []
     for n in range(n_lo, n_hi + 1):
         wn = lifts[n]
-        out.append((n, wn, tangent_chart(collapse(wn, ctx), ctx)))
+        out.append((n, _fractions(wn), tangent_chart(_collapse_exact(*wn, ctx), ctx)))
     return out
 
 

@@ -141,3 +141,8 @@ def test_eval_slit_point_exits_2(capsys):
     # the collapse inverse is undefined on the slits (a SlitError)
     assert main(["eval", "--map", "xi", "--inverse", "--point", "3/4,0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_below_53_bits_exits_2(capsys):
+    assert main(["verify", "--suite", "xi", "--precision", "52"]) == 2
+    assert "precision must be at least 53 bits, got 52" in capsys.readouterr().err

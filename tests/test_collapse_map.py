@@ -11,18 +11,21 @@ import pytest
 
 from planardyn import collapse_map
 from planardyn.collapse_map import (
-    EDGE_MID,
     SLIT_ARC_DENOM,
-    SLIT_OUTER,
+    _collapse_charts,
     _consts,
+    _edge_chart,
+    _edge_chart_inv,
+    _edge_exit,
+    _edge_to_slit,
     _ray_exit,
-    boundary_reparam,
-    chart_S,
-    chart_T,
+    _slit_chart,
+    _slit_chart_inv,
+    _slit_exit,
+    _slit_to_edge,
     collapse,
     collapse_inv,
     cone_map,
-    exit_point,
     slit_arc_angle,
 )
 from planardyn.numerics import DomainError, SlitError, make_context, to_bigfloat
@@ -51,41 +54,50 @@ def test_constants_follow_a_precision_change():
     assert slit_arc_angle(ctx) == ctx.pi / SLIT_ARC_DENOM
 
 
-def test_chart_centers():
-    assert EDGE_MID == (Fraction(1), Fraction(0))
-    assert SLIT_OUTER == (Fraction(1, 2), Fraction(0))
+# Chart centers: midpoint of the right edge, outer right slit endpoint.
+EDGE_CENTER = (Fraction(1), Fraction(0))
+SLIT_CENTER = (Fraction(1, 2), Fraction(0))
+
+
+def _exit(center, a, ctx):
+    """Where the ray from a chart center at a chart angle leaves the half-square."""
+    step = _edge_exit if center == EDGE_CENTER else _slit_exit
+    return step(a, _consts(ctx), ctx)
+
+
+def test_chart_centers(ctx):
+    # radius zero is the chart's center, whatever the angle
+    k = _consts(ctx)
+    for a in (k["zero"], k["quarter_pi"], k["half_pi"], k["pi"]):
+        assert _edge_chart_inv(a, k["zero"], k, ctx) == (k["one"], k["zero"])
+    for a in (k["zero"], k["corner"], k["pi"], k["three_half_pi"], k["two_pi"]):
+        assert _slit_chart_inv(a, k["zero"], k, ctx) == (k["half"], k["zero"])
 
 
 class TestExitPoint:
     def test_edge_chart_walls(self, ctx):
         pi = +ctx.pi
-        assert _close(exit_point(EDGE_MID, ctx.mpf(0), ctx), (1, -1))
-        assert _close(exit_point(EDGE_MID, pi / 4, ctx), (0, -1))
-        assert _close(exit_point(EDGE_MID, pi / 2, ctx), (0, 0))
-        assert _close(exit_point(EDGE_MID, pi, ctx), (1, 1))
+        assert _close(_exit(EDGE_CENTER, ctx.mpf(0), ctx), (1, -1))
+        assert _close(_exit(EDGE_CENTER, pi / 4, ctx), (0, -1))
+        assert _close(_exit(EDGE_CENTER, pi / 2, ctx), (0, 0))
+        assert _close(_exit(EDGE_CENTER, pi, ctx), (1, 1))
 
     def test_slit_chart_walls(self, ctx):
         pi = +ctx.pi
-        assert _close(exit_point(SLIT_OUTER, ctx.mpf(0), ctx), (1, 0))
-        assert _close(exit_point(SLIT_OUTER, pi / 2, ctx), (Fraction(1, 2), 1))
-        assert _close(exit_point(SLIT_OUTER, pi, ctx), (0, 0))
-        assert _close(exit_point(SLIT_OUTER, 3 * pi / 2, ctx), (Fraction(1, 2), -1))
-
-    def test_angle_ranges(self, ctx):
-        with pytest.raises(DomainError):
-            exit_point(EDGE_MID, 4 * ctx.pi, ctx)
-        with pytest.raises(DomainError):
-            exit_point(SLIT_OUTER, -ctx.mpf(1), ctx)
+        assert _close(_exit(SLIT_CENTER, ctx.mpf(0), ctx), (1, 0))
+        assert _close(_exit(SLIT_CENTER, pi / 2, ctx), (Fraction(1, 2), 1))
+        assert _close(_exit(SLIT_CENTER, pi, ctx), (0, 0))
+        assert _close(_exit(SLIT_CENTER, 3 * pi / 2, ctx), (Fraction(1, 2), -1))
 
     @pytest.mark.parametrize(
         "center, key",
         [
-            (EDGE_MID, "quarter_pi"),
-            (EDGE_MID, "three_quarter_pi"),
-            (SLIT_OUTER, "corner"),
-            (SLIT_OUTER, "stretch"),  # pi - atan 2
-            (SLIT_OUTER, "pi_plus_corner"),
-            (SLIT_OUTER, "two_pi_minus_corner"),
+            (EDGE_CENTER, "quarter_pi"),
+            (EDGE_CENTER, "three_quarter_pi"),
+            (SLIT_CENTER, "corner"),
+            (SLIT_CENTER, "stretch"),  # pi - atan 2
+            (SLIT_CENTER, "pi_plus_corner"),
+            (SLIT_CENTER, "two_pi_minus_corner"),
         ],
     )
     def test_branches_meet_at_the_corners(self, ctx, center, key):
@@ -93,53 +105,57 @@ class TestExitPoint:
         # ulps either side of each corner angle
         a = _consts(ctx)[key]
         step = ctx.ldexp(a, 2 - ctx.prec)
-        below = exit_point(center, a - step, ctx)
-        above = exit_point(center, a + step, ctx)
-        at = exit_point(center, a, ctx)
+        below = _exit(center, a - step, ctx)
+        above = _exit(center, a + step, ctx)
+        at = _exit(center, a, ctx)
         eps = ctx.ldexp(1, 8 - ctx.prec)
         assert max(abs(below[0] - above[0]), abs(below[1] - above[1])) <= eps
         assert max(abs(at[0] - above[0]), abs(at[1] - above[1])) <= eps
 
 
+def _run(step, u, ctx):
+    """A two-coordinate chart step at the point ``u``."""
+    return step(u[0], u[1], _consts(ctx), ctx)
+
+
 class TestCharts:
     def test_edge_chart_pins(self, ctx):
         pi = +ctx.pi
-        assert _close(chart_S((ctx.mpf(0), ctx.mpf(0)), ctx), (pi / 2, 1))
-        assert _close(chart_S((ctx.mpf(1), ctx.mpf(1)), ctx), (pi, 1))
-        assert _close(chart_S((ctx.mpf(1), ctx.mpf(-1)), ctx), (ctx.mpf(0), 1))
+        assert _close(_run(_edge_chart, (ctx.mpf(0), ctx.mpf(0)), ctx), (pi / 2, 1))
+        assert _close(_run(_edge_chart, (ctx.mpf(1), ctx.mpf(1)), ctx), (pi, 1))
+        assert _close(_run(_edge_chart, (ctx.mpf(1), ctx.mpf(-1)), ctx), (ctx.mpf(0), 1))
 
     def test_slit_chart_pins(self, ctx):
         pi = +ctx.pi
-        assert _close(chart_T((ctx.mpf("0.5"), ctx.mpf(1)), ctx), (pi / 2, 1))
-        assert _close(chart_T((ctx.mpf(0), ctx.mpf(0)), ctx), (pi, 1))
+        assert _close(_run(_slit_chart, (ctx.mpf("0.5"), ctx.mpf(1)), ctx), (pi / 2, 1))
+        assert _close(_run(_slit_chart, (ctx.mpf(0), ctx.mpf(0)), ctx), (pi, 1))
 
     def test_slit_chart_forward_angles(self, ctx):
         # the polar angle about (1/2, 0), wrapped into [0, 2*pi)
         pi, tiny = +ctx.pi, ctx.ldexp(1, -20)
         # just above the slit ray the angle starts at 0; straight up it is pi/2
-        assert 0 < chart_T((ctx.mpf(1), tiny), ctx)[0] < ctx.ldexp(1, -18)
-        assert abs(chart_T((ctx.mpf("0.5"), ctx.mpf(1)), ctx)[0] - pi / 2) < 1e-70
+        assert 0 < _run(_slit_chart, (ctx.mpf(1), tiny), ctx)[0] < ctx.ldexp(1, -18)
+        assert abs(_run(_slit_chart, (ctx.mpf("0.5"), ctx.mpf(1)), ctx)[0] - pi / 2) < 1e-70
         # along the negative axis it is pi
-        assert chart_T((ctx.mpf("0.25"), ctx.mpf(0)), ctx)[0] == pi
+        assert _run(_slit_chart, (ctx.mpf("0.25"), ctx.mpf(0)), ctx)[0] == pi
         # just below the slit ray it is near 2*pi, not wrapped to 0
-        below = chart_T((ctx.mpf("0.75"), -tiny), ctx)[0]
+        below = _run(_slit_chart, (ctx.mpf("0.75"), -tiny), ctx)[0]
         assert abs(below - (2 * pi - ctx.atan(4 * tiny))) < 1e-70
         # a wrapped angle that rounds to 2*pi itself is the top side's 0
-        assert chart_T((ctx.mpf(1), -ctx.ldexp(1, -2 * ctx.prec)), ctx)[0] == 0
+        assert _run(_slit_chart, (ctx.mpf(1), -ctx.ldexp(1, -2 * ctx.prec)), ctx)[0] == 0
 
     def test_degenerate_inputs(self, ctx):
-        with pytest.raises(DomainError):
-            chart_S((ctx.mpf(1), ctx.mpf(0)), ctx)
-        with pytest.raises(SlitError):
-            chart_T((ctx.mpf("0.8"), ctx.mpf(0)), ctx)
-        with pytest.raises(DomainError):
-            chart_T((ctx.mpf("0.25"), ctx.mpf("1.5")), ctx)
+        # the edge chart's center, on either vertical edge, has no angle;
+        # the chart composition checks for it after mirroring the left half
+        for r in (Fraction(1), Fraction(-1)):
+            with pytest.raises(DomainError, match="edge chart is degenerate at its center"):
+                _collapse_charts((r, Fraction(0)), ctx)
 
     def test_edge_chart_roundtrip(self, ctx):
         for x in ("0.125", "0.5", "0.9375"):
             for y in ("-0.75", "-0.0625", "0.25", "0.875"):
                 p = (ctx.mpf(x), ctx.mpf(y))
-                assert _close(chart_S(chart_S(p, ctx), ctx, inverse=True), p)
+                assert _close(_run(_edge_chart_inv, _run(_edge_chart, p, ctx), ctx), p)
 
     def test_radius_is_the_sup_norm(self, ctx):
         # on dyadic points the forward radius is the sup-norm formula exactly
@@ -147,65 +163,47 @@ class TestCharts:
             for y in ("-1", "-0.625", "-0.0625", "0.25", "0.875", "1"):
                 px, py = ctx.mpf(x), ctx.mpf(y)
                 if (px, py) != (1, 0):
-                    assert chart_S((px, py), ctx)[1] == max(1 - px, abs(py))
+                    assert _run(_edge_chart, (px, py), ctx)[1] == max(1 - px, abs(py))
                 if py != 0 or px < 0.5:
-                    assert chart_T((px, py), ctx)[1] == max(abs(2 * px - 1), abs(py))
+                    assert _run(_slit_chart, (px, py), ctx)[1] == max(abs(2 * px - 1), abs(py))
 
     def test_slit_chart_roundtrip(self, ctx):
         for x in ("0.0625", "0.375", "0.875"):
             for y in ("-0.5", "0.125", "0.75"):
                 p = (ctx.mpf(x), ctx.mpf(y))
-                assert _close(chart_T(chart_T(p, ctx), ctx, inverse=True), p)
+                assert _close(_run(_slit_chart_inv, _run(_slit_chart, p, ctx), ctx), p)
 
 
 class TestBoundaryReparam:
     def test_frozen_pins(self, ctx):
-        pi = +ctx.pi
-        lam = boundary_reparam
-        assert _close(lam((pi, ctx.mpf(1)), ctx), (ctx.mpf(0), ctx.mpf(0)))
-        assert _close(lam((pi / 2, ctx.mpf(1)), ctx), (pi, ctx.mpf(1)))
-        assert _close(lam((pi / 4, ctx.mpf(1)), ctx), (pi + ctx.atan(2), ctx.mpf(1)))
+        pi, zero, one = +ctx.pi, ctx.mpf(0), ctx.mpf(1)
+        assert _close(_run(_edge_to_slit, (pi, one), ctx), (zero, zero))
+        assert _close(_run(_edge_to_slit, (pi / 2, one), ctx), (pi, one))
+        assert _close(_run(_edge_to_slit, (pi / 4, one), ctx), (pi + ctx.atan(2), one))
         # the slit-bottom arc wraps onto the slit's far side
         astar = slit_arc_angle(ctx)
-        assert _close(lam((astar, ctx.mpf(1)), ctx), (2 * pi, ctx.mpf(1)))
+        assert _close(_run(_edge_to_slit, (astar, one), ctx), (2 * pi, one))
 
     def test_wall_pins(self, ctx):
-        pi = +ctx.pi
-        lam = boundary_reparam
-        assert _close(lam((ctx.mpf(0), ctx.mpf("0.5")), ctx), (5 * pi / 3, ctx.mpf(0)))
-        assert _close(lam((pi, ctx.mpf("0.25")), ctx), (pi / 2, ctx.mpf(0)))
+        pi, zero = +ctx.pi, ctx.mpf(0)
+        assert _close(_run(_edge_to_slit, (zero, ctx.mpf("0.5")), ctx), (5 * pi / 3, zero))
+        assert _close(_run(_edge_to_slit, (pi, ctx.mpf("0.25")), ctx), (pi / 2, zero))
 
     def test_roundtrip_on_both_circles(self, ctx):
         pi = +ctx.pi
-        lam = boundary_reparam
         for k in range(1, 32):
             b = (k * pi / 32, ctx.mpf(1))
-            assert _close(lam(lam(b, ctx), ctx, inverse=True), b)
+            assert _close(_run(_slit_to_edge, _run(_edge_to_slit, b, ctx), ctx), b)
         for k in range(1, 16):
             b = (ctx.mpf(0), ctx.mpf(k) / 16)
-            assert _close(lam(lam(b, ctx), ctx, inverse=True), b)
-
-    def test_off_boundary_points_and_angles_raise(self, ctx):
-        pi, one, half = +ctx.pi, ctx.mpf(1), ctx.mpf("0.5")
-        lam = boundary_reparam
-        with pytest.raises(DomainError, match="not on the edge-chart boundary"):
-            lam((pi / 2, half), ctx)
-        with pytest.raises(DomainError, match="not on the slit-chart boundary"):
-            lam((pi, half), ctx, inverse=True)
-        for angle in (-one / 8, pi + one / 8):
-            with pytest.raises(DomainError, match="outside"):
-                lam((angle, one), ctx)
-        for angle in (-one / 8, 2 * pi + one / 8):
-            with pytest.raises(DomainError, match="outside"):
-                lam((angle, one), ctx, inverse=True)
+            assert _close(_run(_slit_to_edge, _run(_edge_to_slit, b, ctx), ctx), b)
 
     def test_conjugates_the_vertical_flip(self, ctx):
         pi, two_pi = +ctx.pi, 2 * ctx.pi
-        lam = boundary_reparam
         for k in range(1, 16):
             a = k * pi / 16
-            t1 = lam((pi - a, ctx.mpf(1)), ctx)[0]
-            t2 = lam((a, ctx.mpf(1)), ctx)[0]
+            t1 = _run(_edge_to_slit, (pi - a, ctx.mpf(1)), ctx)[0]
+            t2 = _run(_edge_to_slit, (a, ctx.mpf(1)), ctx)[0]
             flip = two_pi - t2 if t2 != 0 else ctx.mpf(0)
             assert abs(t1 - flip) <= TIGHT
 
@@ -425,3 +423,22 @@ def test_heights_below_the_doubles_keep_their_errors(fp):
     for x in ((near, tiny), (-near, -tiny)):
         with pytest.raises(DomainError, match="edge chart is degenerate at its center"):
             collapse(x, fp)
+
+
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+def test_collapse_inv_rejects_the_boundary_and_the_slits(prec):
+    # the inverse's entry is the collapse's one slit and domain check
+    ctx = _context(prec)
+    third = Fraction(1, 3)
+    for y in ((Fraction(1), third), (-third, Fraction(-1)), (Fraction(-1), Fraction(1)),
+              (Fraction(5, 4), Fraction(0)), (Fraction(0), Fraction(-3, 2))):
+        with pytest.raises(DomainError, match="outside the open square") as err:
+            collapse_inv(y, ctx)
+        assert not isinstance(err.value, SlitError)
+    for r in (Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)):
+        for y in ((r, Fraction(0)), (-r, Fraction(0))):
+            with pytest.raises(SlitError):
+                collapse_inv(y, ctx)
+    # just inside a slit endpoint the axis point comes back doubled
+    assert _close(collapse_inv((Fraction(1, 2) - Fraction(1, 64), Fraction(0)), ctx),
+                  (Fraction(31, 32), 0), 0)

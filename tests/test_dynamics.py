@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from planardyn import collapse_map
-from planardyn.collapse_map import collapse
 from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
 from planardyn import dynamics as dyn
 from planardyn import plane_map
@@ -97,12 +96,13 @@ def test_lifted_core_window_is_a_slice_of_the_full_orbit(ctx):
 def test_limit_estimate_pushes_forward_only_its_window(monkeypatch, registry, side):
     # horizon 100 reads steps 75..100: 26 collapses, not the 101 of the orbit
     calls = []
+    real = plane_map._collapse_exact
 
-    def counting_collapse(w, ctx):
-        calls.append(w)
-        return collapse(w, ctx)
+    def counting_collapse(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(plane_map, "collapse", counting_collapse)
+    monkeypatch.setattr(plane_map, "_collapse_exact", counting_collapse)
     seed = (Fraction(1, 3), Fraction(1, 5))
     tol = dataclasses.replace(DEFAULT_TOLERANCES, horizon=100)
     dyn.limit_estimate(registry["h"], seed, side, tol)

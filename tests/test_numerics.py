@@ -21,8 +21,8 @@ from planardyn.numerics import (
     SlitError,
     Tolerances,
     as_rational,
-    bigfloat_to_rational,
     coprime_fraction,
+    integer_ratio,
     make_context,
     pair_to_bigfloat,
     parse_rational,
@@ -39,6 +39,9 @@ unit_fractions = st.fractions(
 def test_context_precision():
     assert make_context().prec == DEFAULT_PRECISION
     assert make_context(64).prec == 64
+    assert make_context(53).prec == 53
+    with pytest.raises(DomainError, match="precision must be at least 53 bits, got 52"):
+        make_context(52)
 
 
 def test_context_is_independent(ctx):
@@ -57,12 +60,12 @@ def test_parse_rational():
 def test_to_bigfloat_exact_on_dyadics(ctx):
     x = to_bigfloat(Fraction(-13, 32), ctx)
     assert x == ctx.mpf(-13) / 32
-    assert bigfloat_to_rational(x) == Fraction(-13, 32)
+    assert Fraction(*integer_ratio(x)) == Fraction(-13, 32)
 
 
 def test_bigfloat_roundtrip_error_is_tiny(ctx):
     x = to_bigfloat(Fraction(1, 3), ctx)
-    assert abs(bigfloat_to_rational(x) - Fraction(1, 3)) < Fraction(1, 2**250)
+    assert abs(Fraction(*integer_ratio(x)) - Fraction(1, 3)) < Fraction(1, 2**250)
 
 
 CONVERSION_PRECISIONS = (53, 128, 256, 512)
@@ -136,7 +139,7 @@ def test_to_bigfloat_rounds_toward_zero(ctx):
     # 1/3 and -1/3 at 256 bits: the magnitude is truncated, never rounded up
     for v in (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3)):
         x = to_bigfloat(v, ctx)
-        assert abs(bigfloat_to_rational(x)) < abs(v)
+        assert abs(Fraction(*integer_ratio(x))) < abs(v)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from planardyn import plane_map
 from planardyn.numerics import DomainError, make_context, to_bigfloat
 from planardyn.plane_map import (
     _pinned,
-    _rationalize_square,
+    _square_pairs,
     example_shift_reflection,
     lifted_core,
     lifted_orbit,
@@ -18,7 +18,7 @@ from planardyn.plane_map import (
     tangent_chart,
 )
 from planardyn.collapse_map import collapse
-from planardyn.square_map import square_homeo
+from planardyn.square_map import _fractions, square_homeo
 
 TIGHT = 1e-70
 
@@ -85,12 +85,23 @@ def test_lifted_core_square_lifts(ctx):
 
 
 def test_lifted_core_tracks_the_square_map(ctx):
-    # the plane seed's square lift is rationalized once, then iterated exactly
-    core = lifted_core((Fraction(1, 3), Fraction(1, 5)), (0, 12), ctx)
-    p = core[0][1]
-    for n, lift, _ in core:
-        assert lift == p
-        p = square_homeo(p)
+    # the plane seed's square lift is rationalized once, then iterated
+    # exactly, forward and (on a window without 0) backward; each plane
+    # point is its lift pushed forward, bit for bit
+    seed = (Fraction(1, 3), Fraction(1, 5))
+    w0 = lifted_core(seed, (0, 0), ctx)[0][1]
+    for window in ((0, 12), (-9, -3)):
+        core = lifted_core(seed, window, ctx)
+        assert [n for n, _, _ in core] == list(range(window[0], window[1] + 1))
+        inverse = window[1] < 0
+        p = w0
+        for _ in range(-window[1] if inverse else window[0]):
+            p = square_homeo(p, inverse=inverse)
+        for n, lift, point in reversed(core) if inverse else core:
+            assert lift == p, n
+            want = tangent_chart(collapse(lift, ctx), ctx)
+            assert [_bits(v) for v in point] == [_bits(v) for v in want], n
+            p = square_homeo(p, inverse=inverse)
 
 
 def test_lift_matches_naive_iteration(ctx):
@@ -123,7 +134,7 @@ def _bits(v):
 
 def _composed(q, ctx, inverse):
     """quotient_square_map as the composition of the public maps."""
-    w = _rationalize_square(plane_map.collapse_inv(q, ctx), ctx)
+    w = _fractions(_square_pairs(plane_map.collapse_inv(q, ctx), ctx))
     return collapse(square_homeo(w, inverse=inverse), ctx)
 
 
@@ -183,29 +194,29 @@ def test_example_heights_grow_inside_the_band(ctx):
         assert p[1] == n
 
 
-def test_rationalize_square_snap_follows_precision():
+def test_square_pairs_snap_follows_precision():
     ctx = make_context(256)
     one = ctx.mpf(1)
     # a 1-ulp overshoot is rounding: it snaps back onto the edge
     ulp = ctx.ldexp(one, 1 - ctx.prec)
-    assert _rationalize_square((one + ulp, -one - ulp), ctx) == (1, -1)
+    assert _square_pairs((one + ulp, -one - ulp), ctx) == (1, 1, -1, 1)
     # 2^-100 is far above 256-bit rounding: the point escaped the square
     with pytest.raises(DomainError):
-        _rationalize_square((one + ctx.ldexp(one, -100), ctx.mpf(0)), ctx)
+        _square_pairs((one + ctx.ldexp(one, -100), ctx.mpf(0)), ctx)
     # in doubles the snap stays at 2^-48
-    assert _rationalize_square((1 + 2.0**-50, 0.0), mpmath.fp) == (1, 0)
+    assert _square_pairs((1 + 2.0**-50, 0.0), mpmath.fp) == (1, 1, 0, 1)
     with pytest.raises(DomainError):
-        _rationalize_square((1 + 2.0**-40, 0.0), mpmath.fp)
+        _square_pairs((1 + 2.0**-40, 0.0), mpmath.fp)
 
 
-def test_rationalize_square_bound_is_exact():
+def test_square_pairs_bound_is_exact():
     # the overshoot bound 2^-(prec-8) itself snaps; one ulp past it escapes
     ctx = make_context(256)
     one = ctx.mpf(1)
     edge = one + ctx.ldexp(one, -248)
-    assert _rationalize_square((edge, -edge), ctx) == (1, -1)
+    assert _square_pairs((edge, -edge), ctx) == (1, 1, -1, 1)
     with pytest.raises(DomainError):
-        _rationalize_square((ctx.mpf(0), -(edge + ctx.ldexp(one, -255))), ctx)
+        _square_pairs((ctx.mpf(0), -(edge + ctx.ldexp(one, -255))), ctx)
     # points inside the square come back as their exact values
     inside = (ctx.mpf("0.375"), -ctx.mpf(1))
-    assert _rationalize_square(inside, ctx) == (Fraction(3, 8), Fraction(-1))
+    assert _square_pairs(inside, ctx) == (3, 8, -1, 1)
