@@ -7,8 +7,9 @@ square), ``excursion`` (norm profile of a plane orbit as CSV).
 
 Point input is exact by default: components are parsed as rationals, so
 ``--point 0,-3/4`` means exactly (0, -3/4).  Pass ``--approx`` to parse
-machine floats instead.  Exit codes: 0 success, 1 verification failure,
-2 bad usage or a point outside a map's domain.
+machine floats instead; a NaN or infinite component is a usage error.
+Exit codes: 0 success, 1 verification failure, 2 bad usage or a point
+outside a map's domain.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ def _parse_point(text: str, arity: int, approx: bool):
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != arity:
         raise DomainError(f"expected {arity} comma-separated components, got {text!r}")
-    parse = float if approx else parse_rational
-    return tuple(parse(part) for part in parts)
+    point = tuple((float if approx else parse_rational)(part) for part in parts)
+    if approx and not all(math.isfinite(v) for v in point):
+        raise DomainError(f"not a finite point: {text!r}")
+    return point
 
 
 def _parse_steps(text: str):

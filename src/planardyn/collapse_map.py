@@ -44,28 +44,40 @@ where its ray leaves the half-square (``_edge_exit``, ``_slit_exit``).
 All functions take an explicit mpmath-style context; nothing reads or
 writes global precision.  Only the entry points (``collapse``,
 ``collapse_inv``, ``cone_map``, ``_collapse_charts``) take exact rationals,
-floats or context floats, converted once in ``_pt``; the chart steps take
-floats of the context and the constants ``k = _consts(ctx)`` from their
-caller.  ``cone_map`` converts only a point that is not already two floats
-of the context, which on the collapse path it always is.
+floats or context floats, converted once in ``_pt``.  Each looks up the
+context's chart table ``k = _consts(ctx)`` once: its constants as floats
+of the context, its ``atan2``, ``tan`` and ``atan`` (on ``mpmath.fp`` the
+``math`` functions that ``fp``'s wrappers call on a float), and the
+tangent chart's pi/2 and 2/pi.  The chart steps take floats of the context
+and the table, not the context.  An entry then calls an internal form that
+takes the table: ``_cone`` for ``cone_map``, ``_collapse_exact`` and
+``_collapse_pinned`` for ``collapse``, ``_collapse_inv`` for
+``collapse_inv``.  The plane map looks the table up once per step and calls
+these forms directly, so the points it hands over are never converted
+again; ``cone_map`` itself converts every point it is given.
 
-Each fact is checked once, at the entry points, which check their point
-and decide its pins: ``collapse`` hands a point of two Fractions to its
-exact entry ``_collapse_exact``, which takes the point as two integer
-pairs (the plane map calls it with the square map's pairs, building no
-Fraction), checks and pins it on numerators and denominators (square,
-fiber, edges, axis) and converts each coordinate once with
-``pair_to_bigfloat``.  Both entries mirror the left half after converting,
-since both roundings (toward zero for rationals, to nearest in doubles)
-are symmetric about zero.  The steps check nothing: a step's input is in
-range by construction, through the entry checks, the clamps at the cone's
-entry and at the chart inverses, and the ray exit's snap onto a wall.
+Each fact is checked once, in the function that first sees the point:
+``collapse`` hands a point of two Fractions to its exact entry
+``_collapse_exact``, which takes the point as two integer pairs (the plane
+map calls it with the square map's pairs, building no Fraction), checks
+and pins it on numerators and denominators (square, fiber, edges, axis)
+and converts each coordinate once with ``pair_to_bigfloat``;
+``_collapse_inv`` checks and pins a point as given and charts its floats.
+Both directions mirror the left half after converting, since both
+roundings (toward zero for rationals, to nearest in doubles) are symmetric
+about zero.  Each range check is a negated in-range test, so a NaN
+coordinate fails it.  The steps check nothing: a step's input is in range
+by construction, through the entry checks, the clamps at the cone's entry
+and at the chart inverses, and the ray exit's snap onto a wall.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+from mpmath.ctx_fp import FPContext
 
 from .numerics import DomainError, SlitError, coprime_fraction, pair_to_bigfloat, to_bigfloat
 
@@ -74,6 +86,11 @@ SLIT_ARC_DENOM = 32768
 
 
 def _consts(ctx):
+    """The chart table of ``ctx``: its constants and transcendentals.
+
+    Looked up once per entry point (once per step on the plane path) and
+    handed to every chart step in place of the context.
+    """
     # keyed on the precision too: a context's precision can change after use
     return _consts_at(ctx, ctx.prec)
 
@@ -87,10 +104,17 @@ def _consts_at(ctx, prec):
     astar = pi / SLIT_ARC_DENOM
     third = 2 * pi / 3
     zero, half = to_bigfloat(0, ctx), to_bigfloat(Fraction(1, 2), ctx)
+    # on doubles, the math functions that mpmath.fp's wrappers call on a
+    # float: the same bits without the wrappers' type dispatch
+    fp = isinstance(ctx, FPContext)
     return {
+        "atan2": math.atan2 if fp else ctx.atan2,
+        "tan": math.tan if fp else ctx.tan,
+        "atan": math.atan if fp else ctx.atan,
         "pi": pi,
         "two_pi": 2 * pi,
         "half_pi": pi / 2,
+        "two_over_pi": 2 / pi,  # the tangent chart's inverse scale
         "three_half_pi": 3 * pi / 2,
         "quarter_pi": pi / 4,
         "three_quarter_pi": 3 * pi / 4,
@@ -128,9 +152,12 @@ def _pt(x, ctx):
 
 
 def _soft_clamp(v, lo, hi, k):
-    """Clamp a value that may overshoot an interval by accumulated rounding."""
-    if v < lo:
-        if lo - v > k["snap"] * (1 + abs(lo)):
+    """Clamp a value that may overshoot an interval by accumulated rounding.
+
+    The lower bound is tested as negated in-range tests, so a NaN counts
+    as an overshoot beyond the snap and raises."""
+    if not v >= lo:
+        if not lo - v <= k["snap"] * (1 + abs(lo)):
             raise DomainError(f"value {v} below {lo}")
         return lo
     if v > hi:
@@ -140,7 +167,7 @@ def _soft_clamp(v, lo, hi, k):
     return v
 
 
-def _edge_exit(a, k, ctx):
+def _edge_exit(a, k):
     """Where the ray from the right-edge midpoint (1, 0) at edge-chart
     angle ``a`` in [0, pi] leaves the half-square [0, 1] x [-1, 1].
 
@@ -150,13 +177,13 @@ def _edge_exit(a, k, ctx):
     from pi/2, an offset within pi/4 of zero.
     """
     if a <= k["quarter_pi"]:
-        return (k["one"] - ctx.tan(a), k["minus_one"])
+        return (k["one"] - k["tan"](a), k["minus_one"])
     if a < k["three_quarter_pi"]:
-        return (k["zero"], ctx.tan(a - k["half_pi"]))
-    return (k["one"] - ctx.tan(k["pi"] - a), k["one"])
+        return (k["zero"], k["tan"](a - k["half_pi"]))
+    return (k["one"] - k["tan"](k["pi"] - a), k["one"])
 
 
-def _slit_exit(a, k, ctx):
+def _slit_exit(a, k):
     """Where the ray from the outer slit endpoint (1/2, 0) at polar angle
     ``a`` in [0, 2*pi] leaves the half-square [0, 1] x [-1, 1].
 
@@ -165,40 +192,40 @@ def _slit_exit(a, k, ctx):
     3*pi/2, an offset within pi/4 of zero.
     """
     if a <= k["corner"] or a >= k["two_pi_minus_corner"]:
-        return (k["one"], ctx.tan(a) / 2)
+        return (k["one"], k["tan"](a) / 2)
     if a <= k["stretch"]:  # pi - corner
-        return (k["half"] - ctx.tan(a - k["half_pi"]), k["one"])
+        return (k["half"] - k["tan"](a - k["half_pi"]), k["one"])
     if a <= k["pi_plus_corner"]:
-        return (k["zero"], -ctx.tan(a) / 2)
-    return (k["half"] + ctx.tan(a - k["three_half_pi"]), k["minus_one"])
+        return (k["zero"], -k["tan"](a) / 2)
+    return (k["half"] + k["tan"](a - k["three_half_pi"]), k["minus_one"])
 
 
-def _edge_chart(px, py, k, ctx):
+def _edge_chart(px, py, k):
     """Edge chart forward: (angle, radius) of a point of the right
     half-square other than the right-edge midpoint.
 
     The radius is the sup norm max(1 - x, |y|) of the offset from the
     midpoint, so the half-square boundary is radius one.  The angle is not
     clamped: rounding may leave it a few ulps outside [0, pi], and
-    ``cone_map`` clamps its input.
+    ``_cone`` clamps its input.
     """
     dx = px - k["one"]
-    phi = ctx.atan2(py, dx)
+    phi = k["atan2"](py, dx)
     if phi < k["half_pi"]:
         phi = phi + k["two_pi"]
     return (k["three_half_pi"] - phi, max(-dx, abs(py)))
 
 
-def _edge_chart_inv(alpha, rho, k, ctx):
+def _edge_chart_inv(alpha, rho, k):
     """Edge chart inverse, along the ray to ``_edge_exit``; the input is
     clamped onto [0, pi] x [0, 1]."""
     alpha = _soft_clamp(alpha, k["zero"], k["pi"], k)
     rho = _soft_clamp(rho, k["zero"], k["one"], k)
-    e0, e1 = _edge_exit(alpha, k, ctx)
+    e0, e1 = _edge_exit(alpha, k)
     return (k["one"] + rho * (e0 - k["one"]), rho * e1)
 
 
-def _slit_chart(py0, py1, k, ctx):
+def _slit_chart(py0, py1, k):
     """Slit chart forward: (polar angle in [0, 2*pi), radius) about (1/2, 0)
     of a point of the right half-square off the closed slit ray.
 
@@ -207,7 +234,7 @@ def _slit_chart(py0, py1, k, ctx):
     """
     d0 = py0 - k["half"]
     rho = max(k["two"] * abs(d0), abs(py1))
-    theta = ctx.atan2(py1, d0)
+    theta = k["atan2"](py1, d0)
     if theta < k["zero"]:
         theta = theta + k["two_pi"]
     # atan2(-0.0, positive) can leave an exact 2*pi after the wrap
@@ -216,16 +243,16 @@ def _slit_chart(py0, py1, k, ctx):
     return (theta, rho)
 
 
-def _slit_chart_inv(theta, rho, k, ctx):
+def _slit_chart_inv(theta, rho, k):
     """Slit chart inverse, along the ray to ``_slit_exit``; the input is
     clamped onto [0, 2*pi] x [0, 1]."""
     theta = _soft_clamp(theta, k["zero"], k["two_pi"], k)
     rho = _soft_clamp(rho, k["zero"], k["one"], k)
-    e0, e1 = _slit_exit(theta, k, ctx)
+    e0, e1 = _slit_exit(theta, k)
     return (k["half"] + rho * (e0 - k["half"]), rho * e1)
 
 
-def _edge_to_slit(alpha, rho, k, ctx):
+def _edge_to_slit(alpha, rho, k):
     """Boundary correspondence, edge-chart wall to slit-chart wall.
 
     The radius-one wall splits into five arcs: slit-bottom [0, astar]
@@ -245,7 +272,7 @@ def _edge_to_slit(alpha, rho, k, ctx):
         if alpha < k["quarter_pi"]:
             return (two_pi - (alpha - astar) * stretch / span, k["one"])
         if alpha <= k["three_quarter_pi"]:
-            return (pi - ctx.atan(k["two"] * ctx.tan(alpha - k["half_pi"])), k["one"])
+            return (pi - k["atan"](k["two"] * k["tan"](alpha - k["half_pi"])), k["one"])
         if alpha < k["pi_minus_astar"]:
             return ((k["pi_minus_astar"] - alpha) * stretch / span, k["one"])
         return (k["zero"], (pi - alpha) / astar)
@@ -256,7 +283,7 @@ def _edge_to_slit(alpha, rho, k, ctx):
     return (k["two_thirds"] + rho * third, k["zero"])  # alpha == 0
 
 
-def _slit_to_edge(theta, rho, k, ctx):
+def _slit_to_edge(theta, rho, k):
     """Boundary correspondence inverse, slit-chart wall to edge-chart wall."""
     pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
     span, stretch, third = k["span"], k["stretch"], k["third"]
@@ -264,7 +291,7 @@ def _slit_to_edge(theta, rho, k, ctx):
         if theta <= stretch:  # pi - corner
             return (k["pi_minus_astar"] - theta * span / stretch, k["one"])
         if theta <= k["pi_plus_corner"]:
-            return (k["half_pi"] + ctx.atan(ctx.tan(pi - theta) / 2), k["one"])
+            return (k["half_pi"] + k["atan"](k["tan"](pi - theta) / 2), k["one"])
         return (astar + (two_pi - theta) * span / stretch, k["one"])
     if theta == k["zero"]:
         return (pi - astar * rho, k["one"])
@@ -282,7 +309,7 @@ def _ray_exit(u0, u1, which, k):
     """Boundary hit of the ray from the rectangle center through (u0, u1).
 
     The coordinates are floats of the context, clamped onto the rectangle
-    ``k[which]`` and off its center by ``cone_map``.  The rectangle is the
+    ``k[which]`` and off its center by ``_cone``.  The rectangle is the
     sup-norm ball of radii (c0, 1/2) about its center (c0, 1/2), so the
     point sits at fraction t = max(|d0| / c0, 2 |d1|) of the way out along
     its ray, d being its offset from the center; the wall of the larger
@@ -303,6 +330,20 @@ def _ray_exit(u0, u1, which, k):
     return b, t
 
 
+def _cone(u0, u1, inverse, k):
+    """``cone_map`` at a point given as two floats of the context."""
+    src, dst = ("V", "U") if inverse else ("U", "V")
+    lo0, hi0, c_src = k[src]
+    c_dst = k[dst][2]
+    u0 = _soft_clamp(u0, lo0, hi0, k)
+    u1 = _soft_clamp(u1, k["zero"], k["one"], k)
+    if u0 == c_src[0] and u1 == c_src[1]:
+        return c_dst
+    b, t = _ray_exit(u0, u1, src, k)  # t in (0, 1]; 1 on the boundary
+    lb = (_slit_to_edge if inverse else _edge_to_slit)(b[0], b[1], k)
+    return (c_dst[0] + t * (lb[0] - c_dst[0]), c_dst[1] + t * (lb[1] - c_dst[1]))
+
+
 def cone_map(u, ctx, inverse: bool = False):
     """Radial extension of the boundary correspondence, center to center.
 
@@ -313,26 +354,13 @@ def cone_map(u, ctx, inverse: bool = False):
     the same recipe through the inverse boundary correspondence.  A point
     up to rounding outside its rectangle is clamped onto it.
     """
-    k = _consts(ctx)
-    src, dst = ("V", "U") if inverse else ("U", "V")
-    lo0, hi0, c_src = k[src]
-    c_dst = k[dst][2]
-    u0, u1 = u
-    # the collapse path hands over floats of ctx; other callers may not
-    if type(u0) is not ctx.mpf or type(u1) is not ctx.mpf:
-        u0, u1 = _pt(u, ctx)
-    u0 = _soft_clamp(u0, lo0, hi0, k)
-    u1 = _soft_clamp(u1, k["zero"], k["one"], k)
-    if u0 == c_src[0] and u1 == c_src[1]:
-        return c_dst
-    b, t = _ray_exit(u0, u1, src, k)  # t in (0, 1]; 1 on the boundary
-    lb = (_slit_to_edge if inverse else _edge_to_slit)(b[0], b[1], k, ctx)
-    return (c_dst[0] + t * (lb[0] - c_dst[0]), c_dst[1] + t * (lb[1] - c_dst[1]))
+    u0, u1 = _pt(u, ctx)
+    return _cone(u0, u1, inverse, _consts(ctx))
 
 
-def _collapse_pinned(u0, u1, fiber, left, axis, k, ctx):
-    """The collapse at a point of the square, given as two floats of
-    ``ctx`` with its pins decided on the input; a point that takes no pin
+def _collapse_pinned(u0, u1, fiber, left, axis, k):
+    """The collapse at a point of the square, given as two floats of the
+    context with its pins decided on the input; a point that takes no pin
     goes through the charts, mirrored from the right half."""
     if fiber:
         return (k["zero"], u1)
@@ -343,8 +371,8 @@ def _collapse_pinned(u0, u1, fiber, left, axis, k, ctx):
     # in doubles a point next to an edge can round onto the chart's center
     if not u1 and u0 == k["one"]:
         raise DomainError("edge chart is degenerate at its center")
-    w = cone_map(_edge_chart(u0, u1, k, ctx), ctx)
-    y0, y1 = _slit_chart_inv(w[0], w[1], k, ctx)
+    w = _cone(*_edge_chart(u0, u1, k), False, k)
+    y0, y1 = _slit_chart_inv(w[0], w[1], k)
     return (-y0, y1) if left else (y0, y1)
 
 
@@ -358,20 +386,20 @@ def _collapse_charts(x, ctx):
     chart's center is checked here.
     """
     u0, u1 = _pt(x, ctx)
-    return _collapse_pinned(u0, u1, False, x[0] < 0, False, _consts(ctx), ctx)
+    return _collapse_pinned(u0, u1, False, x[0] < 0, False, _consts(ctx))
 
 
-def _collapse_exact(n: int, d: int, m: int, e: int, ctx):
+def _collapse_exact(n: int, d: int, m: int, e: int, ctx, k):
     """``collapse`` at the point (n/d, m/e), both pairs in lowest terms with
-    positive denominators, checked and pinned on the integers."""
+    positive denominators, checked and pinned on the integers; ``k`` is the
+    chart table of ``ctx``."""
     if n > d or -n > d or m > e or -m > e:
         r, s = coprime_fraction(n, d), coprime_fraction(m, e)
         raise DomainError(f"point ({r}, {s}) outside the square")
-    k = _consts(ctx)
     if n == d or -n == d:
         return (-k["half"] if n < 0 else k["half"], k["zero"])
     return _collapse_pinned(
-        pair_to_bigfloat(n, d, ctx), pair_to_bigfloat(m, e, ctx), n == 0, n < 0, m == 0, k, ctx
+        pair_to_bigfloat(n, d, ctx), pair_to_bigfloat(m, e, ctx), n == 0, n < 0, m == 0, k
     )
 
 
@@ -385,15 +413,42 @@ def collapse(x, ctx):
     Fractions is checked and pinned on its numerators and denominators.
     """
     r, s = x
-    if type(r) is Fraction and type(s) is Fraction:
-        return _collapse_exact(r.numerator, r.denominator, s.numerator, s.denominator, ctx)
-    if abs(r) > 1 or abs(s) > 1:
-        raise DomainError(f"point ({r}, {s}) outside the square")
     k = _consts(ctx)
+    if type(r) is Fraction and type(s) is Fraction:
+        return _collapse_exact(r.numerator, r.denominator, s.numerator, s.denominator, ctx, k)
+    # a negated in-range test, so that NaN fails it
+    if not (abs(r) <= 1 and abs(s) <= 1):
+        raise DomainError(f"point ({r}, {s}) outside the square")
     if abs(r) == 1:
         return (-k["half"] if r < 0 else k["half"], k["zero"])
     u0, u1 = _pt(x, ctx)
-    return _collapse_pinned(u0, u1, r == 0, r < 0, s == 0, k, ctx)
+    return _collapse_pinned(u0, u1, r == 0, r < 0, s == 0, k)
+
+
+def _collapse_inv(y, u, k):
+    """``collapse_inv`` at the point ``y``, given also as two floats ``u``
+    of the context (``y`` itself when it already is): checked and pinned
+    on ``y``, charted on ``u``."""
+    y1, y2 = y
+    # a negated in-range test, so that NaN fails it
+    if not (abs(y1) < 1 and abs(y2) < 1):
+        raise DomainError(f"point ({y1}, {y2}) outside the open square")
+    if y1 == 0:
+        return (k["zero"], u[1])
+    if y2 == 0:
+        if 2 * abs(y1) >= 1:
+            raise SlitError(f"point ({y1}, 0) lies on a collapse slit")
+        return (2 * u[0], k["zero"])
+    left = y1 < 0
+    u0, u1 = u
+    if left:
+        u0 = -u0
+    # a height below the doubles' range rounds to zero, onto the slit ray
+    if u1 == k["zero"] and u0 >= k["half"]:
+        raise SlitError(f"point ({u0}, {u1}) lies on the slit ray")
+    w = _cone(*_slit_chart(u0, u1, k), True, k)
+    x0, x1 = _edge_chart_inv(w[0], w[1], k)
+    return (-x0, x1) if left else (x0, x1)
 
 
 def collapse_inv(y, ctx):
@@ -403,23 +458,4 @@ def collapse_inv(y, ctx):
     slits (endpoints included) have no single preimage and raise SlitError;
     points on or outside the square boundary raise DomainError.
     """
-    y1, y2 = y
-    if abs(y1) >= 1 or abs(y2) >= 1:
-        raise DomainError(f"point ({y1}, {y2}) outside the open square")
-    k = _consts(ctx)
-    if y1 == 0:
-        return (k["zero"], _pt(y, ctx)[1])
-    if y2 == 0:
-        if 2 * abs(y1) >= 1:
-            raise SlitError(f"point ({y1}, 0) lies on a collapse slit")
-        return (2 * _pt(y, ctx)[0], k["zero"])
-    left = y1 < 0
-    u0, u1 = _pt(y, ctx)
-    if left:
-        u0 = -u0
-    # a height below the doubles' range rounds to zero, onto the slit ray
-    if u1 == k["zero"] and u0 >= k["half"]:
-        raise SlitError(f"point ({u0}, {u1}) lies on the slit ray")
-    w = cone_map(_slit_chart(u0, u1, k, ctx), ctx, inverse=True)
-    x0, x1 = _edge_chart_inv(w[0], w[1], k, ctx)
-    return (-x0, x1) if left else (x0, x1)
+    return _collapse_inv(y, _pt(y, ctx), _consts(ctx))

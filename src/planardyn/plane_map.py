@@ -19,7 +19,15 @@ as Fractions.
 
 ``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
 forward map in ``dynamics.map_registry``, so the displacement and
-orientation certificates evaluate it once per sample point.
+orientation certificates evaluate it once per sample point.  It converts
+its point once, looks the context's chart table (``collapse_map._consts``)
+up once, and chains the internal forms of the public maps, each of which
+takes the table: ``_tangent_inv``, then ``_quotient`` (``_collapse_inv``,
+the square map's pair kernel, ``_collapse_exact``), then ``_tangent``.
+Between the stages pass two floats of the context, then integer pairs,
+then two floats again; none is converted a second time, and on
+``mpmath.fp`` every transcendental is a ``math`` call.  ``lifted_core``
+looks the table up once per call and chains the same forms.
 
 ``example_shift_reflection`` is the classical shift-composed-with-
 reflection example of a fixed-point-free plane map with unbounded orbits,
@@ -31,9 +39,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .collapse_map import _collapse_exact, collapse_inv
-from .numerics import DomainError, coprime_fraction, integer_ratio, to_bigfloat
+from .collapse_map import _collapse_exact, _collapse_inv, _consts, _pt
+from .numerics import DomainError, coprime_fraction, integer_ratio
 from .square_map import PointPairs, _fractions, _homeo
+
+
+def _tangent(r, s, k):
+    """Tangent chart forward at two floats of the context; ``k`` is its
+    chart table."""
+    # a negated in-range test, so that NaN fails it
+    if not (abs(r) < 1 and abs(s) < 1):
+        raise DomainError(f"point ({r}, {s}) outside the open square")
+    tan, half_pi = k["tan"], k["half_pi"]
+    return (tan(half_pi * r), tan(half_pi * s))
+
+
+def _tangent_inv(x, y, k):
+    """Tangent chart inverse at two floats of the context."""
+    atan, two_over_pi = k["atan"], k["two_over_pi"]
+    return (two_over_pi * atan(x), two_over_pi * atan(y))
 
 
 def tangent_chart(p, ctx, inverse: bool = False):
@@ -43,15 +67,8 @@ def tangent_chart(p, ctx, inverse: bool = False):
     square (coordinates strictly inside (-1, 1)).  Inverse: componentwise
     (2/pi) arctan, defined on the whole plane.
     """
-    if inverse:
-        x, y = to_bigfloat(p[0], ctx), to_bigfloat(p[1], ctx)
-        two_over_pi = 2 / ctx.pi
-        return (two_over_pi * ctx.atan(x), two_over_pi * ctx.atan(y))
-    r, s = to_bigfloat(p[0], ctx), to_bigfloat(p[1], ctx)
-    if abs(r) >= 1 or abs(s) >= 1:
-        raise DomainError(f"point ({r}, {s}) outside the open square")
-    half_pi = ctx.pi / 2
-    return (ctx.tan(half_pi * r), ctx.tan(half_pi * s))
+    u0, u1 = _pt(p, ctx)
+    return (_tangent_inv if inverse else _tangent)(u0, u1, _consts(ctx))
 
 
 def _pinned(r, s) -> bool:
@@ -83,6 +100,21 @@ def _square_pairs(w, ctx) -> PointPairs:
     return out
 
 
+def _quotient(x, u, inverse, ctx, k):
+    """``quotient_square_map`` at the point ``x``, given also as two floats
+    ``u`` of ``ctx`` (``x`` itself when it already is): checked and pinned
+    on ``x``, which the pinned set reflects exactly; ``k`` is the chart
+    table of ``ctx``."""
+    r, s = x
+    # a negated in-range test, so that NaN fails it
+    if not (abs(r) <= 1 and abs(s) <= 1):
+        raise DomainError(f"point ({r}, {s}) outside the square")
+    if _pinned(r, s):
+        return (-r, s)
+    w = _square_pairs(_collapse_inv(x, u, k), ctx)
+    return _collapse_exact(*_homeo(*w, inverse), ctx, k)
+
+
 def quotient_square_map(x, ctx, inverse: bool = False):
     """The square homeomorphism pushed through the boundary collapse.
 
@@ -93,13 +125,7 @@ def quotient_square_map(x, ctx, inverse: bool = False):
     to step as integer pairs: the exact value of ``collapse_inv``'s floats,
     the square map's pair kernel, the collapse's exact entry.
     """
-    r, s = x
-    if abs(r) > 1 or abs(s) > 1:
-        raise DomainError(f"point ({r}, {s}) outside the square")
-    if _pinned(r, s):
-        return (-r, s)
-    w = _square_pairs(collapse_inv((r, s), ctx), ctx)
-    return _collapse_exact(*_homeo(*w, inverse), ctx)
+    return _quotient(x, _pt(x, ctx), inverse, ctx, _consts(ctx))
 
 
 def on_ray(x) -> bool:
@@ -118,9 +144,9 @@ def plane_homeo(x, ctx, inverse: bool = False):
     x1, x2 = x
     if on_ray(x):
         return (-x1, x2)
-    q = tangent_chart((x1, x2), ctx, inverse=True)
-    gq = quotient_square_map(q, ctx, inverse=inverse)
-    return tangent_chart(gq, ctx)
+    k = _consts(ctx)
+    q = _tangent_inv(*_pt(x, ctx), k)
+    return _tangent(*_quotient(q, q, inverse, ctx, k), k)
 
 
 def lifted_core(
@@ -146,8 +172,9 @@ def lifted_core(
         return [
             (n, None, (x1 if n % 2 == 0 else -x1, x2)) for n in range(n_lo, n_hi + 1)
         ]
-    q = tangent_chart((x1, x2), ctx, inverse=True)
-    w0 = _square_pairs(collapse_inv(q, ctx), ctx)
+    k = _consts(ctx)
+    q = _tangent_inv(*_pt(x, ctx), k)
+    w0 = _square_pairs(_collapse_inv(q, q, k), ctx)
     lifts = {0: w0}
     for step, stop in ((1, n_hi), (-1, n_lo)):
         w = w0
@@ -158,7 +185,7 @@ def lifted_core(
     out = []
     for n in range(n_lo, n_hi + 1):
         wn = lifts[n]
-        out.append((n, _fractions(wn), tangent_chart(_collapse_exact(*wn, ctx), ctx)))
+        out.append((n, _fractions(wn), _tangent(*_collapse_exact(*wn, ctx, k), k)))
     return out
 
 

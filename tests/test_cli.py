@@ -146,3 +146,13 @@ def test_eval_slit_point_exits_2(capsys):
 def test_verify_below_53_bits_exits_2(capsys):
     assert main(["verify", "--suite", "xi", "--precision", "52"]) == 2
     assert "precision must be at least 53 bits, got 52" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, point",
+    [("xi", "nan,0.5"), ("xi", "0.5,nan"), ("h", "nan,0.5"), ("g", "0.5,nan"),
+     ("f", "0.5,inf"), ("example12", "0,-inf")],
+)
+def test_eval_non_finite_approx_point_exits_2(capsys, name, point):
+    assert main(["eval", "--map", name, "--point", point, "--approx"]) == 2
+    assert "not a finite point" in capsys.readouterr().err

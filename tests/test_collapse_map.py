@@ -62,16 +62,16 @@ SLIT_CENTER = (Fraction(1, 2), Fraction(0))
 def _exit(center, a, ctx):
     """Where the ray from a chart center at a chart angle leaves the half-square."""
     step = _edge_exit if center == EDGE_CENTER else _slit_exit
-    return step(a, _consts(ctx), ctx)
+    return step(a, _consts(ctx))
 
 
 def test_chart_centers(ctx):
     # radius zero is the chart's center, whatever the angle
     k = _consts(ctx)
     for a in (k["zero"], k["quarter_pi"], k["half_pi"], k["pi"]):
-        assert _edge_chart_inv(a, k["zero"], k, ctx) == (k["one"], k["zero"])
+        assert _edge_chart_inv(a, k["zero"], k) == (k["one"], k["zero"])
     for a in (k["zero"], k["corner"], k["pi"], k["three_half_pi"], k["two_pi"]):
-        assert _slit_chart_inv(a, k["zero"], k, ctx) == (k["half"], k["zero"])
+        assert _slit_chart_inv(a, k["zero"], k) == (k["half"], k["zero"])
 
 
 class TestExitPoint:
@@ -115,7 +115,7 @@ class TestExitPoint:
 
 def _run(step, u, ctx):
     """A two-coordinate chart step at the point ``u``."""
-    return step(u[0], u[1], _consts(ctx), ctx)
+    return step(u[0], u[1], _consts(ctx))
 
 
 class TestCharts:
@@ -372,8 +372,8 @@ def test_collapse_of_fractions_makes_no_fraction_comparison(monkeypatch, prec):
     assert calls == {"_richcmp": 0, "__abs__": 0}
 
 
-def test_round_trip_looks_up_the_constants_at_most_five_times(monkeypatch):
-    # each entry point looks the constants up once and hands them to its steps
+def test_each_entry_looks_up_the_chart_table_once(monkeypatch):
+    # an entry point looks the chart table up once and hands it to its steps
     ctx = make_context(256)
     calls = []
     real = collapse_map._consts
@@ -383,10 +383,37 @@ def test_round_trip_looks_up_the_constants_at_most_five_times(monkeypatch):
         return real(c)
 
     monkeypatch.setattr(collapse_map, "_consts", counted)
-    for x in OFF_AXIS:
+    u = (ctx.mpf("0.3"), ctx.mpf("0.7"))
+    entries = [lambda: cone_map(u, ctx), lambda: cone_map(u, ctx, inverse=True)]
+    for x in OFF_AXIS + EXACT_PINS:
+        floats = (to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx))
+        entries += [lambda x=x: collapse(x, ctx), lambda f=floats: collapse(f, ctx),
+                    lambda x=x: _collapse_charts(x, ctx)]
+        if abs(x[0]) != 1:  # an edge goes to a slit endpoint, which has no inverse
+            entries.append(lambda y=collapse(x, ctx): collapse_inv(y, ctx))
+    for entry in entries:
         calls.clear()
-        collapse_inv(collapse(x, ctx), ctx)
-        assert len(calls) <= 5, (x, len(calls))
+        entry()
+        assert calls == [ctx]
+
+
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+def test_nan_coordinates_are_outside_the_square(prec):
+    # every comparison with NaN is false, so each range check is written as
+    # a negated in-range test: a NaN coordinate is outside, not charted
+    ctx = _context(prec)
+    nan, half, zero = ctx.mpf("nan"), ctx.mpf("0.5"), ctx.mpf(0)
+    for x in ((nan, half), (half, nan), (nan, nan), (nan, zero), (zero, nan),
+              (float("nan"), 0.5), (0.5, float("nan"))):
+        with pytest.raises(DomainError, match="outside the square"):
+            collapse(x, ctx)
+        with pytest.raises(DomainError, match="outside the open square") as err:
+            collapse_inv(x, ctx)
+        assert not isinstance(err.value, SlitError)
+        # the cone clamps its input onto the rectangle: NaN is no overshoot
+        for inverse in (False, True):
+            with pytest.raises(DomainError, match="value nan below"):
+                cone_map(x, ctx, inverse)
 
 
 @pytest.mark.parametrize("prec", [64, 256, None], ids=["64", "256", "fp"])

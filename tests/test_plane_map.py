@@ -1,11 +1,12 @@
 """The plane homeomorphism, its exact lift, and the contrast example."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from planardyn import plane_map
+from planardyn import collapse_map, plane_map
 from planardyn.numerics import DomainError, make_context, to_bigfloat
 from planardyn.plane_map import (
     _pinned,
@@ -13,11 +14,12 @@ from planardyn.plane_map import (
     example_shift_reflection,
     lifted_core,
     lifted_orbit,
+    on_ray,
     plane_homeo,
     quotient_square_map,
     tangent_chart,
 )
-from planardyn.collapse_map import collapse
+from planardyn.collapse_map import _consts, collapse, collapse_inv
 from planardyn.square_map import _fractions, square_homeo
 
 TIGHT = 1e-70
@@ -132,9 +134,10 @@ def _bits(v):
     return (type(v), v.hex() if type(v) is float else v._mpf_)
 
 
-def _composed(q, ctx, inverse):
-    """quotient_square_map as the composition of the public maps."""
-    w = _fractions(_square_pairs(plane_map.collapse_inv(q, ctx), ctx))
+def _composed(q, ctx, inverse, planted):
+    """quotient_square_map as the composition of the public maps, with
+    ``collapse_inv``'s value replaced by a planted one where given."""
+    w = _fractions(_square_pairs(planted.get(q) or collapse_inv(q, ctx), ctx))
     return collapse(square_homeo(w, inverse=inverse), ctx)
 
 
@@ -154,13 +157,13 @@ def test_quotient_map_is_the_composition_bit_for_bit(prec, monkeypatch):
         (-third, third): (-one - bound, one + bound),
         (-third, -third): (third, one + ctx.ldexp(one, -40)),  # escapes
     }
-    real = plane_map.collapse_inv
-    monkeypatch.setattr(plane_map, "collapse_inv", lambda q, c: planted.get(q) or real(q, c))
+    real = plane_map._collapse_inv
+    monkeypatch.setattr(plane_map, "_collapse_inv", lambda y, u, k: planted.get(y) or real(y, u, k))
     escapes = 0
     for q in points + list(planted):
         for inverse in (False, True):
             try:
-                want = _composed(q, ctx, inverse)
+                want = _composed(q, ctx, inverse, planted)
             except DomainError as err:
                 assert "escaped the square" in str(err) and q == (-third, -third)
                 with pytest.raises(DomainError) as got:
@@ -220,3 +223,128 @@ def test_square_pairs_bound_is_exact():
     # points inside the square come back as their exact values
     inside = (ctx.mpf("0.375"), -ctx.mpf(1))
     assert _square_pairs(inside, ctx) == (3, 8, -1, 1)
+
+
+def _context(prec):
+    return mpmath.fp if prec is None else make_context(prec)
+
+
+def test_double_table_is_mpmath_fp_bit_for_bit():
+    # on doubles the chart table holds the math functions that mpmath.fp's
+    # wrappers call on a float: the same bits, sign of zero included
+    fp = mpmath.fp
+    k = _consts(fp)
+    assert k["half_pi"] == fp.pi / 2 and k["two_over_pi"] == 2 / fp.pi
+    half_pi = math.pi / 2
+    values = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.0, 0.5, 3.0,
+              half_pi, math.nextafter(half_pi, 0), math.nextafter(half_pi, 4),
+              math.nextafter(math.nextafter(half_pi, 4), 4)]
+    values += [-v for v in values]
+
+    def bits(v):
+        return v.hex()
+
+    for v in values:
+        assert bits(k["tan"](v)) == bits(fp.tan(v)), v
+        assert bits(k["atan"](v)) == bits(fp.atan(v)), v
+        for w in values:
+            assert bits(k["atan2"](v, w)) == bits(fp.atan2(v, w)), (v, w)
+
+
+@pytest.mark.parametrize("prec", [None, 53, 64, 128, 256, 512])
+def test_tangent_chart_is_the_closed_form_bit_for_bit(prec):
+    # the table's pi/2, 2/pi, tan and atan are the context's own
+    ctx = _context(prec)
+    one = ctx.mpf(1)
+    edge = one - ctx.ldexp(one, -ctx.prec)  # the last float below 1
+    rs = [to_bigfloat(Fraction(k, 17), ctx) for k in range(-16, 17)] + [edge, -edge]
+    for r in rs:
+        want = ctx.tan(ctx.pi / 2 * r)
+        assert [_bits(v) for v in tangent_chart((r, -r), ctx)] == [_bits(want), _bits(-want)]
+    xs = rs + [ctx.mpf(v) for v in (3.25, 1e-300, 2.0**60, 1e300)]
+    for x in xs:
+        want = 2 / ctx.pi * ctx.atan(x)
+        got = tangent_chart((x, -x), ctx, inverse=True)
+        assert [_bits(v) for v in got] == [_bits(want), _bits(2 / ctx.pi * ctx.atan(-x))]
+
+
+@pytest.mark.parametrize("prec", [None, 128, 256], ids=["fp", "128", "256"])
+def test_plane_map_is_the_composition_bit_for_bit(prec):
+    # plane_homeo chains the internal forms on one chart table; it is
+    # tangent_chart o quotient_square_map o tangent_chart^-1 bit for bit,
+    # the same DomainError where the composition raises one, and the exact
+    # reflection on the two rays
+    ctx = _context(prec)
+    one = ctx.mpf(1)
+    grid = [to_bigfloat(Fraction(k, 3), ctx) for k in range(-9, 10)]
+    big, half = ctx.mpf(1e300), ctx.mpf(0.5)
+    below = one - ctx.ldexp(one, -ctx.prec)  # the last float below 1
+    points = [(a, b) for a in grid for b in grid]
+    points += [(big, half), (half, -big), (-big, -big), (below, 0 * one), (-below, 0 * one)]
+    seen = {"ray": 0, "pinned": 0, "boundary": 0}
+    for x in points:
+        for inverse in (False, True):
+            if on_ray(x):
+                seen["ray"] += 1
+                assert [_bits(v) for v in plane_homeo(x, ctx, inverse)] == [_bits(-x[0]), _bits(x[1])]
+                continue
+            q = tangent_chart(x, ctx, inverse=True)
+            try:
+                want = tangent_chart(quotient_square_map(q, ctx, inverse), ctx)
+            except DomainError as err:
+                seen["boundary"] += 1
+                with pytest.raises(DomainError) as got:
+                    plane_homeo(x, ctx, inverse)
+                assert str(got.value) == str(err)
+                continue
+            seen["pinned"] += _pinned(*q)
+            got = plane_homeo(x, ctx, inverse)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], (x, inverse)
+    # (+-below, 0) round onto the slits; the 1e300 points onto the boundary
+    assert seen == {"ray": 28, "pinned": 4, "boundary": 6}
+
+
+def test_plane_path_looks_up_the_chart_table_once(monkeypatch):
+    # one look-up per public entry, per plane_homeo step and per lifted_core
+    # call, counted through the name each module binds
+    ctx = make_context(256)
+    calls = []
+    real = collapse_map._consts
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    for module in (collapse_map, plane_map):
+        monkeypatch.setattr(module, "_consts", counted)
+    p = (ctx.mpf(2), ctx.mpf(7))
+    q = (to_bigfloat(Fraction(1, 3), ctx), to_bigfloat(Fraction(-1, 5), ctx))
+    for entry in (lambda: tangent_chart(q, ctx), lambda: tangent_chart(p, ctx, inverse=True),
+                  lambda: quotient_square_map(q, ctx), lambda: quotient_square_map(q, ctx, True),
+                  lambda: plane_homeo(p, ctx), lambda: plane_homeo(p, ctx, inverse=True),
+                  lambda: lifted_core(p, (-4, 6), ctx), lambda: lifted_core(p, (3, 5), ctx)):
+        calls.clear()
+        entry()
+        assert calls == [ctx]
+    calls.clear()
+    for _ in range(5):
+        p = plane_homeo(p, ctx)
+    assert calls == [ctx] * 5
+
+
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+def test_nan_coordinates_raise_domain_errors(prec):
+    # each range check is a negated in-range test, so NaN fails it; the
+    # inverse tangent chart is defined on the whole plane and passes NaN on
+    ctx = _context(prec)
+    nan, half = ctx.mpf("nan"), ctx.mpf("0.5")
+    for x in ((nan, half), (half, nan), (nan, 0 * half), (float("nan"), 0.25)):
+        with pytest.raises(DomainError, match="outside the open square"):
+            tangent_chart(x, ctx)
+        for inverse in (False, True):
+            with pytest.raises(DomainError, match="outside the square"):
+                quotient_square_map(x, ctx, inverse)
+            with pytest.raises(DomainError, match="outside the square"):
+                plane_homeo(x, ctx, inverse)
+        with pytest.raises(DomainError, match="outside the open square"):
+            lifted_core(x, (0, 2), ctx)
