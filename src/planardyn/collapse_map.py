@@ -9,37 +9,46 @@ two closed slits; conjugating the square homeomorphism by this map later
 turns boundary dynamics into interior dynamics with the slit endpoints as
 the only limit points.
 
-Construction on the right half (the left half is its mirror):
+Construction on the upper-right quarter [0, 1] x [0, 1]; the other three
+quarters are its mirrors across the fiber, the axis, or both, so the
+collapse commutes with both reflections of the square exactly:
 
 * the edge chart (``_edge_chart`` and its inverse) writes a point as
-  (angle, radius) around the midpoint of the right edge; the chart
-  rectangle is [0, pi] x [0, 1], angle 0 pointing straight down and pi
-  straight up.  The half-square is a sup-norm ball about this center, so
-  the radius is that sup norm, max(1 - x, |y|), and the half-square
-  boundary is radius one.
+  (angle, radius) around the midpoint of the right edge.  Its chart
+  rectangle is [0, pi] x [0, 1], angle 0 pointing straight down, pi/2
+  toward the fiber and pi straight up; the upper quarter is the half
+  [pi/2, pi].  The right half-square is a sup-norm ball about this center,
+  so the radius is that sup norm, max(1 - x, y) on the upper quarter, and
+  the boundary is radius one.
 * the slit chart (``_slit_chart`` and its inverse) does the same around the
-  outer slit endpoint (1/2, 0), with the plain polar angle in [0, 2*pi] and
-  the radius max(|2x - 1|, |y|); the slit opens along the positive axis,
-  its top side at angle 0 and bottom side at 2*pi.
+  outer slit endpoint (1/2, 0), with the plain polar angle and the radius
+  max(|2x - 1|, y).  Its chart rectangle is [0, 2*pi] x [0, 1]; the upper
+  quarter is the half [0, pi], the slit's top side at angle 0.
 * the boundary correspondence (``_edge_to_slit``, inverse
   ``_slit_to_edge``) carries the boundary circle of the first rectangle
   onto that of the second.  The central arc uses theta = pi - arctan(2 s)
-  so the vertical fiber is fixed pointwise; two narrow arcs next to the
-  straight-up and straight-down directions wrap onto the slit sides; the
-  remaining radius-one arcs interpolate affinely, and the other three walls
-  land on the radius-zero wall, which the target chart collapses to the
-  slit endpoint.  The width of the narrow arcs, ``slit_arc_angle``, is a
-  free parameter of the construction; it is pinned to pi / 2**15 here,
-  narrow enough that orbits of the induced plane map climb past norm 10**3
-  before settling (see the excursion certificate).
+  so the vertical fiber is fixed pointwise; a narrow arc next to the
+  straight-up direction wraps onto the slit's top side; the arc between
+  them interpolates affinely, and the other walls land on the radius-zero
+  wall, which the target chart collapses to the slit endpoint.  The width
+  of the narrow arc, ``slit_arc_angle``, is a free parameter of the
+  construction; it is pinned to pi / 2**15 here, narrow enough that orbits
+  of the induced plane map climb past norm 10**3 before settling (see the
+  excursion certificate).
 * ``cone_map`` extends the boundary correspondence radially from the
   centers of the two rectangles.  A rectangle is a sup-norm ball about its
   center too, so a point's ray parameter is max(|d0| / c0, 2 |d1|) for
   the offset d from the center (c0, 1/2): one division, no trigonometry.
+  The cone commutes with the flips angle -> pi - angle and theta -> 2*pi -
+  theta, which the vertical reflection of the square induces on the two
+  rectangles; ``cone_map`` mirrors a point of the lower half onto the upper
+  one, and ``_cone`` serves the upper halves only.
 
-Each forward chart takes one arctangent for its angle; the radius needs
-only comparisons.  Each chart inverse takes one tangent, for the point
-where its ray leaves the half-square (``_edge_exit``, ``_slit_exit``).
+Every chart step serves the upper quarter only: a ray from a rectangle's
+center through a point of its upper half leaves through the walls of that
+half.  Each forward chart takes one arctangent for its angle; the radius
+needs only comparisons.  Each chart inverse takes one tangent, for the
+point where its ray leaves the quarter (``_edge_exit``, ``_slit_exit``).
 
 All functions take an explicit mpmath-style context; nothing reads or
 writes global precision.  Only the entry points (``collapse``,
@@ -63,9 +72,10 @@ map calls it with the square map's pairs, building no Fraction), checks
 and pins it on numerators and denominators (square, fiber, edges, axis)
 and converts each coordinate once with ``pair_to_bigfloat``;
 ``_collapse_inv`` checks and pins a point as given and charts its floats.
-Both directions mirror the left half after converting, since both
-roundings (toward zero for rationals, to nearest in doubles) are symmetric
-about zero.  Each range check is a negated in-range test, so a NaN
+Both directions decide the quarter on the point as given and mirror it
+after converting, since both roundings (toward zero for rationals, to
+nearest in doubles) are symmetric about zero; a height that rounds to zero
+is mirrored too.  Each range check is a negated in-range test, so a NaN
 coordinate fails it.  The steps check nothing: a step's input is in range
 by construction, through the entry checks, the clamps at the cone's entry
 and at the chart inverses, and the ray exit's snap onto a wall.
@@ -116,19 +126,14 @@ def _consts_at(ctx, prec):
         "half_pi": pi / 2,
         "two_over_pi": 2 / pi,  # the tangent chart's inverse scale
         "three_half_pi": 3 * pi / 2,
-        "quarter_pi": pi / 4,
         "three_quarter_pi": 3 * pi / 4,
         "third": third,
-        "two_thirds": 2 * third,
         "corner": corner,
-        "pi_plus_corner": pi + corner,
-        "two_pi_minus_corner": 2 * pi - corner,
         "astar": astar,
         "pi_minus_astar": pi - astar,
-        "span": pi / 4 - astar,  # angular width of each affine arc
-        "stretch": pi - corner,  # image width of each affine arc
+        "span": pi / 4 - astar,  # angular width of the affine arc
+        "stretch": pi - corner,  # image width of the affine arc
         # small integers as context floats: each converts exactly
-        "minus_one": to_bigfloat(-1, ctx),
         "one": to_bigfloat(1, ctx),
         "two": to_bigfloat(2, ctx),
         "three": to_bigfloat(3, ctx),
@@ -169,15 +174,13 @@ def _soft_clamp(v, lo, hi, k):
 
 def _edge_exit(a, k):
     """Where the ray from the right-edge midpoint (1, 0) at edge-chart
-    angle ``a`` in [0, pi] leaves the half-square [0, 1] x [-1, 1].
+    angle ``a`` in [pi/2, pi] leaves the upper-right quarter [0, 1] x [0, 1].
 
-    The angle runs 0 (straight down) through pi/2 (toward the fiber) to pi
-    (straight up).  Each branch takes one tangent: on a horizontal wall the
-    cotangent of the angle is written as minus the tangent of its offset
-    from pi/2, an offset within pi/4 of zero.
+    The angle runs from pi/2 (toward the fiber) to pi (straight up).  Each
+    branch takes one tangent, of an offset within pi/4 of zero: on the
+    fiber the height is the tangent of a - pi/2, on the top wall the
+    distance from the right edge is the tangent of pi - a.
     """
-    if a <= k["quarter_pi"]:
-        return (k["one"] - k["tan"](a), k["minus_one"])
     if a < k["three_quarter_pi"]:
         return (k["zero"], k["tan"](a - k["half_pi"]))
     return (k["one"] - k["tan"](k["pi"] - a), k["one"])
@@ -185,135 +188,113 @@ def _edge_exit(a, k):
 
 def _slit_exit(a, k):
     """Where the ray from the outer slit endpoint (1/2, 0) at polar angle
-    ``a`` in [0, 2*pi] leaves the half-square [0, 1] x [-1, 1].
+    ``a`` in [0, pi] leaves the upper-right quarter [0, 1] x [0, 1].
 
-    Each branch takes one tangent: on a horizontal wall the cotangent of
-    the angle is written as minus the tangent of its offset from pi/2 or
-    3*pi/2, an offset within pi/4 of zero.
+    Each branch takes one tangent: on the top wall the cotangent of the
+    angle is written as minus the tangent of its offset from pi/2, an
+    offset within pi/4 of zero.
     """
-    if a <= k["corner"] or a >= k["two_pi_minus_corner"]:
+    if a <= k["corner"]:
         return (k["one"], k["tan"](a) / 2)
     if a <= k["stretch"]:  # pi - corner
         return (k["half"] - k["tan"](a - k["half_pi"]), k["one"])
-    if a <= k["pi_plus_corner"]:
-        return (k["zero"], -k["tan"](a) / 2)
-    return (k["half"] + k["tan"](a - k["three_half_pi"]), k["minus_one"])
+    return (k["zero"], -k["tan"](a) / 2)
 
 
 def _edge_chart(px, py, k):
-    """Edge chart forward: (angle, radius) of a point of the right
-    half-square other than the right-edge midpoint.
+    """Edge chart forward: (angle, radius) of a point of the upper-right
+    quarter other than the right-edge midpoint.
 
-    The radius is the sup norm max(1 - x, |y|) of the offset from the
-    midpoint, so the half-square boundary is radius one.  The angle is not
-    clamped: rounding may leave it a few ulps outside [0, pi], and
-    ``_cone`` clamps its input.
+    The angle lies in [pi/2, pi]: the height ``py`` is not negative, not
+    even a negative zero.  The radius is the sup norm max(1 - x, y) of the
+    offset from the midpoint, so the quarter's outer boundary is radius
+    one.  The angle is not clamped: rounding may leave it a few ulps
+    outside [pi/2, pi], and ``_cone`` clamps its input.
     """
     dx = px - k["one"]
-    phi = k["atan2"](py, dx)
-    if phi < k["half_pi"]:
-        phi = phi + k["two_pi"]
-    return (k["three_half_pi"] - phi, max(-dx, abs(py)))
+    return (k["three_half_pi"] - k["atan2"](py, dx), max(-dx, py))
 
 
 def _edge_chart_inv(alpha, rho, k):
     """Edge chart inverse, along the ray to ``_edge_exit``; the input is
-    clamped onto [0, pi] x [0, 1]."""
-    alpha = _soft_clamp(alpha, k["zero"], k["pi"], k)
+    clamped onto the upper half [pi/2, pi] x [0, 1]."""
+    alpha = _soft_clamp(alpha, k["half_pi"], k["pi"], k)
     rho = _soft_clamp(rho, k["zero"], k["one"], k)
     e0, e1 = _edge_exit(alpha, k)
     return (k["one"] + rho * (e0 - k["one"]), rho * e1)
 
 
 def _slit_chart(py0, py1, k):
-    """Slit chart forward: (polar angle in [0, 2*pi), radius) about (1/2, 0)
-    of a point of the right half-square off the closed slit ray.
+    """Slit chart forward: (polar angle, radius) about (1/2, 0) of a point
+    of the upper-right quarter off the closed slit ray.
 
-    On the ray the angle is ambiguous between the slit's top side, 0, and
-    its bottom side, 2*pi.  The radius is the sup norm max(|2x - 1|, |y|).
+    The angle lies in [0, pi]: the height ``py1`` is not negative, not even
+    a negative zero.  The radius is the sup norm max(|2x - 1|, y).
     """
     d0 = py0 - k["half"]
-    rho = max(k["two"] * abs(d0), abs(py1))
-    theta = k["atan2"](py1, d0)
-    if theta < k["zero"]:
-        theta = theta + k["two_pi"]
-    # atan2(-0.0, positive) can leave an exact 2*pi after the wrap
-    if theta >= k["two_pi"]:
-        theta = k["zero"]
-    return (theta, rho)
+    return (k["atan2"](py1, d0), max(k["two"] * abs(d0), py1))
 
 
 def _slit_chart_inv(theta, rho, k):
     """Slit chart inverse, along the ray to ``_slit_exit``; the input is
-    clamped onto [0, 2*pi] x [0, 1]."""
-    theta = _soft_clamp(theta, k["zero"], k["two_pi"], k)
+    clamped onto the upper half [0, pi] x [0, 1]."""
+    theta = _soft_clamp(theta, k["zero"], k["pi"], k)
     rho = _soft_clamp(rho, k["zero"], k["one"], k)
     e0, e1 = _slit_exit(theta, k)
     return (k["half"] + rho * (e0 - k["half"]), rho * e1)
 
 
 def _edge_to_slit(alpha, rho, k):
-    """Boundary correspondence, edge-chart wall to slit-chart wall.
+    """Boundary correspondence, edge-chart wall to slit-chart wall, on the
+    upper halves: a wall point with angle in [pi/2, pi] goes to a wall
+    point with angle in [0, pi].
 
-    The radius-one wall splits into five arcs: slit-bottom [0, astar]
-    wrapping onto the slit's 2*pi side, an affine arc [astar, pi/4], the
-    central arc [pi/4, 3*pi/4] carried by theta = pi - arctan(2*tan(angle -
-    pi/2)), an affine arc [3*pi/4, pi - astar], and slit-top
-    [pi - astar, pi] wrapping onto the slit's 0 side.  The other three walls
-    land affinely on the radius-zero wall of the target.  Bijective on the
-    boundary circles (``_slit_to_edge`` is the inverse); conjugates the
-    vertical flip angle -> pi - angle to the reflection theta -> 2*pi - theta.
+    The radius-one wall splits into three arcs: the central arc
+    [pi/2, 3*pi/4] carried by theta = pi - arctan(2*tan(angle - pi/2)), an
+    affine arc [3*pi/4, pi - astar], and slit-top [pi - astar, pi]
+    wrapping onto the slit's 0 side.  The radius-zero wall and the angle-pi
+    wall land affinely on the radius-zero wall of the target.  Bijective
+    between the two half-boundaries (``_slit_to_edge`` is the inverse); the
+    lower halves are their mirrors, through ``cone_map``.
     """
-    pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
-    span, stretch, third = k["span"], k["stretch"], k["third"]
+    pi, astar = k["pi"], k["astar"]
     if rho == k["one"]:
-        if alpha <= astar:
-            return (two_pi, alpha / astar)
-        if alpha < k["quarter_pi"]:
-            return (two_pi - (alpha - astar) * stretch / span, k["one"])
         if alpha <= k["three_quarter_pi"]:
             return (pi - k["atan"](k["two"] * k["tan"](alpha - k["half_pi"])), k["one"])
         if alpha < k["pi_minus_astar"]:
-            return ((k["pi_minus_astar"] - alpha) * stretch / span, k["one"])
+            return ((k["pi_minus_astar"] - alpha) * k["stretch"] / k["span"], k["one"])
         return (k["zero"], (pi - alpha) / astar)
     if rho == k["zero"]:
-        return (third * (k["two"] - alpha / pi), k["zero"])
-    if alpha == pi:
-        return (third * (k["one"] - rho), k["zero"])
-    return (k["two_thirds"] + rho * third, k["zero"])  # alpha == 0
+        return (k["third"] * (k["two"] - alpha / pi), k["zero"])
+    return (k["third"] * (k["one"] - rho), k["zero"])  # alpha == pi
 
 
 def _slit_to_edge(theta, rho, k):
-    """Boundary correspondence inverse, slit-chart wall to edge-chart wall."""
-    pi, two_pi, astar = k["pi"], k["two_pi"], k["astar"]
-    span, stretch, third = k["span"], k["stretch"], k["third"]
+    """Boundary correspondence inverse, slit-chart wall to edge-chart wall,
+    on the upper halves: angle in [0, pi] to angle in [pi/2, pi]."""
+    pi, third = k["pi"], k["third"]
+    span, stretch = k["span"], k["stretch"]
     if rho == k["one"]:
         if theta <= stretch:  # pi - corner
             return (k["pi_minus_astar"] - theta * span / stretch, k["one"])
-        if theta <= k["pi_plus_corner"]:
-            return (k["half_pi"] + k["atan"](k["tan"](pi - theta) / 2), k["one"])
-        return (astar + (two_pi - theta) * span / stretch, k["one"])
+        return (k["half_pi"] + k["atan"](k["tan"](pi - theta) / 2), k["one"])
     if theta == k["zero"]:
-        return (pi - astar * rho, k["one"])
-    if theta == two_pi:
-        return (astar * rho, k["one"])
+        return (pi - k["astar"] * rho, k["one"])
     # rho == 0
     if theta <= third:
         return (pi, k["one"] - theta / third)
-    if theta <= k["two_thirds"]:
-        return (two_pi - k["three"] * theta / 2, k["zero"])
-    return (k["zero"], (theta - k["two_thirds"]) / third)
+    return (k["two_pi"] - k["three"] * theta / 2, k["zero"])
 
 
 def _ray_exit(u0, u1, which, k):
     """Boundary hit of the ray from the rectangle center through (u0, u1).
 
-    The coordinates are floats of the context, clamped onto the rectangle
-    ``k[which]`` and off its center by ``_cone``.  The rectangle is the
-    sup-norm ball of radii (c0, 1/2) about its center (c0, 1/2), so the
-    point sits at fraction t = max(|d0| / c0, 2 |d1|) of the way out along
-    its ray, d being its offset from the center; the wall of the larger
-    term is hit first, the vertical one on a tie.  Returns
+    The coordinates are floats of the context, clamped onto the upper half
+    of the rectangle ``k[which]`` and off its center by ``_cone``.  The
+    rectangle is the sup-norm ball of radii (c0, 1/2) about its center
+    (c0, 1/2), so the point sits at fraction t = max(|d0| / c0, 2 |d1|) of
+    the way out along its ray, d being its offset from the center; the wall
+    of the larger term is hit first, the vertical one on a tie.  Returns
     (boundary point, t); the boundary point is snapped exactly onto the
     achieving wall so the arc dispatch downstream sees exact wall
     coordinates.
@@ -331,11 +312,13 @@ def _ray_exit(u0, u1, which, k):
 
 
 def _cone(u0, u1, inverse, k):
-    """``cone_map`` at a point given as two floats of the context."""
+    """``cone_map`` at a point of the upper half of its source rectangle,
+    [pi/2, pi] x [0, 1] forward and [0, pi] x [0, 1] inverse, given as two
+    floats of the context; the point is clamped onto that half, and its
+    image lies in the upper half of the target rectangle."""
     src, dst = ("V", "U") if inverse else ("U", "V")
-    lo0, hi0, c_src = k[src]
-    c_dst = k[dst][2]
-    u0 = _soft_clamp(u0, lo0, hi0, k)
+    c_src, c_dst = k[src][2], k[dst][2]
+    u0 = _soft_clamp(u0, k["zero"] if inverse else k["half_pi"], k["pi"], k)
     u1 = _soft_clamp(u1, k["zero"], k["one"], k)
     if u0 == c_src[0] and u1 == c_src[1]:
         return c_dst
@@ -352,28 +335,44 @@ def cone_map(u, ctx, inverse: bool = False):
     of the way from the center to a boundary point goes to the fraction-t
     point toward that boundary point's image.  Bijective; the inverse runs
     the same recipe through the inverse boundary correspondence.  A point
-    up to rounding outside its rectangle is clamped onto it.
+    of the lower half, angle below pi/2 forward or above pi inverse, is
+    the mirror of a point of the upper half, through angle -> pi - angle
+    and theta -> 2*pi - theta, and goes to the mirror of that point's
+    image.  A point up to rounding outside its rectangle is clamped onto
+    it.
     """
     u0, u1 = _pt(u, ctx)
-    return _cone(u0, u1, inverse, _consts(ctx))
+    k = _consts(ctx)
+    lo0, hi0, _ = k["V" if inverse else "U"]
+    u0 = _soft_clamp(u0, lo0, hi0, k)  # before mirroring: errors name the input
+    if inverse and u0 > k["pi"]:
+        w = _cone(k["two_pi"] - u0, u1, True, k)
+        return (k["pi"] - w[0], w[1])
+    if not inverse and u0 < k["half_pi"]:
+        w = _cone(k["pi"] - u0, u1, False, k)
+        return (k["two_pi"] - w[0], w[1])
+    return _cone(u0, u1, inverse, k)
 
 
-def _collapse_pinned(u0, u1, fiber, left, axis, k):
+def _collapse_pinned(u0, u1, fiber, axis, left, lower, k):
     """The collapse at a point of the square, given as two floats of the
-    context with its pins decided on the input; a point that takes no pin
-    goes through the charts, mirrored from the right half."""
+    context with its pins and quarter decided on the input; a point that
+    takes no pin goes through the charts, mirrored from the upper-right
+    quarter."""
     if fiber:
         return (k["zero"], u1)
     if axis:
         return (u0 / 2, k["zero"])
     if left:
         u0 = -u0
+    if lower:
+        u1 = -u1
     # in doubles a point next to an edge can round onto the chart's center
     if not u1 and u0 == k["one"]:
         raise DomainError("edge chart is degenerate at its center")
     w = _cone(*_edge_chart(u0, u1, k), False, k)
     y0, y1 = _slit_chart_inv(w[0], w[1], k)
-    return (-y0, y1) if left else (y0, y1)
+    return (-y0 if left else y0, -y1 if lower else y1)
 
 
 def _collapse_charts(x, ctx):
@@ -386,7 +385,7 @@ def _collapse_charts(x, ctx):
     chart's center is checked here.
     """
     u0, u1 = _pt(x, ctx)
-    return _collapse_pinned(u0, u1, False, x[0] < 0, False, _consts(ctx))
+    return _collapse_pinned(u0, u1, False, False, x[0] < 0, x[1] < 0, _consts(ctx))
 
 
 def _collapse_exact(n: int, d: int, m: int, e: int, ctx, k):
@@ -399,7 +398,7 @@ def _collapse_exact(n: int, d: int, m: int, e: int, ctx, k):
     if n == d or -n == d:
         return (-k["half"] if n < 0 else k["half"], k["zero"])
     return _collapse_pinned(
-        pair_to_bigfloat(n, d, ctx), pair_to_bigfloat(m, e, ctx), n == 0, n < 0, m == 0, k
+        pair_to_bigfloat(n, d, ctx), pair_to_bigfloat(m, e, ctx), n == 0, m == 0, n < 0, m < 0, k
     )
 
 
@@ -407,10 +406,11 @@ def collapse(x, ctx):
     """The boundary collapse.  Defined on the whole closed square.
 
     Pins: the central fiber is fixed pointwise, the horizontal axis is
-    halved, each vertical edge goes to the slit endpoint on its side, and
-    the map commutes with both reflections of the square.  Interior points
-    off the axis and fiber go through the charts.  A point of two
-    Fractions is checked and pinned on its numerators and denominators.
+    halved, and each vertical edge goes to the slit endpoint on its side.
+    Interior points off the axis and fiber go through the charts, mirrored
+    from the upper-right quarter, so the map commutes with both
+    reflections of the square exactly.  A point of two Fractions is
+    checked and pinned on its numerators and denominators.
     """
     r, s = x
     k = _consts(ctx)
@@ -422,7 +422,7 @@ def collapse(x, ctx):
     if abs(r) == 1:
         return (-k["half"] if r < 0 else k["half"], k["zero"])
     u0, u1 = _pt(x, ctx)
-    return _collapse_pinned(u0, u1, r == 0, r < 0, s == 0, k)
+    return _collapse_pinned(u0, u1, r == 0, s == 0, r < 0, s < 0, k)
 
 
 def _collapse_inv(y, u, k):
@@ -439,16 +439,18 @@ def _collapse_inv(y, u, k):
         if 2 * abs(y1) >= 1:
             raise SlitError(f"point ({y1}, 0) lies on a collapse slit")
         return (2 * u[0], k["zero"])
-    left = y1 < 0
+    left, lower = y1 < 0, y2 < 0
     u0, u1 = u
     if left:
         u0 = -u0
+    if lower:
+        u1 = -u1
     # a height below the doubles' range rounds to zero, onto the slit ray
     if u1 == k["zero"] and u0 >= k["half"]:
         raise SlitError(f"point ({u0}, {u1}) lies on the slit ray")
     w = _cone(*_slit_chart(u0, u1, k), True, k)
     x0, x1 = _edge_chart_inv(w[0], w[1], k)
-    return (-x0, x1) if left else (x0, x1)
+    return (-x0 if left else x0, -x1 if lower else x1)
 
 
 def collapse_inv(y, ctx):

@@ -171,24 +171,21 @@ class Tolerances:
     chart_roundtrip_headroom : max |x - inv(fw(x))| for the collapse charts
     pin_headroom             : the collapse's pins (fiber, axis, edges) and
                                the cone map's roundtrip
-    commutation_headroom     : the collapse's commutation with the two
-                               reflections.  It compares two chart
-                               evaluations, and near the slit arcs the
-                               cone map stretches by up to
-                               1 / slit_arc_angle = 2^15 / pi, so the
-                               defect reaches about 2^17 units there.
     limitset                 : clustering radius / limit-set matching radius
     horizon                  : default orbit length for limit estimates
+
+    The collapse's commutation with the two reflections of the square has
+    no tolerance: the collapse charts one quarter and mirrors the other
+    three, so the identities hold exactly.
     """
 
     chart_roundtrip_headroom: int = 16
     pin_headroom: int = 14
-    commutation_headroom: int = 20
     limitset: float = 1e-3
     horizon: int = 400
 
     def __post_init__(self):
-        for name in ("chart_roundtrip_headroom", "pin_headroom", "commutation_headroom"):
+        for name in ("chart_roundtrip_headroom", "pin_headroom"):
             value = getattr(self, name)
             if type(value) is not int or value < 0:
                 raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
@@ -205,16 +202,11 @@ class Tolerances:
         """2^(h - prec) for the pins and the cone roundtrip, as a float of ``ctx``."""
         return ctx.ldexp(1, self.pin_headroom - ctx.prec)
 
-    def commutation_bound(self, ctx):
-        """2^(h - prec) for the reflection identities, as a float of ``ctx``."""
-        return ctx.ldexp(1, self.commutation_headroom - ctx.prec)
-
     def report(self, ctx) -> dict:
         """JSON form: the fields plus the bounds at the context's precision."""
         out = asdict(self)
         out["chart_roundtrip_bound"] = float(self.chart_roundtrip_bound(ctx))
         out["pin_bound"] = float(self.pin_bound(ctx))
-        out["commutation_bound"] = float(self.commutation_bound(ctx))
         return out
 
 

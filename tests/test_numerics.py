@@ -202,7 +202,6 @@ def test_tolerances_defaults():
     t = DEFAULT_TOLERANCES
     assert t.chart_roundtrip_headroom == 16
     assert t.pin_headroom == 14
-    assert t.commutation_headroom == 20
     assert t.limitset == 1e-3
     assert t.horizon == 400
 
@@ -213,13 +212,11 @@ def test_tolerances_follow_the_precision():
         ctx = make_context(prec)
         assert t.chart_roundtrip_bound(ctx) == ctx.ldexp(1, 16 - prec)
         assert t.pin_bound(ctx) == ctx.ldexp(1, 14 - prec)
-        assert t.commutation_bound(ctx) == ctx.ldexp(1, 20 - prec)
     # at the default 256 bits all are far tighter than the old fixed 1e-25 and 1e-30
     ctx = make_context(256)
     report = t.report(ctx)
     assert report["chart_roundtrip_bound"] == 2.0 ** -240
     assert report["pin_bound"] == 2.0 ** -242
-    assert report["commutation_bound"] == 2.0 ** -236 < 1e-70
     # far below the doubles the bound is still exact in the context
     fine = make_context(2048)
     assert t.chart_roundtrip_bound(fine) > 0 and float(t.chart_roundtrip_bound(fine)) == 0.0
@@ -231,8 +228,6 @@ def test_tolerances_validate():
             Tolerances(chart_roundtrip_headroom=bad)
         with pytest.raises(DomainError):
             Tolerances(pin_headroom=bad)
-        with pytest.raises(DomainError):
-            Tolerances(commutation_headroom=bad)
     with pytest.raises(DomainError):
         Tolerances(limitset=0.0)
     # a fractional horizon used to pass here and fail later in range()
