@@ -28,7 +28,7 @@ from .square_map import (
 from .collapse_map import collapse, collapse_inv
 from .plane_map import (
     example_shift_reflection,
-    lifted_orbit,
+    lifted_core,
     plane_homeo,
     quotient_square_map,
     tangent_chart,
@@ -68,7 +68,7 @@ __all__ = [
     "collapse",
     "collapse_inv",
     "example_shift_reflection",
-    "lifted_orbit",
+    "lifted_core",
     "plane_homeo",
     "quotient_square_map",
     "tangent_chart",

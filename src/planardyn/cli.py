@@ -28,7 +28,7 @@ from .numerics import (
     make_context,
     parse_rational,
 )
-from .plane_map import lifted_orbit
+from .plane_map import lifted_core
 from .square_map import NAMED_POINTS, region_of
 from .strips import strip_locate, strip_table
 
@@ -197,9 +197,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_verify(args) -> int:
     ctx = make_context(args.precision)
-    report = dynamics.run_suite(
-        args.suite, ctx, DEFAULT_TOLERANCES, rng_seed=args.sampler_seed
-    )
+    report = dynamics.run_suite(args.suite, ctx, rng_seed=args.sampler_seed)
     n_pass = 0
     for i, cert in enumerate(report["certificates"], start=1):
         status = "PASS" if cert["passed"] else "FAIL"
@@ -274,7 +272,7 @@ def cmd_excursion(args) -> int:
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
     rows = ["n,log10_norm"]
-    for n, y in lifted_orbit(seed, (-steps, steps), ctx):
+    for n, _, y in lifted_core(seed, (-steps, steps), ctx):
         norm = math.hypot(float(y[0]), float(y[1]))
         rows.append(f"{n},{'-inf' if norm == 0 else repr(math.log10(norm))}")
     _emit("\n".join(rows) + "\n", args.out)

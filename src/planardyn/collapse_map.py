@@ -139,7 +139,7 @@ def _consts_at(ctx, prec):
         "three": to_bigfloat(3, ctx),
         "zero": zero,
         "half": half,
-        "snap": to_bigfloat(Fraction(1, 2 ** max(prec - 8, 16)), ctx),
+        "snap": to_bigfloat(Fraction(1, 2 ** (prec - 8)), ctx),
         # chart rectangles as (lo0, hi0, center); radial bounds are [0, 1]
         "U": (zero, pi, (pi / 2, half)),
         "V": (zero, 2 * pi, (pi, half)),

@@ -33,6 +33,7 @@ from .collapse_map import (
 )
 from .numerics import (
     DEFAULT_TOLERANCES,
+    LIMITSET,
     DomainError,
     Tolerances,
     as_rational,
@@ -42,7 +43,6 @@ from .numerics import (
 from .plane_map import (
     example_shift_reflection,
     lifted_core,
-    lifted_orbit,
     on_ray,
     plane_homeo,
     quotient_square_map,
@@ -99,13 +99,9 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    map_id: str
-    side: str  # "omega" | "alpha"
     points: tuple  # candidate limit points, even-parity candidate first
     final_distances: tuple  # per candidate: max tail distance in its parity class
-    horizon: int
     converged: bool
-    parity: dict  # "even"/"odd" -> candidate point
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,7 @@ def map_registry(ctx) -> Dict[str, MapSpec]:
             "plane",
             plane_homeo,
             ctx,
-            lifted=lambda seed, n_range: lifted_orbit(seed, n_range, ctx),
+            lifted=lambda seed, n_range: lifted_core(seed, n_range, ctx),
         ),
         _invertible("example12", "plane", example_shift_reflection),
     ]
@@ -185,7 +181,7 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     if spec.exact:
         seed = tuple(as_rational(v) for v in seed)
     if spec.lifted is not None:
-        entries = tuple((n, tuple(y)) for n, y in spec.lifted(seed, n_range))
+        entries = tuple((n, tuple(y)) for n, _, y in spec.lifted(seed, n_range))
         return OrbitRecord(spec.name, seed, _arith(spec), entries)
 
     def apply(fn, p, n):
@@ -246,16 +242,14 @@ def limit_estimate(
         key=lambda e: abs(e[0]),
         reverse=True,  # most converged first
     )
-    parity: Dict[str, tuple] = {}
-    final: Dict[str, float] = {}
-    for label, wanted in (("even", 0), ("odd", 1)):
+    points, dists = [], []
+    for wanted in (0, 1):  # even steps, then odd
         pts = [p for n, p in window if n % 2 == wanted]
         if pts:
-            parity[label] = pts[0]
-            final[label] = max(_dist(pts[0], p) for p in pts)
-    converged = not any(spread > tol.limitset for spread in final.values())
-    points, dists = tuple(parity.values()), tuple(final.values())
-    return LimitEstimate(spec.name, side, points, dists, horizon, converged, parity)
+            points.append(pts[0])
+            dists.append(max(_dist(pts[0], p) for p in pts))
+    converged = not any(spread > LIMITSET for spread in dists)
+    return LimitEstimate(tuple(points), tuple(dists), converged)
 
 
 def _matched(points, targets, radius: float) -> Optional[set]:
@@ -373,12 +367,16 @@ def displacement_scan(
     return Certificate("fixedpointfree", best > 0, evidence)
 
 
-def _rand_fraction(rng: random.Random, lo, hi, denom: int = 999983) -> Fraction:
-    """lo + (hi - lo) k / denom for a random k in [1, denom - 1]; lo and hi
-    are ints or Fractions, and the value is built as one Fraction."""
-    k = rng.randint(1, denom - 1)
+# the sampler's grid: a random rational is drawn with this denominator (a prime)
+SAMPLE_DENOM = 999983
+
+
+def _rand_fraction(rng: random.Random, lo, hi) -> Fraction:
+    """lo + (hi - lo) k / SAMPLE_DENOM for a random k in [1, SAMPLE_DENOM - 1];
+    lo and hi are ints or Fractions, and the value is built as one Fraction."""
+    k = rng.randint(1, SAMPLE_DENOM - 1)
     a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    return Fraction(a * e * denom + (c * b - a * e) * k, b * e * denom)
+    return Fraction(a * e * SAMPLE_DENOM + (c * b - a * e) * k, b * e * SAMPLE_DENOM)
 
 
 def _rand_point(rng: random.Random, lo, hi) -> Tuple[Fraction, Fraction]:
@@ -517,8 +515,8 @@ def boundedness_certificate(
     est_a = limit_estimate(h_spec, seed, "alpha", tol)
     # each tail must converge and realise both points of the limit pair
     pair = set(LIMIT_PAIR)
-    omega_ok = est_o.converged and _matched(est_o.points, pair, tol.limitset) == pair
-    alpha_ok = est_a.converged and _matched(est_a.points, pair, tol.limitset) == pair
+    omega_ok = est_o.converged and _matched(est_o.points, pair, LIMITSET) == pair
+    alpha_ok = est_a.converged and _matched(est_a.points, pair, LIMITSET) == pair
     evidence = {
         "seed": [str(x1), str(x2)],
         "trivial": False,
@@ -566,7 +564,7 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
                 _as_floats(tangent_chart(collapse(p, ctx), ctx)) for p in est_f.points
             ]
             h_pts = [_as_floats(p) for p in est_h.points]
-            ok = _matched(pushed, h_pts, tol.limitset) == set(h_pts)
+            ok = _matched(pushed, h_pts, LIMITSET) == set(h_pts)
             row[side] = {
                 "pushed": [[round(v, 9) for v in p] for p in pushed],
                 "plane": [[round(v, 9) for v in p] for p in h_pts],
@@ -575,7 +573,7 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
             if not ok:
                 all_ok = False
         rows.append(row)
-    evidence = {"seeds": rows, "inconclusive": inconclusive, "tolerance": tol.limitset}
+    evidence = {"seeds": rows, "inconclusive": inconclusive, "tolerance": LIMITSET}
     return Certificate("conjugacy", all_ok, evidence)
 
 
@@ -750,8 +748,8 @@ def check_interior_limits(rng_seed: int, tol: Tolerances) -> Certificate:
         seed = _rand_point(rng, Fraction(-9, 10), Fraction(9, 10))
         est_o = limit_estimate(f_spec, seed, "omega", tol)
         est_a = limit_estimate(f_spec, seed, "alpha", tol)
-        ok_o = est_o.converged and _matched(est_o.points, CORNERS_TOP, tol.limitset) is not None
-        ok_a = est_a.converged and _matched(est_a.points, CORNERS_BOTTOM, tol.limitset) is not None
+        ok_o = est_o.converged and _matched(est_o.points, CORNERS_TOP, LIMITSET) is not None
+        ok_a = est_a.converged and _matched(est_a.points, CORNERS_BOTTOM, LIMITSET) is not None
         worst = max(worst, *(est_o.final_distances + est_a.final_distances))
         if not (ok_o and ok_a):
             all_ok = False
@@ -759,7 +757,7 @@ def check_interior_limits(rng_seed: int, tol: Tolerances) -> Certificate:
         "count": count,
         "sampler_seed": rng_seed,
         "window": [tol.horizon - tol.horizon // 4, tol.horizon],
-        "tolerance": tol.limitset,
+        "tolerance": LIMITSET,
         "max_tail_spread": worst,
         "all_matched": all_ok,
     }
@@ -954,22 +952,17 @@ def check_cone_bijectivity(
     )
 
 
-def check_precision_scaling(
-    ctx,
-    tol: Tolerances,
-    rng_seed: int,
-    samples: int = 100,
-) -> Certificate:
-    """The chart and cone roundtrips at the run's precision p and at 2p.
+def check_precision_scaling(ctx, tol: Tolerances, rng_seed: int) -> Certificate:
+    """The chart and cone roundtrips at the run's precision p and at 2p, on
+    100 samples each.
 
     Both precisions draw the same sample points, and each must meet the
     bounds 2^(h - prec) of its own precision.  An error that does not shrink
     with the precision fails at 2p: a value rounded through a double on the
     chart path keeps an error near 2^-53 however many bits the context
-    carries.  At least one sample, so the check cannot pass on none.
+    carries.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be at least 1, got {samples}")
+    samples = 100
     rows = []
     for c in (ctx, make_context(2 * ctx.prec)):
         roundtrip_bound = tol.chart_roundtrip_bound(c)
@@ -1284,19 +1277,15 @@ SUITE_TABLE: Dict[str, Tuple[SuiteCheck, ...]] = {
 SUITE_TABLE["all"] = SUITE_TABLE["core"] + SUITE_TABLE["xi"] + SUITE_TABLE["plane"]
 
 
-def run_suite(
-    name: str,
-    ctx=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    rng_seed: int = DEFAULT_SAMPLER_SEED,
-) -> dict:
-    """Run a named certificate suite; returns a JSON-ready report."""
+def run_suite(name: str, ctx=None, rng_seed: int = DEFAULT_SAMPLER_SEED) -> dict:
+    """Run a named certificate suite at ``DEFAULT_TOLERANCES``; returns a
+    JSON-ready report."""
     if name not in SUITE_TABLE:
         raise DomainError(f"unknown suite {name!r}")
     if ctx is None:
         ctx = make_context()
     rows = SUITE_TABLE[name]
-    values = {"ctx": ctx, "tol": tol}
+    values = {"ctx": ctx, "tol": DEFAULT_TOLERANCES}
     if any("core" in row.uses for row in rows):
         values["core"] = _canonical_core(ctx)
     certs = []
@@ -1317,6 +1306,6 @@ def run_suite(
         "metadata": {
             "sampler_seed": rng_seed,
             "precision": ctx.prec,
-            "tolerances": tol.report(ctx),
+            "tolerances": DEFAULT_TOLERANCES.report(ctx),
         },
     }

@@ -39,7 +39,7 @@ both the height and x are full size.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence, Tuple, Union
@@ -102,9 +102,15 @@ def as_rational(x) -> Fraction:
     """``x`` itself when it is a Fraction, else ``Fraction(x)``.
 
     The one place where int, float and str input becomes exact; a value
-    that already is a Fraction is not rebuilt.
+    that already is a Fraction is not rebuilt.  A NaN or infinite float
+    and a malformed string raise DomainError.
     """
-    return x if type(x) is Fraction else Fraction(x)
+    if type(x) is Fraction:
+        return x
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"not a finite rational: {x!r}") from exc
 
 
 def to_bigfloat(value, ctx):
@@ -158,56 +164,54 @@ def integer_ratio(x) -> Tuple[int, int]:
     return int(p), int(q)
 
 
+# The chart bounds follow the working precision: a bound with headroom h is
+# 2^(h - prec) at ``prec`` bits, h bits above one unit in the last place of
+# 1.  A fixed bound sized for the coarsest precision would let a finer run
+# lose most of its digits unnoticed; a relative one fails any run whose
+# error does not shrink with the precision.
+CHART_ROUNDTRIP_HEADROOM = 16  # max |x - inv(fw(x))| for the collapse charts
+PIN_HEADROOM = 14  # the collapse's pins (fiber, axis, edges), the cone roundtrip
+LIMITSET = 1e-3  # clustering radius / limit-set matching radius
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Named tolerances used across charts and dynamics.
+    """The orbit horizon, and the chart bounds at a context's precision.
 
-    The chart bounds follow the working precision: a bound with headroom h
-    is 2^(h - prec) at ``prec`` bits, h bits above one unit in the last
-    place of 1.  A fixed bound sized for the coarsest precision would let a
-    finer run lose most of its digits unnoticed; a relative one fails any
-    run whose error does not shrink with the precision.
+    horizon : default orbit length for limit estimates
 
-    chart_roundtrip_headroom : max |x - inv(fw(x))| for the collapse charts
-    pin_headroom             : the collapse's pins (fiber, axis, edges) and
-                               the cone map's roundtrip
-    limitset                 : clustering radius / limit-set matching radius
-    horizon                  : default orbit length for limit estimates
-
-    The collapse's commutation with the two reflections of the square has
-    no tolerance: the collapse charts one quarter and mirrors the other
+    The headrooms and the limit-set radius are the module constants
+    ``CHART_ROUNDTRIP_HEADROOM``, ``PIN_HEADROOM`` and ``LIMITSET``.  The
+    collapse's commutation with the two reflections of the square has no
+    tolerance: the collapse charts one quarter and mirrors the other
     three, so the identities hold exactly.
     """
 
-    chart_roundtrip_headroom: int = 16
-    pin_headroom: int = 14
-    limitset: float = 1e-3
     horizon: int = 400
 
     def __post_init__(self):
-        for name in ("chart_roundtrip_headroom", "pin_headroom"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-        if not self.limitset > 0:
-            raise DomainError("limitset must be positive")
         if type(self.horizon) is not int or self.horizon < 1:
             raise DomainError(f"horizon must be an integer of at least 1, got {self.horizon!r}")
 
     def chart_roundtrip_bound(self, ctx):
         """2^(h - prec) for the chart roundtrip, as a float of ``ctx``."""
-        return ctx.ldexp(1, self.chart_roundtrip_headroom - ctx.prec)
+        return ctx.ldexp(1, CHART_ROUNDTRIP_HEADROOM - ctx.prec)
 
     def pin_bound(self, ctx):
         """2^(h - prec) for the pins and the cone roundtrip, as a float of ``ctx``."""
-        return ctx.ldexp(1, self.pin_headroom - ctx.prec)
+        return ctx.ldexp(1, PIN_HEADROOM - ctx.prec)
 
     def report(self, ctx) -> dict:
-        """JSON form: the fields plus the bounds at the context's precision."""
-        out = asdict(self)
-        out["chart_roundtrip_bound"] = float(self.chart_roundtrip_bound(ctx))
-        out["pin_bound"] = float(self.pin_bound(ctx))
-        return out
+        """JSON form: the constants and the horizon, plus the bounds at the
+        context's precision."""
+        return {
+            "chart_roundtrip_headroom": CHART_ROUNDTRIP_HEADROOM,
+            "pin_headroom": PIN_HEADROOM,
+            "limitset": LIMITSET,
+            "horizon": self.horizon,
+            "chart_roundtrip_bound": float(self.chart_roundtrip_bound(ctx)),
+            "pin_bound": float(self.pin_bound(ctx)),
+        }
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -8,14 +8,13 @@ orientation-reversing homeomorphism of the plane whose every orbit is
 bounded: forward and backward limit sets are the two points (+-1, 0), the
 chart images of the slit endpoints' approach directions.
 
-``lifted_orbit`` is the default way to iterate: it pulls the seed back to
+``lifted_core`` is the default way to iterate: it pulls the seed back to
 an exact rational point of the square once, iterates the exact square map,
 and pushes each iterate forward, so long orbits accumulate no rounding.
 The orbit runs on integer pairs (numerator, denominator) from end to end:
 the seed's lift is read off ``collapse_inv``'s floats as pairs, the square
 map's pair kernel iterates them, and each kept step goes to the collapse's
-exact entry as pairs; only the lifts that ``lifted_core`` returns are built
-as Fractions.
+exact entry as pairs; only the lifts it returns are built as Fractions.
 
 ``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
 forward map in ``dynamics.map_registry``, so the displacement and
@@ -187,11 +186,6 @@ def lifted_core(
         wn = lifts[n]
         out.append((n, _fractions(wn), _tangent(*_collapse_exact(*wn, ctx, k), k)))
     return out
-
-
-def lifted_orbit(x, n_range: Tuple[int, int], ctx) -> List[Tuple[int, tuple]]:
-    """Plane orbit via the exact lift: list of (n, plane point)."""
-    return [(n, y) for n, _, y in lifted_core(x, n_range, ctx)]
 
 
 def example_shift_reflection(p, inverse: bool = False):

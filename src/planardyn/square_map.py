@@ -72,8 +72,6 @@ SquarePoint = Tuple[Fraction, Fraction]
 # a point as integers (rn, rd, sn, sd): r = rn/rd and s = sn/sd in lowest terms
 PointPairs = Tuple[int, int, int, int]
 
-INV_SHIFT_PROFILE = SHIFT_PROFILE.inverse_fn()
-
 # Distinguished points: corners v1..v4, edge midpoints v5..v8, slit inner
 # endpoints v9/v0, and the plane limit pair w1/w2 (tangent-chart images of
 # the collapsed slit endpoints' circle directions; numerically the edge
@@ -408,6 +406,11 @@ def _forward_piece_key(p) -> tuple:
     if tag is RegionTag.D_MINUS_1:
         return (tag, SHIFT_PROFILE.segment_index(s))
     # bottom quarter: vertical-flip conjugate of the rising map's inverse
+    # an inverse's pieces are split at the row's ordinates, its ``_ykeys``
     row = row_map(-s)
-    inv_row = row.inverse_fn()
-    return (tag, row, inv_row.segment_index(r), INV_SHIFT_PROFILE.segment_index(-s))
+    return (
+        tag,
+        row,
+        _piece(row._ykeys, r.numerator, r.denominator),
+        _piece(SHIFT_PROFILE._ykeys, -s.numerator, s.denominator),
+    )

@@ -52,34 +52,28 @@ def block_index(n: int) -> int:
 
 
 def block_of(i: int) -> int:
-    """Block containing level i >= 2: the largest n with k(n) <= i."""
+    """Block containing level i >= 2: the largest n with k(n) <= i.
+
+    n(n+1) <= i holds exactly when (2n+1)^2 <= 4i+1, and ``math.isqrt`` is
+    exact, so no boundary needs guarding.
+    """
     if i < 2:
         raise DomainError(f"level must be >= 2, got {i}")
-    n = (math.isqrt(4 * i + 1) - 1) // 2
-    # guard the isqrt boundary exactly
-    while block_index(n + 1) <= i:
-        n += 1
-    while n > 1 and block_index(n) > i:
-        n -= 1
-    return n
+    return (math.isqrt(4 * i + 1) - 1) // 2
 
 
 def shift_profile_pow(s: Fraction, i: int) -> Fraction:
-    """i-th iterate of the shift profile at s (negative i = inverse iterates).
+    """i-th iterate (i >= 0) of the shift profile at a height s in [0, 1].
 
-    For s in [0, 1] and i >= 0 the orbit stays in the top affine piece, so
-    the closed form 1 - (1 - s) * 2^-i applies; otherwise iterate.
+    Such an orbit stays in the top affine piece s -> (1 + s)/2, so the
+    iterate is the closed form 1 - (1 - s) * 2^-i.
     """
     s = as_rational(s)
-    if s < -1 or s > 1:
-        raise DomainError(f"argument {s} outside [-1, 1]")
-    if i >= 0 and 0 <= s:
-        return 1 - (1 - s) / 2**i
-    step = SHIFT_PROFILE.inverse if i < 0 else SHIFT_PROFILE
-    out = s
-    for _ in range(abs(i)):
-        out = step(out)
-    return out
+    if i < 0:
+        raise DomainError(f"iterate index must be >= 0, got {i}")
+    if s < 0 or s > 1:
+        raise DomainError(f"argument {s} outside [0, 1]")
+    return 1 - (1 - s) / 2**i
 
 
 class Zone(str, Enum):

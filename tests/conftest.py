@@ -22,9 +22,9 @@ def tol():
 
 
 @pytest.fixture(scope="session")
-def suite_report(ctx, tol):
-    """``suite_report(name)``: the report of ``run_suite(name, ctx, tol)`` at
+def suite_report(ctx):
+    """``suite_report(name)``: the report of ``run_suite(name, ctx)`` at
     the default sampler seed, run once per session on first use.  The
     acceptance battery and the suite tests read the ``core``, ``xi`` and
     ``plane`` reports from here, so each suite runs once."""
-    return functools.cache(lambda name: run_suite(name, ctx, tol))
+    return functools.cache(lambda name: run_suite(name, ctx))

@@ -9,6 +9,7 @@ bound.
 """
 
 from planardyn import dynamics as dyn
+from planardyn.numerics import LIMITSET
 
 
 def _certs(suite_report, suite: str, label: str):
@@ -45,10 +46,10 @@ def test_criterion_03_canonical_ladder(suite_report):
     _report(3, "canonical seed climbs the shear ladder", cert)
 
 
-def test_criterion_04_interior_limits(suite_report, tol):
+def test_criterion_04_interior_limits(suite_report):
     (cert,) = _certs(suite_report, "core", "interior_limits")
     _report(4, "interior seeds drift to the horizontal-edge corners", cert,
-            f"{cert.evidence['count']} seeds, tol {tol.limitset}")
+            f"{cert.evidence['count']} seeds, tol {LIMITSET}")
 
 
 def test_criterion_05_collapse_conditions(suite_report):

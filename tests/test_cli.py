@@ -7,7 +7,6 @@ import pytest
 
 from planardyn import cli, dynamics
 from planardyn.cli import main
-from planardyn.numerics import DEFAULT_TOLERANCES
 
 
 def test_eval_square_map(capsys):
@@ -117,10 +116,8 @@ def test_excursion_csv(capsys):
 def test_verify_core_suite(tmp_path, capsys, monkeypatch, suite_report):
     # the command's own path with the suite run stubbed: the session's core
     # report stands in for a second run of the same suite
-    def run_suite(name, ctx, tol, rng_seed):
-        assert (name, ctx.prec, tol, rng_seed) == (
-            "core", 256, DEFAULT_TOLERANCES, dynamics.DEFAULT_SAMPLER_SEED
-        )
+    def run_suite(name, ctx, rng_seed):
+        assert (name, ctx.prec, rng_seed) == ("core", 256, dynamics.DEFAULT_SAMPLER_SEED)
         return suite_report("core")
 
     monkeypatch.setattr(cli.dynamics, "run_suite", run_suite)

@@ -112,8 +112,8 @@ def test_limit_estimate_pushes_forward_only_its_window(monkeypatch, registry, si
 def test_limit_estimate_converges_to_top_corners(registry, tol):
     est = dyn.limit_estimate(registry["f"], (Fraction(0), Fraction(1, 4)), "omega", tol)
     assert est.converged
-    assert est.horizon == tol.horizon
-    assert set(est.parity) == {"even", "odd"}
+    # one candidate per step parity, each with its tail spread
+    assert len(est.points) == len(est.final_distances) == 2
     corners = [(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1))]
     for p in est.points:
         assert min(abs(p[0] - c[0]) + abs(p[1] - c[1]) for c in corners) < Fraction(1, 100)
@@ -223,14 +223,9 @@ def test_cone_bijectivity_rejects_zero_samples(ctx, tol):
     assert dyn.check_cone_bijectivity(ctx, tol, 0, samples=1).evidence["samples"] == 1
 
 
-def test_precision_scaling_rejects_zero_samples(ctx, tol):
-    with pytest.raises(DomainError, match="samples"):
-        dyn.check_precision_scaling(ctx, tol, 0, samples=0)
-
-
 def test_precision_scaling_catches_a_double_on_the_chart_path(monkeypatch, tol):
     ctx = make_context(64)
-    cert = dyn.check_precision_scaling(ctx, tol, 0, samples=8)
+    cert = dyn.check_precision_scaling(ctx, tol, 0)
     assert cert.passed
     assert [row["precision"] for row in cert.evidence["precisions"]] == [64, 128]
     # round every point entering a forward chart through a double: the
@@ -240,7 +235,7 @@ def test_precision_scaling_catches_a_double_on_the_chart_path(monkeypatch, tol):
     monkeypatch.setattr(
         collapse_map, "_pt", lambda x, c: tuple(c.mpf(float(exact(v, c))) for v in x)
     )
-    cert = dyn.check_precision_scaling(ctx, tol, 0, samples=8)
+    cert = dyn.check_precision_scaling(ctx, tol, 0)
     assert not cert.passed
     low, high = cert.evidence["precisions"]
     assert low["passed"] and not high["passed"]
@@ -273,12 +268,12 @@ def test_run_suite_core(suite_report):
     assert report["metadata"]["sampler_seed"] == dyn.DEFAULT_SAMPLER_SEED
 
 
-def test_run_suite_unknown_name(ctx, tol):
+def test_run_suite_unknown_name(ctx):
     with pytest.raises(DomainError):
-        dyn.run_suite("everything", ctx, tol)
+        dyn.run_suite("everything", ctx)
 
 
-def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
+def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx):
     # stub out every xi and plane check: each records its sampler seed
     seeds = []
     certs_per_check = {"displacement": 3, "orientation": 2}
@@ -302,13 +297,13 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, tol):
         monkeypatch.setitem(dyn.SUITE_TABLE, name, rows)
     monkeypatch.setattr(dyn, "_canonical_core", lambda ctx: [])
 
-    xi = dyn.run_suite("xi", ctx, tol, rng_seed=100)
+    xi = dyn.run_suite("xi", ctx, rng_seed=100)
     assert [c["evidence"]["check"] for c in xi["certificates"]] == [
         "collapse_conditions",
         "cone_bijectivity",
         "precision_scaling",
     ]
-    plane = dyn.run_suite("plane", ctx, tol, rng_seed=100)
+    plane = dyn.run_suite("plane", ctx, rng_seed=100)
     assert [c["evidence"]["check"] for c in plane["certificates"]] == [
         "slit_continuity",
         "rays_exact",

@@ -3,13 +3,15 @@
 Coordinates are wrapped into Fractions once, where they enter; internal
 calls then pass Fractions through.  These tests pin that contract: a
 non-Fraction input gives exactly the Fraction result, and an input outside
-the domain still raises DomainError whatever its type.
+the domain still raises DomainError whatever its type, a NaN or infinite
+float and a malformed string included.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from planardyn import dynamics
 from planardyn.numerics import DomainError, PLFunction
 from planardyn.square_map import (
     reflect,
@@ -19,6 +21,11 @@ from planardyn.square_map import (
     vertical_shift,
 )
 from planardyn.strips import strip_locate
+
+NAN, INF = float("nan"), float("inf")
+# values that are no finite rational, in every row's bad inputs
+NOT_RATIONAL = [NAN, INF, -INF, "abc"]
+NOT_RATIONAL_POINTS = [(NAN, 0), (0, INF), (-INF, Fraction(1, 2)), (Fraction(1, 3), "abc")]
 
 PROFILE = PLFunction([(-1, -1), (Fraction(-1, 2), 0), (0, Fraction(1, 2)), (1, 1)])
 OTHER = PLFunction([(-1, -1), (Fraction(1, 4), Fraction(-1, 8)), (1, 1)])
@@ -49,17 +56,17 @@ CASES = {
             (Fraction(-3, 4), Fraction(-7, 8)),
             (0, 1),
         ],
-        [(2, 0), (0, "-5/4"), (1.5, 0.5)],
+        [(2, 0), (0, "-5/4"), (1.5, 0.5)] + NOT_RATIONAL_POINTS,
     ),
     "square_homeo_inverse": (
         lambda p: square_homeo(p, inverse=True),
         [(Fraction(1, 3), Fraction(5, 8)), (Fraction(-1, 2), Fraction(1, 4)), (1, -1)],
-        [(0, 2), ("9/8", 0), (-1.25, 0.0)],
+        [(0, 2), ("9/8", 0), (-1.25, 0.0)] + NOT_RATIONAL_POINTS,
     ),
     "vertical_shift": (
         vertical_shift,
         [(Fraction(1, 2), Fraction(-3, 4)), (-1, 0)],
-        [(0, 2), ("3/2", 0)],
+        [(0, 2), ("3/2", 0)] + NOT_RATIONAL_POINTS,
     ),
     "strip_shear": (
         strip_shear,
@@ -68,42 +75,42 @@ CASES = {
             (Fraction(-5, 8), Fraction(29, 32)),
             (Fraction(1, 4), Fraction(13, 16)),
         ],
-        [(0, Fraction(1, 4)), (0, 0.25), (2, Fraction(3, 4))],
+        [(0, Fraction(1, 4)), (0, 0.25), (2, Fraction(3, 4))] + NOT_RATIONAL_POINTS,
     ),
     "reflect": (
         lambda p: reflect(p, "level"),
         [(Fraction(1, 3), Fraction(-1, 5)), (Fraction(-3, 8), Fraction(1, 2)), (1, 0)],
-        [],
+        NOT_RATIONAL_POINTS,
     ),
     "region_of": (
         region_of,
         [Fraction(-3, 4), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)],
-        [Fraction(5, 4), -1.5, "2"],
+        [Fraction(5, 4), -1.5, "2"] + NOT_RATIONAL,
     ),
     "region_of_inverse": (
         lambda s: region_of(s, inverse=True),
         [Fraction(-3, 4), Fraction(1, 2), Fraction(-1)],
-        [Fraction(-5, 4), 1.5],
+        [Fraction(-5, 4), 1.5] + NOT_RATIONAL,
     ),
     "strip_locate": (
         strip_locate,
         [Fraction(1, 2), Fraction(3, 4), Fraction(7, 8), Fraction(61, 64), Fraction(1)],
-        [Fraction(1, 4), 0.25, "3/2", 2],
+        [Fraction(1, 4), 0.25, "3/2", 2] + NOT_RATIONAL,
     ),
     "PLFunction.__call__": (
         PROFILE,
         [Fraction(-3, 4), Fraction(1, 3), Fraction(1), Fraction(-1)],
-        [Fraction(3, 2), -1.5, "2"],
+        [Fraction(3, 2), -1.5, "2"] + NOT_RATIONAL,
     ),
     "PLFunction.inverse": (
         PROFILE.inverse,
         [Fraction(-3, 4), Fraction(2, 3), Fraction(1)],
-        [Fraction(3, 2), -1.5, "2"],
+        [Fraction(3, 2), -1.5, "2"] + NOT_RATIONAL,
     ),
     "PLFunction.blend": (
         lambda t: PROFILE.blend(OTHER, t),
         [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
-        [Fraction(-1, 2), 1.5, "2"],
+        [Fraction(-1, 2), 1.5, "2"] + NOT_RATIONAL,
     ),
 }
 
@@ -140,3 +147,14 @@ def test_reflect_rejects_unknown_axis():
         with pytest.raises(DomainError):
             reflect(p, "diagonal")
 
+
+
+REGISTRY = dynamics.map_registry(None)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, spec in REGISTRY.items() if spec.exact))
+def test_exact_orbits_reject_non_rational_seeds(name):
+    spec = REGISTRY[name]
+    for seed in NOT_RATIONAL if spec.domain == "interval" else NOT_RATIONAL_POINTS:
+        with pytest.raises(DomainError):
+            dynamics.orbit(spec, seed, (0, 1))

@@ -13,7 +13,6 @@ from planardyn.plane_map import (
     _square_pairs,
     example_shift_reflection,
     lifted_core,
-    lifted_orbit,
     on_ray,
     plane_homeo,
     quotient_square_map,
@@ -68,8 +67,8 @@ def test_plane_roundtrip(ctx):
         assert _close(back, seed, 1e-60)
 
 
-def test_lifted_orbit_frozen(ctx):
-    orb = dict(lifted_orbit((ctx.mpf(0), ctx.mpf(0)), (-2, 2), ctx))
+def test_lifted_core_plane_points_frozen(ctx):
+    orb = {n: y for n, _, y in lifted_core((ctx.mpf(0), ctx.mpf(0)), (-2, 2), ctx)}
     assert _close(orb[0], (0, 0))
     assert _close(orb[1], (0, 1))
     assert _close(orb[2], (0, ctx.tan(3 * ctx.pi / 8)))
@@ -107,7 +106,7 @@ def test_lifted_core_tracks_the_square_map(ctx):
 
 
 def test_lift_matches_naive_iteration(ctx):
-    lifted = dict(lifted_orbit((ctx.mpf(0), ctx.mpf(0)), (-6, 6), ctx))
+    lifted = {n: y for n, _, y in lifted_core((ctx.mpf(0), ctx.mpf(0)), (-6, 6), ctx)}
     fwd = (ctx.mpf(0), ctx.mpf(0))
     back = (ctx.mpf(0), ctx.mpf(0))
     for n in range(1, 7):

@@ -58,6 +58,20 @@ def test_block_of_inverts_block_index():
         assert block_of(block_index(m + 1) - 1) == m
 
 
+def test_block_of_is_the_largest_block_below_the_level():
+    # against the brute-force largest n with n(n+1) <= i
+    n = 1
+    for i in range(2, 20001):
+        while (n + 1) * (n + 2) <= i:
+            n += 1
+        assert block_of(i) == n, i
+    # at the walls of blocks far past the integers doubles hold exactly
+    for k in range(1, 31):
+        n = 10**k
+        assert block_of(n * (n + 1)) == n, k
+        assert block_of(n * (n + 1) - 1) == n - 1, k
+
+
 def test_strip_bounds_values():
     assert strip_bounds(2) == (Fraction(3, 4), Fraction(13, 16), Fraction(7, 8))
     assert strip_bounds(3) == (Fraction(7, 8), Fraction(29, 32), Fraction(15, 16))
@@ -91,6 +105,15 @@ def test_shift_profile_pow_matches_iteration():
         assert shift_profile_pow(Fraction(1, 4), i) == s
         s = SHIFT_PROFILE(s)
     assert shift_profile_pow(Fraction(1, 4), 3) == Fraction(29, 32)
+    assert shift_profile_pow(0, 0) == 0 and shift_profile_pow(1, 7) == 1
+
+
+def test_shift_profile_pow_domain():
+    # the closed form holds for forward iterates of heights in [0, 1] only
+    for s, i in ((Fraction(1, 4), -1), (Fraction(1), -3), (Fraction(-1, 4), 0),
+                 (Fraction(-1), 2), (Fraction(5, 4), 1)):
+        with pytest.raises(DomainError):
+            shift_profile_pow(s, i)
 
 
 def test_strip_table_rows():
