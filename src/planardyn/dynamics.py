@@ -56,6 +56,7 @@ from .square_map import (
     rise_map,
     shear_profile,
     square_homeo,
+    square_orbit,
     strip_shear,
     vertical_shift,
 )
@@ -78,7 +79,14 @@ LIMIT_PAIR = [(-1.0, 0.0), (1.0, 0.0)]
 @dataclass(frozen=True)
 class MapSpec:
     """A named map with its iteration data: domain kind, arithmetic kind,
-    forward/inverse callables, and an optional exact-lift orbit routine."""
+    forward/inverse callables, and an optional orbit routine on an exact
+    pair kernel.
+
+    ``lifted(seed, n_range)`` returns (n, point) for each step of the
+    range.  f and h have one, and share its loop
+    (``square_map._orbit``): f iterates its seed's integer pairs, h its
+    seed's exact lift, and each builds output only for the returned steps.
+    """
 
     name: str
     domain: str  # "interval" | "square" | "band" | "plane"
@@ -135,7 +143,13 @@ def map_registry(ctx) -> Dict[str, MapSpec]:
         _invertible("Phi", "band", strip_shear),
         _invertible("eta", "square", rise_map),
         _invertible("zeta", "square", descend_map),
-        _invertible("f", "square", square_homeo, piece_key=_forward_piece_key),
+        _invertible(
+            "f",
+            "square",
+            square_homeo,
+            lifted=square_orbit,
+            piece_key=_forward_piece_key,
+        ),
         MapSpec(
             "xi",
             "square",
@@ -149,7 +163,9 @@ def map_registry(ctx) -> Dict[str, MapSpec]:
             "plane",
             plane_homeo,
             ctx,
-            lifted=lambda seed, n_range: lifted_core(seed, n_range, ctx),
+            lifted=lambda seed, n_range: [
+                (n, y) for n, _, y in lifted_core(seed, n_range, ctx)
+            ],
         ),
         _invertible("example12", "plane", example_shift_reflection),
     ]
@@ -166,9 +182,13 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     The range need not contain 0: iteration always starts at the seed
     (step 0), and only the requested steps are returned.  Steps below zero
     use the inverse; an orbit leaving the map's domain raises a DomainError
-    naming the step, also at a step before the range.  Maps with an exact
-    lift get their points from the lifted routine (no per-step rounding),
-    which pushes forward only the requested steps.
+    naming the step, also at a step before the range.  Maps with a
+    ``lifted`` routine (f and h) get their points from it: one loop on
+    integer pairs (``square_map._orbit``) with no per-step rounding or
+    Fraction, which builds only the requested steps.  f checks its seed
+    once there, so a seed outside the square raises before any step; the
+    other maps step through ``forward`` and ``inverse``, since eta and
+    zeta, say, can leave their domain mid-orbit.
     """
     n_lo, n_hi = n_range
     if n_lo > n_hi:
@@ -181,7 +201,7 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     if spec.exact:
         seed = tuple(as_rational(v) for v in seed)
     if spec.lifted is not None:
-        entries = tuple((n, tuple(y)) for n, _, y in spec.lifted(seed, n_range))
+        entries = tuple((n, tuple(y)) for n, y in spec.lifted(seed, n_range))
         return OrbitRecord(spec.name, seed, _arith(spec), entries)
 
     def apply(fn, p, n):

@@ -33,8 +33,17 @@ that each have one small operand (:func:`_affine`).  The blend rows of the
 square map are affine in x with coefficients affine in the height; those
 coefficients come from the same step, and meet x in Fraction's own
 cross-reduction order (the products' gcds, then the gcd of the two
-denominators of the sum), which pairs two full-size operands only where
-both the height and x are full size.
+denominators of the sum).
+
+Where a denominator has 512 bits or more, each of those gcds splits off
+the power of two first (``square_map._sum`` and ``_product``); the
+division in :func:`pair_to_bigfloat` always does.  The rationals that
+grow past 10^4 bits are lifts near a strip wall: their denominators are
+2^t times an odd part of a few hundred bits (t reaches 24700 over 100
+steps), and their heights are purely dyadic.  With the power of two
+split off, the gcds and divisions run on the odd parts, and only shifts
+touch the full-size operands.  The result is the same pair: a pair in
+lowest terms is unique.
 """
 
 from __future__ import annotations
@@ -133,6 +142,11 @@ def to_bigfloat(value, ctx):
     return ctx.convert(value)
 
 
+def _twos(n: int) -> int:
+    """The exponent of the largest power of two dividing the integer n != 0."""
+    return (n & -n).bit_length() - 1
+
+
 def pair_to_bigfloat(p: int, q: int, ctx):
     """The rational p/q (q > 0) as a float of ``ctx``.
 
@@ -146,12 +160,23 @@ def pair_to_bigfloat(p: int, q: int, ctx):
     ``m 2^-k`` to ``prec`` bits gives the same value as cutting p/q there.
     So the result is bit for bit ``from_rational(p, q, prec)``, without
     normalising the full-size operands of a 10^4-bit fraction first.
+
+    The power of two is split off q first: with q = 2^t o, o odd, m is
+    ``floor(|p| 2^(k-t) / o)``, a shift and a division by o alone.  A
+    lifted orbit near a strip wall has q = 2^24700 times an odd part of
+    about 250 bits, so the division costs what o costs, not what q does.
     """
     if isinstance(ctx, FPContext):
         return p / q
     a = abs(p)
     k = ctx.prec + 1 - (a.bit_length() - q.bit_length())
-    m = (a << k) // q if k >= 0 else a // (q << -k)
+    t = _twos(q)
+    o = q >> t
+    # floor(a 2^k / q) = floor(a 2^(k - t) / o), and floor(a 2^-j / o) is
+    # floor(floor(a 2^-j) / o)
+    m = a << k - t if k >= t else a >> t - k
+    if o > 1:
+        m //= o
     return ctx.make_mpf(from_man_exp(-m if p < 0 else m, -k, ctx.prec, round_down))
 
 

@@ -13,8 +13,10 @@ an exact rational point of the square once, iterates the exact square map,
 and pushes each iterate forward, so long orbits accumulate no rounding.
 The orbit runs on integer pairs (numerator, denominator) from end to end:
 the seed's lift is read off ``collapse_inv``'s floats as pairs, the square
-map's pair kernel iterates them, and each kept step goes to the collapse's
-exact entry as pairs; only the lifts it returns are built as Fractions.
+map's orbit loop (``square_map._orbit``, which the map f's orbits run on
+too) iterates them, and each kept step goes to the collapse's exact entry
+as pairs; only the lifts it returns are built as Fractions.  The seed is
+tested for the rays once per call, where an infinite abscissa raises.
 
 ``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
 forward map in ``dynamics.map_registry``, so the displacement and
@@ -35,12 +37,13 @@ included as a contrast case for the certificates.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .collapse_map import _collapse_exact, _collapse_inv, _consts, _pt
 from .numerics import DomainError, coprime_fraction, integer_ratio
-from .square_map import PointPairs, _fractions, _homeo
+from .square_map import PointPairs, _fractions, _homeo, _orbit
 
 
 def _tangent(r, s, k):
@@ -129,8 +132,13 @@ def quotient_square_map(x, ctx, inverse: bool = False):
 
 def on_ray(x) -> bool:
     """Whether a plane point lies on one of the two horizontal rays
-    |x| >= 1, y = 0, the chart images of the slits."""
-    return x[1] == 0 and abs(x[0]) >= 1
+    |x| >= 1, y = 0, the chart images of the slits.  An infinite abscissa
+    is no plane point: DomainError."""
+    if x[1] == 0 and abs(x[0]) >= 1:
+        if abs(x[0]) == math.inf:
+            raise DomainError(f"point ({x[0]}, {x[1]}) is not in the plane")
+        return True
+    return False
 
 
 def plane_homeo(x, ctx, inverse: bool = False):
@@ -155,13 +163,13 @@ def lifted_core(
 
     Returns a list of (n, square lift, plane point) for n in the inclusive
     range.  The seed is pulled back to an exact rational square point once,
-    as integer pairs (``_square_pairs``); all iteration happens there, on
-    the square map's pair kernel, starting at the seed (step 0) whether or
-    not the range contains 0.  Only the requested steps are kept: each is
-    pushed forward through the collapse's exact entry and the tangent
-    chart, and its lift is built as two Fractions.  Ray seeds have no
-    square lift (entry None) and alternate exactly between their two
-    positions.
+    as integer pairs (``_square_pairs``); all iteration happens there, in
+    the square map's orbit loop (``square_map._orbit``), starting at the
+    seed (step 0) whether or not the range contains 0.  Only the requested
+    steps are kept: each is pushed forward through the collapse's exact
+    entry and the tangent chart, and its lift is built as two Fractions.
+    Ray seeds have no square lift (entry None) and alternate exactly
+    between their two positions; an infinite abscissa raises DomainError.
     """
     n_lo, n_hi = n_range
     if n_lo > n_hi:
@@ -174,18 +182,10 @@ def lifted_core(
     k = _consts(ctx)
     q = _tangent_inv(*_pt(x, ctx), k)
     w0 = _square_pairs(_collapse_inv(q, q, k), ctx)
-    lifts = {0: w0}
-    for step, stop in ((1, n_hi), (-1, n_lo)):
-        w = w0
-        for n in range(step, stop + step, step):
-            w = _homeo(*w, step < 0)
-            if n_lo <= n <= n_hi:
-                lifts[n] = w
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        wn = lifts[n]
-        out.append((n, _fractions(wn), _tangent(*_collapse_exact(*wn, ctx, k), k)))
-    return out
+    return [
+        (n, _fractions(w), _tangent(*_collapse_exact(*w, ctx, k), k))
+        for n, w in zip(range(n_lo, n_hi + 1), _orbit(w0, n_lo, n_hi))
+    ]
 
 
 def example_shift_reflection(p, inverse: bool = False):

@@ -33,8 +33,17 @@ at the end.  A row of the strip shear is evaluated pointwise, never built
 as a PLFunction: on a shear zone by the level's rule, on a blend zone from
 the level's cached coefficients, whose slope and intercept are affine in
 the height and are read off it first, by the same integer step as a PL
-piece, then meet r in Fraction's cross-reduction order.  ``row_map``
+piece, then meet r in Fraction's cross-reduction order (``_sum`` and
+``_product``), whose gcds split off the power of two first where a
+denominator is wide (``_WIDE``).  ``row_map``
 builds the row, as the reference the pointwise route is tested against.
+
+``_orbit`` is the one orbit loop of the exact core: it iterates
+``_homeo`` on a checked point's pairs and keeps a window of steps.
+``square_orbit`` runs it for the map f (``dynamics.orbit`` reaches it
+through f's ``lifted`` slot), and ``plane_map.lifted_core`` for the plane
+map h, on its seed's exact lift; so f and h share one loop, and neither
+builds a Fraction or checks a point per step.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Tuple
+from typing import List, Tuple
 
 from .numerics import (
     IDENTITY_PL,
@@ -53,6 +62,7 @@ from .numerics import (
     _affine_piece,
     _int_pairs,
     _piece,
+    _twos,
     as_rational,
     coprime_fraction,
 )
@@ -71,6 +81,12 @@ from .strips import (
 SquarePoint = Tuple[Fraction, Fraction]
 # a point as integers (rn, rd, sn, sd): r = rn/rd and s = sn/sd in lowest terms
 PointPairs = Tuple[int, int, int, int]
+# ``_sum`` and ``_product`` split the power of two off the denominators
+# before their gcds when one reaches this width.  Below it the plain gcd is
+# the cheaper: the split costs up to 1 us more a call on the plane scan's
+# pairs of at most 128 bits, and the two cross near 2^512.  Above it the
+# split saves half a call or more on a strip-wall lift.
+_WIDE = 1 << 512
 
 # Distinguished points: corners v1..v4, edge midpoints v5..v8, slit inner
 # endpoints v9/v0, and the plane limit pair w1/w2 (tangent-chart images of
@@ -173,26 +189,71 @@ def row_map(s: Fraction) -> PLFunction:
 
 def _sum(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     """na/da + nb/db for pairs in lowest terms, reduced as ``Fraction`` adds:
-    by the gcd of the denominators, then by its gcd with the new numerator."""
-    g = gcd(da, db)
-    if g == 1:
-        return na * db + da * nb, da * db
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return t, s * db
-    return t // g2, s * (db // g2)
+    by g = gcd(da, db), then by gcd(t, g) with the new numerator t.
+
+    When a denominator is wide (``_WIDE``), both gcds split off the power
+    of two first.  With da = 2^i a and db = 2^j b, a and b odd, g is
+    2^min(i, j) gcd(a, b), and gcd(t, g) is a power of two read off t's
+    low bits times gcd(t, gcd(a, b)), which is 1 more often than not.  A
+    strip-wall lift has da = 2^24700 times an odd part of some 250 bits,
+    so the gcds and divisions run on the odd parts, and the full-size
+    operands see only shifts unless the odd parts share a factor.
+    """
+    if da < _WIDE and db < _WIDE:
+        g = gcd(da, db)
+        if g == 1:
+            return na * db + da * nb, da * db
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return t, s * db
+        return t // g2, s * (db // g2)
+    i = _twos(da)
+    j = _twos(db)
+    m = i if i < j else j
+    go = gcd(da >> i, db >> j)
+    s = da >> m
+    u = db >> m
+    if go > 1:
+        s //= go
+        u //= go
+    t = na * u + nb * s
+    k = _twos(t) if t else m
+    if k > m:
+        k = m
+    if go > 1:
+        g2 = gcd(t, go)
+        if g2 > 1:
+            return (t >> k) // g2, s * ((db >> k) // g2)
+    return t >> k, s * (db >> k)
+
+
+def _split_gcd(n: int, d: int) -> int:
+    """gcd(n, d) for d > 0, with the power of two split off d (and off n
+    when n is even too): the odd parts' gcd, shifted back."""
+    j = _twos(d)
+    if n & 1 or not j:
+        return gcd(n, d >> j)
+    if not n:
+        return d
+    i = _twos(n)
+    return gcd(n >> i, d >> j) << (i if i < j else j)
 
 
 def _product(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     """(na/da) * (nb/db) for pairs in lowest terms, reduced as ``Fraction``
-    multiplies: across, by gcd(na, db) and gcd(nb, da)."""
-    g = gcd(na, db)
+    multiplies: across, by gcd(na, db) and gcd(nb, da).  When a
+    denominator is wide (``_WIDE``), both gcds split off the power of two
+    first (``_split_gcd``): a wide abscissa meets a slope whose
+    denominator is 2^k times a few odd bits.
+    """
+    split = gcd if da < _WIDE and db < _WIDE else _split_gcd
+    g = split(na, db)
     if g > 1:
         na //= g
         db //= g
-    g = gcd(nb, da)
+    g = split(nb, da)
     if g > 1:
         nb //= g
         da //= g
@@ -389,6 +450,41 @@ def square_homeo(p, inverse: bool = False) -> SquarePoint:
     the band below it, inverse descending on the bottom quarter."""
     r, s = as_square_point(p)
     return _fractions(_homeo(r.numerator, r.denominator, s.numerator, s.denominator, inverse))
+
+
+def _orbit(w: PointPairs, n_lo: int, n_hi: int) -> List[PointPairs]:
+    """The square map's orbit of a checked point ``w``, as integer pairs,
+    over the inclusive step window n_lo..n_hi.
+
+    Iteration starts at ``w`` (step 0) whether or not the window holds 0,
+    runs ``_homeo`` forward to n_hi and backward to n_lo, and keeps only
+    the window's steps.  It is the one orbit loop of the exact core:
+    ``square_orbit`` (the map f) and ``plane_map.lifted_core`` (the plane
+    map h, on its seed's lift) both run on it.
+    """
+    kept = {0: w}
+    for step, stop in ((1, n_hi), (-1, n_lo)):
+        x = w
+        for n in range(step, stop + step, step):
+            x = _homeo(*x, step < 0)
+            if n_lo <= n <= n_hi:
+                kept[n] = x
+    return [kept[n] for n in range(n_lo, n_hi + 1)]
+
+
+def square_orbit(p, n_range: Tuple[int, int]) -> List[Tuple[int, SquarePoint]]:
+    """The orbit of ``square_homeo`` over an inclusive step range of any
+    sign, as (n, point) for each step of the range.
+
+    The seed is checked once and iterated on integer pairs (``_orbit``);
+    only the returned steps are built as Fractions.
+    """
+    n_lo, n_hi = n_range
+    if n_lo > n_hi:
+        raise DomainError(f"empty step range {n_range}")
+    r, s = as_square_point(p)
+    pairs = _orbit((r.numerator, r.denominator, s.numerator, s.denominator), n_lo, n_hi)
+    return list(zip(range(n_lo, n_hi + 1), map(_fractions, pairs)))
 
 
 def _forward_piece_key(p) -> tuple:

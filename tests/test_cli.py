@@ -87,6 +87,20 @@ def test_orbit_svg(tmp_path, capsys):
 def test_orbit_rejects_seed_outside_domain(capsys):
     assert main(["orbit", "--map", "eta", "--seed", "0,-1/4", "--steps", "2"]) == 2
     assert "step 1" in capsys.readouterr().err
+    # f checks its seed once, before any step
+    for steps in ("2", "-2", "0"):
+        assert main(["orbit", "--map", "f", "--seed", "5/4,0", "--steps", steps]) == 2
+        assert "outside the square" in capsys.readouterr().err
+
+
+def test_orbit_of_a_wall_seed_matches_its_golden(tmp_path, capsys):
+    # exact rationals only, so the file is the same on every platform
+    out_file = tmp_path / "f.json"
+    code = main(["orbit", "--map", "f", "--seed=-3/5,-1/2", "--steps=-100..100",
+                 "--out", str(out_file)])
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "orbit_f_wall_seed.json"
+    assert out_file.read_bytes() == golden.read_bytes()
 
 
 def test_geometry_table(capsys):

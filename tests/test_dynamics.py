@@ -13,6 +13,7 @@ from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
 from planardyn import dynamics as dyn
 from planardyn import plane_map
 from planardyn.plane_map import lifted_core
+from planardyn.square_map import square_homeo
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,7 @@ def test_registry_contents(registry):
         "zeta",
     ]
     assert registry["f"].exact and registry["f"].piece_key is not None
+    assert registry["f"].lifted is not None  # the pair-kernel orbit loop
     assert not registry["h"].exact and registry["h"].lifted is not None
 
 
@@ -84,6 +86,38 @@ def test_orbit_window_is_a_slice_of_the_full_orbit(registry, name):
         rec = dyn.orbit(registry[name], seed, window)
         assert rec.entries == dyn.orbit(registry[name], seed, full).entries[part]
         assert [n for n, _ in rec.entries] == list(range(window[0], window[1] + 1))
+
+
+F_SEEDS = (
+    (Fraction(1, 3), Fraction(1, 5)),
+    (Fraction(-3, 5), Fraction(-1, 2)),  # a strip wall: criterion 11's slow seed
+    (Fraction(-1), Fraction(1, 3)),  # the boundary
+    (Fraction(123457, 999983), Fraction(3, 4)),
+)
+# windows with and without step 0, forward, backward and both
+F_WINDOWS = ((0, 0), (0, 12), (-12, 0), (-7, 9), (3, 12), (-12, -3))
+
+
+@pytest.mark.parametrize("seed", F_SEEDS, ids=str)
+def test_f_orbit_is_stepwise_square_homeo(registry, seed):
+    # f's orbit runs on the square map's pair kernel: the same points as
+    # square_homeo applied one step at a time, in both directions
+    steps = {0: seed}
+    for n in range(1, 13):
+        steps[n] = square_homeo(steps[n - 1])
+        steps[-n] = square_homeo(steps[1 - n], inverse=True)
+    for window in F_WINDOWS:
+        rec = dyn.orbit(registry["f"], seed, window)
+        assert rec.arithmetic == "exact" and rec.seed == seed
+        assert rec.entries == tuple((n, steps[n]) for n in range(window[0], window[1] + 1))
+        assert all(type(v) is Fraction for _, p in rec.entries for v in p)
+
+
+@pytest.mark.parametrize("window", [(0, 0), (1, 3), (-3, -1), (-2, 2)])
+def test_f_orbit_rejects_a_seed_outside_the_square(registry, window):
+    for seed in ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(-5, 4))):
+        with pytest.raises(DomainError, match="outside the square"):
+            dyn.orbit(registry["f"], seed, window)
 
 
 def test_lifted_core_window_is_a_slice_of_the_full_orbit(ctx):

@@ -120,6 +120,61 @@ def test_to_bigfloat_on_large_two_adic_denominators(value):
         assert to_bigfloat(value, ctx)._mpf_ == ctx.convert(value)._mpf_
 
 
+@st.composite
+def wide_dyadic_pairs(draw):
+    """(p, q) with q = 2^k o, k up to 25000 and o odd: up to 2^16 most of
+    the time (a strip-wall lift has q = 2^24700 times some 250 odd bits),
+    else up to 2000 bits, and o = q = 1 among them.  The pair need not be
+    in lowest terms; |p| runs to 26k bits, so |p/q| lands on both sides
+    of 1, and p is negative half the time."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    odd_bits = draw(st.one_of(st.integers(0, 16), st.integers(0, 2000)))
+    q = (rng.getrandbits(odd_bits) | 1) << draw(st.integers(0, 25000))
+    p = rng.getrandbits(draw(st.integers(0, 26000))) * draw(st.sampled_from((1, -1)))
+    return p, q
+
+
+WIDE_PRECISIONS = (53, 64, 256, 512)
+
+
+def _from_rational(p, q, prec):
+    return mpmath.libmp.from_rational(p, q, prec, mpmath.libmp.round_down)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_dyadic_pairs())
+def test_pair_to_bigfloat_on_wide_dyadic_pairs(pair):
+    # q = 2^k o divides by o alone after a shift; the result is still
+    # mpmath's own rational rounding, bit for bit
+    p, q = pair
+    for prec in WIDE_PRECISIONS:
+        ctx = make_context(prec)
+        assert pair_to_bigfloat(p, q, ctx)._mpf_ == _from_rational(p, q, prec)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (-5, 1),  # q = 1: no odd part, no power of two
+        ((1 << 9000) + 1, 1),
+        (-(3**9000), 1),
+        (-7, 3**5000),  # odd q: no power of two to split off
+        (-(1 << 20000) - 1, 3**5000),
+        (-1, 1 << 25000),  # q a bare power of two: a shift and no division
+        (3**16000, 1 << 25000),
+        (-(3**16000), 255 << 24700),
+        (-3, 255 << 24700),
+        (0, 255 << 24700),
+    ],
+    ids=["q1_small", "q1_wide", "q1_negative", "odd_q_small", "odd_q_wide",
+         "power_of_two_tiny", "power_of_two_huge", "wall_huge", "wall_tiny", "wall_zero"],
+)
+@pytest.mark.parametrize("prec", WIDE_PRECISIONS)
+def test_pair_to_bigfloat_edge_pairs(p, q, prec):
+    ctx = make_context(prec)
+    assert pair_to_bigfloat(p, q, ctx)._mpf_ == _from_rational(p, q, prec)
+
+
 @pytest.mark.parametrize(
     "value",
     [

@@ -1,5 +1,6 @@
 """The plane homeomorphism, its exact lift, and the contrast example."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -347,3 +348,53 @@ def test_nan_coordinates_raise_domain_errors(prec):
                 plane_homeo(x, ctx, inverse)
         with pytest.raises(DomainError, match="outside the open square"):
             lifted_core(x, (0, 2), ctx)
+
+
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+def test_infinite_abscissas_raise_domain_errors(prec):
+    # an infinite abscissa with y = 0 is not on a ray: it is no plane point
+    ctx = _context(prec)
+    inf = math.inf
+    for x in ((inf, 0), (-inf, 0.0), (ctx.mpf("inf"), ctx.mpf(0)), (ctx.mpf("-inf"), 0)):
+        with pytest.raises(DomainError, match="not in the plane"):
+            on_ray(x)
+        for inverse in (False, True):
+            with pytest.raises(DomainError, match="not in the plane"):
+                plane_homeo(x, ctx, inverse)
+        with pytest.raises(DomainError, match="not in the plane"):
+            lifted_core(x, (0, 2), ctx)
+    # finite ray points still alternate exactly
+    assert [y for _, _, y in lifted_core((1e300, 0.0), (0, 2), ctx)] == [
+        (1e300, 0.0), (-1e300, 0.0), (1e300, 0.0)
+    ]
+
+
+def test_lifted_core_tests_the_ray_once_per_call(monkeypatch):
+    # the ray test runs on the seed, not on each step
+    ctx = make_context(256)
+    calls = []
+    real = plane_map.on_ray
+    monkeypatch.setattr(plane_map, "on_ray", lambda x: calls.append(x) or real(x))
+    lifted_core((ctx.mpf(2), ctx.mpf(7)), (-20, 20), ctx)
+    lifted_core((ctx.mpf(5), ctx.mpf(0)), (-20, 20), ctx)
+    assert len(calls) == 2
+
+
+# sha256 of lifted_core's exact lifts, as "n numerator denominator" lines
+# in hex, for the plane image of (-3/5, -1/2) over steps -100..100 at 256
+# bits.  The backward lifts reach denominators of 2^24800 times an odd
+# part of some 280 bits; the digest was taken before the exact core split
+# powers of two off its gcds and conversions.
+WALL_SEED_LIFTS_SHA256 = "5297920acf8bb6f6221dccab370603f628eec3a87ebbfcb4735e5dc11f6e3b70"
+
+
+def test_wall_seed_lifts_are_pinned():
+    ctx = make_context(256)
+    x = tangent_chart(collapse((Fraction(-3, 5), Fraction(-1, 2)), ctx), ctx)
+    digest = hashlib.sha256()
+    core = lifted_core(x, (-100, 100), ctx)
+    assert [n for n, _, _ in core] == list(range(-100, 101))
+    for n, w, _ in core:
+        for v in w:
+            digest.update(f"{n} {v.numerator:x} {v.denominator:x}\n".encode())
+    assert digest.hexdigest() == WALL_SEED_LIFTS_SHA256

@@ -4,6 +4,7 @@ Everything here is exact rational arithmetic; equality assertions are
 literal, not toleranced.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -282,6 +283,82 @@ def test_exact_maps_return_lowest_terms(point):
         for h in (s, s0, 1 - s, s - 1, -s, -s0):
             outputs += square_homeo((r, h), inverse)
     assert all(_lowest_terms(x) for x in outputs)
+
+
+def _wide_unit():
+    """Fractions in [0, 1) with denominator 2^k o, k up to 25000 and o odd
+    up to 2^12: the shape of a strip-wall lift, whose denominators reach
+    2^24700 times a small odd part (``band_points``' big denominators are
+    odd, so they never have a power of two to split off)."""
+    return st.tuples(st.integers(0, 25000), st.integers(0, 2**11)).flatmap(
+        lambda ko: st.integers(0, ((2 * ko[1] + 1) << ko[0]) - 1).map(
+            lambda n: Fraction(n, (2 * ko[1] + 1) << ko[0])
+        )
+    )
+
+
+@st.composite
+def wide_band_points(draw):
+    """(r, s, level, zone) as ``band_points``, with r and s each wide
+    dyadic or small."""
+    level = draw(st.integers(2, 60))
+    zone = draw(st.sampled_from((Zone.F_ZONE, Zone.B_ZONE)))
+    lo, mid, hi = strip_bounds(level)
+    a, b = (lo, mid) if zone is Zone.F_ZONE else (mid, hi)
+    s = a + (b - a) * draw(_wide_unit() if draw(st.booleans()) else _unit(True))
+    assume(s != Fraction(3, 4))
+    r = 2 * draw(_wide_unit() if draw(st.booleans()) else _unit(True)) - 1
+    return r, s, level, zone
+
+
+@given(wide_band_points())
+@settings(deadline=None, max_examples=60)
+def test_wide_dyadic_points_follow_the_built_row(point):
+    # the pair kernel splits powers of two off its gcds; the row built as a
+    # PLFunction reduces the plain way, and both land in lowest terms
+    r, s, level, zone = point
+    assert (strip_locate(s).level, strip_locate(s).zone) == (level, zone)
+    row = row_map(s)
+    s0 = SHIFT_PROFILE.inverse(s)  # rises onto the sampled zone
+    expected = {
+        "shear": (row(r), s),
+        "shear_inverse": (row.inverse(r), s),
+        "rise": (row(-r), s),
+        "rise_inverse": (-row.inverse(r), s0),
+        "descend_inverse": (row(-r), -s),  # the vertical-flip mirror
+        "descend": (-row.inverse(r), -s0),
+    }
+    got = {
+        "shear": strip_shear((r, s)),
+        "shear_inverse": strip_shear((r, s), inverse=True),
+        "rise": square_homeo((r, s0)),
+        "rise_inverse": square_homeo((r, s), inverse=True),
+        "descend_inverse": square_homeo((r, -s0), inverse=True),
+        "descend": square_homeo((r, -s)),
+    }
+    assert got == expected
+    assert all(_lowest_terms(x) for p in got.values() for x in p)
+
+
+@st.composite
+def wide_pairs(draw):
+    """A rational in lowest terms as (n, d): d = 2^k o, k up to 25000 and
+    o odd, with o up to 2^12 or up to 300 bits; n signed, zero included."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    odd = rng.getrandbits(draw(st.sampled_from((12, 300)))) | 1
+    d = odd << draw(st.integers(0, 25000))
+    x = Fraction(rng.randrange(-2 * d, 2 * d + 1), d)
+    return x.numerator, x.denominator
+
+
+@given(wide_pairs(), wide_pairs())
+@settings(deadline=None, max_examples=200)
+def test_sum_and_product_match_fraction(a, b):
+    for x, y in ((a, b), (a, a), (a, (-a[0], a[1])), (b, (1, 1))):
+        for op, kernel in ((Fraction.__add__, square_map._sum),
+                           (Fraction.__mul__, square_map._product)):
+            want = op(Fraction(*x), Fraction(*y))
+            assert kernel(*x, *y) == (want.numerator, want.denominator)
 
 
 def _counting(monkeypatch, owner, name):
