@@ -25,8 +25,8 @@ from .numerics import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCES,
     DomainError,
+    as_rational,
     make_context,
-    parse_rational,
 )
 from .plane_map import lifted_core
 from .square_map import NAMED_POINTS, region_of
@@ -40,7 +40,7 @@ def _parse_point(text: str, arity: int, approx: bool):
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != arity:
         raise DomainError(f"expected {arity} comma-separated components, got {text!r}")
-    point = tuple((float if approx else parse_rational)(part) for part in parts)
+    point = tuple((float if approx else as_rational)(part) for part in parts)
     if approx and not all(math.isfinite(v) for v in point):
         raise DomainError(f"not a finite point: {text!r}")
     return point

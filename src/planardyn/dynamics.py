@@ -7,10 +7,12 @@ displacement, orientation signs) carry exact evidence, floating-point
 claims carry the tolerances they were checked at.  ``SUITE_TABLE`` lists
 each suite's checks in report order with the sampler-seed offset and run
 values of each, and is the only place those are stated: no check has a
-default seed or tolerance.  ``run_suite`` runs a suite; the ``verify``
-command prints its report and the acceptance battery reads the same
-reports, so a green verify run and a green test suite are the same
-statement.
+default seed or tolerance.  Two run values are shared, each built once
+per run: "core", the canonical plane orbit as one ``lifted_core`` list,
+and "contrast_grid", the contrast example's displacement grid.
+``run_suite`` runs a suite; the ``verify`` command prints its report and
+the acceptance battery reads the same reports, so a green verify run and
+a green test suite are the same statement.
 """
 
 from __future__ import annotations
@@ -234,6 +236,25 @@ def _dist(p, q) -> float:
     return math.dist(_as_floats(p), _as_floats(q))
 
 
+def _tail_range(side: str, horizon: int) -> Tuple[int, int]:
+    """A limit estimate's tail window: the last quarter of the side's steps."""
+    start = horizon - horizon // 4
+    return (start, horizon) if side == "omega" else (-horizon, -start)
+
+
+def _cluster(entries) -> LimitEstimate:
+    """The limit estimate of tail entries (n, point), n of one sign."""
+    window = sorted(entries, key=lambda e: abs(e[0]), reverse=True)  # most converged first
+    points, dists = [], []
+    for wanted in (0, 1):  # even steps, then odd
+        pts = [p for n, p in window if n % 2 == wanted]
+        if pts:
+            points.append(pts[0])
+            dists.append(max(_dist(pts[0], p) for p in pts))
+    converged = not any(spread > LIMITSET for spread in dists)
+    return LimitEstimate(tuple(points), tuple(dists), converged)
+
+
 def limit_estimate(
     spec: MapSpec,
     seed,
@@ -254,22 +275,7 @@ def limit_estimate(
     """
     if side not in ("omega", "alpha"):
         raise DomainError(f"side must be omega or alpha, got {side}")
-    horizon = tol.horizon
-    start = horizon - horizon // 4
-    n_range = (start, horizon) if side == "omega" else (-horizon, -start)
-    window = sorted(
-        orbit(spec, seed, n_range).entries,
-        key=lambda e: abs(e[0]),
-        reverse=True,  # most converged first
-    )
-    points, dists = [], []
-    for wanted in (0, 1):  # even steps, then odd
-        pts = [p for n, p in window if n % 2 == wanted]
-        if pts:
-            points.append(pts[0])
-            dists.append(max(_dist(pts[0], p) for p in pts))
-    converged = not any(spread > LIMITSET for spread in dists)
-    return LimitEstimate(tuple(points), tuple(dists), converged)
+    return _cluster(orbit(spec, seed, _tail_range(side, tol.horizon)).entries)
 
 
 def _matched(points, targets, radius: float) -> Optional[set]:
@@ -304,21 +310,17 @@ def ladder_witness(seed, m_max: int) -> Certificate:
     while split_height(mu) > s0:
         mu += 1
     i_max = block_index(m_max) + 2 * m_max
-    pts = [(r0, s0)]
-    for _ in range(i_max):
-        pts.append(rise_map(pts[-1]))
+    # heights in [0, 1] rise: the square map's orbit is the rising map's
+    pts = [p for _, p in square_orbit((r0, s0), (0, i_max))]
     rs = [p[0] for p in pts]
     start = block_index(mu)
     evens = list(range(start, i_max + 1, 2))
     check_a = all(rs[i] <= rs[j] for i, j in zip(evens, evens[1:]))
     block_rows = []
-    check_b = True
     for m in range(mu + 1, m_max + 1):
         km = block_index(m)
         premise = rs[km] > -shear_bound(m)
         conclusion = rs[km + 2 * m] > shear_bound(m) if premise else None
-        if premise and not conclusion:
-            check_b = False
         block_rows.append(
             {
                 "m": m,
@@ -329,6 +331,7 @@ def ladder_witness(seed, m_max: int) -> Certificate:
                 "conclusion": conclusion,
             }
         )
+    check_b = all(row["conclusion"] for row in block_rows if row["premise"])
     check_c = all(p[1] == shift_profile_pow(s0, i) for i, p in enumerate(pts))
     evidence = {
         "seed": [str(r0), str(s0)],
@@ -497,6 +500,52 @@ def _sup_norm(core) -> Tuple[float, int]:
     return sup, arg
 
 
+def _lift_span(window: Tuple[int, int], horizon: int) -> Tuple[int, int]:
+    """The steps boundedness evidence reads: the window and both tails."""
+    if window[0] > window[1]:
+        raise DomainError(f"empty step range {window}")
+    return (min(window[0], -horizon), max(window[1], horizon))
+
+
+def _boundedness(seed, window: Tuple[int, int], core, ctx, tol: Tolerances) -> Certificate:
+    """``boundedness_certificate`` off the rays, read from the seed's
+    ``lifted_core`` list ``core``, which must hold every step of
+    ``_lift_span(window, tol.horizon)`` (else DomainError)."""
+    first = core[0][0] if core else 0
+    lo, hi = _lift_span(window, tol.horizon)
+    if not (first <= lo and hi - first < len(core)):
+        raise DomainError(f"orbit entries miss steps of {lo}..{hi}")
+    part = core[window[0] - first : window[1] - first + 1]
+    interior_ok = all(abs(w[0]) < 1 and abs(w[1]) < 1 for _, w, _ in part)
+    sup_norm, arg_sup = _sup_norm(part)
+    margin = min(
+        float(min(1 - abs(cw[0]), 1 - abs(cw[1])))
+        for cw in (collapse(w, ctx) for _, w, _ in part)
+    )
+    # each tail must converge and realise both points of the limit pair
+    pair = set(LIMIT_PAIR)
+    est, ok = {}, {}
+    for side in ("omega", "alpha"):
+        n_lo, n_hi = _tail_range(side, tol.horizon)
+        est[side] = _cluster([(n, y) for n, _, y in core[n_lo - first : n_hi - first + 1]])
+        ok[side] = est[side].converged and _matched(est[side].points, pair, LIMITSET) == pair
+    evidence = {
+        "seed": [str(seed[0]), str(seed[1])],
+        "trivial": False,
+        "window": list(window),
+        "lift_interior_exact": interior_ok,
+        "collapse_boundary_margin": margin,
+        "sup_norm": sup_norm,
+        "sup_norm_at": arg_sup,
+        "omega_converged": est["omega"].converged,
+        "alpha_converged": est["alpha"].converged,
+        "omega_matches_limit_pair": ok["omega"],
+        "alpha_matches_limit_pair": ok["alpha"],
+        "horizon": tol.horizon,
+    }
+    return Certificate("boundedness", interior_ok and ok["omega"] and ok["alpha"], evidence)
+
+
 def boundedness_certificate(
     seed, window: Tuple[int, int], ctx, tol: Tolerances
 ) -> Certificate:
@@ -509,49 +558,16 @@ def boundedness_certificate(
     backward limit estimates matching the two-point limit pair, (iii) the
     smallest distance of the collapsed iterates from the square boundary,
     and (iv) the sup norm of the plane orbit over the window.  It passes
-    on (i) and (ii).
+    on (i) and (ii).  The seed is lifted once, over the window and both
+    tails together, and all four read that one orbit.
     """
     x1, x2 = seed
     if on_ray(seed):
-        return Certificate(
-            "boundedness",
-            True,
-            {
-                "seed": [str(x1), str(x2)],
-                "trivial": True,
-                "orbit": [[str(x1), str(x2)], [str(-x1), str(x2)]],
-                "period": 2,
-            },
-        )
-    core = lifted_core(seed, window, ctx)
-    interior_ok = all(abs(w[0]) < 1 and abs(w[1]) < 1 for _, w, _ in core)
-    sup_norm, arg_sup = _sup_norm(core)
-    margin = min(
-        float(min(1 - abs(cw[0]), 1 - abs(cw[1])))
-        for cw in (collapse(w, ctx) for _, w, _ in core)
-    )
-    h_spec = map_registry(ctx)["h"]
-    est_o = limit_estimate(h_spec, seed, "omega", tol)
-    est_a = limit_estimate(h_spec, seed, "alpha", tol)
-    # each tail must converge and realise both points of the limit pair
-    pair = set(LIMIT_PAIR)
-    omega_ok = est_o.converged and _matched(est_o.points, pair, LIMITSET) == pair
-    alpha_ok = est_a.converged and _matched(est_a.points, pair, LIMITSET) == pair
-    evidence = {
-        "seed": [str(x1), str(x2)],
-        "trivial": False,
-        "window": list(window),
-        "lift_interior_exact": interior_ok,
-        "collapse_boundary_margin": margin,
-        "sup_norm": sup_norm,
-        "sup_norm_at": arg_sup,
-        "omega_converged": est_o.converged,
-        "alpha_converged": est_a.converged,
-        "omega_matches_limit_pair": omega_ok,
-        "alpha_matches_limit_pair": alpha_ok,
-        "horizon": tol.horizon,
-    }
-    return Certificate("boundedness", interior_ok and omega_ok and alpha_ok, evidence)
+        cycle = [[str(x1), str(x2)], [str(-x1), str(x2)]]
+        evidence = {"seed": [str(x1), str(x2)], "trivial": True, "orbit": cycle, "period": 2}
+        return Certificate("boundedness", True, evidence)
+    core = lifted_core(seed, _lift_span(window, tol.horizon), ctx)
+    return _boundedness(seed, window, core, ctx, tol)
 
 
 def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
@@ -707,10 +723,7 @@ def check_ladder_canonical() -> Certificate:
     """The frozen ladder of the canonical band seed (0, 1/4): early values,
     global monotonicity of even steps, and per-block gap bounds."""
     seed = (Fraction(0), Fraction(1, 4))
-    pts = [seed]
-    for _ in range(200):
-        pts.append(rise_map(pts[-1]))
-    rs = [p[0] for p in pts]
+    rs = [p[0] for _, p in square_orbit(seed, (0, 200))]
     frozen_ok = rs[2:7:2] == [Fraction(2, 3), Fraction(8, 9), Fraction(35, 36)]
     evens = list(range(2, 201, 2))
     monotone_ok = all(rs[i] <= rs[j] for i, j in zip(evens, evens[1:]))
@@ -736,17 +749,12 @@ def check_ladder_random(rng_seed: int) -> Certificate:
     """Ladder witnesses for random seeds in the open band (0, 1/2]."""
     rng = random.Random(rng_seed)
     count = 25
-    all_ok = True
-    mus = []
+    certs = []
     for _ in range(count):
-        seed = (
-            _rand_fraction(rng, Fraction(-9, 10), Fraction(9, 10)),
-            _rand_fraction(rng, 0, Fraction(1, 2)),
-        )
-        cert = ladder_witness(seed, 5)
-        mus.append(cert.evidence["mu"])
-        if not cert.passed:
-            all_ok = False
+        r = _rand_fraction(rng, Fraction(-9, 10), Fraction(9, 10))  # abscissa drawn first
+        certs.append(ladder_witness((r, _rand_fraction(rng, 0, Fraction(1, 2))), 5))
+    mus = [cert.evidence["mu"] for cert in certs]
+    all_ok = all(cert.passed for cert in certs)
     return Certificate(
         "boundedness",
         all_ok,
@@ -776,7 +784,7 @@ def check_interior_limits(rng_seed: int, tol: Tolerances) -> Certificate:
     evidence = {
         "count": count,
         "sampler_seed": rng_seed,
-        "window": [tol.horizon - tol.horizon // 4, tol.horizon],
+        "window": list(_tail_range("omega", tol.horizon)),
         "tolerance": LIMITSET,
         "max_tail_spread": worst,
         "all_matched": all_ok,
@@ -953,20 +961,14 @@ def check_cone_bijectivity(
     rng = random.Random(rng_seed)
     pi = +ctx.pi
     bound = tol.pin_bound(ctx)
-    ok = True
-    worst = 0.0
-    for _ in range(samples):
-        e = _cone_roundtrip_error(rng, pi, ctx)
-        worst = max(worst, float(e))
-        if e > bound:
-            ok = False
+    worst = max(_cone_roundtrip_error(rng, pi, ctx) for _ in range(samples))
     return Certificate(
         "conjugacy",
-        ok,
+        bool(worst <= bound),
         {
             "samples": samples,
             "sampler_seed": rng_seed,
-            "worst_error": worst,
+            "worst_error": float(worst),
             "tolerance": float(bound),
         },
     )
@@ -1099,8 +1101,19 @@ def check_rays_exact(ctx, rng_seed: int) -> Certificate:
     )
 
 
+# the canonical plane orbit and the window that orbit_bounded certifies
+_CANONICAL = ((Fraction(0), Fraction(0)), (-300, 300))
+
+
 def _canonical_core(ctx):
-    return lifted_core((Fraction(0), Fraction(0)), (-400, 400), ctx)
+    """The canonical orbit over the steps ``orbit_bounded`` reads."""
+    seed, window = _CANONICAL
+    return lifted_core(seed, _lift_span(window, DEFAULT_TOLERANCES.horizon), ctx)
+
+
+def _contrast_grid(ctx):
+    """The contrast example's displacement grid; exact, so ``ctx`` goes unused."""
+    return displacement_scan(map_registry(None)["example12"], ((-2, 2), (-2, 2)), (100, 100))
 
 
 def check_plane_convergence(core) -> Certificate:
@@ -1164,12 +1177,11 @@ def check_semiconjugacy(ctx, tol: Tolerances) -> Certificate:
     return cert
 
 
-def check_displacement_battery(rng_seed: int) -> List[Certificate]:
+def check_displacement_battery(rng_seed: int, contrast_grid: Certificate) -> List[Certificate]:
     """Positive displacement for the square map (exact), the plane map
     (machine-float grid plus random disk samples: density is what matters
-    there, not digits), and the contrast example (exact)."""
+    there, not digits), and the contrast example (the run's exact grid)."""
     fast_ctx = mpmath.fp
-    reg_exact = map_registry(None)
     h_spec = map_registry(fast_ctx)["h"]
     h_grid = displacement_scan(h_spec, ((-3, 3), (-3, 3)), (300, 300), fast_ctx)
     rng = random.Random(rng_seed)
@@ -1200,9 +1212,9 @@ def check_displacement_battery(rng_seed: int) -> List[Certificate]:
         },
     )
     return [
-        displacement_scan(reg_exact["f"], ((-1, 1), (-1, 1)), (200, 200)),
+        displacement_scan(map_registry(None)["f"], ((-1, 1), (-1, 1)), (200, 200)),
         h_cert,
-        displacement_scan(reg_exact["example12"], ((-2, 2), (-2, 2)), (100, 100)),
+        contrast_grid,
     ]
 
 
@@ -1219,11 +1231,9 @@ def check_orientation_battery(ctx, rng_seed: int) -> List[Certificate]:
     ]
 
 
-def check_example_contrast(rng_seed: int) -> Certificate:
-    """The contrast example: fixed-point free on a grid, exactly an
+def check_example_contrast(rng_seed: int, contrast_grid: Certificate) -> Certificate:
+    """The contrast example: fixed-point free on the run's grid, exactly an
     involution beyond the unit band, orbit heights grow linearly."""
-    spec = map_registry(None)["example12"]
-    grid_cert = displacement_scan(spec, ((-2, 2), (-2, 2)), (100, 100))
     rng = random.Random(rng_seed)
 
     def involution_holds() -> bool:
@@ -1232,22 +1242,17 @@ def check_example_contrast(rng_seed: int) -> Certificate:
 
     # stops drawing at the first failure
     involution_ok = all(involution_holds() for _ in range(10**3))
-    heights_ok = True
-    p = (Fraction(0), Fraction(0))
-    for n in range(1, 101):
-        p = example_shift_reflection(p)
-        if p != (Fraction(0), Fraction(n)):
-            heights_ok = False
-            break
+    climb = orbit(map_registry(None)["example12"], (0, 0), (0, 100)).entries
+    heights_ok = all(p == (0, n) for n, p in climb)
     evidence = {
-        "grid_min_displacement": grid_cert.evidence["min_displacement"],
-        "grid_positive": grid_cert.passed,
+        "grid_min_displacement": contrast_grid.evidence["min_displacement"],
+        "grid_positive": contrast_grid.passed,
         "involution_beyond_band_exact": involution_ok,
         "orbit_heights_linear": heights_ok,
         "sampler_seed": rng_seed,
     }
     return Certificate(
-        "fixedpointfree", grid_cert.passed and involution_ok and heights_ok, evidence
+        "fixedpointfree", contrast_grid.passed and involution_ok and heights_ok, evidence
     )
 
 
@@ -1255,7 +1260,8 @@ def check_example_contrast(rng_seed: int) -> Certificate:
 class SuiteCheck:
     """One row of the suite table: the report label, the check, the offset
     from the run's sampler seed that it draws from (None: it draws
-    nothing), and the run values it takes by name ("ctx", "tol", "core")."""
+    nothing), and the run values it takes by name ("ctx", "tol", and the
+    shared "core" and "contrast_grid")."""
 
     label: str
     check: Callable  # -> Certificate or a list of them
@@ -1264,8 +1270,10 @@ class SuiteCheck:
 
 
 # the two boundedness seeds: the canonical orbit and a ray point
-_orbit_bounded = partial(boundedness_certificate, (Fraction(0), Fraction(0)), (-300, 300))
+_orbit_bounded = partial(_boundedness, *_CANONICAL)
 _ray_period_two = partial(boundedness_certificate, (Fraction(2), Fraction(0)), (-300, 300))
+# the run values rows share, each built once per run when a row uses it
+_SHARED_VALUES = {"core": _canonical_core, "contrast_grid": _contrast_grid}
 SUITE_TABLE: Dict[str, Tuple[SuiteCheck, ...]] = {
     "core": (
         SuiteCheck("boundary_identity", check_boundary_identity),
@@ -1286,11 +1294,11 @@ SUITE_TABLE: Dict[str, Tuple[SuiteCheck, ...]] = {
         SuiteCheck("rays_exact", check_rays_exact, 6, ("ctx",)),
         SuiteCheck("plane_convergence", check_plane_convergence, None, ("core",)),
         SuiteCheck("excursion", check_excursion, None, ("core",)),
-        SuiteCheck("displacement", check_displacement_battery, 9),
+        SuiteCheck("displacement", check_displacement_battery, 9, ("contrast_grid",)),
         SuiteCheck("orientation", check_orientation_battery, 7, ("ctx",)),
         SuiteCheck("semiconjugacy", check_semiconjugacy, None, ("ctx", "tol")),
-        SuiteCheck("example_contrast", check_example_contrast, 8),
-        SuiteCheck("orbit_bounded", _orbit_bounded, None, ("ctx", "tol")),
+        SuiteCheck("example_contrast", check_example_contrast, 8, ("contrast_grid",)),
+        SuiteCheck("orbit_bounded", _orbit_bounded, None, ("core", "ctx", "tol")),
         SuiteCheck("ray_period_two", _ray_period_two, None, ("ctx", "tol")),
     ),
 }
@@ -1306,8 +1314,9 @@ def run_suite(name: str, ctx=None, rng_seed: int = DEFAULT_SAMPLER_SEED) -> dict
         ctx = make_context()
     rows = SUITE_TABLE[name]
     values = {"ctx": ctx, "tol": DEFAULT_TOLERANCES}
-    if any("core" in row.uses for row in rows):
-        values["core"] = _canonical_core(ctx)
+    for key, build in _SHARED_VALUES.items():
+        if any(key in row.uses for row in rows):
+            values[key] = build(ctx)
     certs = []
     for row in rows:
         kwargs = {key: values[key] for key in row.uses}

@@ -7,11 +7,11 @@ the tangent compactification, which need arctangents; those run inside an
 explicit mpmath context created by :func:`make_context` and passed around
 as a value, never global state.
 
-Rationals are wrapped once, at the public entry points: a map that takes a
-coordinate from outside passes it through :func:`as_rational`, which turns
-int, float and str input into a Fraction (or raises) and hands a Fraction
-back untouched.  Internal calls pass Fractions through, so the exact core
-never rebuilds a value it already holds.
+Rationals are wrapped once, where they enter: a map that takes a coordinate
+from outside, and the command line's parser of exact points, pass it to
+:func:`as_rational`, which turns int, float and str input into a Fraction
+(or raises) and hands a Fraction back untouched.  Internal calls pass
+Fractions through, so the exact core never rebuilds a value it holds.
 
 Exact evaluation runs on integer pairs (numerator, denominator), every
 pair in lowest terms with a positive denominator, and builds one Fraction
@@ -84,14 +84,6 @@ def make_context(prec: int = DEFAULT_PRECISION):
     ctx = mpmath.mp.clone()
     ctx.prec = prec
     return ctx
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', integer, or finite decimal text into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not an exact rational literal: {text!r}") from exc
 
 
 if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
@@ -182,9 +174,16 @@ def pair_to_bigfloat(p: int, q: int, ctx):
 
 def integer_ratio(x) -> Tuple[int, int]:
     """Exact value of a finite double or big float as (numerator,
-    denominator) in lowest terms, denominator positive."""
+    denominator) in lowest terms, denominator positive.  An infinity or a
+    NaN raises DomainError."""
     if type(x) is float:
-        return x.as_integer_ratio()
+        try:
+            return x.as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise DomainError(f"not a finite number: {x}") from None
+    _, man, exp, _ = x._mpf_
+    if not man and exp:  # mpmath's special values: zero mantissa, nonzero exponent
+        raise DomainError(f"not a finite number: {x}")
     p, q = to_rational(x._mpf_)
     return int(p), int(q)
 

@@ -16,15 +16,16 @@ the seed's lift is read off ``collapse_inv``'s floats as pairs, the square
 map's orbit loop (``square_map._orbit``, which the map f's orbits run on
 too) iterates them, and each kept step goes to the collapse's exact entry
 as pairs; only the lifts it returns are built as Fractions.  The seed is
-tested for the rays once per call, where an infinite abscissa raises.
+typed and ray-tested once per call, where an infinite abscissa raises.
 
 ``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
 forward map in ``dynamics.map_registry``, so the displacement and
-orientation certificates evaluate it once per sample point.  It converts
-its point once, looks the context's chart table (``collapse_map._consts``)
-up once, and chains the internal forms of the public maps, each of which
-takes the table: ``_tangent_inv``, then ``_quotient`` (``_collapse_inv``,
-the square map's pair kernel, ``_collapse_exact``), then ``_tangent``.
+orientation certificates evaluate it once per sample point.  It types and
+converts its point once, in ``collapse_map._pt``, looks the context's chart
+table (``collapse_map._consts``) up once, and chains the internal forms of
+the public maps, each of which takes the table: ``_tangent_inv``, then
+``_quotient`` (``_collapse_inv``, the square map's pair kernel,
+``_collapse_exact``), then ``_tangent``.
 Between the stages pass two floats of the context, then integer pairs,
 then two floats again; none is converted a second time, and on
 ``mpmath.fp`` every transcendental is a ``math`` call.  ``lifted_core``
@@ -67,9 +68,13 @@ def tangent_chart(p, ctx, inverse: bool = False):
 
     Forward: (r, s) -> (tan(pi r / 2), tan(pi s / 2)), domain the open
     square (coordinates strictly inside (-1, 1)).  Inverse: componentwise
-    (2/pi) arctan, defined on the whole plane.
+    (2/pi) arctan, defined on the whole plane: an infinite or NaN
+    coordinate raises DomainError.
     """
     u0, u1 = _pt(p, ctx)
+    # a negated in-range test, so that NaN fails it
+    if inverse and not (abs(u0) < ctx.inf and abs(u1) < ctx.inf):
+        raise DomainError(f"point ({u0}, {u1}) is not in the plane")
     return (_tangent_inv if inverse else _tangent)(u0, u1, _consts(ctx))
 
 
@@ -148,11 +153,12 @@ def plane_homeo(x, ctx, inverse: bool = False):
     map by exact reflection, so ray points are period-two and stay exact;
     everything else goes through the charts.
     """
+    u = _pt(x, ctx)
     x1, x2 = x
     if on_ray(x):
         return (-x1, x2)
     k = _consts(ctx)
-    q = _tangent_inv(*_pt(x, ctx), k)
+    q = _tangent_inv(*u, k)
     return _tangent(*_quotient(q, q, inverse, ctx, k), k)
 
 
@@ -174,13 +180,14 @@ def lifted_core(
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise DomainError(f"empty step range {n_range}")
+    u = _pt(x, ctx)
     x1, x2 = x
     if on_ray(x):
         return [
             (n, None, (x1 if n % 2 == 0 else -x1, x2)) for n in range(n_lo, n_hi + 1)
         ]
     k = _consts(ctx)
-    q = _tangent_inv(*_pt(x, ctx), k)
+    q = _tangent_inv(*u, k)
     w0 = _square_pairs(_collapse_inv(q, q, k), ctx)
     return [
         (n, _fractions(w), _tangent(*_collapse_exact(*w, ctx, k), k))

@@ -11,7 +11,7 @@ import pytest
 from planardyn import collapse_map
 from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
 from planardyn import dynamics as dyn
-from planardyn import plane_map
+from planardyn import plane_map, square_map
 from planardyn.plane_map import lifted_core
 from planardyn.square_map import square_homeo
 
@@ -170,6 +170,23 @@ def test_ladder_witness_canonical():
     assert all(row["conclusion"] for row in cert.evidence["block_crossings"])
 
 
+def test_ladders_run_on_the_square_maps_orbit_loop(monkeypatch):
+    # the ladder seeds' heights lie in (0, 1/2], where the square map is
+    # the rising map: their points come from square_orbit, unchecked per step
+    calls = []
+    real = square_map.rise_map
+
+    def counting_rise(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(square_map, "rise_map", counting_rise)
+    monkeypatch.setattr(dyn, "rise_map", counting_rise)
+    assert dyn.ladder_witness((Fraction(-1, 3), Fraction(1, 7)), 4).passed
+    assert dyn.check_ladder_canonical().passed
+    assert calls == []
+
+
 def test_ladder_witness_rejects_bad_seed():
     with pytest.raises(DomainError):
         dyn.ladder_witness((Fraction(0), Fraction(3, 4)), 3)
@@ -215,6 +232,68 @@ def test_boundedness_certificate_interior(ctx, tol):
     assert cert.evidence["lift_interior_exact"]
     assert cert.evidence["sup_norm"] > 0
     assert cert.evidence["collapse_boundary_margin"] > 0
+
+
+def test_boundedness_lifts_once(monkeypatch, ctx, tol):
+    # one lift over the window and both tails: steps -400..400 are 800
+    # square-map steps, where lifting the window and each tail apart took 1400
+    calls = []
+    real = square_map._homeo
+
+    def counting_homeo(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(square_map, "_homeo", counting_homeo)
+    cert = dyn.boundedness_certificate((Fraction(0), Fraction(0)), (-300, 300), ctx, tol)
+    assert len(calls) == 800
+    # the suite's orbit_bounded row reads the run's core and steps nothing
+    core = dyn._canonical_core(ctx)
+    calls.clear()
+    [row] = [row for row in dyn.SUITE_TABLE["plane"] if row.label == "orbit_bounded"]
+    assert row.check(core=core, ctx=ctx, tol=tol) == cert
+    assert calls == []
+
+
+def test_boundedness_needs_the_window_and_both_tails(ctx):
+    seed, window = (Fraction(1, 3), Fraction(1, 5)), (-30, 30)
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, horizon=40)
+    for span in ((-40, 39), (-39, 40), (-29, 40), (0, 40), (-40, 0)):
+        with pytest.raises(DomainError, match="miss steps"):
+            dyn._boundedness(seed, window, lifted_core(seed, span, ctx), ctx, tol)
+    with pytest.raises(DomainError, match="miss steps"):
+        dyn._boundedness(seed, window, [], ctx, tol)
+    # an empty window is a usage error, as an empty range is to lifted_core
+    with pytest.raises(DomainError, match="empty step range"):
+        dyn.boundedness_certificate(seed, (5, -5), ctx, tol)
+    wider = dyn._boundedness(seed, window, lifted_core(seed, (-45, 41), ctx), ctx, tol)
+    assert wider == dyn.boundedness_certificate(seed, window, ctx, tol)
+    assert wider.evidence["window"] == [-30, 30] and wider.evidence["horizon"] == 40
+
+
+def test_plane_suite_scans_the_contrast_grid_once(monkeypatch, ctx):
+    # the displacement and example_contrast rows share one example12 scan;
+    # the h grid is stubbed, as this counts grids and does not check them
+    scanned = []
+    real = dyn.displacement_scan
+
+    def counting_scan(spec, *args):
+        scanned.append(spec.name)
+        if spec.name == "h":
+            return dyn.Certificate("fixedpointfree", True, {})
+        return real(spec, *args)
+
+    monkeypatch.setattr(dyn, "displacement_scan", counting_scan)
+    rows = tuple(
+        row for row in dyn.SUITE_TABLE["plane"]
+        if row.label in ("displacement", "example_contrast")
+    )
+    monkeypatch.setitem(dyn.SUITE_TABLE, "plane", rows)
+    report = dyn.run_suite("plane", ctx)
+    assert sorted(scanned) == ["example12", "f", "h"]
+    grid, contrast = report["certificates"][2:]
+    assert grid["evidence"]["map"] == "example12"
+    assert contrast["evidence"]["grid_min_displacement"] == grid["evidence"]["min_displacement"]
 
 
 def test_semiconjugacy_probe_single_seed(ctx, tol):
@@ -280,7 +359,7 @@ def test_checks_take_seed_and_tolerances_from_the_table():
     # the suite table is the only statement of a check's seed and run values
     for row in dyn.SUITE_TABLE["all"]:
         params = inspect.signature(row.check).parameters
-        for name in ("rng_seed", "tol", "ctx", "core"):
+        for name in ("rng_seed", "tol", "ctx", "core", "contrast_grid"):
             if name in params:
                 assert params[name].default is inspect.Parameter.empty, (row.label, name)
 
@@ -329,7 +408,10 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx):
             for row in dyn.SUITE_TABLE[name]
         )
         monkeypatch.setitem(dyn.SUITE_TABLE, name, rows)
-    monkeypatch.setattr(dyn, "_canonical_core", lambda ctx: [])
+    # and every shared run value
+    monkeypatch.setitem(dyn._SHARED_VALUES, "core", lambda ctx: [])
+    stub_grid = dyn.Certificate("stub", True, {})
+    monkeypatch.setitem(dyn._SHARED_VALUES, "contrast_grid", lambda ctx: stub_grid)
 
     xi = dyn.run_suite("xi", ctx, rng_seed=100)
     assert [c["evidence"]["check"] for c in xi["certificates"]] == [
@@ -401,4 +483,25 @@ def test_plane_256bit_certificates_match_golden(suite_report):
     labels = ("semiconjugacy", "orbit_bounded", "ray_period_two")
     certs = [c for c in report["certificates"] if c["evidence"]["check"] in labels]
     assert [c["evidence"]["check"] for c in certs] == list(labels)
+    assert json.dumps(certs, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+
+
+def test_plane_shared_certificates_match_golden(suite_report):
+    # the plane rows that read the suite's shared run values (the canonical
+    # core and example12's grid), minus the h displacement scan on
+    # mpmath.fp: exact rationals, booleans and math.sqrt / math.hypot of
+    # them, the same on every platform
+    golden = Path(__file__).parent / "data" / "plane_shared_certificates.json"
+    report = suite_report("plane")
+    labels = ("excursion", "displacement", "example_contrast")
+    certs = [
+        c for c in report["certificates"]
+        if c["evidence"]["check"] in labels and c["evidence"].get("map") != "h"
+    ]
+    assert [(c["evidence"]["check"], c["evidence"].get("map")) for c in certs] == [
+        ("excursion", None),
+        ("displacement", "f"),
+        ("displacement", "example12"),
+        ("example_contrast", None),
+    ]
     assert json.dumps(certs, indent=2) + "\n" == golden.read_text(encoding="utf-8")

@@ -9,10 +9,13 @@ float and a malformed string included.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from planardyn import dynamics
-from planardyn.numerics import DomainError, PLFunction
+from planardyn.collapse_map import collapse, collapse_inv, cone_map
+from planardyn.numerics import DomainError, PLFunction, make_context
+from planardyn.plane_map import lifted_core, plane_homeo, quotient_square_map, tangent_chart
 from planardyn.square_map import (
     reflect,
     region_of,
@@ -158,3 +161,41 @@ def test_exact_orbits_reject_non_rational_seeds(name):
     for seed in NOT_RATIONAL if spec.domain == "interval" else NOT_RATIONAL_POINTS:
         with pytest.raises(DomainError):
             dynamics.orbit(spec, seed, (0, 1))
+
+
+# the chart side's entry points, each a function of (point, context)
+CHART_ENTRIES = {
+    "collapse": collapse,
+    "collapse_inv": collapse_inv,
+    "cone_map": cone_map,
+    "cone_map_inverse": lambda p, c: cone_map(p, c, inverse=True),
+    "tangent_chart": tangent_chart,
+    "tangent_chart_inverse": lambda p, c: tangent_chart(p, c, inverse=True),
+    "quotient_square_map": quotient_square_map,
+    "plane_homeo": plane_homeo,
+    "lifted_core": lambda p, c: lifted_core(p, (0, 1), c),
+}
+
+
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+@pytest.mark.parametrize("name", sorted(CHART_ENTRIES))
+def test_chart_entries_reject_coordinates_that_are_no_numbers(name, prec):
+    # the chart side takes numbers only, a numeric string included: its
+    # floats would otherwise depend on the context's string parser
+    ctx = mpmath.fp if prec is None else make_context(prec)
+    fn = CHART_ENTRIES[name]
+    for point in [("abc", 0), (0, "abc"), (None, 0.5), (0.5, None), ("0.5", "0.25"),
+                  (Fraction(1, 3), "1/5"), (0.5, 0.25j)]:
+        with pytest.raises(DomainError, match="is not a number"):
+            fn(point, ctx)
+    fn((Fraction(1, 3), 0.25), ctx)  # a point of numbers of mixed types is charted
+
+
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+def test_tangent_chart_inverse_rejects_non_finite_coordinates(prec):
+    # (2/pi) atan would map an infinity onto the square's boundary, and
+    # pass a NaN through
+    ctx = mpmath.fp if prec is None else make_context(prec)
+    for point in [(NAN, 0), (0, NAN), (INF, 0.5), (0.5, -INF), (ctx.mpf("inf"), 0)]:
+        with pytest.raises(DomainError, match="is not in the plane"):
+            tangent_chart(point, ctx, inverse=True)

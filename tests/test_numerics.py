@@ -28,7 +28,6 @@ from planardyn.numerics import (
     integer_ratio,
     make_context,
     pair_to_bigfloat,
-    parse_rational,
     to_bigfloat,
 )
 
@@ -55,15 +54,29 @@ def test_context_is_independent(ctx):
 
 
 def test_parse_rational():
-    assert parse_rational("3/4") == Fraction(3, 4)
-    assert parse_rational("-0.25") == Fraction(-1, 4)
-    assert parse_rational("2") == 2
+    # as_rational is the command line's parser of exact components
+    assert as_rational("3/4") == Fraction(3, 4)
+    assert as_rational("-0.25") == Fraction(-1, 4)
+    assert as_rational("2") == 2
 
 
 def test_to_bigfloat_exact_on_dyadics(ctx):
     x = to_bigfloat(Fraction(-13, 32), ctx)
     assert x == ctx.mpf(-13) / 32
     assert Fraction(*integer_ratio(x)) == Fraction(-13, 32)
+
+
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+def test_integer_ratio_rejects_non_finite_values(prec):
+    # mpmath stores its infinities as a zero mantissa, which to_rational
+    # reads as the exact value 0; a float infinity raises OverflowError
+    ctx = mpmath.fp if prec is None else make_context(prec)
+    for text in ("+inf", "-inf", "nan"):
+        for x in (ctx.mpf(text), float(text)):
+            with pytest.raises(DomainError, match="not a finite number"):
+                integer_ratio(x)
+    assert integer_ratio(ctx.mpf(0)) == (0, 1)
+    assert integer_ratio(-ctx.mpf(0.375)) == (-3, 8)
 
 
 def test_bigfloat_roundtrip_error_is_tiny(ctx):
