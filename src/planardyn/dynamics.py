@@ -5,11 +5,13 @@ check lives here, in plain functions returning :class:`Certificate`
 values: exact claims (boundary identity, monotone shear ladder, positive
 displacement, orientation signs) carry exact evidence, floating-point
 claims carry the tolerances they were checked at.  ``SUITE_TABLE`` lists
-each suite's checks in report order with the sampler-seed offset and run
-values of each, and is the only place those are stated: no check has a
-default seed or tolerance.  Two run values are shared, each built once
-per run: "core", the canonical plane orbit as one ``lifted_core`` list,
-and "contrast_grid", the contrast example's displacement grid.
+each suite's rows in report order: a label and one call of its check on
+the run's ``CheckRun``.  That call states the check's sampler-seed offset
+and run values and is the only place they are stated: no check has a
+default seed or tolerance.  A ``CheckRun`` holds the context, the sampler
+seed and the tolerances, and builds the two values rows share on first
+read, once per run: ``core``, the canonical plane orbit, and
+``contrast_grid``, the contrast example's displacement grid.
 ``run_suite`` runs a suite; the ``verify`` command prints its report and
 the acceptance battery reads the same reports, so a green verify run and
 a green test suite are the same statement.
@@ -20,11 +22,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import mpmath
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .collapse_map import (
     _collapse_charts,
@@ -43,9 +45,9 @@ from .numerics import (
     to_bigfloat,
 )
 from .plane_map import (
+    _lifted,
     example_shift_reflection,
     lifted_core,
-    on_ray,
     plane_homeo,
     quotient_square_map,
     tangent_chart,
@@ -491,9 +493,9 @@ def orientation_probe(
 
 
 def _sup_norm(core) -> Tuple[float, int]:
-    """Largest plane norm over ``lifted_core`` entries and the first step attaining it."""
+    """Largest plane norm over ``_lifted`` entries and the first step attaining it."""
     sup, arg = 0.0, 0
-    for n, _, y in core:
+    for n, _, _, y in core:
         norm = math.hypot(*_as_floats(y))
         if norm > sup:
             sup, arg = norm, n
@@ -507,27 +509,24 @@ def _lift_span(window: Tuple[int, int], horizon: int) -> Tuple[int, int]:
     return (min(window[0], -horizon), max(window[1], horizon))
 
 
-def _boundedness(seed, window: Tuple[int, int], core, ctx, tol: Tolerances) -> Certificate:
-    """``boundedness_certificate`` off the rays, read from the seed's
-    ``lifted_core`` list ``core``, which must hold every step of
+def _boundedness(seed, window: Tuple[int, int], core, tol: Tolerances) -> Certificate:
+    """``boundedness_certificate`` of a seed with a lift, read from its
+    ``_lifted`` entries ``core``, which must hold every step of
     ``_lift_span(window, tol.horizon)`` (else DomainError)."""
     first = core[0][0] if core else 0
     lo, hi = _lift_span(window, tol.horizon)
     if not (first <= lo and hi - first < len(core)):
         raise DomainError(f"orbit entries miss steps of {lo}..{hi}")
     part = core[window[0] - first : window[1] - first + 1]
-    interior_ok = all(abs(w[0]) < 1 and abs(w[1]) < 1 for _, w, _ in part)
+    interior_ok = all(abs(w[0]) < 1 and abs(w[1]) < 1 for _, w, _, _ in part)
     sup_norm, arg_sup = _sup_norm(part)
-    margin = min(
-        float(min(1 - abs(cw[0]), 1 - abs(cw[1])))
-        for cw in (collapse(w, ctx) for _, w, _ in part)
-    )
+    margin = min(float(min(1 - abs(c[0]), 1 - abs(c[1]))) for _, _, c, _ in part)
     # each tail must converge and realise both points of the limit pair
     pair = set(LIMIT_PAIR)
     est, ok = {}, {}
     for side in ("omega", "alpha"):
         n_lo, n_hi = _tail_range(side, tol.horizon)
-        est[side] = _cluster([(n, y) for n, _, y in core[n_lo - first : n_hi - first + 1]])
+        est[side] = _cluster([(n, y) for n, _, _, y in core[n_lo - first : n_hi - first + 1]])
         ok[side] = est[side].converged and _matched(est[side].points, pair, LIMITSET) == pair
     evidence = {
         "seed": [str(seed[0]), str(seed[1])],
@@ -551,7 +550,8 @@ def boundedness_certificate(
 ) -> Certificate:
     """Boundedness evidence for one plane orbit.
 
-    Ray seeds are exactly period two and certify trivially.  Otherwise the
+    Ray seeds, and seeds whose chart preimage rounds onto a slit, have no
+    lift: they are exactly period two and certify trivially.  Otherwise the
     seed lifts to an exact rational square point and the certificate
     records (i) the exact statement that every lifted iterate in the
     window stays strictly inside the open square, (ii) forward and
@@ -561,13 +561,13 @@ def boundedness_certificate(
     on (i) and (ii).  The seed is lifted once, over the window and both
     tails together, and all four read that one orbit.
     """
-    x1, x2 = seed
-    if on_ray(seed):
-        cycle = [[str(x1), str(x2)], [str(-x1), str(x2)]]
-        evidence = {"seed": [str(x1), str(x2)], "trivial": True, "orbit": cycle, "period": 2}
+    core = list(_lifted(seed, _lift_span(window, tol.horizon), ctx))
+    first = core[0][0]
+    if core[0][1] is None:
+        cycle = [[str(v) for v in core[n - first][3]] for n in (0, 1)]
+        evidence = {"seed": [str(v) for v in seed], "trivial": True, "orbit": cycle, "period": 2}
         return Certificate("boundedness", True, evidence)
-    core = lifted_core(seed, _lift_span(window, tol.horizon), ctx)
-    return _boundedness(seed, window, core, ctx, tol)
+    return _boundedness(seed, window, core, tol)
 
 
 def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
@@ -1105,23 +1105,12 @@ def check_rays_exact(ctx, rng_seed: int) -> Certificate:
 _CANONICAL = ((Fraction(0), Fraction(0)), (-300, 300))
 
 
-def _canonical_core(ctx):
-    """The canonical orbit over the steps ``orbit_bounded`` reads."""
-    seed, window = _CANONICAL
-    return lifted_core(seed, _lift_span(window, DEFAULT_TOLERANCES.horizon), ctx)
-
-
-def _contrast_grid(ctx):
-    """The contrast example's displacement grid; exact, so ``ctx`` goes unused."""
-    return displacement_scan(map_registry(None)["example12"], ((-2, 2), (-2, 2)), (100, 100))
-
-
 def check_plane_convergence(core) -> Certificate:
     """Both tails of the canonical plane orbit land within 0.05 of the
     limit pair and stay there for 200 steps: reports the first window
     start on each side."""
     radius, hold = 0.05, 200
-    dist = {n: min(_dist(y, t) for t in LIMIT_PAIR) for n, _, y in core}
+    dist = {n: min(_dist(y, t) for t in LIMIT_PAIR) for n, _, _, y in core}
     span = max(dist)
     found = {}
     for label, sgn in (("omega", 1), ("alpha", -1)):
@@ -1257,74 +1246,71 @@ def check_example_contrast(rng_seed: int, contrast_grid: Certificate) -> Certifi
 
 
 @dataclass(frozen=True)
-class SuiteCheck:
-    """One row of the suite table: the report label, the check, the offset
-    from the run's sampler seed that it draws from (None: it draws
-    nothing), and the run values it takes by name ("ctx", "tol", and the
-    shared "core" and "contrast_grid")."""
+class CheckRun:
+    """One run of the battery: the context and sampler seed every row
+    reads, the tolerances, and the two values plane rows share, each built
+    on first read and then kept for the run."""
 
-    label: str
-    check: Callable  # -> Certificate or a list of them
-    seed_offset: Optional[int] = None
-    uses: Tuple[str, ...] = ()
+    ctx: object
+    rng_seed: int
+    tol: ClassVar[Tolerances] = DEFAULT_TOLERANCES
+
+    @cached_property
+    def core(self) -> list:
+        """The canonical plane orbit over the steps ``orbit_bounded`` reads."""
+        seed, window = _CANONICAL
+        return list(_lifted(seed, _lift_span(window, self.tol.horizon), self.ctx))
+
+    @cached_property
+    def contrast_grid(self) -> Certificate:
+        """The contrast example's displacement grid, in exact arithmetic."""
+        return displacement_scan(map_registry(None)["example12"], ((-2, 2), (-2, 2)), (100, 100))
 
 
-# the two boundedness seeds: the canonical orbit and a ray point
-_orbit_bounded = partial(_boundedness, *_CANONICAL)
-_ray_period_two = partial(boundedness_certificate, (Fraction(2), Fraction(0)), (-300, 300))
-# the run values rows share, each built once per run when a row uses it
-_SHARED_VALUES = {"core": _canonical_core, "contrast_grid": _contrast_grid}
-SUITE_TABLE: Dict[str, Tuple[SuiteCheck, ...]] = {
+# a row: the report label and the check's call on the run, whose seed
+# offsets are pinned by the goldens (the next unused offset is 11)
+SUITE_TABLE: Dict[str, Tuple[Tuple[str, Callable[[CheckRun], object]], ...]] = {
     "core": (
-        SuiteCheck("boundary_identity", check_boundary_identity),
-        SuiteCheck("rising_bijectivity", check_rising_bijectivity, 0),
-        SuiteCheck("seam_agreement", check_seam_agreement),
-        SuiteCheck("reversal_symmetry", check_reversal_symmetry, 1),
-        SuiteCheck("ladder_canonical", check_ladder_canonical),
-        SuiteCheck("ladder_random", check_ladder_random, 2),
-        SuiteCheck("interior_limits", check_interior_limits, 3, ("tol",)),
+        ("boundary_identity", lambda run: check_boundary_identity()),
+        ("rising_bijectivity", lambda run: check_rising_bijectivity(run.rng_seed)),
+        ("seam_agreement", lambda run: check_seam_agreement()),
+        ("reversal_symmetry", lambda run: check_reversal_symmetry(run.rng_seed + 1)),
+        ("ladder_canonical", lambda run: check_ladder_canonical()),
+        ("ladder_random", lambda run: check_ladder_random(run.rng_seed + 2)),
+        ("interior_limits", lambda run: check_interior_limits(run.rng_seed + 3, run.tol)),
     ),
     "xi": (
-        SuiteCheck("collapse_conditions", check_collapse_conditions, 4, ("ctx", "tol")),
-        SuiteCheck("cone_bijectivity", check_cone_bijectivity, 5, ("ctx", "tol")),
-        SuiteCheck("precision_scaling", check_precision_scaling, 10, ("ctx", "tol")),
+        ("collapse_conditions", lambda run: check_collapse_conditions(run.ctx, run.tol, run.rng_seed + 4)),
+        ("cone_bijectivity", lambda run: check_cone_bijectivity(run.ctx, run.tol, run.rng_seed + 5)),
+        ("precision_scaling", lambda run: check_precision_scaling(run.ctx, run.tol, run.rng_seed + 10)),
     ),
     "plane": (
-        SuiteCheck("slit_continuity", check_slit_continuity, None, ("ctx",)),
-        SuiteCheck("rays_exact", check_rays_exact, 6, ("ctx",)),
-        SuiteCheck("plane_convergence", check_plane_convergence, None, ("core",)),
-        SuiteCheck("excursion", check_excursion, None, ("core",)),
-        SuiteCheck("displacement", check_displacement_battery, 9, ("contrast_grid",)),
-        SuiteCheck("orientation", check_orientation_battery, 7, ("ctx",)),
-        SuiteCheck("semiconjugacy", check_semiconjugacy, None, ("ctx", "tol")),
-        SuiteCheck("example_contrast", check_example_contrast, 8, ("contrast_grid",)),
-        SuiteCheck("orbit_bounded", _orbit_bounded, None, ("core", "ctx", "tol")),
-        SuiteCheck("ray_period_two", _ray_period_two, None, ("ctx", "tol")),
+        ("slit_continuity", lambda run: check_slit_continuity(run.ctx)),
+        ("rays_exact", lambda run: check_rays_exact(run.ctx, run.rng_seed + 6)),
+        ("plane_convergence", lambda run: check_plane_convergence(run.core)),
+        ("excursion", lambda run: check_excursion(run.core)),
+        ("displacement", lambda run: check_displacement_battery(run.rng_seed + 9, run.contrast_grid)),
+        ("orientation", lambda run: check_orientation_battery(run.ctx, run.rng_seed + 7)),
+        ("semiconjugacy", lambda run: check_semiconjugacy(run.ctx, run.tol)),
+        ("example_contrast", lambda run: check_example_contrast(run.rng_seed + 8, run.contrast_grid)),
+        ("orbit_bounded", lambda run: _boundedness(*_CANONICAL, run.core, run.tol)),
+        ("ray_period_two", lambda run: boundedness_certificate((2, 0), (-300, 300), run.ctx, run.tol)),
     ),
 }
 SUITE_TABLE["all"] = SUITE_TABLE["core"] + SUITE_TABLE["xi"] + SUITE_TABLE["plane"]
 
 
-def run_suite(name: str, ctx=None, rng_seed: int = DEFAULT_SAMPLER_SEED) -> dict:
+def run_suite(name: str, ctx, rng_seed: int = DEFAULT_SAMPLER_SEED) -> dict:
     """Run a named certificate suite at ``DEFAULT_TOLERANCES``; returns a
     JSON-ready report."""
     if name not in SUITE_TABLE:
         raise DomainError(f"unknown suite {name!r}")
-    if ctx is None:
-        ctx = make_context()
-    rows = SUITE_TABLE[name]
-    values = {"ctx": ctx, "tol": DEFAULT_TOLERANCES}
-    for key, build in _SHARED_VALUES.items():
-        if any(key in row.uses for row in rows):
-            values[key] = build(ctx)
+    run = CheckRun(ctx, rng_seed)
     certs = []
-    for row in rows:
-        kwargs = {key: values[key] for key in row.uses}
-        if row.seed_offset is not None:
-            kwargs["rng_seed"] = rng_seed + row.seed_offset
-        out = row.check(**kwargs)
+    for label, check in SUITE_TABLE[name]:
+        out = check(run)
         for cert in out if isinstance(out, list) else [out]:
-            cert.evidence["check"] = row.label
+            cert.evidence["check"] = label
             certs.append(cert)
     return {
         "suite": name,

@@ -162,6 +162,33 @@ def plane_homeo(x, ctx, inverse: bool = False):
     return _tangent(*_quotient(q, q, inverse, ctx, k), k)
 
 
+def _lifted(x, n_range: Tuple[int, int], ctx):
+    """``lifted_core``'s steps with each step's point of the collapsed
+    square, (n, lift, collapse point, plane point), as an iterator.
+
+    A ray seed's collapse points are None.  A seed whose chart preimage q
+    lies on the pinned set (it rounded onto a slit) has no lift either: the
+    quotient map reflects it there, so its steps alternate exactly between
+    q and (-q0, q1), as ``plane_homeo`` steps it.
+    """
+    n_lo, n_hi = n_range
+    if n_lo > n_hi:
+        raise DomainError(f"empty step range {n_range}")
+    steps = range(n_lo, n_hi + 1)
+    u = _pt(x, ctx)
+    x1, x2 = x
+    if on_ray(x):
+        return ((n, None, None, (x1 if n % 2 == 0 else -x1, x2)) for n in steps)
+    k = _consts(ctx)
+    q = _tangent_inv(*u, k)
+    if _pinned(*q):
+        cycle = [(c, _tangent(*c, k)) for c in (q, (-q[0], q[1]))]
+        return ((n, None, *cycle[n % 2]) for n in steps)
+    w0 = _square_pairs(_collapse_inv(q, q, k), ctx)
+    pushed = ((n, w, _collapse_exact(*w, ctx, k)) for n, w in zip(steps, _orbit(w0, n_lo, n_hi)))
+    return ((n, _fractions(w), c, _tangent(*c, k)) for n, w, c in pushed)
+
+
 def lifted_core(
     x, n_range: Tuple[int, int], ctx
 ) -> List[Tuple[int, Optional[Tuple[Fraction, Fraction]], tuple]]:
@@ -174,25 +201,11 @@ def lifted_core(
     seed (step 0) whether or not the range contains 0.  Only the requested
     steps are kept: each is pushed forward through the collapse's exact
     entry and the tangent chart, and its lift is built as two Fractions.
-    Ray seeds have no square lift (entry None) and alternate exactly
-    between their two positions; an infinite abscissa raises DomainError.
+    Ray seeds, and seeds whose chart preimage rounds onto a slit, have no
+    square lift (entry None) and alternate exactly between two positions;
+    an infinite abscissa raises DomainError.
     """
-    n_lo, n_hi = n_range
-    if n_lo > n_hi:
-        raise DomainError(f"empty step range {n_range}")
-    u = _pt(x, ctx)
-    x1, x2 = x
-    if on_ray(x):
-        return [
-            (n, None, (x1 if n % 2 == 0 else -x1, x2)) for n in range(n_lo, n_hi + 1)
-        ]
-    k = _consts(ctx)
-    q = _tangent_inv(*u, k)
-    w0 = _square_pairs(_collapse_inv(q, q, k), ctx)
-    return [
-        (n, _fractions(w), _tangent(*_collapse_exact(*w, ctx, k), k))
-        for n, w in zip(range(n_lo, n_hi + 1), _orbit(w0, n_lo, n_hi))
-    ]
+    return [(n, w, y) for n, w, _, y in _lifted(x, n_range, ctx)]
 
 
 def example_shift_reflection(p, inverse: bool = False):

@@ -85,6 +85,22 @@ def test_orbit_svg(tmp_path, capsys):
     assert "<polyline" in text and "</svg>" in text
 
 
+def test_orbit_of_h_at_a_seed_rounding_onto_a_slit(capsys):
+    # at 53 bits the seed's chart preimage rounds onto the slit end (1/2, 0);
+    # the orbit reflects there, as one h step does
+    argv = ["--point", "0.9999999999999999,0", "--approx", "--precision", "53"]
+    assert main(["eval", "--map", "h"] + argv) == 0
+    step = capsys.readouterr().out.splitlines()[0]
+    argv[0] = "--seed"
+    assert main(["orbit", "--map", "h", "--steps=-2..2", "--format", "csv"] + argv) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    points = [row.split(",", 1)[1] for row in rows]
+    assert [row.split(",")[0] for row in rows] == ["-2", "-1", "0", "1", "2"]
+    assert points[0] == points[2] == points[4] != points[1] == points[3]
+    x, y = (float(v) for v in step.strip("()").split(","))
+    assert points[3] == f"{x!r},{y!r}"
+
+
 def test_orbit_rejects_seed_outside_domain(capsys):
     assert main(["orbit", "--map", "eta", "--seed", "0,-1/4", "--steps", "2"]) == 2
     assert "step 1" in capsys.readouterr().err

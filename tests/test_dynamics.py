@@ -12,7 +12,7 @@ from planardyn import collapse_map
 from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
 from planardyn import dynamics as dyn
 from planardyn import plane_map, square_map
-from planardyn.plane_map import lifted_core
+from planardyn.plane_map import _lifted, lifted_core
 from planardyn.square_map import square_homeo
 
 
@@ -248,11 +248,33 @@ def test_boundedness_lifts_once(monkeypatch, ctx, tol):
     cert = dyn.boundedness_certificate((Fraction(0), Fraction(0)), (-300, 300), ctx, tol)
     assert len(calls) == 800
     # the suite's orbit_bounded row reads the run's core and steps nothing
-    core = dyn._canonical_core(ctx)
+    run = dyn.CheckRun(ctx, dyn.DEFAULT_SAMPLER_SEED)
+    run.core  # built before the count starts
     calls.clear()
-    [row] = [row for row in dyn.SUITE_TABLE["plane"] if row.label == "orbit_bounded"]
-    assert row.check(core=core, ctx=ctx, tol=tol) == cert
+    assert dict(dyn.SUITE_TABLE["plane"])["orbit_bounded"](run) == cert
     assert calls == []
+
+
+def test_boundedness_margin_reads_the_lift_collapse_points(monkeypatch, ctx):
+    # the orbit_bounded row pushes each of steps -400..400 through the
+    # collapse once, for the core, and its margin reads those points: no
+    # second collapse of the 601 window lifts
+    collapses, pushes = [], []
+    real_collapse, real_exact = dyn.collapse, plane_map._collapse_exact
+    monkeypatch.setattr(dyn, "collapse", lambda *a: collapses.append(a) or real_collapse(*a))
+    monkeypatch.setattr(
+        plane_map, "_collapse_exact", lambda *a: pushes.append(a) or real_exact(*a)
+    )
+    run = dyn.CheckRun(ctx, dyn.DEFAULT_SAMPLER_SEED)
+    cert = dict(dyn.SUITE_TABLE["plane"])["orbit_bounded"](run)
+    assert (len(collapses), len(pushes)) == (0, 801)
+    # the margin is the collapse's own value at the closest window lift
+    seed, window = dyn._CANONICAL
+    lifts = [w for _, w, _ in lifted_core(seed, window, ctx)]
+    want = min(
+        float(min(1 - abs(c[0]), 1 - abs(c[1]))) for c in (real_collapse(w, ctx) for w in lifts)
+    )
+    assert cert.evidence["collapse_boundary_margin"] == want
 
 
 def test_boundedness_needs_the_window_and_both_tails(ctx):
@@ -260,13 +282,13 @@ def test_boundedness_needs_the_window_and_both_tails(ctx):
     tol = dataclasses.replace(DEFAULT_TOLERANCES, horizon=40)
     for span in ((-40, 39), (-39, 40), (-29, 40), (0, 40), (-40, 0)):
         with pytest.raises(DomainError, match="miss steps"):
-            dyn._boundedness(seed, window, lifted_core(seed, span, ctx), ctx, tol)
+            dyn._boundedness(seed, window, list(_lifted(seed, span, ctx)), tol)
     with pytest.raises(DomainError, match="miss steps"):
-        dyn._boundedness(seed, window, [], ctx, tol)
+        dyn._boundedness(seed, window, [], tol)
     # an empty window is a usage error, as an empty range is to lifted_core
     with pytest.raises(DomainError, match="empty step range"):
         dyn.boundedness_certificate(seed, (5, -5), ctx, tol)
-    wider = dyn._boundedness(seed, window, lifted_core(seed, (-45, 41), ctx), ctx, tol)
+    wider = dyn._boundedness(seed, window, list(_lifted(seed, (-45, 41), ctx)), tol)
     assert wider == dyn.boundedness_certificate(seed, window, ctx, tol)
     assert wider.evidence["window"] == [-30, 30] and wider.evidence["horizon"] == 40
 
@@ -285,8 +307,7 @@ def test_plane_suite_scans_the_contrast_grid_once(monkeypatch, ctx):
 
     monkeypatch.setattr(dyn, "displacement_scan", counting_scan)
     rows = tuple(
-        row for row in dyn.SUITE_TABLE["plane"]
-        if row.label in ("displacement", "example_contrast")
+        row for row in dyn.SUITE_TABLE["plane"] if row[0] in ("displacement", "example_contrast")
     )
     monkeypatch.setitem(dyn.SUITE_TABLE, "plane", rows)
     report = dyn.run_suite("plane", ctx)
@@ -355,13 +376,57 @@ def test_precision_scaling_catches_a_double_on_the_chart_path(monkeypatch, tol):
     assert high["roundtrip_worst_error"] > 2.0**-60 > high["roundtrip_tolerance"]
 
 
+def _suite_checks():
+    """Every function a suite row calls, by name."""
+    names = [name for name in vars(dyn) if name.startswith("check_")]
+    return {name: getattr(dyn, name) for name in names + ["_boundedness", "boundedness_certificate"]}
+
+
 def test_checks_take_seed_and_tolerances_from_the_table():
     # the suite table is the only statement of a check's seed and run values
-    for row in dyn.SUITE_TABLE["all"]:
-        params = inspect.signature(row.check).parameters
+    checks = _suite_checks()
+    assert len(checks) == 20  # one per row
+    for label, check in checks.items():
+        params = inspect.signature(check).parameters
         for name in ("rng_seed", "tol", "ctx", "core", "contrast_grid"):
             if name in params:
-                assert params[name].default is inspect.Parameter.empty, (row.label, name)
+                assert params[name].default is inspect.Parameter.empty, (label, name)
+
+
+@pytest.fixture
+def stubbed_checks(monkeypatch):
+    """Replace every check a row calls by a stub that binds its call to the
+    real signature and records (check name, sampler seed); returns the
+    record.  The row lambdas look the checks up when they run."""
+    calls = []
+    certs_per_check = {"check_displacement_battery": 3, "check_orientation_battery": 2}
+
+    def stub(name, real):
+        def check(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            calls.append((name, bound.arguments.get("rng_seed")))
+            certs = [dyn.Certificate("stub", True, {}) for _ in range(certs_per_check.get(name, 1))]
+            return certs if name in certs_per_check else certs[0]
+
+        return check
+
+    for name, real in _suite_checks().items():
+        monkeypatch.setattr(dyn, name, stub(name, real))
+    return calls
+
+
+def test_shared_run_values_are_built_on_first_read(monkeypatch, ctx, stubbed_checks):
+    # the core and collapse suites read neither shared value; the plane
+    # suite builds each once, for the two rows that read it
+    built = []
+    stub_grid = dyn.Certificate("stub", True, {})
+    monkeypatch.setattr(dyn, "_lifted", lambda *a: built.append("core") or [])
+    monkeypatch.setattr(dyn, "displacement_scan", lambda spec, *a: built.append(spec.name) or stub_grid)
+    for name in ("core", "xi"):
+        assert dyn.run_suite(name, ctx)["passed"]
+        assert built == [], name
+    dyn.run_suite("plane", ctx)
+    assert sorted(built) == ["core", "example12"]
 
 
 def test_run_suite_core(suite_report):
@@ -386,40 +451,39 @@ def test_run_suite_unknown_name(ctx):
         dyn.run_suite("everything", ctx)
 
 
-def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx):
-    # stub out every xi and plane check: each records its sampler seed
+def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, stubbed_checks):
+    # every check is stubbed (each records its sampler seed), and so is
+    # every shared run value
+    monkeypatch.setattr(dyn.CheckRun, "core", [])
+    monkeypatch.setattr(dyn.CheckRun, "contrast_grid", dyn.Certificate("stub", True, {}))
     seeds = []
-    certs_per_check = {"displacement": 3, "orientation": 2}
 
-    def stub(label, real):
-        def check(**kwargs):
-            # the row passes exactly what the real check takes, all by name
-            inspect.signature(real).bind(**kwargs)
-            seeds.append((label, kwargs.get("rng_seed")))
-            count = certs_per_check.get(label, 1)
-            certs = [dyn.Certificate("stub", True, {}) for _ in range(count)]
-            return certs if label in certs_per_check else certs[0]
+    def run_suite(name):
+        stubbed_checks.clear()
+        report = dyn.run_suite(name, ctx, rng_seed=100)
+        # one check call per row, in row order
+        labels = [label for label, _ in dyn.SUITE_TABLE[name]]
+        seeds.extend(zip(labels, [seed for _, seed in stubbed_checks], strict=True))
+        return report
 
-        return check
-
-    for name in ("xi", "plane"):
-        rows = tuple(
-            dataclasses.replace(row, check=stub(row.label, row.check))
-            for row in dyn.SUITE_TABLE[name]
-        )
-        monkeypatch.setitem(dyn.SUITE_TABLE, name, rows)
-    # and every shared run value
-    monkeypatch.setitem(dyn._SHARED_VALUES, "core", lambda ctx: [])
-    stub_grid = dyn.Certificate("stub", True, {})
-    monkeypatch.setitem(dyn._SHARED_VALUES, "contrast_grid", lambda ctx: stub_grid)
-
-    xi = dyn.run_suite("xi", ctx, rng_seed=100)
+    run_suite("core")
+    assert seeds == [
+        ("boundary_identity", None),
+        ("rising_bijectivity", 100),
+        ("seam_agreement", None),
+        ("reversal_symmetry", 101),
+        ("ladder_canonical", None),
+        ("ladder_random", 102),
+        ("interior_limits", 103),
+    ]
+    seeds.clear()
+    xi = run_suite("xi")
     assert [c["evidence"]["check"] for c in xi["certificates"]] == [
         "collapse_conditions",
         "cone_bijectivity",
         "precision_scaling",
     ]
-    plane = dyn.run_suite("plane", ctx, rng_seed=100)
+    plane = run_suite("plane")
     assert [c["evidence"]["check"] for c in plane["certificates"]] == [
         "slit_continuity",
         "rays_exact",

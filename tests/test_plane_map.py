@@ -8,7 +8,8 @@ import mpmath
 import pytest
 
 from planardyn import collapse_map, plane_map
-from planardyn.numerics import DomainError, make_context, to_bigfloat
+from planardyn.dynamics import boundedness_certificate, limit_estimate, map_registry, orbit
+from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context, to_bigfloat
 from planardyn.plane_map import (
     _pinned,
     _square_pairs,
@@ -302,6 +303,31 @@ def test_plane_map_is_the_composition_bit_for_bit(prec):
             assert [_bits(v) for v in got] == [_bits(v) for v in want], (x, inverse)
     # (+-below, 0) round onto the slits; the 1e300 points onto the boundary
     assert seen == {"ray": 28, "pinned": 4, "boundary": 6}
+
+
+@pytest.mark.parametrize("prec", [None, 53, 128, 256], ids=["fp", "53", "128", "256"])
+def test_seeds_rounding_onto_a_slit_step_as_plane_homeo_does(prec):
+    # (+-(1 - 2^-prec), 0) lie off the rays, but their chart preimage rounds
+    # onto a slit end, where the quotient map reflects: the lifted orbit
+    # takes that rule too (no lift, alternating), where it used to raise
+    ctx = _context(prec)
+    one = ctx.mpf(1)
+    below = one - ctx.ldexp(one, -ctx.prec)
+    h = map_registry(ctx)["h"]
+    for x in ((below, 0 * one), (-below, 0 * one)):
+        q = tangent_chart(x, ctx, inverse=True)
+        assert _pinned(*q) and not on_ray(x)
+        core = lifted_core(x, (-3, 3), ctx)
+        assert [(n, w) for n, w, _ in core] == [(n, None) for n in range(-3, 4)]
+        ys = [[_bits(v) for v in y] for _, _, y in core]
+        assert ys[0] == ys[2] == ys[4] == ys[6] and ys[1] == ys[3] == ys[5] != ys[0]
+        assert ys[3] == [_bits(v) for v in tangent_chart(q, ctx)]
+        assert ys[4] == [_bits(v) for v in plane_homeo(x, ctx)]
+        assert ys[2] == [_bits(v) for v in plane_homeo(x, ctx, inverse=True)]
+        assert [p for _, p in orbit(h, x, (-3, 3)).entries] == [y for _, _, y in core]
+        assert limit_estimate(h, x, "omega", DEFAULT_TOLERANCES).converged
+        cert = boundedness_certificate(x, (-300, 300), ctx, DEFAULT_TOLERANCES)
+        assert cert.passed and cert.evidence["trivial"] and cert.evidence["period"] == 2
 
 
 def test_plane_path_looks_up_the_chart_table_once(monkeypatch):
