@@ -79,8 +79,9 @@ after converting, since both roundings (toward zero for rationals, to
 nearest in doubles) are symmetric about zero; a height that rounds to zero
 is mirrored too.  Each range check is a negated in-range test, so a NaN
 coordinate fails it.  The steps check nothing: a step's input is in range
-by construction, through the entry checks, the clamps at the cone's entry
-and at the chart inverses, and the ray exit's snap onto a wall.
+by construction, through the entry checks, the charts' radii (sup norms of
+a quarter point's offset), the angle clamp at the cone's entry, the clamps
+at the chart inverses, and the ray exit's snap onto a wall.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _edge_chart(px, py, k):
     even a negative zero.  The radius is the sup norm max(1 - x, y) of the
     offset from the midpoint, so the quarter's outer boundary is radius
     one.  The angle is not clamped: rounding may leave it a few ulps
-    outside [pi/2, pi], and ``_cone`` clamps its input.
+    outside [pi/2, pi], and ``_cone`` clamps it.
     """
     dx = px - k["one"]
     return (k["three_half_pi"] - k["atan2"](py, dx), max(-dx, py))
@@ -301,8 +302,8 @@ def _slit_to_edge(theta, rho, k):
 def _ray_exit(u0, u1, which, k):
     """Boundary hit of the ray from the rectangle center through (u0, u1).
 
-    The coordinates are floats of the context, clamped onto the upper half
-    of the rectangle ``k[which]`` and off its center by ``_cone``.  The
+    The coordinates are floats of the context in the upper half of the
+    rectangle ``k[which]``, off its center (``_cone``).  The
     rectangle is the sup-norm ball of radii (c0, 1/2) about its center
     (c0, 1/2), so the point sits at fraction t = max(|d0| / c0, 2 |d1|) of
     the way out along its ray, d being its offset from the center; the wall
@@ -316,7 +317,8 @@ def _ray_exit(u0, u1, which, k):
     s0, s1 = abs(d0) / c[0], k["two"] * abs(d1)
     if s0 >= s1:
         t = s0
-        b = (hi0 if d0 > k["zero"] else lo0, _soft_clamp(c[1] + d1 / t, k["zero"], k["one"], k))
+        # unclamped: doubling is exact, so t >= 2 |d1| and this rounds into [0, 1]
+        b = (hi0 if d0 > k["zero"] else lo0, c[1] + d1 / t)
     else:
         t = s1
         b = (_soft_clamp(c[0] + d0 / t, lo0, hi0, k), k["one"] if d1 > k["zero"] else k["zero"])
@@ -326,12 +328,12 @@ def _ray_exit(u0, u1, which, k):
 def _cone(u0, u1, inverse, k):
     """``cone_map`` at a point of the upper half of its source rectangle,
     [pi/2, pi] x [0, 1] forward and [0, pi] x [0, 1] inverse, given as two
-    floats of the context; the point is clamped onto that half, and its
+    floats of the context; the angle is clamped onto that half, and the
     image lies in the upper half of the target rectangle."""
     src, dst = ("V", "U") if inverse else ("U", "V")
     c_src, c_dst = k[src][2], k[dst][2]
     u0 = _soft_clamp(u0, k["zero"] if inverse else k["half_pi"], k["pi"], k)
-    u1 = _soft_clamp(u1, k["zero"], k["one"], k)
+    # the radius is unclamped: each chart's sup norm rounds into [0, 1]
     if u0 == c_src[0] and u1 == c_src[1]:
         return c_dst
     b, t = _ray_exit(u0, u1, src, k)  # t in (0, 1]; 1 on the boundary
@@ -357,6 +359,7 @@ def cone_map(u, ctx, inverse: bool = False):
     k = _consts(ctx)
     lo0, hi0, _ = k["V" if inverse else "U"]
     u0 = _soft_clamp(u0, lo0, hi0, k)  # before mirroring: errors name the input
+    u1 = _soft_clamp(u1, k["zero"], k["one"], k)
     if inverse and u0 > k["pi"]:
         w = _cone(k["two_pi"] - u0, u1, True, k)
         return (k["pi"] - w[0], w[1])

@@ -47,13 +47,13 @@ from .numerics import (
 from .plane_map import (
     _lifted,
     example_shift_reflection,
-    lifted_core,
     plane_homeo,
     quotient_square_map,
     tangent_chart,
 )
 from .square_map import (
     _forward_piece_key,
+    _square_orbit,
     as_square_point,
     descend_map,
     reflect,
@@ -86,9 +86,9 @@ class MapSpec:
     forward/inverse callables, and an optional orbit routine on an exact
     pair kernel.
 
-    ``lifted(seed, n_range)`` returns (n, point) for each step of the
-    range.  f and h have one, and share its loop
-    (``square_map._orbit``): f iterates its seed's integer pairs, h its
+    ``lifted(seed, windows)`` returns a list of (n, point) for each step of
+    each window in turn, from one pass.  f and h have one, and share its
+    loop (``square_map._orbit``): f iterates its seed's integer pairs, h its
     seed's exact lift, and each builds output only for the returned steps.
     """
 
@@ -118,7 +118,7 @@ class LimitEstimate:
 
 @dataclass(frozen=True)
 class Certificate:
-    kind: str  # boundedness | fixedpointfree | orientation | conjugacy
+    kind: str  # boundedness | fixedpointfree | orientation | conjugacy | error
     passed: bool
     evidence: dict
 
@@ -151,7 +151,7 @@ def map_registry(ctx) -> Dict[str, MapSpec]:
             "f",
             "square",
             square_homeo,
-            lifted=square_orbit,
+            lifted=_square_orbit,
             piece_key=_forward_piece_key,
         ),
         MapSpec(
@@ -167,9 +167,7 @@ def map_registry(ctx) -> Dict[str, MapSpec]:
             "plane",
             plane_homeo,
             ctx,
-            lifted=lambda seed, n_range: [
-                (n, y) for n, _, y in lifted_core(seed, n_range, ctx)
-            ],
+            lifted=lambda seed, windows: [(n, y) for n, _, _, y in _lifted(seed, windows, ctx)],
         ),
         _invertible("example12", "plane", example_shift_reflection),
     ]
@@ -205,7 +203,7 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     if spec.exact:
         seed = tuple(as_rational(v) for v in seed)
     if spec.lifted is not None:
-        entries = tuple((n, tuple(y)) for n, y in spec.lifted(seed, n_range))
+        entries = tuple((n, tuple(y)) for n, y in spec.lifted(seed, (n_range,)))
         return OrbitRecord(spec.name, seed, _arith(spec), entries)
 
     def apply(fn, p, n):
@@ -252,7 +250,8 @@ def _cluster(entries) -> LimitEstimate:
         pts = [p for n, p in window if n % 2 == wanted]
         if pts:
             points.append(pts[0])
-            dists.append(max(_dist(pts[0], p) for p in pts))
+            floats = [_as_floats(p) for p in pts]
+            dists.append(max(math.dist(floats[0], q) for q in floats))
     converged = not any(spread > LIMITSET for spread in dists)
     return LimitEstimate(tuple(points), tuple(dists), converged)
 
@@ -280,6 +279,14 @@ def limit_estimate(
     return _cluster(orbit(spec, seed, _tail_range(side, tol.horizon)).entries)
 
 
+def _tails(spec: MapSpec, seed, horizon: int) -> Tuple[LimitEstimate, LimitEstimate]:
+    """The omega and alpha ``limit_estimate`` of f or h, from one call of
+    its ``lifted`` routine over both tail windows: one lift, one pass."""
+    entries = spec.lifted(seed, (_tail_range("omega", horizon), _tail_range("alpha", horizon)))
+    size = horizon // 4 + 1  # steps per tail window
+    return _cluster(entries[:size]), _cluster(entries[size:])
+
+
 def _matched(points, targets, radius: float) -> Optional[set]:
     """The targets lying within radius of some point, or None when some
     point lies within radius of no target."""
@@ -292,7 +299,7 @@ def _matched(points, targets, radius: float) -> Optional[set]:
     return matched
 
 
-def ladder_witness(seed, m_max: int) -> Certificate:
+def ladder_witness(seed, m_max: int, points: Optional[list] = None) -> Certificate:
     """Certificate of the monotone shear ladder for a seed in the rising band.
 
     Exact checks: (a) the even-step abscissas are nondecreasing from the
@@ -300,6 +307,7 @@ def ladder_witness(seed, m_max: int) -> Certificate:
     height; (b) whenever a block is entered to the right of its plateau's
     left edge, that block's passes push the abscissa past the plateau's
     right edge; (c) the heights follow the shift profile exactly.
+    ``points``, if given, are the seed's points at steps 0..block_index(m_max) + 2 m_max.
     """
     r0, s0 = as_square_point(seed)
     if not (-1 < r0 < 1) or not (0 < s0 <= Fraction(1, 2)):
@@ -313,8 +321,9 @@ def ladder_witness(seed, m_max: int) -> Certificate:
         mu += 1
     i_max = block_index(m_max) + 2 * m_max
     # heights in [0, 1] rise: the square map's orbit is the rising map's
-    pts = [p for _, p in square_orbit((r0, s0), (0, i_max))]
-    rs = [p[0] for p in pts]
+    if points is None:
+        points = [p for _, p in square_orbit((r0, s0), (0, i_max))]
+    rs = [p[0] for p in points]
     start = block_index(mu)
     evens = list(range(start, i_max + 1, 2))
     check_a = all(rs[i] <= rs[j] for i, j in zip(evens, evens[1:]))
@@ -334,7 +343,7 @@ def ladder_witness(seed, m_max: int) -> Certificate:
             }
         )
     check_b = all(row["conclusion"] for row in block_rows if row["premise"])
-    check_c = all(p[1] == shift_profile_pow(s0, i) for i, p in enumerate(pts))
+    check_c = all(p[1] == shift_profile_pow(s0, i) for i, p in enumerate(points))
     evidence = {
         "seed": [str(r0), str(s0)],
         "mu": mu,
@@ -518,7 +527,7 @@ def _boundedness(seed, window: Tuple[int, int], core, tol: Tolerances) -> Certif
     if not (first <= lo and hi - first < len(core)):
         raise DomainError(f"orbit entries miss steps of {lo}..{hi}")
     part = core[window[0] - first : window[1] - first + 1]
-    interior_ok = all(abs(w[0]) < 1 and abs(w[1]) < 1 for _, w, _, _ in part)
+    interior_ok = all(abs(w[0]) < w[1] and abs(w[2]) < w[3] for _, w, _, _ in part)
     sup_norm, arg_sup = _sup_norm(part)
     margin = min(float(min(1 - abs(c[0]), 1 - abs(c[1]))) for _, _, c, _ in part)
     # each tail must converge and realise both points of the limit pair
@@ -561,7 +570,7 @@ def boundedness_certificate(
     on (i) and (ii).  The seed is lifted once, over the window and both
     tails together, and all four read that one orbit.
     """
-    core = list(_lifted(seed, _lift_span(window, tol.horizon), ctx))
+    core = list(_lifted(seed, (_lift_span(window, tol.horizon),), ctx))
     first = core[0][0]
     if core[0][1] is None:
         cycle = [[str(v) for v in core[n - first][3]] for n in (0, 1)]
@@ -576,7 +585,7 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
 
     Seeds are exact rational points of the open square, at least one, so
     the probe cannot pass on none.  Non-converged estimates mark a seed
-    inconclusive instead of failing it.
+    inconclusive instead of failing it.  Each seed is lifted once (``_tails``).
     """
     if not seeds:
         raise DomainError("semiconjugacy_probe needs at least one seed")
@@ -589,9 +598,8 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
         w0 = as_square_point(seed)
         plane_seed = tangent_chart(collapse(w0, ctx), ctx)
         row = {"seed": [str(w0[0]), str(w0[1])]}
-        for side in ("omega", "alpha"):
-            est_f = limit_estimate(f_spec, w0, side, tol)
-            est_h = limit_estimate(h_spec, plane_seed, side, tol)
+        tails_f, tails_h = _tails(f_spec, w0, tol.horizon), _tails(h_spec, plane_seed, tol.horizon)
+        for side, est_f, est_h in zip(("omega", "alpha"), tails_f, tails_h):
             if not (est_f.converged and est_h.converged):
                 row[side] = "inconclusive"
                 inconclusive += 1
@@ -723,13 +731,14 @@ def check_ladder_canonical() -> Certificate:
     """The frozen ladder of the canonical band seed (0, 1/4): early values,
     global monotonicity of even steps, and per-block gap bounds."""
     seed = (Fraction(0), Fraction(1, 4))
-    rs = [p[0] for _, p in square_orbit(seed, (0, 200))]
+    pts = [p for _, p in square_orbit(seed, (0, 200))]
+    rs = [p[0] for p in pts]
     frozen_ok = rs[2:7:2] == [Fraction(2, 3), Fraction(8, 9), Fraction(35, 36)]
     evens = list(range(2, 201, 2))
     monotone_ok = all(rs[i] <= rs[j] for i, j in zip(evens, evens[1:]))
     gaps = {m: 1 - rs[block_index(m) + 2 * m] for m in (2, 3, 4, 5)}
     gaps_ok = all(gap < Fraction(1, 2**m) for m, gap in gaps.items())
-    witness = ladder_witness(seed, 5)
+    witness = ladder_witness(seed, 5, pts[: block_index(5) + 2 * 5 + 1])
     evidence = {
         "seed": ["0", "1/4"],
         "early_values": [str(r) for r in rs[2:7:2]],
@@ -774,8 +783,7 @@ def check_interior_limits(rng_seed: int, tol: Tolerances) -> Certificate:
     worst = 0.0
     for _ in range(count):
         seed = _rand_point(rng, Fraction(-9, 10), Fraction(9, 10))
-        est_o = limit_estimate(f_spec, seed, "omega", tol)
-        est_a = limit_estimate(f_spec, seed, "alpha", tol)
+        est_o, est_a = _tails(f_spec, seed, tol.horizon)
         ok_o = est_o.converged and _matched(est_o.points, CORNERS_TOP, LIMITSET) is not None
         ok_a = est_a.converged and _matched(est_a.points, CORNERS_BOTTOM, LIMITSET) is not None
         worst = max(worst, *(est_o.final_distances + est_a.final_distances))
@@ -1259,7 +1267,7 @@ class CheckRun:
     def core(self) -> list:
         """The canonical plane orbit over the steps ``orbit_bounded`` reads."""
         seed, window = _CANONICAL
-        return list(_lifted(seed, _lift_span(window, self.tol.horizon), self.ctx))
+        return list(_lifted(seed, (_lift_span(window, self.tol.horizon),), self.ctx))
 
     @cached_property
     def contrast_grid(self) -> Certificate:
@@ -1302,13 +1310,16 @@ SUITE_TABLE["all"] = SUITE_TABLE["core"] + SUITE_TABLE["xi"] + SUITE_TABLE["plan
 
 def run_suite(name: str, ctx, rng_seed: int = DEFAULT_SAMPLER_SEED) -> dict:
     """Run a named certificate suite at ``DEFAULT_TOLERANCES``; returns a
-    JSON-ready report."""
+    JSON-ready report; a check that raises fails as an "error" certificate."""
     if name not in SUITE_TABLE:
         raise DomainError(f"unknown suite {name!r}")
     run = CheckRun(ctx, rng_seed)
     certs = []
     for label, check in SUITE_TABLE[name]:
-        out = check(run)
+        try:
+            out = check(run)
+        except Exception as exc:
+            out = Certificate("error", False, {"error": type(exc).__name__, "message": str(exc)})
         for cert in out if isinstance(out, list) else [out]:
             cert.evidence["check"] = label
             certs.append(cert)

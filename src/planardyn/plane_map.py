@@ -15,8 +15,9 @@ The orbit runs on integer pairs (numerator, denominator) from end to end:
 the seed's lift is read off ``collapse_inv``'s floats as pairs, the square
 map's orbit loop (``square_map._orbit``, which the map f's orbits run on
 too) iterates them, and each kept step goes to the collapse's exact entry
-as pairs; only the lifts it returns are built as Fractions.  The seed is
-typed and ray-tested once per call, where an infinite abscissa raises.
+as pairs, for one or more step windows (``_lifted``); only ``lifted_core``
+builds Fractions, of the lifts it returns.  The seed is typed and
+ray-tested once per call, where an infinite abscissa raises.
 
 ``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
 forward map in ``dynamics.map_registry``, so the displacement and
@@ -40,18 +41,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .collapse_map import _collapse_exact, _collapse_inv, _consts, _pt
 from .numerics import DomainError, coprime_fraction, integer_ratio
-from .square_map import PointPairs, _fractions, _homeo, _orbit
+from .square_map import PointPairs, _fractions, _homeo, _orbit, _steps
 
 
 def _tangent(r, s, k):
     """Tangent chart forward at two floats of the context; ``k`` is its
     chart table."""
-    # a negated in-range test, so that NaN fails it
-    if not (abs(r) < 1 and abs(s) < 1):
+    # negated, so that NaN fails it; one, not 1, spares mpmath a conversion
+    if not (abs(r) < k["one"] and abs(s) < k["one"]):
         raise DomainError(f"point ({r}, {s}) outside the open square")
     tan, half_pi = k["tan"], k["half_pi"]
     return (tan(half_pi * r), tan(half_pi * s))
@@ -162,19 +163,17 @@ def plane_homeo(x, ctx, inverse: bool = False):
     return _tangent(*_quotient(q, q, inverse, ctx, k), k)
 
 
-def _lifted(x, n_range: Tuple[int, int], ctx):
-    """``lifted_core``'s steps with each step's point of the collapsed
-    square, (n, lift, collapse point, plane point), as an iterator.
+def _lifted(x, windows: Sequence[Tuple[int, int]], ctx):
+    """``lifted_core``'s steps over each inclusive step window of
+    ``windows`` in turn, from one lift and one orbit pass, as an iterator
+    of (n, lift, collapse point, plane point), the lift as integer pairs.
 
     A ray seed's collapse points are None.  A seed whose chart preimage q
     lies on the pinned set (it rounded onto a slit) has no lift either: the
     quotient map reflects it there, so its steps alternate exactly between
     q and (-q0, q1), as ``plane_homeo`` steps it.
     """
-    n_lo, n_hi = n_range
-    if n_lo > n_hi:
-        raise DomainError(f"empty step range {n_range}")
-    steps = range(n_lo, n_hi + 1)
+    steps = _steps(windows)
     u = _pt(x, ctx)
     x1, x2 = x
     if on_ray(x):
@@ -185,8 +184,8 @@ def _lifted(x, n_range: Tuple[int, int], ctx):
         cycle = [(c, _tangent(*c, k)) for c in (q, (-q[0], q[1]))]
         return ((n, None, *cycle[n % 2]) for n in steps)
     w0 = _square_pairs(_collapse_inv(q, q, k), ctx)
-    pushed = ((n, w, _collapse_exact(*w, ctx, k)) for n, w in zip(steps, _orbit(w0, n_lo, n_hi)))
-    return ((n, _fractions(w), c, _tangent(*c, k)) for n, w, c in pushed)
+    pushed = ((n, w, _collapse_exact(*w, ctx, k)) for n, w in _orbit(w0, steps))
+    return ((n, w, c, _tangent(*c, k)) for n, w, c in pushed)
 
 
 def lifted_core(
@@ -205,7 +204,7 @@ def lifted_core(
     square lift (entry None) and alternate exactly between two positions;
     an infinite abscissa raises DomainError.
     """
-    return [(n, w, y) for n, w, _, y in _lifted(x, n_range, ctx)]
+    return [(n, w and _fractions(w), y) for n, w, _, y in _lifted(x, (n_range,), ctx)]
 
 
 def example_shift_reflection(p, inverse: bool = False):

@@ -39,11 +39,11 @@ denominator is wide (``_WIDE``).  ``row_map``
 builds the row, as the reference the pointwise route is tested against.
 
 ``_orbit`` is the one orbit loop of the exact core: it iterates
-``_homeo`` on a checked point's pairs and keeps a window of steps.
-``square_orbit`` runs it for the map f (``dynamics.orbit`` reaches it
-through f's ``lifted`` slot), and ``plane_map.lifted_core`` for the plane
-map h, on its seed's exact lift; so f and h share one loop, and neither
-builds a Fraction or checks a point per step.
+``_homeo`` on a checked point's pairs and keeps the steps of one or more
+windows (``_steps``) from one pass.  The map f (``square_orbit``, and
+``_square_orbit``, its ``lifted`` slot) and the plane map h
+(``plane_map._lifted``, on its seed's exact lift) both run on it, and
+neither builds a Fraction or checks a point per step.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .numerics import (
     IDENTITY_PL,
@@ -452,24 +452,31 @@ def square_homeo(p, inverse: bool = False) -> SquarePoint:
     return _fractions(_homeo(r.numerator, r.denominator, s.numerator, s.denominator, inverse))
 
 
-def _orbit(w: PointPairs, n_lo: int, n_hi: int) -> List[PointPairs]:
-    """The square map's orbit of a checked point ``w``, as integer pairs,
-    over the inclusive step window n_lo..n_hi.
+def _steps(windows: Sequence[Tuple[int, int]]) -> List[int]:
+    """The steps of inclusive windows (n_lo, n_hi), in turn; an empty one raises."""
+    for window in windows:
+        if window[0] > window[1]:
+            raise DomainError(f"empty step range {window}")
+    return [n for n_lo, n_hi in windows for n in range(n_lo, n_hi + 1)]
 
-    Iteration starts at ``w`` (step 0) whether or not the window holds 0,
-    runs ``_homeo`` forward to n_hi and backward to n_lo, and keeps only
-    the window's steps.  It is the one orbit loop of the exact core:
-    ``square_orbit`` (the map f) and ``plane_map.lifted_core`` (the plane
-    map h, on its seed's lift) both run on it.
+
+def _orbit(w: PointPairs, steps: List[int]) -> List[Tuple[int, PointPairs]]:
+    """The square map's orbit of a checked point ``w`` at ``steps``
+    (``_steps`` of some windows), as (n, integer pairs) in their order.
+
+    Iteration starts at ``w`` (step 0) whether or not the steps hold 0,
+    runs ``_homeo`` once forward to the highest step and once backward to
+    the lowest, and keeps only the given steps: one pass for all windows.
     """
+    wanted = set(steps)
     kept = {0: w}
-    for step, stop in ((1, n_hi), (-1, n_lo)):
+    for step, stop in ((1, max(steps)), (-1, min(steps))):
         x = w
         for n in range(step, stop + step, step):
             x = _homeo(*x, step < 0)
-            if n_lo <= n <= n_hi:
+            if n in wanted:
                 kept[n] = x
-    return [kept[n] for n in range(n_lo, n_hi + 1)]
+    return [(n, kept[n]) for n in steps]
 
 
 def square_orbit(p, n_range: Tuple[int, int]) -> List[Tuple[int, SquarePoint]]:
@@ -479,12 +486,15 @@ def square_orbit(p, n_range: Tuple[int, int]) -> List[Tuple[int, SquarePoint]]:
     The seed is checked once and iterated on integer pairs (``_orbit``);
     only the returned steps are built as Fractions.
     """
-    n_lo, n_hi = n_range
-    if n_lo > n_hi:
-        raise DomainError(f"empty step range {n_range}")
+    return _square_orbit(p, (n_range,))
+
+
+def _square_orbit(p, windows: Sequence[Tuple[int, int]]) -> List[Tuple[int, SquarePoint]]:
+    """f's ``lifted`` slot: ``square_orbit`` over several windows, in one pass."""
+    steps = _steps(windows)
     r, s = as_square_point(p)
-    pairs = _orbit((r.numerator, r.denominator, s.numerator, s.denominator), n_lo, n_hi)
-    return list(zip(range(n_lo, n_hi + 1), map(_fractions, pairs)))
+    pairs = _orbit((r.numerator, r.denominator, s.numerator, s.denominator), steps)
+    return [(n, _fractions(w)) for n, w in pairs]
 
 
 def _forward_piece_key(p) -> tuple:

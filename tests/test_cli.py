@@ -165,6 +165,28 @@ def test_verify_core_suite(tmp_path, capsys, monkeypatch, suite_report):
     assert out_file.read_bytes() == golden.read_bytes()
 
 
+def test_verify_reports_a_raising_check_and_exits_1(tmp_path, capsys, monkeypatch):
+    # a check that raises is a failed certificate, not bad input: verify
+    # runs the other checks, writes its report and exits 1
+    def broken(run):
+        raise ZeroDivisionError("division by zero")
+
+    rows = dict(dynamics.SUITE_TABLE["core"])
+    table = (("boundary_identity", broken), ("seam_agreement", rows["seam_agreement"]))
+    monkeypatch.setitem(dynamics.SUITE_TABLE, "core", table)
+    out_file = tmp_path / "report.json"
+    assert main(["verify", "--suite", "core", "--out", str(out_file)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] 01 error" in out and "[PASS] 02" in out
+    assert "suite core: FAIL (1/2)" in out
+    report = json.loads(out_file.read_text())
+    assert [c["evidence"]["check"] for c in report["certificates"]] == [
+        "boundary_identity",
+        "seam_agreement",
+    ]
+    assert report["certificates"][0]["evidence"]["error"] == "ZeroDivisionError"
+
+
 def test_eval_slit_point_exits_2(capsys):
     # the collapse inverse is undefined on the slits (a SlitError)
     assert main(["eval", "--map", "xi", "--inverse", "--point", "3/4,0"]) == 2

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planardyn import collapse_map
 from planardyn.collapse_map import (
@@ -243,7 +245,9 @@ class TestConeMap:
         # a lower-half point is mirrored only once it is in range
         for u, inverse, message in (((-1, "0.5"), False, "value -1.0 below 0.0"),
                                     ((4, "0.5"), False, "value 4.0 above 3.14"),
-                                    ((7, "0.5"), True, "value 7.0 above 6.28")):
+                                    ((7, "0.5"), True, "value 7.0 above 6.28"),
+                                    ((2, "1.5"), False, "value 1.5 above 1.0"),
+                                    ((2, "-0.5"), True, "value -0.5 below 0.0")):
             with pytest.raises(DomainError, match=message):
                 cone_map((ctx.mpf(u[0]), ctx.mpf(u[1])), ctx, inverse)
 
@@ -349,7 +353,7 @@ def test_round_trip_converts_at_entry_and_clamps_once_per_hand_off(monkeypatch):
               (Fraction(9, 10), Fraction(-1, 100))]:
         calls.update(dict.fromkeys(calls, 0))
         collapse_inv(collapse(x, ctx), ctx)
-        assert calls["to_bigfloat"] <= 8 and calls["_soft_clamp"] <= 10, (x, calls)
+        assert calls["to_bigfloat"] <= 8 and calls["_soft_clamp"] <= 8, (x, calls)
 
 
 def test_entry_points_retype_foreign_floats():
@@ -571,3 +575,57 @@ def test_forward_error_against_1024_bits(prec, tol):
         y, ref = collapse(x, ctx), collapse(x, fine)
         err = max(abs(fine.mpf(y[0]) - ref[0]), abs(fine.mpf(y[1]) - ref[1]))
         assert err <= tol.chart_roundtrip_bound(ctx), (x, float(err / ctx.ldexp(1, -prec)))
+
+
+@st.composite
+def _near_walls(draw, prec):
+    """A coordinate of the square, often a few ulps at ``prec`` bits from
+    0, 1/2 or 1 (the walls, corners and slit ends), of either sign."""
+    if draw(st.booleans()):
+        v = draw(st.fractions(0, 1, max_denominator=10**6))
+    else:
+        base = draw(st.sampled_from((0, Fraction(1, 2), 1)))
+        ulps = Fraction(draw(st.integers(-6, 6)), 2 ** draw(st.integers(prec - 3, prec + 3)))
+        v = min(max(base + ulps, Fraction(0)), Fraction(1))
+    return draw(st.sampled_from((1, -1))) * v
+
+
+@st.composite
+def _points_at_precision(draw):
+    prec = draw(st.sampled_from((53, 128, 256, 512)))
+    return prec, (draw(_near_walls(prec)), draw(_near_walls(prec)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points_at_precision(), st.booleans())
+def test_cone_radius_and_ray_exit_wall_coordinate_need_no_clamp(case, doubles):
+    # _cone clamps only its angle and _ray_exit snaps only the wall it
+    # hits: the radius each chart hands the cone, and the coordinate along
+    # the wall of a ray that leaves through a vertical wall, are in [0, 1]
+    # by construction, a few ulps from the walls and corners too
+    prec, x = case
+    ctx = mpmath.fp if doubles and prec == 53 else make_context(prec)
+    seen = []
+    real_cone, real_exit = collapse_map._cone, collapse_map._ray_exit
+
+    def cone(u0, u1, inverse, k):
+        seen.append(u1)
+        return real_cone(u0, u1, inverse, k)
+
+    def ray_exit(u0, u1, which, k):
+        b, t = real_exit(u0, u1, which, k)
+        seen.append(b[1])
+        return b, t
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collapse_map, "_cone", cone)
+        mp.setattr(collapse_map, "_ray_exit", ray_exit)
+        collapse(x, ctx)
+        collapse((to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx)), ctx)
+        r, s = x
+        if abs(r) < 1 and abs(s) < 1 and (s != 0 or 2 * abs(r) < 1):
+            try:
+                collapse_inv(x, ctx)
+            except SlitError:  # a height below the doubles' range
+                assert ctx is mpmath.fp
+    assert all(0 <= v <= 1 for v in seen), seen

@@ -1,5 +1,6 @@
 """Orbit machinery, certificates, and the verification suites."""
 
+import collections
 import dataclasses
 import inspect
 import json
@@ -13,7 +14,7 @@ from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
 from planardyn import dynamics as dyn
 from planardyn import plane_map, square_map
 from planardyn.plane_map import _lifted, lifted_core
-from planardyn.square_map import square_homeo
+from planardyn.square_map import square_homeo, square_orbit
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,19 @@ def test_ladders_run_on_the_square_maps_orbit_loop(monkeypatch):
     assert calls == []
 
 
+def test_ladder_canonical_iterates_its_seed_once(monkeypatch):
+    # the witness reads the first 41 of the check's 200 steps: 200
+    # square-map steps, where iterating the witness apart took 240
+    calls = []
+    real = square_map._homeo
+    monkeypatch.setattr(square_map, "_homeo", lambda *a: calls.append(a) or real(*a))
+    assert dyn.check_ladder_canonical().passed
+    assert len(calls) == 200
+    seed = (Fraction(0), Fraction(1, 4))
+    points = [p for _, p in square_orbit(seed, (0, 40))]
+    assert dyn.ladder_witness(seed, 5, points) == dyn.ladder_witness(seed, 5)
+
+
 def test_ladder_witness_rejects_bad_seed():
     with pytest.raises(DomainError):
         dyn.ladder_witness((Fraction(0), Fraction(3, 4)), 3)
@@ -282,13 +296,13 @@ def test_boundedness_needs_the_window_and_both_tails(ctx):
     tol = dataclasses.replace(DEFAULT_TOLERANCES, horizon=40)
     for span in ((-40, 39), (-39, 40), (-29, 40), (0, 40), (-40, 0)):
         with pytest.raises(DomainError, match="miss steps"):
-            dyn._boundedness(seed, window, list(_lifted(seed, span, ctx)), tol)
+            dyn._boundedness(seed, window, list(_lifted(seed, (span,), ctx)), tol)
     with pytest.raises(DomainError, match="miss steps"):
         dyn._boundedness(seed, window, [], tol)
     # an empty window is a usage error, as an empty range is to lifted_core
     with pytest.raises(DomainError, match="empty step range"):
         dyn.boundedness_certificate(seed, (5, -5), ctx, tol)
-    wider = dyn._boundedness(seed, window, list(_lifted(seed, (-45, 41), ctx)), tol)
+    wider = dyn._boundedness(seed, window, list(_lifted(seed, ((-45, 41),), ctx)), tol)
     assert wider == dyn.boundedness_certificate(seed, window, ctx, tol)
     assert wider.evidence["window"] == [-30, 30] and wider.evidence["horizon"] == 40
 
@@ -327,6 +341,67 @@ def test_semiconjugacy_probe_rejects_no_seeds(ctx, tol):
     # an empty seed list would pass with no rows
     with pytest.raises(DomainError, match="seed"):
         dyn.semiconjugacy_probe([], tol, ctx)
+
+
+def test_semiconjugacy_probe_lifts_each_seed_once(monkeypatch, ctx):
+    # per seed: one lift of its plane point, one orbit pass per map (f and
+    # h) of 2 H exact steps each, and a collapse for each of h's 2 (H/4 + 1)
+    # tail steps, for the seed's plane point and for f's four candidates;
+    # taking each side apart lifted twice and made four passes
+    counts = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: counts.update([name]) or real(*a))
+
+    for module, name in (
+        (plane_map, "_square_pairs"),
+        (plane_map, "_orbit"),
+        (square_map, "_orbit"),
+        (square_map, "_homeo"),
+        (plane_map, "_collapse_exact"),
+        (collapse_map, "_collapse_exact"),
+    ):
+        count(module, name)
+    horizon, seeds = 100, [(Fraction(1, 3), Fraction(1, 5)), (Fraction(0), Fraction(1, 4))]
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, horizon=horizon)
+    assert dyn.semiconjugacy_probe(seeds, tol, ctx).passed
+    per_seed = {
+        "_square_pairs": 1,
+        "_orbit": 2,
+        "_homeo": 4 * horizon,
+        "_collapse_exact": 2 * (horizon // 4 + 1) + 5,
+    }
+    assert counts == {name: len(seeds) * n for name, n in per_seed.items()}
+
+
+@pytest.mark.parametrize("horizon", [*range(1, 9), 100])
+def test_both_tails_equal_per_side_limit_estimates(monkeypatch, ctx, horizon):
+    # the probe and criterion 04 read both tails from one pass; each pass
+    # gives the two estimates limit_estimate gives side by side, so the
+    # evidence is what per-side estimates build
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, horizon=horizon)
+
+    def per_side(spec, seed, h):
+        assert h == horizon
+        return tuple(dyn.limit_estimate(spec, seed, side, tol) for side in ("omega", "alpha"))
+
+    seeds = [
+        (Fraction(1, 3), Fraction(1, 5)),
+        (Fraction(0), Fraction(1, 4)),  # the fixed fiber
+        (Fraction(-3, 5), Fraction(-1, 2)),  # a strip wall
+    ]
+    tails = []
+    real = dyn._tails
+    monkeypatch.setattr(dyn, "_tails", lambda *a: tails.append((a, real(*a))) or tails[-1][1])
+    probe = dyn.semiconjugacy_probe(seeds, tol, ctx)
+    limits = dyn.check_interior_limits(dyn.DEFAULT_SAMPLER_SEED + 3, tol)
+    assert len(tails) == 2 * len(seeds) + 25
+    for args, estimates in tails:
+        assert estimates == per_side(*args)
+    monkeypatch.setattr(dyn, "_tails", per_side)
+    assert dyn.semiconjugacy_probe(seeds, tol, ctx) == probe
+    assert dyn.check_interior_limits(dyn.DEFAULT_SAMPLER_SEED + 3, tol) == limits
 
 
 def test_collapse_conditions_rejects_odd_edge_samples(ctx, tol):
@@ -449,6 +524,33 @@ def test_run_suite_core(suite_report):
 def test_run_suite_unknown_name(ctx):
     with pytest.raises(DomainError):
         dyn.run_suite("everything", ctx)
+
+
+@pytest.mark.parametrize(
+    "error", [ZeroDivisionError("division by zero"), DomainError("value 2 above 1")], ids=repr
+)
+def test_run_suite_records_a_raising_check_as_a_failed_certificate(monkeypatch, ctx, error):
+    # the raising row fails as one certificate naming its error, and the
+    # suite goes on to the next row
+    def broken(run):
+        raise error
+
+    rows = dict(dyn.SUITE_TABLE["core"])
+    table = (("boundary_identity", broken), ("seam_agreement", rows["seam_agreement"]))
+    monkeypatch.setitem(dyn.SUITE_TABLE, "core", table)
+    report = dyn.run_suite("core", ctx)
+    assert not report["passed"]
+    failed, after = report["certificates"]
+    assert failed == {
+        "kind": "error",
+        "passed": False,
+        "evidence": {
+            "error": type(error).__name__,
+            "message": str(error),
+            "check": "boundary_identity",
+        },
+    }
+    assert after["passed"] and after["evidence"]["check"] == "seam_agreement"
 
 
 def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, stubbed_checks):
