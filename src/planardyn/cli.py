@@ -93,8 +93,6 @@ def cmd_eval(args) -> int:
     spec = dynamics.map_registry(ctx)[args.map]
     point = _parse_point(args.point, _arity(spec), args.approx)
     fn = spec.inverse if args.inverse else spec.forward
-    if fn is None:
-        raise DomainError(f"map {args.map} has no inverse")
     arg = point[0] if spec.domain == "interval" else point
     result = fn(arg)
     if spec.domain == "interval":

@@ -276,7 +276,8 @@ def _edge_to_slit(alpha, rho, k):
             return (pi - k["atan"](k["two"] * k["tan"](alpha - k["half_pi"])), k["one"])
         if alpha < k["pi_minus_astar"]:
             return ((k["pi_minus_astar"] - alpha) * k["stretch"] / k["span"], k["one"])
-        return (k["zero"], (pi - alpha) / astar)
+        # at alpha = pi - astar the rounded ratio can exceed 1 (64, 512 bits)
+        return (k["zero"], min((pi - alpha) / astar, k["one"]))
     if rho == k["zero"]:
         return (k["third"] * (k["two"] - alpha / pi), k["zero"])
     return (k["third"] * (k["one"] - rho), k["zero"])  # alpha == pi

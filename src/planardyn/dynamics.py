@@ -53,7 +53,6 @@ from .plane_map import (
 )
 from .square_map import (
     _forward_piece_key,
-    _square_orbit,
     as_square_point,
     descend_map,
     reflect,
@@ -96,7 +95,7 @@ class MapSpec:
     domain: str  # "interval" | "square" | "band" | "plane"
     exact: bool
     forward: Callable
-    inverse: Optional[Callable] = None
+    inverse: Callable
     lifted: Optional[Callable] = None
     piece_key: Optional[Callable] = None
 
@@ -151,7 +150,7 @@ def map_registry(ctx) -> Dict[str, MapSpec]:
             "f",
             "square",
             square_homeo,
-            lifted=_square_orbit,
+            lifted=square_orbit,
             piece_key=_forward_piece_key,
         ),
         MapSpec(
@@ -216,8 +215,6 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
             ) from exc
         return (out,) if scalar else tuple(out)
 
-    if n_lo < 0 and spec.inverse is None:
-        raise DomainError(f"map {spec.name} has no inverse for backward steps")
     points = {0: seed}
     for step, fn, stop in ((1, spec.forward, n_hi), (-1, spec.inverse, n_lo)):
         p = points[0]
@@ -322,7 +319,7 @@ def ladder_witness(seed, m_max: int, points: Optional[list] = None) -> Certifica
     i_max = block_index(m_max) + 2 * m_max
     # heights in [0, 1] rise: the square map's orbit is the rising map's
     if points is None:
-        points = [p for _, p in square_orbit((r0, s0), (0, i_max))]
+        points = [p for _, p in square_orbit((r0, s0), ((0, i_max),))]
     rs = [p[0] for p in points]
     start = block_index(mu)
     evens = list(range(start, i_max + 1, 2))
@@ -731,7 +728,7 @@ def check_ladder_canonical() -> Certificate:
     """The frozen ladder of the canonical band seed (0, 1/4): early values,
     global monotonicity of even steps, and per-block gap bounds."""
     seed = (Fraction(0), Fraction(1, 4))
-    pts = [p for _, p in square_orbit(seed, (0, 200))]
+    pts = [p for _, p in square_orbit(seed, ((0, 200),))]
     rs = [p[0] for p in pts]
     frozen_ok = rs[2:7:2] == [Fraction(2, 3), Fraction(8, 9), Fraction(35, 36)]
     evens = list(range(2, 201, 2))

@@ -361,15 +361,6 @@ class PLFunction:
         pts = ", ".join(f"({x},{y})" for x, y in zip(self.xs, self.ys))
         return f"PLFunction[{pts}]"
 
-    @property
-    def breakpoints(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        return tuple(zip(self.xs, self.ys))
-
-    def segment_index(self, x: Numeric) -> int:
-        """Index of the affine piece containing ``x`` (last piece at x = 1)."""
-        x = _unit_rational(x, "argument")
-        return _piece(self._xkeys, x.numerator, x.denominator)
-
     def __call__(self, x: Numeric) -> Fraction:
         x = _unit_rational(x, "argument")
         return coprime_fraction(*self._value(x.numerator, x.denominator))
@@ -385,10 +376,6 @@ class PLFunction:
     def _preimage(self, p: int, q: int) -> Tuple[int, int]:
         """``self.inverse(p/q)`` as a pair, for p/q in lowest terms in [-1, 1], q > 0."""
         return _affine(self._backward[_piece(self._ykeys, p, q)], p, q)
-
-    def inverse_fn(self) -> "PLFunction":
-        """The inverse bijection as a PLFunction (ordinates become abscissas)."""
-        return PLFunction(tuple(zip(self.ys, self.xs)))
 
     def blend(self, other: "PLFunction", t: Numeric) -> "PLFunction":
         """Pointwise convex combination (1-t)*self + t*other, exact.
@@ -406,9 +393,6 @@ class PLFunction:
             return other
         xs = sorted(set(self.xs) | set(other.xs))
         return PLFunction([(x, (1 - t) * self(x) + t * other(x)) for x in xs])
-
-    def is_identity(self) -> bool:
-        return self.xs == self.ys
 
 
 IDENTITY_PL = PLFunction([(-1, -1), (1, 1)])

@@ -35,15 +35,16 @@ the level's cached coefficients, whose slope and intercept are affine in
 the height and are read off it first, by the same integer step as a PL
 piece, then meet r in Fraction's cross-reduction order (``_sum`` and
 ``_product``), whose gcds split off the power of two first where a
-denominator is wide (``_WIDE``).  ``row_map``
-builds the row, as the reference the pointwise route is tested against.
+denominator is wide (``_WIDE``).  The orientation probe's piece key
+(``_forward_piece_key``) is the branch ``_homeo`` takes, read off the
+same pairs.  ``row_map`` builds the row, only as the tests' reference.
 
 ``_orbit`` is the one orbit loop of the exact core: it iterates
 ``_homeo`` on a checked point's pairs and keeps the steps of one or more
-windows (``_steps``) from one pass.  The map f (``square_orbit``, and
-``_square_orbit``, its ``lifted`` slot) and the plane map h
-(``plane_map._lifted``, on its seed's exact lift) both run on it, and
-neither builds a Fraction or checks a point per step.
+windows (``_steps``) from one pass.  The map f (``square_orbit``, its
+``lifted`` slot) and the plane map h (``plane_map._lifted``, on its
+seed's exact lift) both run on it, and neither builds a Fraction or
+checks a point per step.
 """
 
 from __future__ import annotations
@@ -346,6 +347,25 @@ def _row(rn: int, rd: int, p: int, q: int, inverse: bool) -> Tuple[int, int]:
     return zone.preimage(rn, rd, p, q) if inverse else zone.value(rn, rd, p, q)
 
 
+def _row_branch(rn: int, rd: int, p: int, q: int, inverse: bool) -> tuple:
+    """The branch ``_row`` takes at rn/rd and height p/q, as a key: the core
+    band, the top line, or level i and the piece of its row, split at the
+    abscissas (inverse: the ordinates) ``_row`` splits at; on a blend zone
+    also the height, on which the row's coefficients depend."""
+    if 4 * p <= 3 * q:
+        return ("core",)
+    if p == q:
+        return ("top",)
+    i = _level_of(p, q)
+    mid = strip_bounds(i)[1]
+    if p * mid.denominator >= mid.numerator * q:
+        rule = line_rule(i)
+        return (i, _piece(rule._ykeys if inverse else rule._xkeys, rn, rd))
+    zone = _level_zone(i)
+    keys = [_affine(y, p, q) for y in zone.ykeys] if inverse else zone.xkeys
+    return (i, _piece(keys, rn, rd), p, q)
+
+
 def _fractions(x: PointPairs) -> SquarePoint:
     """The square point of four integers in lowest terms, one Fraction each."""
     return (coprime_fraction(x[0], x[1]), coprime_fraction(x[2], x[3]))
@@ -479,18 +499,13 @@ def _orbit(w: PointPairs, steps: List[int]) -> List[Tuple[int, PointPairs]]:
     return [(n, kept[n]) for n in steps]
 
 
-def square_orbit(p, n_range: Tuple[int, int]) -> List[Tuple[int, SquarePoint]]:
-    """The orbit of ``square_homeo`` over an inclusive step range of any
-    sign, as (n, point) for each step of the range.
+def square_orbit(p, windows: Sequence[Tuple[int, int]]) -> List[Tuple[int, SquarePoint]]:
+    """The orbit of ``square_homeo`` over inclusive step windows of any
+    sign, as (n, point) for each step of each window in turn.
 
-    The seed is checked once and iterated on integer pairs (``_orbit``);
-    only the returned steps are built as Fractions.
+    The seed is checked once and iterated on integer pairs (``_orbit``),
+    in one pass; only the returned steps are built as Fractions.
     """
-    return _square_orbit(p, (n_range,))
-
-
-def _square_orbit(p, windows: Sequence[Tuple[int, int]]) -> List[Tuple[int, SquarePoint]]:
-    """f's ``lifted`` slot: ``square_orbit`` over several windows, in one pass."""
     steps = _steps(windows)
     r, s = as_square_point(p)
     pairs = _orbit((r.numerator, r.denominator, s.numerator, s.denominator), steps)
@@ -498,25 +513,17 @@ def _square_orbit(p, windows: Sequence[Tuple[int, int]]) -> List[Tuple[int, Squa
 
 
 def _forward_piece_key(p) -> tuple:
-    """Hashable identifier of the affine piece of the forward map at p.
-
-    Equal keys guarantee the map is affine on the segment between the two
-    points; used by the orientation probe to detect seam straddles exactly.
-    """
+    """Hashable key of the branch ``_homeo`` takes forward at p: the region,
+    the shift profile's piece and the row's branch (``_row_branch``).
+    Equal keys mean the same affine coefficients, so the map is affine on
+    the segment between the two points: the orientation probe's exact
+    seam test."""
     r, s = as_square_point(p)
-    tag = region_of(s)
+    rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+    tag = _region(sn, sd, False)
+    if tag is RegionTag.R_MINUS_2:  # the vertical-flip conjugate of the rising inverse
+        return (tag, _piece(SHIFT_PROFILE._ykeys, -sn, sd)) + _row_branch(rn, rd, -sn, sd, True)
+    key = (tag, _piece(SHIFT_PROFILE._xkeys, sn, sd))
     if tag is RegionTag.R0:
-        sseg = SHIFT_PROFILE.segment_index(s)
-        row = row_map(SHIFT_PROFILE(s))
-        return (tag, sseg, row, row.segment_index(-r))
-    if tag is RegionTag.D_MINUS_1:
-        return (tag, SHIFT_PROFILE.segment_index(s))
-    # bottom quarter: vertical-flip conjugate of the rising map's inverse
-    # an inverse's pieces are split at the row's ordinates, its ``_ykeys``
-    row = row_map(-s)
-    return (
-        tag,
-        row,
-        _piece(row._ykeys, r.numerator, r.denominator),
-        _piece(SHIFT_PROFILE._ykeys, -s.numerator, s.denominator),
-    )
+        return key + _row_branch(-rn, rd, *SHIFT_PROFILE._value(sn, sd), False)
+    return key

@@ -206,3 +206,10 @@ def test_verify_below_53_bits_exits_2(capsys):
 def test_eval_non_finite_approx_point_exits_2(capsys, name, point):
     assert main(["eval", "--map", name, "--point", point, "--approx"]) == 2
     assert "not a finite point" in capsys.readouterr().err
+
+
+def test_eval_of_a_top_edge_point_at_the_slit_arc_end(capsys):
+    # its edge-chart angle rounds to pi - astar at 64 bits
+    point = "18444975514266125761/18446744073709551616,1"
+    assert main(["eval", "--map", "xi", "--point", point, "--precision", "64"]) == 0
+    assert capsys.readouterr().out.strip() == "(1.0, 0.0)"

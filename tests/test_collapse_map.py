@@ -629,3 +629,25 @@ def test_cone_radius_and_ray_exit_wall_coordinate_need_no_clamp(case, doubles):
             except SlitError:  # a height below the doubles' range
                 assert ctx is mpmath.fp
     assert all(0 <= v <= 1 for v in seen), seen
+
+
+@pytest.mark.parametrize("prec", [None, 53, 64, 128, 256, 512], ids=["fp", "53", "64", "128", "256", "512"])
+def test_slit_top_radius_is_at_most_one(prec):
+    # at the slit-top arc's end the ratio (pi - angle)/astar rounds above 1
+    # at 64 and 512 bits, past the slit chart's radius clamp
+    k = _consts(_context(prec))
+    assert _edge_to_slit(k["pi_minus_astar"], k["one"], k)[1] <= 1
+
+
+@pytest.mark.parametrize("prec", [64, 512])
+def test_top_edge_floats_at_the_slit_arc_end_collapse(prec):
+    # the edge chart puts some of these floats at angle pi - astar exactly:
+    # 2 of them at 64 bits and 6 at 512 raised on the radius clamp
+    ctx = make_context(prec)
+    fine = make_context(prec + 64)
+    r0 = ctx.mpf(1 - fine.tan(fine.pi / SLIT_ARC_DENOM))
+    one = ctx.mpf(1)
+    for j in range(-8, 9):
+        y = collapse((r0 + ctx.ldexp(j, -prec), one), ctx)
+        # near the slit's outer half, within the pins' headroom
+        assert 0.5 <= y[0] <= 1 and 0 <= y[1] <= ctx.ldexp(1, 16 - prec)

@@ -197,7 +197,7 @@ def test_ladder_canonical_iterates_its_seed_once(monkeypatch):
     assert dyn.check_ladder_canonical().passed
     assert len(calls) == 200
     seed = (Fraction(0), Fraction(1, 4))
-    points = [p for _, p in square_orbit(seed, (0, 40))]
+    points = [p for _, p in square_orbit(seed, ((0, 40),))]
     assert dyn.ladder_witness(seed, 5, points) == dyn.ladder_witness(seed, 5)
 
 
@@ -232,6 +232,14 @@ def test_orientation_probe_rejects_zero_samples(registry, ctx, name):
     # zero samples would pass with all-zero signs
     with pytest.raises(DomainError, match="samples"):
         dyn.orientation_probe(registry[name], 0, rng_seed=7, ctx=ctx)
+
+
+def test_the_battery_calls_no_pl_reference(suite_report):
+    # ``verify --suite all`` runs the rows of these three suites; the f
+    # probe's piece key reads ``_homeo``'s branch and builds no row
+    for suite in ("core", "xi", "plane"):
+        suite_report(suite)
+    assert not suite_report.reference_calls, suite_report.reference_calls
 
 
 def test_boundedness_certificate_ray(ctx, tol):

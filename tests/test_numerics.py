@@ -346,15 +346,7 @@ def test_degenerate_breakpoints_rejected():
 
 
 def test_identity_pl():
-    assert IDENTITY_PL.is_identity()
-    assert not PROFILE.is_identity()
     assert IDENTITY_PL(Fraction(-3, 7)) == Fraction(-3, 7)
-
-
-def test_inverse_fn_swaps_breakpoints():
-    inv = PROFILE.inverse_fn()
-    assert inv.breakpoints == tuple((y, x) for x, y in PROFILE.breakpoints)
-    assert inv(Fraction(5, 8)) == Fraction(1, 4)
 
 
 def test_equality_and_hash():
@@ -420,4 +412,3 @@ def test_pl_evaluation_equals_bisect_evaluation(fn, data):
     x, y = data.draw(argument), data.draw(value)
     assert fn(x) == _bisect_eval(xs, ys, x)
     assert fn.inverse(y) == _bisect_eval(ys, xs, y)
-    assert fn.segment_index(x) == min(max(bisect.bisect_right(xs, x) - 1, 0), len(xs) - 2)

@@ -4,6 +4,8 @@ Everything here is exact rational arithmetic; equality assertions are
 literal, not toleranced.
 """
 
+import bisect
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planardyn import square_map
-from planardyn.dynamics import displacement_scan, map_registry
+from planardyn.dynamics import _rand_fraction, displacement_scan, map_registry
 from planardyn.numerics import IDENTITY_PL, DomainError, PLFunction
 from planardyn.square_map import (
     NAMED_POINTS,
@@ -430,3 +432,89 @@ def test_plane_scan_builds_no_blended_row(monkeypatch):
     cert = displacement_scan(h, ((0.25, 0.75), (0.5, 1.0)), (20, 20), mpmath.fp)
     assert cert.passed
     assert calls == []
+
+
+def _segment(xs, x) -> int:
+    """The index of the PL piece holding x, by bisection over its breakpoints."""
+    return min(bisect.bisect_right(xs, x) - 1, len(xs) - 2)
+
+
+# a triangle's two lower corners share their row
+_built_row = functools.lru_cache(maxsize=2)(row_map)
+
+
+def _row_map_piece_key(p) -> tuple:
+    """The forward piece key as the PL route reads it: the region, the
+    built row (``row_map``) and the segments that hold the point."""
+    r, s = p
+    tag = region_of(s)
+    if tag is RegionTag.R0:
+        row = _built_row(SHIFT_PROFILE(s))
+        return (tag, _segment(SHIFT_PROFILE.xs, s), row, _segment(row.xs, -r))
+    if tag is RegionTag.D_MINUS_1:
+        return (tag, _segment(SHIFT_PROFILE.xs, s))
+    row = _built_row(-s)
+    return (tag, row, _segment(row.ys, r), _segment(SHIFT_PROFILE.ys, -s))
+
+
+LEG = Fraction(1, 2**20)  # the orientation probe's leg
+
+
+def _straddles(key, corner) -> bool:
+    r, s = corner
+    return len({key(v) for v in ((r, s), (r + LEG, s), (r, s + LEG))}) > 1
+
+
+def test_piece_key_straddles_as_the_row_map_key_on_random_triangles():
+    rng = random.Random(20)
+    lo, hi = -1 + 4 * LEG, 1 - 4 * LEG  # the probe's margin
+    corners = [(_rand_fraction(rng, lo, hi), _rand_fraction(rng, lo, hi)) for _ in range(20_000)]
+    new = [_straddles(square_map._forward_piece_key, c) for c in corners]
+    assert new == [_straddles(_row_map_piece_key, c) for c in corners]
+    assert 0 < sum(new) < len(new)
+
+
+def _seam_triangles():
+    """Corners of triangles whose legs cross a seam of the forward map:
+    the heights s = 0 and -1/2, the strip floors and split heights of
+    levels 2..16 above and below the axis, and the breakpoints of each
+    level's rows (the rule's plateau edges, the merged abscissas of a
+    blend row) at a height of each zone."""
+    rng = random.Random(21)
+    heights = [Fraction(0), Fraction(-1, 2)]
+    for i in range(2, 17):
+        lo, mid, hi = strip_bounds(i)
+        for h in (lo, mid):  # R0 lifts s to h = (1 + s)/2; the bottom quarter reads h = -s
+            heights += [2 * h - 1, -h]
+        for h in ((lo + mid) / 2, (mid + hi) / 2):
+            row = row_map(h)
+            # forward the row meets -r, at a merged abscissa; on the bottom
+            # quarter its inverse meets r, at a row ordinate
+            for x in row.xs[1:-1]:
+                yield (-x - LEG / 2, 2 * h - 1)
+            for y in row.ys[1:-1]:
+                yield (y - LEG / 2, -h)
+    for s in heights:
+        for offset in (LEG / 3, 2 * LEG / 3):
+            r = _rand_fraction(rng, Fraction(-1, 2), Fraction(1, 2))
+            yield (r, s - offset)
+
+
+def test_piece_key_straddles_as_the_row_map_key_across_every_seam():
+    corners = list(_seam_triangles())
+    new = [_straddles(square_map._forward_piece_key, c) for c in corners]
+    assert new == [_straddles(_row_map_piece_key, c) for c in corners]
+    assert all(new)
+
+
+def test_piece_key_splits_shear_zones_of_two_levels():
+    # the corners sit at levels 20 and 20 and the apex at level 22, all
+    # block-4 shear zones with the same rule, but the vertical leg crosses
+    # the blend zones of levels 21 and 22, so f is not affine on it
+    corner = (Fraction(1, 3), Fraction(8388597, 8388608))
+    assert not _straddles(_row_map_piece_key, corner)
+    assert _straddles(square_map._forward_piece_key, corner)
+    r, s = corner
+    a, b = square_homeo((r, s)), square_homeo((r, s + LEG))
+    m = square_homeo((r, s + LEG / 2))
+    assert m != ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
