@@ -53,6 +53,7 @@ from .plane_map import (
 )
 from .square_map import (
     _forward_piece_key,
+    _steps,
     as_square_point,
     descend_map,
     reflect,
@@ -191,9 +192,7 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     other maps step through ``forward`` and ``inverse``, since eta and
     zeta, say, can leave their domain mid-orbit.
     """
-    n_lo, n_hi = n_range
-    if n_lo > n_hi:
-        raise DomainError(f"empty step range {n_range}")
+    steps = _steps((n_range,))
     scalar = spec.domain == "interval"
     if scalar:
         seed = (seed[0] if isinstance(seed, (tuple, list)) else seed,)
@@ -216,12 +215,12 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
         return (out,) if scalar else tuple(out)
 
     points = {0: seed}
-    for step, fn, stop in ((1, spec.forward, n_hi), (-1, spec.inverse, n_lo)):
+    for step, fn, stop in ((1, spec.forward, steps[-1]), (-1, spec.inverse, steps[0])):
         p = points[0]
         for n in range(step, stop + step, step):
             p = apply(fn, p, n)
             points[n] = p
-    entries = tuple((n, points[n]) for n in range(n_lo, n_hi + 1))
+    entries = tuple((n, points[n]) for n in steps)
     return OrbitRecord(spec.name, seed, _arith(spec), entries)
 
 
@@ -279,8 +278,9 @@ def limit_estimate(
 def _tails(spec: MapSpec, seed, horizon: int) -> Tuple[LimitEstimate, LimitEstimate]:
     """The omega and alpha ``limit_estimate`` of f or h, from one call of
     its ``lifted`` routine over both tail windows: one lift, one pass."""
-    entries = spec.lifted(seed, (_tail_range("omega", horizon), _tail_range("alpha", horizon)))
-    size = horizon // 4 + 1  # steps per tail window
+    omega = _tail_range("omega", horizon)
+    entries = spec.lifted(seed, (omega, _tail_range("alpha", horizon)))
+    size = omega[1] - omega[0] + 1  # steps per tail window
     return _cluster(entries[:size]), _cluster(entries[size:])
 
 
@@ -510,8 +510,7 @@ def _sup_norm(core) -> Tuple[float, int]:
 
 def _lift_span(window: Tuple[int, int], horizon: int) -> Tuple[int, int]:
     """The steps boundedness evidence reads: the window and both tails."""
-    if window[0] > window[1]:
-        raise DomainError(f"empty step range {window}")
+    _steps((window,))  # an empty window raises
     return (min(window[0], -horizon), max(window[1], horizon))
 
 

@@ -21,7 +21,10 @@ shift; on the lower quarter it is the inverse of the mirrored rising map
 point just reflects and shifts, and each horizontal line maps onto the
 horizontal line one profile-step up: the map has no interior fixed point
 while every orbit climbs toward the top corners (forward) and the bottom
-corners (backward).
+corners (backward).  These are the paper's three regions per direction
+(``region_of``).  The kernel takes two: a row is the identity up to 3/4,
+so on the band below the axis the rising map is the reflected shift, and
+f's step is the rising map or its vertical-flip conjugate (``_rises``).
 
 Everything here is exact on rational points.  The public maps validate
 their point; ``square_homeo`` validates once and then runs the private
@@ -29,15 +32,17 @@ forms (``_homeo``, ``_rise``, ``_descend``, ``_row``), which take a
 checked point as integer pairs (numerator, denominator) in lowest terms
 and return pairs, so a caller that holds pairs, as the plane map does,
 builds no Fraction, and ``square_homeo`` builds one per output coordinate,
-at the end.  A row of the strip shear is evaluated pointwise, never built
-as a PLFunction: on a shear zone by the level's rule, on a blend zone from
-the level's cached coefficients, whose slope and intercept are affine in
-the height and are read off it first, by the same integer step as a PL
-piece, then meet r in Fraction's cross-reduction order (``_sum`` and
-``_product``), whose gcds split off the power of two first where a
-denominator is wide (``_WIDE``).  The orientation probe's piece key
-(``_forward_piece_key``) is the branch ``_homeo`` takes, read off the
-same pairs.  ``row_map`` builds the row, only as the tests' reference.
+at the end.  ``_row_at`` picks the row of the strip shear at a height, and
+the row is evaluated pointwise, never built as a PLFunction: the identity
+at or below 3/4 and on the top line, on a shear zone by the level's rule,
+on a blend zone from the level's cached coefficients, whose slope and
+intercept are affine in the height and are read off it first, by the same
+integer step as a PL piece, then meet r in Fraction's cross-reduction
+order (``_sum`` and ``_product``), whose gcds split off the power of two
+first where a denominator is wide (``_WIDE``).  The orientation probe's
+piece key (``_forward_piece_key``) is the branch ``_homeo`` takes, read
+off the same pairs and the same row.  ``row_map`` builds the row, only as
+the tests' reference.
 
 ``_orbit`` is the one orbit loop of the exact core: it iterates
 ``_homeo`` on a checked point's pairs and keeps the steps of one or more
@@ -302,21 +307,26 @@ class _BlendZone:
         self.pieces = tuple(pieces)
         self.ykeys = tuple(in_s(y, y2) for y, y2 in zip(ya[1:-1], yb[1:-1]))
 
+    def piece(self, rn: int, rd: int, p: int, q: int, inverse: bool) -> int:
+        """The merged piece of the row at height p/q that holds rn/rd: split
+        at the merged abscissas, or (inverse) at the row's ordinates."""
+        if not inverse:
+            return _piece(self.xkeys, rn, rd)
+        for k, (a, e, d) in enumerate(self.ykeys):  # the first ordinate above r
+            if rn * d * q < (a * p + e * q) * rd:
+                return k
+        return len(self.ykeys)
+
     def value(self, rn: int, rd: int, p: int, q: int) -> Tuple[int, int]:
         """The row at height p/q, evaluated at rn/rd: slope * r + intercept."""
-        slope, intercept = self.pieces[_piece(self.xkeys, rn, rd)]
+        slope, intercept = self.pieces[self.piece(rn, rd, p, q, False)]
         mn, md = _product(*_affine(slope, p, q), rn, rd)
         return _sum(mn, md, *_affine(intercept, p, q))
 
     def preimage(self, rn: int, rd: int, p: int, q: int) -> Tuple[int, int]:
         """The row's inverse at height p/q, evaluated at rn/rd:
         (r - intercept) / slope."""
-        k = 0
-        for a, e, d in self.ykeys:  # stop at the first row ordinate above r
-            if rn * d * q < (a * p + e * q) * rd:
-                break
-            k += 1
-        slope, intercept = self.pieces[k]
+        slope, intercept = self.pieces[self.piece(rn, rd, p, q, True)]
         cn, cd = _affine(intercept, p, q)
         n, nd = _sum(rn, rd, -cn, cd)
         mn, md = _affine(slope, p, q)
@@ -333,37 +343,32 @@ def _level_zone(i: int) -> _BlendZone:
     return _BlendZone(line_rule(i - 1), line_rule(i), lo, mid)
 
 
-def _row(rn: int, rd: int, p: int, q: int, inverse: bool) -> Tuple[int, int]:
-    """``row_map(p/q)(rn/rd)`` (or its inverse at rn/rd) as a pair, for a
-    checked point with p/q in [1/2, 1], evaluated pointwise."""
-    if 4 * p <= 3 * q or p == q:  # closed core band, or the top line
-        return rn, rd
-    i = _level_of(p, q)
-    mid = strip_bounds(i)[1]
-    if p * mid.denominator >= mid.numerator * q:  # shear zone: the level's rule
-        rule = line_rule(i)
-        return rule._preimage(rn, rd) if inverse else rule._value(rn, rd)
-    zone = _level_zone(i)
-    return zone.preimage(rn, rd, p, q) if inverse else zone.value(rn, rd, p, q)
-
-
-def _row_branch(rn: int, rd: int, p: int, q: int, inverse: bool) -> tuple:
-    """The branch ``_row`` takes at rn/rd and height p/q, as a key: the core
-    band, the top line, or level i and the piece of its row, split at the
-    abscissas (inverse: the ordinates) ``_row`` splits at; on a blend zone
-    also the height, on which the row's coefficients depend."""
+def _row_at(p: int, q: int) -> tuple:
+    """The strip shear's row at a checked height p/q <= 1, as (level, row):
+    the identity, None, at level 1 (every height up to 3/4) and on the top
+    line (level None); level i's rule on its shear zone and its
+    ``_BlendZone`` on its blend zone."""
     if 4 * p <= 3 * q:
-        return ("core",)
+        return 1, None
     if p == q:
-        return ("top",)
+        return None, None
     i = _level_of(p, q)
     mid = strip_bounds(i)[1]
     if p * mid.denominator >= mid.numerator * q:
-        rule = line_rule(i)
-        return (i, _piece(rule._ykeys if inverse else rule._xkeys, rn, rd))
-    zone = _level_zone(i)
-    keys = [_affine(y, p, q) for y in zone.ykeys] if inverse else zone.xkeys
-    return (i, _piece(keys, rn, rd), p, q)
+        return i, line_rule(i)
+    return i, _level_zone(i)
+
+
+def _row(rn: int, rd: int, p: int, q: int, inverse: bool) -> Tuple[int, int]:
+    """``row_map(p/q)(rn/rd)`` (or its inverse at rn/rd) as a pair, for a
+    checked point with p/q <= 1, evaluated pointwise: the identity at every
+    height up to 3/4, not only on the core band where ``row_map`` is."""
+    _, row = _row_at(p, q)
+    if row is None:
+        return rn, rd
+    if row.__class__ is _BlendZone:
+        return row.preimage(rn, rd, p, q) if inverse else row.value(rn, rd, p, q)
+    return row._preimage(rn, rd) if inverse else row._value(rn, rd)
 
 
 def _fractions(x: PointPairs) -> SquarePoint:
@@ -426,43 +431,32 @@ def descend_map(p, inverse: bool = False) -> SquarePoint:
     return _fractions(_descend(r.numerator, r.denominator, s.numerator, s.denominator, inverse))
 
 
-def _region(p: int, q: int, inverse: bool) -> RegionTag:
-    """Region of a checked height p/q, read off its numerator and denominator."""
-    if inverse:
-        if 2 * p >= q:
-            return RegionTag.R1
-        if p >= 0:
-            return RegionTag.D0
-        return RegionTag.R_MINUS_1
-    if p >= 0:
-        return RegionTag.R0
-    if 2 * p >= -q:
-        return RegionTag.D_MINUS_1
-    return RegionTag.R_MINUS_2
-
-
 def region_of(s: Fraction, inverse: bool = False) -> RegionTag:
-    """Region of the piecewise definition picked for a given height."""
+    """Region of the paper's piecewise definition picked for a given height."""
     s = as_rational(s)
     if abs(s.numerator) > s.denominator:
         raise DomainError(f"height {s} outside [-1, 1]")
-    return _region(s.numerator, s.denominator, inverse)
+    if inverse:
+        if s >= HALF:
+            return RegionTag.R1
+        return RegionTag.D0 if s >= 0 else RegionTag.R_MINUS_1
+    if s >= 0:
+        return RegionTag.R0
+    return RegionTag.D_MINUS_1 if s >= MINUS_HALF else RegionTag.R_MINUS_2
+
+
+def _rises(sn: int, sd: int, inverse: bool) -> bool:
+    """Whether f's step (or inverse step) at a checked height sn/sd rises:
+    from s >= -1/2 forward, s >= 0 inverse; below, it descends."""
+    return sn >= 0 if inverse else 2 * sn >= -sd
 
 
 def _homeo(rn: int, rd: int, sn: int, sd: int, inverse: bool) -> PointPairs:
-    """``square_homeo`` at a checked point, on integer pairs."""
-    tag = _region(sn, sd, inverse)
-    if inverse:
-        if tag is RegionTag.R1:
-            return _rise(rn, rd, sn, sd, True)
-        if tag is RegionTag.D0:
-            return (-rn, rd) + SHIFT_PROFILE._preimage(sn, sd)
-        return _descend(rn, rd, sn, sd, False)
-    if tag is RegionTag.R0:
-        return _rise(rn, rd, sn, sd, False)
-    if tag is RegionTag.D_MINUS_1:
-        return (-rn, rd) + SHIFT_PROFILE._value(sn, sd)
-    return _descend(rn, rd, sn, sd, True)
+    """``square_homeo`` at a checked point, on integer pairs: the rising
+    map, or the descending map run the other way (``_rises``)."""
+    if _rises(sn, sd, inverse):
+        return _rise(rn, rd, sn, sd, inverse)
+    return _descend(rn, rd, sn, sd, not inverse)
 
 
 def square_homeo(p, inverse: bool = False) -> SquarePoint:
@@ -513,17 +507,23 @@ def square_orbit(p, windows: Sequence[Tuple[int, int]]) -> List[Tuple[int, Squar
 
 
 def _forward_piece_key(p) -> tuple:
-    """Hashable key of the branch ``_homeo`` takes forward at p: the region,
-    the shift profile's piece and the row's branch (``_row_branch``).
+    """Hashable key of the branch ``_homeo`` takes forward at p: the shift
+    profile's piece at s (f's height on both arms), the level of the row
+    ``_rise`` reads, the row's piece, and on a blend zone the height.
     Equal keys mean the same affine coefficients, so the map is affine on
-    the segment between the two points: the orientation probe's exact
-    seam test."""
+    the segment between the two points: the orientation probe's exact seam
+    test."""
     r, s = as_square_point(p)
     rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
-    tag = _region(sn, sd, False)
-    if tag is RegionTag.R_MINUS_2:  # the vertical-flip conjugate of the rising inverse
-        return (tag, _piece(SHIFT_PROFILE._ykeys, -sn, sd)) + _row_branch(rn, rd, -sn, sd, True)
-    key = (tag, _piece(SHIFT_PROFILE._xkeys, sn, sd))
-    if tag is RegionTag.R0:
-        return key + _row_branch(-rn, rd, *SHIFT_PROFILE._value(sn, sd), False)
-    return key
+    key = (_piece(SHIFT_PROFILE._xkeys, sn, sd),)
+    inverse = not _rises(sn, sd, False)
+    if inverse:  # the rising inverse, at the flipped height
+        sn = -sn
+    else:  # the rising map, at the reflected abscissa and the lifted height
+        rn, (sn, sd) = -rn, SHIFT_PROFILE._value(sn, sd)
+    level, row = _row_at(sn, sd)
+    if row is None:
+        return key + (level,)
+    if row.__class__ is _BlendZone:
+        return key + (level, row.piece(rn, rd, sn, sd, inverse), sn, sd)
+    return key + (level, _piece(row._ykeys if inverse else row._xkeys, rn, rd))

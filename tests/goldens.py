@@ -1,0 +1,118 @@
+"""The golden reports: which certificates of which verify report each file
+in ``tests/data/`` pins.
+
+``GOLDENS`` is the one statement of that rule.  ``test_dynamics.py``
+parametrizes over it on the reports the test session computes, and CI runs
+this module as a script on the reports ``planardyn verify --out`` writes:
+
+    python tests/goldens.py core.json xi.json plane.json all7.json
+
+A golden applies to a report at 256 bits.  A whole-report golden applies
+to its suite's report at the default sampler seed.  A certificate golden
+applies to its suite's report or to the ``all`` report, at the default
+sampler seed, or at any seed when its certificates draw no samples
+(``seedless``).  The script fails when a report differs from a golden that
+applies to it, or when no golden applies to a report.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+from typing import NamedTuple, Optional, Tuple
+
+from planardyn.dynamics import DEFAULT_SAMPLER_SEED
+
+DATA = Path(__file__).parent / "data"
+
+
+class Golden(NamedTuple):
+    file: str
+    suite: str
+    # (check, map) of each pinned certificate, in report order; None pins
+    # the whole report
+    certificates: Optional[Tuple[Tuple[str, Optional[str]], ...]] = None
+    seedless: bool = False
+
+
+GOLDENS = (
+    Golden("verify_core.json", "core"),
+    # its 256-bit worst errors pin every rounding on the Fraction ->
+    # big-float path
+    Golden("verify_xi.json", "xi"),
+    # the plane rows computed in 256-bit mpmath arithmetic alone, which draw
+    # no samples; the rows on mpmath.fp depend on the platform's libm
+    Golden(
+        "plane_256bit_certificates.json",
+        "plane",
+        (("semiconjugacy", None), ("orbit_bounded", None), ("ray_period_two", None)),
+        seedless=True,
+    ),
+    # the rows that read the suite's shared run values (the canonical core
+    # and example12's grid), minus h's displacement scan on mpmath.fp: exact
+    # rationals, booleans and math.sqrt / math.hypot of them
+    Golden(
+        "plane_shared_certificates.json",
+        "plane",
+        (("excursion", None), ("displacement", "f"), ("displacement", "example12"),
+         ("example_contrast", None)),
+    ),
+    # the sampled rows in exact and 256-bit arithmetic; f's orientation
+    # redraws count the triangles its piece key splits
+    Golden(
+        "plane_sampled_certificates.json",
+        "plane",
+        (("rays_exact", None), ("orientation", "f"), ("orientation", "h")),
+    ),
+)
+
+
+def applies(golden: Golden, report: dict) -> bool:
+    """Whether ``golden`` pins part of ``report``."""
+    meta = report["metadata"]
+    if meta["precision"] != 256:
+        return False
+    default_seed = meta["sampler_seed"] == DEFAULT_SAMPLER_SEED
+    if golden.certificates is None:
+        return report["suite"] == golden.suite and default_seed
+    return report["suite"] in (golden.suite, "all") and (golden.seedless or default_seed)
+
+
+def pinned(golden: Golden, report: dict) -> str:
+    """The text ``golden``'s file holds, as ``report`` writes it."""
+    if golden.certificates is None:
+        return json.dumps(report, indent=2) + "\n"
+    certs = [
+        c for c in report["certificates"]
+        if (c["evidence"]["check"], c["evidence"].get("map")) in golden.certificates
+    ]
+    found = tuple((c["evidence"]["check"], c["evidence"].get("map")) for c in certs)
+    if found != golden.certificates:
+        raise ValueError(f"{golden.file}: the report holds {found}")
+    return json.dumps(certs, indent=2) + "\n"
+
+
+def read(golden: Golden) -> str:
+    return (DATA / golden.file).read_text(encoding="utf-8")
+
+
+def main(paths) -> int:
+    failed = False
+    for path in paths:
+        text = Path(path).read_text(encoding="utf-8")
+        report = json.loads(text)
+        matched = [g for g in GOLDENS if applies(g, report)]
+        if not matched:
+            print(f"{path}: no golden applies")
+            failed = True
+        for golden in matched:
+            # a whole report is compared as written, not as re-serialised
+            same = (text if golden.certificates is None else pinned(golden, report)) == read(golden)
+            print(f"{path} against {golden.file}: {'same' if same else 'DIFFERS'}")
+            failed |= not same
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -3,9 +3,7 @@
 import collections
 import dataclasses
 import inspect
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -15,6 +13,8 @@ from planardyn import dynamics as dyn
 from planardyn import plane_map, square_map
 from planardyn.plane_map import _lifted, lifted_core
 from planardyn.square_map import square_homeo, square_orbit
+
+import goldens
 
 
 @pytest.fixture(scope="module")
@@ -626,56 +626,11 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, stubbed_checks):
     ]
 
 
-def test_xi_report_matches_golden(suite_report):
-    # `planardyn verify --suite xi --out` at the default seed and 256 bits,
-    # written before the direct rational conversion landed.  Its 256-bit
-    # worst errors pin every rounding on the Fraction -> big-float path.
-    golden = Path(__file__).parent / "data" / "verify_xi.json"
-    report = suite_report("xi")
-    assert report["metadata"]["precision"] == 256
+@pytest.mark.parametrize("golden", goldens.GOLDENS, ids=lambda g: g.file.removesuffix(".json"))
+def test_report_matches_golden(suite_report, golden):
+    # each golden file against the report of its suite at the default seed
+    # and 256 bits, as ``goldens.GOLDENS`` selects its certificates
+    report = suite_report(golden.suite)
+    assert goldens.applies(golden, report)
     assert report["metadata"]["tolerances"] == DEFAULT_TOLERANCES.report(make_context(256))
-    assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")
-
-
-def test_core_report_matches_golden(suite_report):
-    # `planardyn verify --suite core --out` at the default seed, written
-    # before the limit estimates asked `orbit` for their tail window only
-    golden = Path(__file__).parent / "data" / "verify_core.json"
-    report = suite_report("core")
-    assert report["metadata"]["sampler_seed"] == dyn.DEFAULT_SAMPLER_SEED
-    assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")
-
-
-def test_plane_256bit_certificates_match_golden(suite_report):
-    # the plane certificates computed in 256-bit mpmath arithmetic alone,
-    # taken from `planardyn verify --suite all --out` at the default seed;
-    # the rows that run on mpmath.fp depend on the platform's libm and are
-    # left out
-    golden = Path(__file__).parent / "data" / "plane_256bit_certificates.json"
-    report = suite_report("plane")
-    assert report["metadata"]["precision"] == 256
-    labels = ("semiconjugacy", "orbit_bounded", "ray_period_two")
-    certs = [c for c in report["certificates"] if c["evidence"]["check"] in labels]
-    assert [c["evidence"]["check"] for c in certs] == list(labels)
-    assert json.dumps(certs, indent=2) + "\n" == golden.read_text(encoding="utf-8")
-
-
-def test_plane_shared_certificates_match_golden(suite_report):
-    # the plane rows that read the suite's shared run values (the canonical
-    # core and example12's grid), minus the h displacement scan on
-    # mpmath.fp: exact rationals, booleans and math.sqrt / math.hypot of
-    # them, the same on every platform
-    golden = Path(__file__).parent / "data" / "plane_shared_certificates.json"
-    report = suite_report("plane")
-    labels = ("excursion", "displacement", "example_contrast")
-    certs = [
-        c for c in report["certificates"]
-        if c["evidence"]["check"] in labels and c["evidence"].get("map") != "h"
-    ]
-    assert [(c["evidence"]["check"], c["evidence"].get("map")) for c in certs] == [
-        ("excursion", None),
-        ("displacement", "f"),
-        ("displacement", "example12"),
-        ("example_contrast", None),
-    ]
-    assert json.dumps(certs, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+    assert goldens.pinned(golden, report) == goldens.read(golden)

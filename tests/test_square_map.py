@@ -407,6 +407,67 @@ def test_square_homeo_validates_its_point_once(monkeypatch, inverse):
             monkeypatch.undo()
 
 
+def _rise_reference(p, inverse: bool):
+    """The rising map (or its inverse) on the PL route: shift the line up,
+    reflect across the vertical axis, then shear with the built row."""
+    r, s = p
+    if inverse:
+        return reflect((row_map(s).inverse(r), SHIFT_PROFILE.inverse(s)), "level")
+    r, s = reflect((r, SHIFT_PROFILE(s)), "level")
+    return (row_map(s)(r), s)
+
+
+def _six_region_homeo(p, inverse: bool = False):
+    """f (or its inverse) by the paper's piecewise definition, three regions
+    per direction, as ``region_of`` names them: the rising map on R0 and R1,
+    the reflected shift on D_MINUS_1 and D0, and on R_MINUS_2 and R_MINUS_1
+    the descending map, the rising map's vertical-flip conjugate, run the
+    other way."""
+    tag = region_of(p[1], inverse)
+    if tag in (RegionTag.R0, RegionTag.R1):
+        return _rise_reference(p, inverse)
+    if tag in (RegionTag.D_MINUS_1, RegionTag.D0):
+        r, s = p
+        return reflect((r, SHIFT_PROFILE.inverse(s) if inverse else SHIFT_PROFILE(s)), "level")
+    return reflect(_rise_reference(reflect(p, "vertical"), not inverse), "vertical")
+
+
+def _seam_heights():
+    """The heights where a region or a row changes: 0, +-1/2, +-1, and the
+    strip floors and split heights of levels 2..16 above and below the
+    axis, with the heights the shift lifts onto them."""
+    heights = {Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)}
+    for i in range(2, 17):
+        lo, mid, _ = strip_bounds(i)
+        for h in (lo, mid):
+            heights |= {h, -h, 2 * h - 1, 1 - 2 * h}
+    return sorted(heights)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_square_homeo_is_the_six_region_definition(inverse):
+    rng = random.Random(23)
+    points = [(_rand_fraction(rng, -1, 1), _rand_fraction(rng, -1, 1)) for _ in range(1500)]
+    for s in _seam_heights():
+        abscissas = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3)]
+        points += [(r, s) for r in abscissas + [_rand_fraction(rng, -1, 1) for _ in range(4)]]
+    for p in points:
+        assert square_homeo(p, inverse) == _six_region_homeo(p, inverse), p
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_row_is_the_identity_up_to_three_quarters(inverse):
+    # f's step at a height whose row lies at or below 3/4 is the reflected
+    # shift, so the rising map serves the band below the axis too
+    rng = random.Random(24)
+    heights = [Fraction(0), Fraction(1, 2), Fraction(3, 4)]
+    heights += [_rand_fraction(rng, 0, Fraction(3, 4)) for _ in range(500)]
+    for s in heights:
+        r = _rand_fraction(rng, -1, 1)
+        args = (r.numerator, r.denominator, s.numerator, s.denominator, inverse)
+        assert square_map._row(*args) == (r.numerator, r.denominator), s
+
+
 def test_square_homeo_on_a_blend_zone_makes_no_fraction_arithmetic(monkeypatch):
     # the map runs on integer pairs and builds only its two output Fractions;
     # each point lands on (or starts from) the blend zone [3/4, 13/16) of
