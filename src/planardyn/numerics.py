@@ -30,10 +30,10 @@ x = p/q (q > 0) exactly when p*d < n*q, so no Fraction comparison runs.
 An affine piece, slope a/b and intercept e/f, is stored as the small
 integers (a*f, e*b, b*f), and its value at p/q is reduced by two gcds
 that each have one small operand (:func:`_affine`).  The blend rows of the
-square map are affine in x with coefficients affine in the height; those
-coefficients come from the same step, and meet x in Fraction's own
-cross-reduction order (the products' gcds, then the gcd of the two
-denominators of the sum).
+square map are bilinear in x and the height: on narrow pairs one fraction
+reduced the same way (``square_map._reduced``); on wide ones coefficients
+from the same step meet x in Fraction's own cross-reduction order (the
+products' gcds, then the gcd of the two denominators of the sum).
 
 Where a denominator has 512 bits or more, each of those gcds splits off
 the power of two first (``square_map._sum`` and ``_product``); the

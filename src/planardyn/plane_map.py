@@ -88,24 +88,29 @@ def _pinned(r, s) -> bool:
 def _square_pairs(w, ctx) -> PointPairs:
     """Exact value of a big-float square point as integer pairs
     (rn, rd, sn, sd) in lowest terms, nudged back onto the square when
-    rounding overshot the boundary by a few ulps.
+    rounding overshot the boundary by a few ulps.  Each coordinate is read
+    as its exact integer ratio n/d (d > 0); one range test on the four
+    integers passes a point of the square, and only an overshoot goes on
+    to ``_snap``."""
+    rn, rd = integer_ratio(w[0])
+    sn, sd = integer_ratio(w[1])
+    if -rd <= rn <= rd and -sd <= sn <= sd:
+        return rn, rd, sn, sd
+    return _snap(rn, rd, ctx) + _snap(sn, sd, ctx)
+
+
+def _snap(n: int, d: int, ctx) -> Tuple[int, int]:
+    """A coordinate n/d of ``_square_pairs``, snapped onto the boundary.
 
     An overshoot of up to 2^-(prec-8) snaps, and never more than 2^-48 (the
     bound at 56 bits and below, the double context included); a larger one
-    is an escape, not rounding.  Each coordinate is read as its exact
-    integer ratio n/d (d > 0), so both tests compare integers: |q| > 1 is
-    |n| > d, and |q| - 1 > 2^-e is (|n| - d) 2^e > d.
+    is an escape, not rounding.  |n/d| - 1 > 2^-e is (|n| - d) 2^e > d.
     """
-    e = max(ctx.prec - 8, 48)
-    out = ()
-    for v in w:
-        n, d = integer_ratio(v)
-        if n > d or -n > d:
-            if (abs(n) - d) << e > d:
-                raise DomainError(f"coordinate {coprime_fraction(n, d)} escaped the square")
-            n, d = (1 if n > 0 else -1), 1
-        out += (n, d)
-    return out
+    if -d <= n <= d:
+        return n, d
+    if (abs(n) - d) << max(ctx.prec - 8, 48) > d:
+        raise DomainError(f"coordinate {coprime_fraction(n, d)} escaped the square")
+    return (1 if n > 0 else -1), 1
 
 
 def _quotient(x, u, inverse, ctx, k):

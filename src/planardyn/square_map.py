@@ -35,12 +35,12 @@ builds no Fraction, and ``square_homeo`` builds one per output coordinate,
 at the end.  ``_row_at`` picks the row of the strip shear at a height, and
 the row is evaluated pointwise, never built as a PLFunction: the identity
 at or below 3/4 and on the top line, on a shear zone by the level's rule,
-on a blend zone from the level's cached coefficients, whose slope and
-intercept are affine in the height and are read off it first, by the same
-integer step as a PL piece, then meet r in Fraction's cross-reduction
-order (``_sum`` and ``_product``), whose gcds split off the power of two
-first where a denominator is wide (``_WIDE``).  The orientation probe's
-piece key (``_forward_piece_key``) is the branch ``_homeo`` takes, read
+on a blend zone from the level's cached coefficients, bilinear in (r, s):
+on narrow pairs one fraction reduced by two gcds with a small operand each
+(``_reduced``); where a denominator is wide (``_WIDE``), slope and
+intercept first, then Fraction's cross-reduction order (``_sum``,
+``_product``), whose gcds split off the power of two.  The orientation
+probe's piece key (``_forward_piece_key``) is ``_homeo``'s branch, read
 off the same pairs and the same row.  ``row_map`` builds the row, only as
 the tests' reference.
 
@@ -266,25 +266,36 @@ def _product(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     return na * nb, da * db
 
 
+def _reduced(n: int, u: int, v: int, rd: int) -> Tuple[int, int]:
+    """n / (v*rd) in lowest terms for n = u*rn + y*rd, rn prime to rd, v > 0:
+    gcd(n, rd) = gcd(u, rd), and n over it is prime to the rest of rd."""
+    g = gcd(u, rd)
+    n, rd = n // g, rd // g
+    g = gcd(n, v)
+    return n // g, v // g * rd
+
+
 class _BlendZone:
     """The rows of one level's blend zone, exact, as functions of the height.
 
     The zone [lo, mid) blends ``prev`` into ``rule`` with the weight
     t = (s - lo) / (mid - lo).  Both rules are affine on each piece between
     consecutive merged abscissas, and so is every blended row; its slope
-    and intercept there are affine in t, hence in s.  The coefficients are
-    per level: they fold in the level's lo and mid.  Each function of s is
-    stored as the integers of ``numerics._affine``, so at a height p/q it
-    is one ``_affine`` step.
+    and intercept there are affine in t, hence in s: the row is bilinear
+    in (r, s).  The coefficients are per level: they fold in the level's lo
+    and mid.  Each function of s is stored as the integers of
+    ``numerics._affine``, so at a height p/q it is one ``_affine`` step.
 
-    xkeys  : interior merged abscissas, as integer pairs
-    pieces : per merged piece, (slope, intercept) of the row as functions
-             of s: the row at height s is slope(s)*x + intercept(s) there
-    ykeys  : per interior merged abscissa, the row's ordinate there as a
-             function of s
+    xkeys    : interior merged abscissas, as integer pairs
+    pieces   : per merged piece, (slope, intercept) of the row as functions
+               of s, for wide pairs: the row is slope(s)*x + intercept(s)
+    bilinear : per merged piece, for narrow pairs, slope (a1, e1, d1) and
+               intercept (a2, e2, d2) as (a1*d2, e1*d2, a2*d1, e2*d1, d1*d2)
+    ykeys    : per interior merged abscissa, the row's ordinate there as a
+               function of s
     """
 
-    __slots__ = ("xkeys", "pieces", "ykeys")
+    __slots__ = ("xkeys", "pieces", "bilinear", "ykeys")
 
     def __init__(self, prev: PLFunction, rule: PLFunction, lo: Fraction, mid: Fraction):
         xs = sorted(set(prev.xs) | set(rule.xs))
@@ -305,6 +316,8 @@ class _BlendZone:
             pieces.append((in_s(a, a2), in_s(ya[k] - a * xs[k], yb[k] - a2 * xs[k])))
         self.xkeys = _int_pairs(xs[1:-1])
         self.pieces = tuple(pieces)
+        self.bilinear = tuple((a1 * d2, e1 * d2, a2 * d1, e2 * d1, d1 * d2)
+                              for (a1, e1, d1), (a2, e2, d2) in pieces)
         self.ykeys = tuple(in_s(y, y2) for y, y2 in zip(ya[1:-1], yb[1:-1]))
 
     def piece(self, rn: int, rd: int, p: int, q: int, inverse: bool) -> int:
@@ -318,20 +331,32 @@ class _BlendZone:
         return len(self.ykeys)
 
     def value(self, rn: int, rd: int, p: int, q: int) -> Tuple[int, int]:
-        """The row at height p/q, evaluated at rn/rd: slope * r + intercept."""
-        slope, intercept = self.pieces[self.piece(rn, rd, p, q, False)]
+        """The row at height p/q, evaluated at rn/rd: slope * r + intercept,
+        on narrow pairs (x*rn + y*rd) / (d*q*rd) for x/(d*q) and y/(d*q)."""
+        k = self.piece(rn, rd, p, q, False)
+        if rd < _WIDE and q < _WIDE:
+            a1, e1, a2, e2, d = self.bilinear[k]
+            x = a1 * p + e1 * q
+            return _reduced(x * rn + (a2 * p + e2 * q) * rd, x, d * q, rd)
+        slope, intercept = self.pieces[k]
         mn, md = _product(*_affine(slope, p, q), rn, rd)
         return _sum(mn, md, *_affine(intercept, p, q))
 
     def preimage(self, rn: int, rd: int, p: int, q: int) -> Tuple[int, int]:
         """The row's inverse at height p/q, evaluated at rn/rd:
-        (r - intercept) / slope."""
-        slope, intercept = self.pieces[self.piece(rn, rd, p, q, True)]
+        (r - intercept) / slope, on narrow pairs (d*q*rn - y*rd) / (x*rd)
+        as in ``value``; x > 0, as an increasing row's slope is positive."""
+        k = self.piece(rn, rd, p, q, True)
+        if rd < _WIDE and q < _WIDE:
+            a1, e1, a2, e2, d = self.bilinear[k]
+            c = d * q
+            return _reduced(c * rn - (a2 * p + e2 * q) * rd, c, a1 * p + e1 * q, rd)
+        slope, intercept = self.pieces[k]
         cn, cd = _affine(intercept, p, q)
         n, nd = _sum(rn, rd, -cn, cd)
         mn, md = _affine(slope, p, q)
-        # an increasing row's slope is positive: dividing by it multiplies
-        # by md/mn, a pair in lowest terms, as ``Fraction`` divides
+        # dividing by the positive slope multiplies by md/mn, a pair in
+        # lowest terms, as ``Fraction`` divides
         return _product(n, nd, md, mn)
 
 

@@ -6,13 +6,15 @@ parametrizes over it on the reports the test session computes, and CI runs
 this module as a script on the reports ``planardyn verify --out`` writes:
 
     python tests/goldens.py core.json xi.json plane.json all7.json
+    python tests/goldens.py xi53.json xi512.json
 
-A golden applies to a report at 256 bits.  A whole-report golden applies
-to its suite's report at the default sampler seed.  A certificate golden
-applies to its suite's report or to the ``all`` report, at the default
-sampler seed, or at any seed when its certificates draw no samples
-(``seedless``).  The script fails when a report differs from a golden that
-applies to it, or when no golden applies to a report.
+A golden applies to a report at its precision, 256 bits unless it says
+otherwise.  A whole-report golden applies to its suite's report at the
+default sampler seed.  A certificate golden applies to its suite's report
+or to the ``all`` report, at the default sampler seed, or at any seed when
+its certificates draw no samples (``seedless``).  The script fails when a
+report differs from a golden that applies to it, or when no golden applies
+to a report.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class Golden(NamedTuple):
     # the whole report
     certificates: Optional[Tuple[Tuple[str, Optional[str]], ...]] = None
     seedless: bool = False
+    # the working precision of the report it pins, in bits
+    precision: int = 256
 
 
 GOLDENS = (
@@ -41,6 +45,10 @@ GOLDENS = (
     # its 256-bit worst errors pin every rounding on the Fraction ->
     # big-float path
     Golden("verify_xi.json", "xi"),
+    # the collapse suite at the floor precision and at a fine one: the
+    # chart bounds and every rounding follow the precision
+    Golden("verify_xi_53bit.json", "xi", precision=53),
+    Golden("verify_xi_512bit.json", "xi", precision=512),
     # the plane rows computed in 256-bit mpmath arithmetic alone, which draw
     # no samples; the rows on mpmath.fp depend on the platform's libm
     Golden(
@@ -71,7 +79,7 @@ GOLDENS = (
 def applies(golden: Golden, report: dict) -> bool:
     """Whether ``golden`` pins part of ``report``."""
     meta = report["metadata"]
-    if meta["precision"] != 256:
+    if meta["precision"] != golden.precision:
         return False
     default_seed = meta["sampler_seed"] == DEFAULT_SAMPLER_SEED
     if golden.certificates is None:

@@ -626,7 +626,15 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, stubbed_checks):
     ]
 
 
-@pytest.mark.parametrize("golden", goldens.GOLDENS, ids=lambda g: g.file.removesuffix(".json"))
+# the session's reports are at 256 bits; CI writes the others and checks
+# them with ``tests/goldens.py``
+OFF_PRECISION = pytest.mark.skip(reason="CI-only: a report at another precision than the session's 256 bits")
+
+
+@pytest.mark.parametrize("golden", [
+    pytest.param(g, id=g.file.removesuffix(".json"), marks=() if g.precision == 256 else OFF_PRECISION)
+    for g in goldens.GOLDENS
+])
 def test_report_matches_golden(suite_report, golden):
     # each golden file against the report of its suite at the default seed
     # and 256 bits, as ``goldens.GOLDENS`` selects its certificates

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from planardyn import collapse_map, plane_map
+from planardyn import collapse_map, plane_map, square_map
 from planardyn.dynamics import boundedness_certificate, limit_estimate, map_registry, orbit
 from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context, to_bigfloat
 from planardyn.plane_map import (
@@ -424,3 +424,36 @@ def test_wall_seed_lifts_are_pinned():
         for v in w:
             digest.update(f"{n} {v.numerator:x} {v.denominator:x}\n".encode())
     assert digest.hexdigest() == WALL_SEED_LIFTS_SHA256
+
+
+def test_plane_step_takes_the_narrow_blend_row(monkeypatch):
+    # the plane scan's points are doubles, so each step's lift is a narrow
+    # pair and a blend row is one fraction, never the wide route's _product
+    # and _sum.  The exact lifts of the strip-wall seed's plane image grow
+    # wide pairs and still take that route (f's own orbit of the seed stays
+    # below 2^512)
+    counts = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((square_map, "_product"), (square_map, "_sum"),
+                        (square_map._BlendZone, "value"), (square_map._BlendZone, "preimage")):
+        count(owner, name)
+    # a 0.5-wide square of plane_scan's grid whose steps land on blend zones
+    for inverse in (False, True):
+        for i in range(5):
+            for j in range(5):
+                plane_homeo((0.25 + i / 8, 5.0 + j / 8), mpmath.fp, inverse)
+    assert counts["value"] > 0 and counts["preimage"] > 0
+    assert counts["_product"] == counts["_sum"] == 0
+    ctx = make_context(256)
+    lifted_core(tangent_chart(collapse((Fraction(-3, 5), Fraction(-1, 2)), ctx), ctx), (-100, 100), ctx)
+    assert counts["_product"] > 0 and counts["_sum"] > 0

@@ -363,6 +363,48 @@ def test_sum_and_product_match_fraction(a, b):
             assert kernel(*x, *y) == (want.numerator, want.denominator)
 
 
+def _blend_unit(draw):
+    """A rational in [0, 1) drawn from one of three sources: the exact
+    ratio of a double (the plane scan's lifts), p/999983, or ``wide_pairs``."""
+    source = draw(st.sampled_from(("double", "prime", "wide")))
+    if source == "double":
+        return Fraction(draw(st.floats(0, 1, exclude_max=True)))
+    if source == "prime":
+        return Fraction(draw(st.integers(0, 999982)), 999983)
+    return abs(Fraction(*draw(wide_pairs()))) % 1
+
+
+@st.composite
+def blend_rows(draw):
+    """(level, r, s): s over level's blend zone [lo, mid), its floor lo
+    included, and r in [-1, 1], each from ``_blend_unit``'s sources."""
+    level = draw(st.integers(2, 40))
+    lo, mid, _ = strip_bounds(level)
+    s = lo if draw(st.booleans()) else lo + (mid - lo) * _blend_unit(draw)
+    assume(s != Fraction(3, 4))  # the floor of level 2 closes the core band
+    r = 2 * _blend_unit(draw) - 1
+    return level, r, s
+
+
+@given(blend_rows())
+@settings(deadline=None, max_examples=400)
+def test_blend_rows_match_fraction(row):
+    # a blend row on its piece is slope(s)*r + intercept(s), and its inverse
+    # (r - intercept(s))/slope(s), each coefficient affine in s
+    level, r, s = row
+    zone = square_map._level_zone(level)
+    args = (r.numerator, r.denominator, s.numerator, s.denominator)
+    for inverse, evaluate in ((False, zone.value), (True, zone.preimage)):
+        slope, intercept = (
+            Fraction(a * s.numerator + e * s.denominator, d * s.denominator)
+            for a, e, d in zone.pieces[zone.piece(*args, inverse)]
+        )
+        want = (r - intercept) / slope if inverse else slope * r + intercept
+        n, d = evaluate(*args)
+        assert (n, d) == (want.numerator, want.denominator)
+        assert d > 0 and gcd(n, d) == 1
+
+
 def _counting(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
