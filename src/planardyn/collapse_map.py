@@ -19,36 +19,47 @@ collapse commutes with both reflections of the square exactly:
   toward the fiber and pi straight up; the upper quarter is the half
   [pi/2, pi].  The right half-square is a sup-norm ball about this center,
   so the radius is that sup norm, max(1 - x, y) on the upper quarter, and
-  the boundary is radius one.
+  the boundary is radius one.  The forward chart gives the angle as its
+  offset from pi/2, atan2(y, 1 - x), the offset the cone reads.
 * the slit chart (``_slit_chart`` and its inverse) does the same around the
   outer slit endpoint (1/2, 0), with the plain polar angle and the radius
   max(|2x - 1|, y).  Its chart rectangle is [0, 2*pi] x [0, 1]; the upper
   quarter is the half [0, pi], the slit's top side at angle 0.
-* the boundary correspondence (``_edge_to_slit``, inverse
-  ``_slit_to_edge``) carries the boundary circle of the first rectangle
-  onto that of the second.  The central arc uses theta = pi - arctan(2 s)
-  so the vertical fiber is fixed pointwise; a narrow arc next to the
-  straight-up direction wraps onto the slit's top side; the arc between
-  them interpolates affinely, and the other walls land on the radius-zero
-  wall, which the target chart collapses to the slit endpoint.  The width
-  of the narrow arc, ``slit_arc_angle``, is a free parameter of the
-  construction; it is pinned to pi / 2**15 here, narrow enough that orbits
-  of the induced plane map climb past norm 10**3 before settling (see the
-  excursion certificate).
+* the boundary correspondence carries the boundary circle of the first
+  rectangle onto that of the second.  The central arc uses
+  theta = pi - arctan(2 s) so the vertical fiber is fixed pointwise; a
+  narrow arc next to the straight-up direction wraps onto the slit's top
+  side; the arc between them interpolates affinely, and the other walls
+  land on the radius-zero wall, which the target chart collapses to the
+  slit endpoint.  The width of the narrow arc, ``slit_arc_angle``, is a
+  free parameter of the construction; it is pinned to pi / 2**15 here,
+  narrow enough that orbits of the induced plane map climb past norm 10**3
+  before settling (see the excursion certificate).
 * ``cone_map`` extends the boundary correspondence radially from the
-  centers of the two rectangles.  A rectangle is a sup-norm ball about its
-  center too, so a point's ray parameter is max(|d0| / c0, 2 |d1|) for
-  the offset d from the center (c0, 1/2): one division, no trigonometry.
-  The cone commutes with the flips angle -> pi - angle and theta -> 2*pi -
-  theta, which the vertical reflection of the square induces on the two
+  centers of the two rectangles: the point at fraction t of the way out
+  along a ray goes to the fraction-t point toward its wall point's image.
+  A rectangle is a sup-norm ball about its center (c0, 1/2), so for the
+  offset (d0, d1) from the center t = max(|d0| / c0, 2 |d1|), and the
+  larger term names the wall the ray leaves through.  On each wall t is
+  linear in the offset, and the correspondence is affine in the wall
+  coordinate except on the central arcs, so the ray exit, the
+  correspondence and the interpolation multiply out into one affine form
+  in (d0, d1) per wall (``_cone``); forward, with d0 = angle - pi/2:
+  theta = pi - 4 d0 / 3 - 2 pi d1 / 3 on the angle-pi wall,
+  pi - 2 d0 / 3 on the radius-zero wall, and on the radius-one wall
+  (t = 2 d1) pi - t arctan(2 tan(d0 / t)) on the central arc.  The cone
+  commutes with the flips angle -> pi - angle and theta -> 2*pi - theta,
+  which the vertical reflection of the square induces on the two
   rectangles; ``cone_map`` mirrors a point of the lower half onto the upper
   one, and ``_cone`` serves the upper halves only.
 
 Every chart step serves the upper quarter only: a ray from a rectangle's
 center through a point of its upper half leaves through the walls of that
 half.  Each forward chart takes one arctangent for its angle; the radius
-needs only comparisons.  Each chart inverse takes one tangent, for the
-point where its ray leaves the quarter (``_edge_exit``, ``_slit_exit``).
+needs only comparisons.  The cone takes a tangent and an arctangent on
+the central arcs and nothing else transcendental.  Each chart inverse
+takes one tangent, for the point where its ray leaves the quarter
+(``_edge_exit``, ``_slit_exit``).
 
 All functions take an explicit mpmath-style context; nothing reads or
 writes global precision.  Only the entry points (``collapse``,
@@ -80,8 +91,8 @@ nearest in doubles) are symmetric about zero; a height that rounds to zero
 is mirrored too.  Each range check is a negated in-range test, so a NaN
 coordinate fails it.  The steps check nothing: a step's input is in range
 by construction, through the entry checks, the charts' radii (sup norms of
-a quarter point's offset), the angle clamp at the cone's entry, the clamps
-at the chart inverses, and the ray exit's snap onto a wall.
+a quarter point's offset), the angle clamp at the cone's entry, and the
+clamps at the chart inverses.
 """
 
 from __future__ import annotations
@@ -120,6 +131,7 @@ def _consts_at(ctx, prec):
     # on doubles, the math functions that mpmath.fp's wrappers call on a
     # float: the same bits without the wrappers' type dispatch
     fp = isinstance(ctx, FPContext)
+    span, stretch = pi / 4 - astar, pi - corner  # the affine arc's widths
     return {
         "atan2": math.atan2 if fp else ctx.atan2,
         "tan": math.tan if fp else ctx.tan,
@@ -127,25 +139,25 @@ def _consts_at(ctx, prec):
         "pi": pi,
         "two_pi": 2 * pi,
         "half_pi": pi / 2,
-        "two_over_pi": 2 / pi,  # the tangent chart's inverse scale
-        "three_half_pi": 3 * pi / 2,
+        "quarter_pi": pi / 4,
+        "two_over_pi": 2 / pi,  # the cone's and the tangent chart's scale
         "three_quarter_pi": 3 * pi / 4,
         "third": third,
         "corner": corner,
         "astar": astar,
-        "pi_minus_astar": pi - astar,
-        "span": pi / 4 - astar,  # angular width of the affine arc
-        "stretch": pi - corner,  # image width of the affine arc
-        # small integers as context floats: each converts exactly
+        "arc_end": pi / 2 - astar,  # edge-chart offset where the slit-top arc starts
+        "stretch": stretch,
+        "arc_stretch": stretch / span,  # the affine arc's slope, and its inverse's
+        "arc_shrink": span / stretch,
+        # small integers and ratios as context floats: each but 2/3 converts
+        # exactly
         "one": to_bigfloat(1, ctx),
         "two": to_bigfloat(2, ctx),
-        "three": to_bigfloat(3, ctx),
+        "two_thirds": to_bigfloat(2, ctx) / 3,
+        "three_halves": to_bigfloat(Fraction(3, 2), ctx),
         "zero": zero,
         "half": half,
         "snap": to_bigfloat(Fraction(1, 2 ** (prec - 8)), ctx),
-        # chart rectangles as (lo0, hi0, center); radial bounds are [0, 1]
-        "U": (zero, pi, (pi / 2, half)),
-        "V": (zero, 2 * pi, (pi, half)),
     }
 
 
@@ -215,17 +227,18 @@ def _slit_exit(a, k):
 
 
 def _edge_chart(px, py, k):
-    """Edge chart forward: (angle, radius) of a point of the upper-right
-    quarter other than the right-edge midpoint.
+    """Edge chart forward: (angle offset, radius) of a point of the
+    upper-right quarter other than the right-edge midpoint.
 
-    The angle lies in [pi/2, pi]: the height ``py`` is not negative, not
-    even a negative zero.  The radius is the sup norm max(1 - x, y) of the
-    offset from the midpoint, so the quarter's outer boundary is radius
-    one.  The angle is not clamped: rounding may leave it a few ulps
-    outside [pi/2, pi], and ``_cone`` clamps it.
+    The offset is the chart angle less pi/2, the angle from the fiber's
+    direction: atan2(y, 1 - x), in [0, pi/2] since the height ``py`` is
+    not negative, not even a negative zero.  The radius is the sup norm
+    max(1 - x, y) of the offset from the midpoint, so the quarter's outer
+    boundary is radius one.  Rounding may leave the offset a few ulps
+    outside [0, pi/2], and ``_cone`` clamps it.
     """
-    dx = px - k["one"]
-    return (k["three_half_pi"] - k["atan2"](py, dx), max(-dx, py))
+    dx = k["one"] - px
+    return (k["atan2"](py, dx), max(dx, py))
 
 
 def _edge_chart_inv(alpha, rho, k):
@@ -257,89 +270,52 @@ def _slit_chart_inv(theta, rho, k):
     return (k["half"] + rho * (e0 - k["half"]), rho * e1)
 
 
-def _edge_to_slit(alpha, rho, k):
-    """Boundary correspondence, edge-chart wall to slit-chart wall, on the
-    upper halves: a wall point with angle in [pi/2, pi] goes to a wall
-    point with angle in [0, pi].
-
-    The radius-one wall splits into three arcs: the central arc
-    [pi/2, 3*pi/4] carried by theta = pi - arctan(2*tan(angle - pi/2)), an
-    affine arc [3*pi/4, pi - astar], and slit-top [pi - astar, pi]
-    wrapping onto the slit's 0 side.  The radius-zero wall and the angle-pi
-    wall land affinely on the radius-zero wall of the target.  Bijective
-    between the two half-boundaries (``_slit_to_edge`` is the inverse); the
-    lower halves are their mirrors, through ``cone_map``.
-    """
-    pi, astar = k["pi"], k["astar"]
-    if rho == k["one"]:
-        if alpha <= k["three_quarter_pi"]:
-            return (pi - k["atan"](k["two"] * k["tan"](alpha - k["half_pi"])), k["one"])
-        if alpha < k["pi_minus_astar"]:
-            return ((k["pi_minus_astar"] - alpha) * k["stretch"] / k["span"], k["one"])
-        # at alpha = pi - astar the rounded ratio can exceed 1 (64, 512 bits)
-        return (k["zero"], min((pi - alpha) / astar, k["one"]))
-    if rho == k["zero"]:
-        return (k["third"] * (k["two"] - alpha / pi), k["zero"])
-    return (k["third"] * (k["one"] - rho), k["zero"])  # alpha == pi
-
-
-def _slit_to_edge(theta, rho, k):
-    """Boundary correspondence inverse, slit-chart wall to edge-chart wall,
-    on the upper halves: angle in [0, pi] to angle in [pi/2, pi]."""
-    pi, third = k["pi"], k["third"]
-    span, stretch = k["span"], k["stretch"]
-    if rho == k["one"]:
-        if theta <= stretch:  # pi - corner
-            return (k["pi_minus_astar"] - theta * span / stretch, k["one"])
-        return (k["half_pi"] + k["atan"](k["tan"](pi - theta) / 2), k["one"])
-    if theta == k["zero"]:
-        return (pi - k["astar"] * rho, k["one"])
-    # rho == 0
-    if theta <= third:
-        return (pi, k["one"] - theta / third)
-    return (k["two_pi"] - k["three"] * theta / 2, k["zero"])
-
-
-def _ray_exit(u0, u1, which, k):
-    """Boundary hit of the ray from the rectangle center through (u0, u1).
-
-    The coordinates are floats of the context in the upper half of the
-    rectangle ``k[which]``, off its center (``_cone``).  The
-    rectangle is the sup-norm ball of radii (c0, 1/2) about its center
-    (c0, 1/2), so the point sits at fraction t = max(|d0| / c0, 2 |d1|) of
-    the way out along its ray, d being its offset from the center; the wall
-    of the larger term is hit first, the vertical one on a tie.  Returns
-    (boundary point, t); the boundary point is snapped exactly onto the
-    achieving wall so the arc dispatch downstream sees exact wall
-    coordinates.
-    """
-    lo0, hi0, c = k[which]
-    d0, d1 = u0 - c[0], u1 - c[1]
-    s0, s1 = abs(d0) / c[0], k["two"] * abs(d1)
-    if s0 >= s1:
-        t = s0
-        # unclamped: doubling is exact, so t >= 2 |d1| and this rounds into [0, 1]
-        b = (hi0 if d0 > k["zero"] else lo0, c[1] + d1 / t)
-    else:
-        t = s1
-        b = (_soft_clamp(c[0] + d0 / t, lo0, hi0, k), k["one"] if d1 > k["zero"] else k["zero"])
-    return b, t
-
-
-def _cone(u0, u1, inverse, k):
+def _cone(d0, rho, inverse, k):
     """``cone_map`` at a point of the upper half of its source rectangle,
-    [pi/2, pi] x [0, 1] forward and [0, pi] x [0, 1] inverse, given as two
-    floats of the context; the angle is clamped onto that half, and the
-    image lies in the upper half of the target rectangle."""
-    src, dst = ("V", "U") if inverse else ("U", "V")
-    c_src, c_dst = k[src][2], k[dst][2]
-    u0 = _soft_clamp(u0, k["zero"] if inverse else k["half_pi"], k["pi"], k)
-    # the radius is unclamped: each chart's sup norm rounds into [0, 1]
-    if u0 == c_src[0] and u1 == c_src[1]:
-        return c_dst
-    b, t = _ray_exit(u0, u1, src, k)  # t in (0, 1]; 1 on the boundary
-    lb = (_slit_to_edge if inverse else _edge_to_slit)(b[0], b[1], k)
-    return (c_dst[0] + t * (lb[0] - c_dst[0]), c_dst[1] + t * (lb[1] - c_dst[1]))
+    given as its angle's offset ``d0`` from the rectangle's center angle
+    and its radius ``rho``: forward d0 in [0, pi/2] (edge-chart angle
+    pi/2 + d0), inverse d0 in [-pi, 0] (slit-chart angle pi + d0).  The
+    offset is clamped onto that range, and the image lies in the upper
+    half of the target rectangle.
+
+    With d1 = rho - 1/2, the ray parameter is t = max(s0, 2 |d1|), s0 the
+    angle term, and the larger term names the wall the ray leaves through,
+    the angle wall on a tie.  On each wall t is linear in the offset, so
+    the wall's boundary correspondence and the interpolation by t are one
+    affine form; only the central arcs keep a tangent and an arctangent.
+    """
+    pi, half_pi, half = k["pi"], k["half_pi"], k["half"]
+    d1 = rho - half
+    t = k["two"] * abs(d1)
+    if inverse:
+        d0 = _soft_clamp(d0, -pi, k["zero"], k)
+        s0 = -d0 / pi
+        if s0 >= t:  # the angle-0 wall, onto the slit-top arc
+            return (half_pi - d0 * half - k["astar"] * (s0 * half + d1), (k["one"] + s0) * half)
+        e = t * pi + d0  # t times the wall point's angle
+        if d1 > k["zero"]:  # the radius-one wall
+            if e <= t * k["stretch"]:  # the affine arc
+                return (half_pi + t * k["arc_end"] - e * k["arc_shrink"], rho)
+            return (half_pi + t * k["atan"](k["tan"](-d0 / t) * half), rho)  # the central arc
+        if e <= t * k["third"]:  # the radius-zero wall, onto the angle-pi wall
+            return (half_pi + t * half_pi, (k["one"] + t) * half - e / k["third"])
+        return (half_pi - k["three_halves"] * d0, rho)
+    d0 = _soft_clamp(d0, k["zero"], half_pi, k)
+    if d0 * k["two_over_pi"] >= t:  # the angle-pi wall
+        return (pi - k["two"] * (k["two_thirds"] * d0) - k["third"] * d1, half - d0 / pi)
+    if d1 < k["zero"]:  # the radius-zero wall
+        return (pi - k["two_thirds"] * d0, rho)
+    # the radius-one wall
+    if d0 <= t * k["quarter_pi"]:  # the central arc
+        return (pi - t * k["atan"](k["two"] * k["tan"](d0 / t)), rho)
+    w = t * k["arc_end"]  # where the slit-top arc starts
+    if d0 < w:  # the affine arc
+        return ((k["one"] - t) * pi + (w - d0) * k["arc_stretch"], rho)
+    # the slit-top arc, onto the slit's top side: the radius falls from rho
+    # by (d0 - w) / astar, at most t.  Next to the corner that fall stretches
+    # the offset's rounding by 1/astar, past rho at some precisions (100 and
+    # 200 bits): the radius is held at zero, the slit endpoint
+    return ((k["one"] - t) * pi, max(rho - (d0 - w) / k["astar"], k["zero"]))
 
 
 def cone_map(u, ctx, inverse: bool = False):
@@ -358,16 +334,15 @@ def cone_map(u, ctx, inverse: bool = False):
     """
     u0, u1 = _pt(u, ctx)
     k = _consts(ctx)
-    lo0, hi0, _ = k["V" if inverse else "U"]
-    u0 = _soft_clamp(u0, lo0, hi0, k)  # before mirroring: errors name the input
+    pi, two_pi = k["pi"], k["two_pi"]
+    # the source's center angle and width, whose flip is angle -> width -
+    # angle, and the flip of the target
+    center, flip, image_flip = (pi, two_pi, pi) if inverse else (k["half_pi"], pi, two_pi)
+    u0 = _soft_clamp(u0, k["zero"], flip, k)  # before mirroring: errors name the input
     u1 = _soft_clamp(u1, k["zero"], k["one"], k)
-    if inverse and u0 > k["pi"]:
-        w = _cone(k["two_pi"] - u0, u1, True, k)
-        return (k["pi"] - w[0], w[1])
-    if not inverse and u0 < k["half_pi"]:
-        w = _cone(k["pi"] - u0, u1, False, k)
-        return (k["two_pi"] - w[0], w[1])
-    return _cone(u0, u1, inverse, k)
+    lower = u0 > center if inverse else u0 < center
+    w = _cone((flip - u0 if lower else u0) - center, u1, inverse, k)
+    return (image_flip - w[0], w[1]) if lower else w
 
 
 def _collapse_pinned(u0, u1, fiber, axis, left, lower, k):
@@ -464,7 +439,8 @@ def _collapse_inv(y, u, k):
     # a height below the doubles' range rounds to zero, onto the slit ray
     if u1 == k["zero"] and u0 >= k["half"]:
         raise SlitError(f"point ({u0}, {u1}) lies on the slit ray")
-    w = _cone(*_slit_chart(u0, u1, k), True, k)
+    theta, rho = _slit_chart(u0, u1, k)
+    w = _cone(theta - k["pi"], rho, True, k)
     x0, x1 = _edge_chart_inv(w[0], w[1], k)
     return (-x0 if left else x0, -x1 if lower else x1)
 

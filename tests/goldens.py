@@ -6,7 +6,7 @@ parametrizes over it on the reports the test session computes, and CI runs
 this module as a script on the reports ``planardyn verify --out`` writes:
 
     python tests/goldens.py core.json xi.json plane.json all7.json
-    python tests/goldens.py xi53.json xi512.json
+    python tests/goldens.py xi53.json xi64.json xi512.json
 
 A golden applies to a report at its precision, 256 bits unless it says
 otherwise.  A whole-report golden applies to its suite's report at the
@@ -45,9 +45,10 @@ GOLDENS = (
     # its 256-bit worst errors pin every rounding on the Fraction ->
     # big-float path
     Golden("verify_xi.json", "xi"),
-    # the collapse suite at the floor precision and at a fine one: the
-    # chart bounds and every rounding follow the precision
+    # the collapse suite at the floor precision, at 64 bits and at a fine
+    # precision: the chart bounds and every rounding follow the precision
     Golden("verify_xi_53bit.json", "xi", precision=53),
+    Golden("verify_xi_64bit.json", "xi", precision=64),
     Golden("verify_xi_512bit.json", "xi", precision=512),
     # the plane rows computed in 256-bit mpmath arithmetic alone, which draw
     # no samples; the rows on mpmath.fp depend on the platform's libm

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cone_reference
 from planardyn import collapse_map
 from planardyn.collapse_map import (
     SLIT_ARC_DENOM,
@@ -19,12 +20,9 @@ from planardyn.collapse_map import (
     _edge_chart,
     _edge_chart_inv,
     _edge_exit,
-    _edge_to_slit,
-    _ray_exit,
     _slit_chart,
     _slit_chart_inv,
     _slit_exit,
-    _slit_to_edge,
     collapse,
     collapse_inv,
     cone_map,
@@ -121,10 +119,11 @@ def _run(step, u, ctx):
 
 class TestCharts:
     def test_edge_chart_pins(self, ctx):
+        # the angle comes as its offset from pi/2, the fiber's direction
         pi = +ctx.pi
-        assert _close(_run(_edge_chart, (ctx.mpf(0), ctx.mpf(0)), ctx), (pi / 2, 1))
-        assert _close(_run(_edge_chart, (ctx.mpf(0), ctx.mpf(1)), ctx), (3 * pi / 4, 1))
-        assert _close(_run(_edge_chart, (ctx.mpf(1), ctx.mpf(1)), ctx), (pi, 1))
+        assert _close(_run(_edge_chart, (ctx.mpf(0), ctx.mpf(0)), ctx), (0, 1))
+        assert _close(_run(_edge_chart, (ctx.mpf(0), ctx.mpf(1)), ctx), (pi / 4, 1))
+        assert _close(_run(_edge_chart, (ctx.mpf(1), ctx.mpf(1)), ctx), (pi / 2, 1))
 
     def test_slit_chart_pins(self, ctx):
         pi = +ctx.pi
@@ -158,7 +157,8 @@ class TestCharts:
         for x in ("0.125", "0.5", "0.9375"):
             for y in ("0.0625", "0.25", "0.875"):
                 p = (ctx.mpf(x), ctx.mpf(y))
-                assert _close(_run(_edge_chart_inv, _run(_edge_chart, p, ctx), ctx), p)
+                offset, rho = _run(_edge_chart, p, ctx)
+                assert _close(_run(_edge_chart_inv, (ctx.pi / 2 + offset, rho), ctx), p)
 
     def test_radius_is_the_sup_norm(self, ctx):
         # on dyadic points the forward radius is the sup-norm formula exactly
@@ -178,22 +178,23 @@ class TestCharts:
 
 
 class TestBoundaryReparam:
+    # a point of a rectangle's boundary has ray parameter one, so the cone
+    # map carries it to its image under the boundary correspondence
     def test_frozen_pins(self, ctx):
         pi, zero, one = +ctx.pi, ctx.mpf(0), ctx.mpf(1)
-        assert _close(_run(_edge_to_slit, (pi, one), ctx), (zero, zero))
-        assert _close(_run(_edge_to_slit, (pi / 2, one), ctx), (pi, one))
-        assert _close(_run(_edge_to_slit, (3 * pi / 4, one), ctx), (pi - ctx.atan(2), one))
-        # the lower half is the mirror: the cone map carries a boundary point
-        # (ray parameter one) to its image, and the slit-bottom arc wraps
-        # onto the slit's far side
+        assert _close(cone_map((pi, one), ctx), (zero, zero))
+        assert _close(cone_map((pi / 2, one), ctx), (pi, one))
+        assert _close(cone_map((3 * pi / 4, one), ctx), (pi - ctx.atan(2), one))
+        # the lower half is the mirror, and the slit-bottom arc wraps onto
+        # the slit's far side
         assert _close(cone_map((pi / 4, one), ctx), (pi + ctx.atan(2), one))
         astar = slit_arc_angle(ctx)
         assert _close(cone_map((astar, one), ctx), (2 * pi, one))
 
     def test_wall_pins(self, ctx):
         pi, zero = +ctx.pi, ctx.mpf(0)
-        assert _close(_run(_edge_to_slit, (pi, ctx.mpf("0.25")), ctx), (pi / 2, zero))
-        assert _close(_run(_edge_to_slit, (pi, ctx.mpf("0.5")), ctx), (pi / 3, zero))
+        assert _close(cone_map((pi, ctx.mpf("0.25")), ctx), (pi / 2, zero))
+        assert _close(cone_map((pi, ctx.mpf("0.5")), ctx), (pi / 3, zero))
         # the angle-0 wall is the mirror of the angle-pi wall
         assert _close(cone_map((zero, ctx.mpf("0.5")), ctx), (5 * pi / 3, zero))
 
@@ -201,14 +202,10 @@ class TestBoundaryReparam:
         pi = +ctx.pi
         for k in range(1, 32):
             b = (k * pi / 32, ctx.mpf(1))
-            if k >= 16:
-                assert _close(_run(_slit_to_edge, _run(_edge_to_slit, b, ctx), ctx), b)
             assert _close(cone_map(cone_map(b, ctx), ctx, inverse=True), b)
         for k in range(1, 16):
-            b = (pi, ctx.mpf(k) / 16)
-            assert _close(_run(_slit_to_edge, _run(_edge_to_slit, b, ctx), ctx), b)
-            b = (ctx.mpf(0), ctx.mpf(k) / 16)
-            assert _close(cone_map(cone_map(b, ctx), ctx, inverse=True), b)
+            for b in ((pi, ctx.mpf(k) / 16), (ctx.mpf(0), ctx.mpf(k) / 16)):
+                assert _close(cone_map(cone_map(b, ctx), ctx, inverse=True), b)
 
     def test_conjugates_the_vertical_flip(self, ctx):
         # the cone map commutes exactly with angle -> pi - angle (edge chart)
@@ -230,16 +227,17 @@ class TestConeMap:
         assert _close(out, (+ctx.pi, ctx.mpf("0.5")))
 
     def test_boundary_points_have_ray_parameter_one(self, ctx):
+        # a boundary point is the whole way out along its ray, so its image
+        # is the whole way out too: on the target rectangle's boundary,
+        # here on its radius-zero or radius-one wall
         pi, one = +ctx.pi, ctx.mpf(1)
-        edge = [(ctx.mpf(0), ctx.mpf("0.3")), (pi, ctx.mpf("0.7")), (ctx.mpf("0.4"), one),
-                (ctx.mpf("2.9"), ctx.mpf(0)), (pi, one)]
-        slit = [(ctx.mpf(0), ctx.mpf("0.3")), (2 * pi, ctx.mpf("0.7")), (ctx.mpf(5), one)]
-        for which, points in (("U", edge), ("V", slit)):
-            for u in points:
-                b, t = _ray_exit(u[0], u[1], which, _consts(ctx))
-                assert t == 1
-                # c + (u - c) may round in the coordinate along the wall
-                assert _close(b, u, ctx.ldexp(1, 4 - ctx.prec))
+        edge = [((ctx.mpf(0), ctx.mpf("0.3")), 0), ((pi, ctx.mpf("0.7")), 0),
+                ((ctx.mpf("0.4"), one), 1), ((ctx.mpf("2.9"), ctx.mpf(0)), 0), ((pi, one), 0)]
+        slit = [((ctx.mpf(0), ctx.mpf("0.3")), 1), ((2 * pi, ctx.mpf("0.7")), 1),
+                ((ctx.mpf(5), one), 1)]
+        for inverse, points in ((False, edge), (True, slit)):
+            for u, radius in points:
+                assert abs(cone_map(u, ctx, inverse)[1] - radius) <= ctx.ldexp(1, 4 - ctx.prec)
 
     def test_points_outside_the_rectangle_raise_on_their_own_value(self, ctx):
         # a lower-half point is mirrored only once it is in range
@@ -598,28 +596,22 @@ def _points_at_precision(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_points_at_precision(), st.booleans())
-def test_cone_radius_and_ray_exit_wall_coordinate_need_no_clamp(case, doubles):
-    # _cone clamps only its angle and _ray_exit snaps only the wall it
-    # hits: the radius each chart hands the cone, and the coordinate along
-    # the wall of a ray that leaves through a vertical wall, are in [0, 1]
-    # by construction, a few ulps from the walls and corners too
+def test_cone_radius_needs_no_clamp(case, doubles):
+    # _cone clamps only its angle: the radius each chart hands the cone,
+    # and the radius the cone hands the chart inverse, are in [0, 1] by
+    # construction, a few ulps from the walls and corners too
     prec, x = case
     ctx = mpmath.fp if doubles and prec == 53 else make_context(prec)
     seen = []
-    real_cone, real_exit = collapse_map._cone, collapse_map._ray_exit
+    real_cone = collapse_map._cone
 
     def cone(u0, u1, inverse, k):
-        seen.append(u1)
-        return real_cone(u0, u1, inverse, k)
-
-    def ray_exit(u0, u1, which, k):
-        b, t = real_exit(u0, u1, which, k)
-        seen.append(b[1])
-        return b, t
+        w = real_cone(u0, u1, inverse, k)
+        seen.extend((u1, w[1]))
+        return w
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(collapse_map, "_cone", cone)
-        mp.setattr(collapse_map, "_ray_exit", ray_exit)
         collapse(x, ctx)
         collapse((to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx)), ctx)
         r, s = x
@@ -633,10 +625,31 @@ def test_cone_radius_and_ray_exit_wall_coordinate_need_no_clamp(case, doubles):
 
 @pytest.mark.parametrize("prec", [None, 53, 64, 128, 256, 512], ids=["fp", "53", "64", "128", "256", "512"])
 def test_slit_top_radius_is_at_most_one(prec):
-    # at the slit-top arc's end the ratio (pi - angle)/astar rounds above 1
-    # at 64 and 512 bits, past the slit chart's radius clamp
-    k = _consts(_context(prec))
-    assert _edge_to_slit(k["pi_minus_astar"], k["one"], k)[1] <= 1
+    # the slit-top arc stretches the edge-chart angle by 1/astar, so at
+    # the arc's start a rounded radius can exceed 1 (at 64 and 512 bits it
+    # did, past the slit chart's radius clamp); the angles within a few
+    # ulps of the start go to radius at most one
+    ctx = _context(prec)
+    k = _consts(ctx)
+    start = k["pi"] - k["astar"]
+    for j in range(-4, 5):
+        assert 0 <= cone_map((start + ctx.ldexp(j, 2 - ctx.prec), k["one"]), ctx)[1] <= 1
+
+
+@pytest.mark.parametrize("prec", [100, 200])
+def test_slit_top_radius_is_not_negative_next_to_the_corner(prec):
+    # next to the corner (pi, 1) the slit-top arc's radius falls by nearly
+    # rho, and 1/astar stretches the offset's rounding past rho at these
+    # precisions: the points just inside the angle-pi wall, a few ulps from
+    # the diagonal, go to radius at least zero
+    ctx = make_context(prec)
+    k = _consts(ctx)
+    for j in range(1, 33):
+        rho = k["one"] - ctx.ldexp(j, -prec)
+        t = 2 * (rho - k["half"])
+        for i in range(-32, 33):
+            u0 = min(k["half_pi"] + t * k["half_pi"] + ctx.ldexp(i, 1 - prec), k["pi"])
+            assert cone_map((u0, rho), ctx)[1] >= 0, (j, i)
 
 
 @pytest.mark.parametrize("prec", [64, 512])
@@ -651,3 +664,58 @@ def test_top_edge_floats_at_the_slit_arc_end_collapse(prec):
         y = collapse((r0 + ctx.ldexp(j, -prec), one), ctx)
         # near the slit's outer half, within the pins' headroom
         assert 0.5 <= y[0] <= 1 and 0 <= y[1] <= ctx.ldexp(1, 16 - prec)
+
+
+# The walls of each source half-boundary, as (wall, arcs): a wall point is
+# (position, radius) on a radius wall and (angle, position) on the angle
+# wall, and each arc is (start, end) of the position, as chart-table keys
+# or numbers.  The ends are the seams of the cone's closed forms: forward
+# the central arc's end 3*pi/4 and the slit-top arc's start pi - astar,
+# inverse theta_b = stretch and theta_b = third, and on both sides the
+# corners, where s0 = s1.
+CONE_WALLS = {
+    False: (("one", (("half_pi", "three_quarter_pi"), ("three_quarter_pi", "pi_minus_astar"),
+                     ("pi_minus_astar", "pi"))),
+            ("angle", (("zero", "one"),)),
+            ("zero", (("half_pi", "pi"),))),
+    True: (("one", (("zero", "stretch"), ("stretch", "pi"))),
+           ("angle", (("zero", "one"),)),
+           ("zero", (("zero", "third"), ("third", "pi")))),
+}
+
+
+@pytest.mark.parametrize("prec", [None, 53, 128, 256, 512], ids=["fp", "53", "128", "256", "512"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cone_map_matches_the_ray_exit_reference(prec, data, tol):
+    # the closed forms per wall multiply out the ray exit, the boundary
+    # correspondence and the interpolation by t: the cone map agrees with
+    # that route (tests/cone_reference.py) on every wall and arc, on each
+    # seam and a few ulps either side, both directions and both halves
+    ctx = _context(prec)
+    k = cone_reference.table(ctx)
+    inverse = data.draw(st.booleans(), "inverse")
+    wall, arcs = data.draw(st.sampled_from(CONE_WALLS[inverse]), "wall")
+    start, end = (k[e] for e in data.draw(st.sampled_from(arcs), "arc"))
+    if data.draw(st.booleans(), "at a seam"):
+        ulps = ctx.ldexp(data.draw(st.integers(-4, 4), "ulps"), 2 - ctx.prec)
+        pos = data.draw(st.sampled_from((start, end))) + ulps
+    else:
+        along = data.draw(st.fractions(0, 1, max_denominator=10**6), "along")
+        pos = start + to_bigfloat(along, ctx) * (end - start)
+    b = {"one": (pos, k["one"]), "zero": (pos, k["zero"]),
+         "angle": (k["zero"] if inverse else k["pi"], pos)}[wall]
+    # the point at fraction t along the ray from the center to b
+    t = data.draw(st.one_of(st.just(Fraction(1)), st.fractions(0, 1, max_denominator=10**6),
+                            st.integers(1, 8).map(lambda j: 1 - Fraction(j, 2**ctx.prec))), "t")
+    c = (k["pi"] if inverse else k["half_pi"], k["half"])
+    t = to_bigfloat(t, ctx)
+    u = [c[0] + t * (b[0] - c[0]), c[1] + t * (b[1] - c[1])]
+    # onto the upper half, whose walls a rounded u may overshoot
+    u = [min(max(u[0], k["zero"] if inverse else k["half_pi"]), k["pi"]),
+         min(max(u[1], k["zero"]), k["one"])]
+    if data.draw(st.booleans(), "lower half"):
+        u[0] = k["two_pi"] - u[0] if inverse else k["pi"] - u[0]
+    got, want = cone_map(u, ctx, inverse), cone_reference.cone(u, inverse, k)
+    bound = tol.chart_roundtrip_bound(ctx)
+    assert abs(got[0] - want[0]) <= bound and abs(got[1] - want[1]) <= bound, (u, got, want)
