@@ -64,19 +64,20 @@ takes one tangent, for the point where its ray leaves the quarter
 All functions take an explicit mpmath-style context; nothing reads or
 writes global precision.  Only the entry points (``collapse``,
 ``collapse_inv``, ``cone_map``, ``_collapse_charts``) take exact rationals,
-ints, floats or context floats, typed and converted once in ``_pt``: any
-other coordinate, a numeric string included, raises DomainError there,
-before a range test compares it.  Each looks up the context's chart table
-``k = _consts(ctx)`` once: its constants as floats of the context, its
-``atan2``, ``tan`` and ``atan`` (on ``mpmath.fp`` the ``math`` functions
-that ``fp``'s wrappers call on a float), and the tangent chart's pi/2 and
-2/pi.  The chart steps take floats of the context and the table, not the
-context.  An entry then calls an internal form that takes the table:
-``_cone`` for ``cone_map``, ``_collapse_exact`` and ``_collapse_pinned``
-for ``collapse``, ``_collapse_inv`` for ``collapse_inv``.  The plane map
-looks the table up once per step and calls these forms directly, so the
-points it hands over are never converted again; ``cone_map`` itself
-converts every point it is given.
+ints, floats or context floats, which ``_pt`` converts once with the one
+typed conversion, ``numerics.to_bigfloat``: any other coordinate, a
+numeric string included, raises DomainError there, before a range test
+compares it.  Each looks up the context's chart table ``k = _consts(ctx)``
+once: its constants as floats of the context, its ``atan2``, ``tan`` and
+``atan`` (on ``mpmath.fp`` the ``math`` functions that ``fp``'s wrappers
+call on a float), and the tangent chart's pi/2 and 2/pi.  The chart steps
+take floats of the context and the table, not the context.  An entry
+then calls an internal form that takes the table: ``_cone`` for
+``cone_map``, ``_collapse_exact`` and ``_collapse_pinned`` for
+``collapse``, ``_collapse_inv`` for ``collapse_inv``.  The plane map looks
+the table up once per step and calls these forms directly, so the points
+it hands over are never converted again; ``cone_map`` itself converts
+every point it is given.
 
 Each fact is checked once, in the function that first sees the point:
 ``collapse`` hands a point of two Fractions to its exact entry
@@ -166,18 +167,9 @@ def slit_arc_angle(ctx):
     return _consts(ctx)["astar"]
 
 
-_NUMBER_TYPES = frozenset((float, int, Fraction))
-
-
 def _pt(x, ctx):
-    """The point as two floats of ``ctx``: the one type check and the one
-    conversion of an entry point.  A coordinate that is no Fraction, int,
-    float or float of a context raises DomainError, a numeric string too."""
-    for v in x:
-        # exact types first: the plane path types every point it maps
-        if type(v) in _NUMBER_TYPES or hasattr(v, "_mpf_") or isinstance(v, (float, int, Fraction)):
-            continue
-        raise DomainError(f"coordinate {v!r} is not a number")
+    """The point as two floats of ``ctx``: an entry point's one conversion,
+    which ``to_bigfloat`` types."""
     return (to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx))
 
 

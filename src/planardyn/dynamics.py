@@ -65,6 +65,7 @@ from .square_map import (
     vertical_shift,
 )
 from .strips import (
+    HALF,
     SHIFT_PROFILE,
     block_index,
     shear_bound,
@@ -178,6 +179,14 @@ def _arith(spec: MapSpec) -> str:
     return "exact" if spec.exact else "bigfloat"
 
 
+# each seed coordinate's closed range, per domain kind; a plane seed has none
+_SEED_RANGES = {
+    "interval": ((-1, 1),),
+    "square": ((-1, 1), (-1, 1)),
+    "band": ((-1, 1), (HALF, 1)),
+}
+
+
 def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     """Iterate a map over an inclusive integer step range of any sign.
 
@@ -188,9 +197,9 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     ``lifted`` routine (f and h) get their points from it: one loop on
     integer pairs (``square_map._orbit``) with no per-step rounding or
     Fraction, which builds only the requested steps.  f checks its seed
-    once there, so a seed outside the square raises before any step; the
-    other maps step through ``forward`` and ``inverse``, since eta and
-    zeta, say, can leave their domain mid-orbit.
+    once there, the other maps here against their domain kind: a seed
+    outside it raises before any step.  These step through ``forward`` and
+    ``inverse``, since eta and zeta, say, can leave their domain mid-orbit.
     """
     steps = _steps((n_range,))
     scalar = spec.domain == "interval"
@@ -203,6 +212,10 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     if spec.lifted is not None:
         entries = tuple((n, tuple(y)) for n, y in spec.lifted(seed, (n_range,)))
         return OrbitRecord(spec.name, seed, _arith(spec), entries)
+    ranges = _SEED_RANGES.get(spec.domain, ())
+    # negated in-range tests, so a NaN coordinate fails them
+    if not all(lo <= v <= hi for v, (lo, hi) in zip(seed, ranges)):
+        raise DomainError(f"seed ({', '.join(map(str, seed))}) outside the {spec.domain}")
 
     def apply(fn, p, n):
         arg = p[0] if scalar else p

@@ -31,14 +31,15 @@ An affine piece, slope a/b and intercept e/f, is stored as the small
 integers (a*f, e*b, b*f), and its value at p/q is reduced by two gcds
 that each have one small operand (:func:`_affine`).  The blend rows of the
 square map are bilinear in x and the height: on narrow pairs one fraction
-reduced the same way (``square_map._reduced``); on wide ones coefficients
-from the same step meet x in Fraction's own cross-reduction order (the
+reduced the same way (``square_map._reduced``); on wide ones (a
+denominator of 512 bits or more, ``square_map._WIDE``) coefficients from
+the same step meet x in Fraction's own cross-reduction order (the
 products' gcds, then the gcd of the two denominators of the sum).
 
-Where a denominator has 512 bits or more, each of those gcds splits off
-the power of two first (``square_map._sum`` and ``_product``); the
-division in :func:`pair_to_bigfloat` always does.  The rationals that
-grow past 10^4 bits are lifts near a strip wall: their denominators are
+On that wide route each of those gcds splits off the power of two first
+(``square_map._sum`` and ``_product``), as the division in
+:func:`pair_to_bigfloat` always does.  The rationals that grow past
+10^4 bits are lifts near a strip wall: their denominators are
 2^t times an odd part of a few hundred bits (t reaches 24700 over 100
 steps), and their heights are purely dyadic.  With the power of two
 split off, the gcds and divisions run on the odd parts, and only shifts
@@ -115,14 +116,15 @@ def as_rational(x) -> Fraction:
 
 
 def to_bigfloat(value, ctx):
-    """Convert a Fraction/int/float/str to the context's float type.
+    """Convert a Fraction/int/float/float of a context to the context's
+    float type: the chart side's one typed conversion.
 
     A float of ``ctx`` itself comes back untouched.  A Fraction goes
     through :func:`pair_to_bigfloat`.  A float of another context is
     rounded at ``ctx.prec`` the way ``ctx.mpf`` rounds it, so no value
-    wider than the precision gets in.  Other inputs go through
-    ``ctx.convert``: ints and floats come back exactly, strings rounded at
-    the precision.
+    wider than the precision gets in.  Other numbers (ints, floats, their
+    subclasses, Fraction's) go through ``ctx.convert``.  Anything else, a
+    numeric string too, raises DomainError.
     """
     kind = type(value)
     if kind is ctx.mpf:
@@ -131,7 +133,9 @@ def to_bigfloat(value, ctx):
         return pair_to_bigfloat(value.numerator, value.denominator, ctx)
     if hasattr(value, "_mpf_"):
         return ctx.mpf(value)
-    return ctx.convert(value)
+    if isinstance(value, (int, float, Fraction)):
+        return ctx.convert(value)
+    raise DomainError(f"coordinate {value!r} is not a number")
 
 
 def _twos(n: int) -> int:

@@ -21,10 +21,11 @@ ray-tested once per call, where an infinite abscissa raises.
 
 ``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
 forward map in ``dynamics.map_registry``, so the displacement and
-orientation certificates evaluate it once per sample point.  It types and
-converts its point once, in ``collapse_map._pt``, looks the context's chart
-table (``collapse_map._consts``) up once, and chains the internal forms of
-the public maps, each of which takes the table: ``_tangent_inv``, then
+orientation certificates evaluate it once per sample point.  It converts
+its point once, in ``collapse_map._pt`` (``numerics.to_bigfloat`` types
+it), looks the context's chart table (``collapse_map._consts``) up once,
+and chains the internal forms of the public maps, each of which takes the
+table: ``_tangent_inv``, then
 ``_quotient`` (``_collapse_inv``, the square map's pair kernel,
 ``_collapse_exact``), then ``_tangent``.
 Between the stages pass two floats of the context, then integer pairs,

@@ -35,14 +35,15 @@ builds no Fraction, and ``square_homeo`` builds one per output coordinate,
 at the end.  ``_row_at`` picks the row of the strip shear at a height, and
 the row is evaluated pointwise, never built as a PLFunction: the identity
 at or below 3/4 and on the top line, on a shear zone by the level's rule,
-on a blend zone from the level's cached coefficients, bilinear in (r, s):
-on narrow pairs one fraction reduced by two gcds with a small operand each
+on a blend zone from the level's cached coefficients, bilinear in (r, s).
+The blend row alone tests a pair's width and picks a route: on narrow
+pairs one fraction reduced by two gcds with a small operand each
 (``_reduced``); where a denominator is wide (``_WIDE``), slope and
-intercept first, then Fraction's cross-reduction order (``_sum``,
-``_product``), whose gcds split off the power of two.  The orientation
-probe's piece key (``_forward_piece_key``) is ``_homeo``'s branch, read
-off the same pairs and the same row.  ``row_map`` builds the row, only as
-the tests' reference.
+intercept first, then Fraction's cross-reduction order in the wide
+kernels (``_sum``, ``_product``), whose gcds split off the power of two.
+The orientation probe's piece key (``_forward_piece_key``) is ``_homeo``'s
+branch, read off the same pairs and the same row.  ``row_map`` builds the
+row, only as the tests' reference.
 
 ``_orbit`` is the one orbit loop of the exact core: it iterates
 ``_homeo`` on a checked point's pairs and keeps the steps of one or more
@@ -87,11 +88,10 @@ from .strips import (
 SquarePoint = Tuple[Fraction, Fraction]
 # a point as integers (rn, rd, sn, sd): r = rn/rd and s = sn/sd in lowest terms
 PointPairs = Tuple[int, int, int, int]
-# ``_sum`` and ``_product`` split the power of two off the denominators
-# before their gcds when one reaches this width.  Below it the plain gcd is
-# the cheaper: the split costs up to 1 us more a call on the plane scan's
-# pairs of at most 128 bits, and the two cross near 2^512.  Above it the
-# split saves half a call or more on a strip-wall lift.
+# A blend row takes the wide route (``_sum``, ``_product``: gcds with the
+# power of two split off) when the abscissa's or the height's denominator
+# reaches this width, else the bilinear one (``_reduced``); on a strip-wall
+# lift the wide route's gcds run on odd parts of a few hundred bits.
 _WIDE = 1 << 512
 
 # Distinguished points: corners v1..v4, edge midpoints v5..v8, slit inner
@@ -195,26 +195,16 @@ def row_map(s: Fraction) -> PLFunction:
 
 def _sum(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     """na/da + nb/db for pairs in lowest terms, reduced as ``Fraction`` adds:
-    by g = gcd(da, db), then by gcd(t, g) with the new numerator t.
+    by g = gcd(da, db), then by gcd(t, g) with the new numerator t.  The
+    wide route's kernel: both gcds split off the power of two first.
 
-    When a denominator is wide (``_WIDE``), both gcds split off the power
-    of two first.  With da = 2^i a and db = 2^j b, a and b odd, g is
-    2^min(i, j) gcd(a, b), and gcd(t, g) is a power of two read off t's
-    low bits times gcd(t, gcd(a, b)), which is 1 more often than not.  A
-    strip-wall lift has da = 2^24700 times an odd part of some 250 bits,
-    so the gcds and divisions run on the odd parts, and the full-size
-    operands see only shifts unless the odd parts share a factor.
+    With da = 2^i a and db = 2^j b, a and b odd, g is 2^min(i, j) gcd(a, b),
+    and gcd(t, g) is a power of two read off t's low bits times
+    gcd(t, gcd(a, b)), which is 1 more often than not.  A strip-wall lift
+    has da = 2^24700 times an odd part of some 250 bits, so the gcds and
+    divisions run on the odd parts, and the full-size operands see only
+    shifts unless the odd parts share a factor.
     """
-    if da < _WIDE and db < _WIDE:
-        g = gcd(da, db)
-        if g == 1:
-            return na * db + da * nb, da * db
-        s = da // g
-        t = na * (db // g) + nb * s
-        g2 = gcd(t, g)
-        if g2 == 1:
-            return t, s * db
-        return t // g2, s * (db // g2)
     i = _twos(da)
     j = _twos(db)
     m = i if i < j else j
@@ -249,17 +239,16 @@ def _split_gcd(n: int, d: int) -> int:
 
 def _product(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     """(na/da) * (nb/db) for pairs in lowest terms, reduced as ``Fraction``
-    multiplies: across, by gcd(na, db) and gcd(nb, da).  When a
-    denominator is wide (``_WIDE``), both gcds split off the power of two
-    first (``_split_gcd``): a wide abscissa meets a slope whose
-    denominator is 2^k times a few odd bits.
+    multiplies: across, by gcd(na, db) and gcd(nb, da).  The wide route's
+    kernel: both gcds split off the power of two first (``_split_gcd``), as
+    a wide abscissa meets a slope whose denominator is 2^k times a few odd
+    bits.
     """
-    split = gcd if da < _WIDE and db < _WIDE else _split_gcd
-    g = split(na, db)
+    g = _split_gcd(na, db)
     if g > 1:
         na //= g
         db //= g
-    g = split(nb, da)
+    g = _split_gcd(nb, da)
     if g > 1:
         nb //= g
         da //= g

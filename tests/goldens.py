@@ -6,13 +6,13 @@ parametrizes over it on the reports the test session computes, and CI runs
 this module as a script on the reports ``planardyn verify --out`` writes:
 
     python tests/goldens.py core.json xi.json plane.json all7.json
-    python tests/goldens.py xi53.json xi64.json xi512.json
+    python tests/goldens.py xi53.json xi64.json xi512.json plane512.json
 
-A golden applies to a report at its precision, 256 bits unless it says
-otherwise.  A whole-report golden applies to its suite's report at the
-default sampler seed.  A certificate golden applies to its suite's report
-or to the ``all`` report, at the default sampler seed, or at any seed when
-its certificates draw no samples (``seedless``).  The script fails when a
+A golden applies to a report at its precision and its sampler seed, 256
+bits and the default seed unless it says otherwise.  A whole-report golden
+applies to its suite's report.  A certificate golden applies to its
+suite's report or to the ``all`` report, and at any seed when its
+certificates draw no samples (``seedless``).  The script fails when a
 report differs from a golden that applies to it, or when no golden applies
 to a report.
 """
@@ -38,7 +38,15 @@ class Golden(NamedTuple):
     seedless: bool = False
     # the working precision of the report it pins, in bits
     precision: int = 256
+    # the sampler seed of the report it pins
+    seed: int = DEFAULT_SAMPLER_SEED
 
+
+CORE_ROWS = tuple((check, None) for check in (
+    "boundary_identity", "rising_bijectivity", "seam_agreement", "reversal_symmetry",
+    "ladder_canonical", "ladder_random", "interior_limits",
+))
+XI_ROWS = (("collapse_conditions", None), ("cone_bijectivity", None), ("precision_scaling", None))
 
 GOLDENS = (
     Golden("verify_core.json", "core"),
@@ -74,6 +82,28 @@ GOLDENS = (
         "plane",
         (("rays_exact", None), ("orientation", "f"), ("orientation", "h")),
     ),
+    # the same rows at 512 bits, the one report whose blend rows meet a
+    # narrow abscissa with a wide height
+    Golden(
+        "plane_512bit_certificates.json",
+        "plane",
+        (("rays_exact", None), ("excursion", None), ("displacement", "f"),
+         ("displacement", "example12"), ("orientation", "f"), ("orientation", "h"),
+         ("semiconjugacy", None), ("example_contrast", None), ("orbit_bounded", None),
+         ("ray_period_two", None)),
+        precision=512,
+    ),
+    # the second sampler seed: the core and xi rows, and the plane rows the
+    # default-seed goldens pin that draw samples
+    Golden(
+        "all_seed7_certificates.json",
+        "all",
+        CORE_ROWS + XI_ROWS
+        + (("rays_exact", None), ("excursion", None), ("displacement", "f"),
+           ("displacement", "example12"), ("orientation", "f"), ("orientation", "h"),
+           ("example_contrast", None)),
+        seed=7,
+    ),
 )
 
 
@@ -82,10 +112,10 @@ def applies(golden: Golden, report: dict) -> bool:
     meta = report["metadata"]
     if meta["precision"] != golden.precision:
         return False
-    default_seed = meta["sampler_seed"] == DEFAULT_SAMPLER_SEED
+    same_seed = meta["sampler_seed"] == golden.seed
     if golden.certificates is None:
-        return report["suite"] == golden.suite and default_seed
-    return report["suite"] in (golden.suite, "all") and (golden.seedless or default_seed)
+        return report["suite"] == golden.suite and same_seed
+    return report["suite"] in (golden.suite, "all") and (golden.seedless or same_seed)
 
 
 def pinned(golden: Golden, report: dict) -> str:

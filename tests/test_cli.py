@@ -110,6 +110,12 @@ def test_orbit_rejects_seed_outside_domain(capsys):
         assert "outside the square" in capsys.readouterr().err
 
 
+def test_orbit_of_step_zero_alone_checks_the_seed(capsys):
+    for name, seed in (("phi", "2"), ("xi", "0,3"), ("Phi", "0,1/4")):
+        assert main(["orbit", "--map", name, "--seed", seed, "--steps", "0..0"]) == 2
+        assert "outside the" in capsys.readouterr().err
+
+
 def test_orbit_of_a_wall_seed_matches_its_golden(tmp_path, capsys):
     # exact rationals only, so the file is the same on every platform
     out_file = tmp_path / "f.json"

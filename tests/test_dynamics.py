@@ -72,6 +72,27 @@ def test_orbit_domain_error_names_the_step(registry):
         dyn.orbit(registry["f"], (Fraction(0), Fraction(0)), (2, 1))
 
 
+@pytest.mark.parametrize("name, seed, domain", [
+    ("phi", (Fraction(2),), "interval"),
+    ("f01", (Fraction(-5, 4),), "interval"),
+    ("xi", (0, 3), "square"),
+    ("xi", (float("nan"), 0.0), "square"),
+    ("eta", (Fraction(0), Fraction(-5, 4)), "square"),
+    ("Phi", (Fraction(0), Fraction(1, 4)), "band"),
+    ("Phi", (Fraction(3, 2), Fraction(3, 4)), "band"),
+], ids=["phi", "f01", "xi", "xi-nan", "eta", "Phi-below", "Phi-beside"])
+def test_orbit_checks_its_seed_against_the_domain(registry, name, seed, domain):
+    # the seed is checked where it enters, so step 0 alone raises too
+    assert registry[name].domain == domain
+    with pytest.raises(DomainError, match=f"outside the {domain}"):
+        dyn.orbit(registry[name], seed, (0, 0))
+
+
+def test_orbit_of_a_plane_map_takes_any_seed(registry):
+    seed = (Fraction(-40), Fraction(7, 3))
+    assert dyn.orbit(registry["example12"], seed, (0, 0)).entries == ((0, seed),)
+
+
 # (tail window, full half-orbit, the window's slice of the full entries)
 TAIL_WINDOWS = (
     ((75, 100), (0, 100), slice(75, None)),
@@ -626,13 +647,20 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, stubbed_checks):
     ]
 
 
-# the session's reports are at 256 bits; CI writes the others and checks
-# them with ``tests/goldens.py``
+# the session's reports are at 256 bits and the default sampler seed; CI
+# writes the others and checks them with ``tests/goldens.py``
 OFF_PRECISION = pytest.mark.skip(reason="CI-only: a report at another precision than the session's 256 bits")
+OFF_SEED = pytest.mark.skip(reason="CI-only: a report at another sampler seed than the session's")
+
+
+def _session_marks(golden):
+    if golden.precision != 256:
+        return OFF_PRECISION
+    return OFF_SEED if golden.seed != dyn.DEFAULT_SAMPLER_SEED else ()
 
 
 @pytest.mark.parametrize("golden", [
-    pytest.param(g, id=g.file.removesuffix(".json"), marks=() if g.precision == 256 else OFF_PRECISION)
+    pytest.param(g, id=g.file.removesuffix(".json"), marks=_session_marks(g))
     for g in goldens.GOLDENS
 ])
 def test_report_matches_golden(suite_report, golden):

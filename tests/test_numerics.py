@@ -214,7 +214,7 @@ def test_to_bigfloat_rounds_toward_zero(ctx):
 
 
 @pytest.mark.parametrize(
-    "value", [7, -2**300, 0.1, -2.5, "1/3", "0.1", "-7"], ids=repr
+    "value", [7, -2**300, 0.1, -2.5], ids=repr
 )
 @pytest.mark.parametrize("prec", CONVERSION_PRECISIONS)
 def test_to_bigfloat_other_inputs_follow_convert(value, prec):
@@ -222,6 +222,39 @@ def test_to_bigfloat_other_inputs_follow_convert(value, prec):
     assert to_bigfloat(value, ctx)._mpf_ == ctx.convert(value)._mpf_
     x = ctx.mpf(1) / 3
     assert to_bigfloat(x, ctx) is x
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value", [True, False, _Int(-7), _Float(0.1), _Fraction(-1, 3)], ids=repr
+)
+@pytest.mark.parametrize("prec", CONVERSION_PRECISIONS)
+def test_to_bigfloat_converts_number_subclasses_like_convert(value, prec):
+    # bool and the subclasses of int, float and Fraction are numbers: they
+    # take convert's route, not the exact types' fast branches
+    ctx = make_context(prec)
+    assert to_bigfloat(value, ctx)._mpf_ == ctx.convert(value)._mpf_
+
+
+@pytest.mark.parametrize("value", ["0.1", None, 0.5j], ids=repr)
+@pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
+def test_to_bigfloat_rejects_what_is_no_number(value, prec):
+    # a numeric string included: the chart side's floats must not depend
+    # on a context's string parser
+    ctx = mpmath.fp if prec is None else make_context(prec)
+    with pytest.raises(DomainError, match="is not a number"):
+        to_bigfloat(value, ctx)
 
 
 def test_to_bigfloat_rounds_floats_of_another_context():

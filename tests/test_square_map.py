@@ -12,7 +12,7 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planardyn import square_map
@@ -355,6 +355,11 @@ def wide_pairs(draw):
 
 @given(wide_pairs(), wide_pairs())
 @settings(deadline=None, max_examples=200)
+# both denominators narrow, sharing a factor
+@example((5, 12), (-3, 8))
+# the 512-bit plane suite's blend rows: a double's abscissa meets the
+# coefficients at a height over 2^600 times a small odd number
+@example((-3, 1 << 52), (7919, 3 << 600))
 def test_sum_and_product_match_fraction(a, b):
     for x, y in ((a, b), (a, a), (a, (-a[0], a[1])), (b, (1, 1))):
         for op, kernel in ((Fraction.__add__, square_map._sum),
