@@ -28,13 +28,17 @@ context as :func:`to_bigfloat` rounds the Fraction.
 A piece is found by an integer search: a breakpoint n/d (d > 0) lies above
 x = p/q (q > 0) exactly when p*d < n*q, so no Fraction comparison runs.
 An affine piece, slope a/b and intercept e/f, is stored as the small
-integers (a*f, e*b, b*f), and its value at p/q is reduced by two gcds
-that each have one small operand (:func:`_affine`).  The blend rows of the
-square map are bilinear in x and the height: on narrow pairs one fraction
-reduced the same way (``square_map._reduced``); on wide ones (a
-denominator of 512 bits or more, ``square_map._WIDE``) coefficients from
-the same step meet x in Fraction's own cross-reduction order (the
-products' gcds, then the gcd of the two denominators of the sum).
+integers (A, E, D) = (a*f, e*b, b*f) over their gcd, and its value
+(A*p + E*q) / (D*q) at p/q is reduced by two gcds that each have one
+small operand (:func:`_affine`, the exact core's one narrow reduction).
+Every piece increases, so A > 0, and the inverse of a piece is the same
+three integers transposed: (D*p - E*q) / (A*q) is ``_affine`` of
+(D, -E, A).  The blend rows of the square map are bilinear in x and the
+height: at a height their piece is again three integers, reduced by
+``_affine`` on narrow pairs; on wide ones (a denominator of 512 bits or
+more, ``square_map._WIDE``) its slope and intercept meet x in Fraction's
+own cross-reduction order (the products' gcds, then the gcd of the two
+denominators of the sum).
 
 On that wide route each of those gcds splits off the power of two first
 (``square_map._sum`` and ``_product``), as the division in
@@ -259,22 +263,29 @@ def _int_pairs(values) -> Tuple[Tuple[int, int], ...]:
     return tuple((v.numerator, v.denominator) for v in values)
 
 
+def _lowest(ints: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The integers of a stored piece divided by their gcd (not all zero):
+    the smaller the piece, the cheaper ``_affine`` of it or of its transpose."""
+    g = gcd(*ints)
+    return tuple(n // g for n in ints)
+
+
 def _affine_piece(m: Fraction, c: Fraction) -> Tuple[int, int, int]:
     """The map x -> m*x + c as the integers (A, E, D) of ``_affine``: with
-    m = a/b and c = e/f, A = a*f, E = e*b and D = b*f."""
-    return (m.numerator * c.denominator, c.numerator * m.denominator,
-            m.denominator * c.denominator)
+    m = a/b and c = e/f, (a*f, e*b, b*f) over their gcd."""
+    return _lowest((m.numerator * c.denominator, c.numerator * m.denominator,
+                    m.denominator * c.denominator))
 
 
-def _affine(piece: Tuple[int, int, int], p: int, q: int) -> Tuple[int, int]:
+def _affine(a: int, e: int, d: int, p: int, q: int) -> Tuple[int, int]:
     """(A*p + E*q) / (D*q) in lowest terms, for p/q in lowest terms, q > 0
-    and D > 0: the value of the affine ``piece`` (A, E, D) at p/q.
+    and D > 0: the value at p/q of the affine piece (A, E, D), or, called
+    on (D, -E, A) with A > 0, of its inverse.
 
     Both gcds have one small operand.  The first, gcd(A, q), equals
     gcd(A*p + E*q, q) because gcd(p, q) = 1; after dividing it out the
     numerator is prime to what is left of q, so the second only needs D.
     """
-    a, e, d = piece
     n = a * p + e * q
     g = gcd(a, q)
     if g > 1:
@@ -301,15 +312,15 @@ class PLFunction:
     Breakpoints are exact rationals, strictly increasing in both
     coordinates, with endpoints (-1, -1) ... (1, 1) pinned.  Evaluation and
     inversion are exact on rational inputs: the piece is found by the
-    integer search on the interior breakpoints, and its value is
-    ``slope * x + intercept`` with both coefficients stored per piece as
-    the integers of ``_affine`` (for the inverse, the reciprocal slope and
-    its intercept).  ``_value`` and ``_preimage`` take and return integer
-    pairs in lowest terms; ``__call__`` and ``inverse`` check their
+    integer search on the interior breakpoints (for the inverse, on their
+    ordinates), and its value is ``slope * x + intercept``, stored once per
+    piece as the integers (A, E, D) of ``_affine``; the inverse runs the
+    same piece transposed.  ``_value`` and ``_preimage`` take and return
+    integer pairs in lowest terms; ``__call__`` and ``inverse`` check their
     argument and build the one Fraction of the result.
     """
 
-    __slots__ = ("xs", "ys", "_xkeys", "_ykeys", "_forward", "_backward")
+    __slots__ = ("xs", "ys", "_xkeys", "_ykeys", "_forward")
 
     def __init__(self, points: Sequence[Tuple[Numeric, Numeric]]):
         cleaned = []
@@ -340,9 +351,6 @@ class PLFunction:
             "_ykeys": _int_pairs(ys[1:-1]),
             "_forward": tuple(
                 _affine_piece(m, y - m * x) for m, x, y in zip(slopes, xs, ys)
-            ),
-            "_backward": tuple(
-                _affine_piece(1 / m, x - y / m) for m, x, y in zip(slopes, xs, ys)
             ),
         }
         for name, value in fields.items():
@@ -375,11 +383,14 @@ class PLFunction:
 
     def _value(self, p: int, q: int) -> Tuple[int, int]:
         """``self(p/q)`` as a pair, for p/q in lowest terms in [-1, 1], q > 0."""
-        return _affine(self._forward[_piece(self._xkeys, p, q)], p, q)
+        a, e, d = self._forward[_piece(self._xkeys, p, q)]
+        return _affine(a, e, d, p, q)
 
     def _preimage(self, p: int, q: int) -> Tuple[int, int]:
-        """``self.inverse(p/q)`` as a pair, for p/q in lowest terms in [-1, 1], q > 0."""
-        return _affine(self._backward[_piece(self._ykeys, p, q)], p, q)
+        """``self.inverse(p/q)`` as a pair, for p/q in lowest terms in [-1, 1], q > 0:
+        the piece (A, E, D) whose ordinates hold p/q, transposed."""
+        a, e, d = self._forward[_piece(self._ykeys, p, q)]
+        return _affine(d, -e, a, p, q)
 
     def blend(self, other: "PLFunction", t: Numeric) -> "PLFunction":
         """Pointwise convex combination (1-t)*self + t*other, exact.

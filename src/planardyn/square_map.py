@@ -37,8 +37,9 @@ the row is evaluated pointwise, never built as a PLFunction: the identity
 at or below 3/4 and on the top line, on a shear zone by the level's rule,
 on a blend zone from the level's cached coefficients, bilinear in (r, s).
 The blend row alone tests a pair's width and picks a route: on narrow
-pairs one fraction reduced by two gcds with a small operand each
-(``_reduced``); where a denominator is wide (``_WIDE``), slope and
+pairs the row's piece at the height is one ``numerics._affine`` step at
+r (its transpose for the inverse), reduced by two gcds with a small
+operand each; where a denominator is wide (``_WIDE``), slope and
 intercept first, then Fraction's cross-reduction order in the wide
 kernels (``_sum``, ``_product``), whose gcds split off the power of two.
 The orientation probe's piece key (``_forward_piece_key``) is ``_homeo``'s
@@ -68,6 +69,7 @@ from .numerics import (
     _affine,
     _affine_piece,
     _int_pairs,
+    _lowest,
     _piece,
     _twos,
     as_rational,
@@ -90,7 +92,7 @@ SquarePoint = Tuple[Fraction, Fraction]
 PointPairs = Tuple[int, int, int, int]
 # A blend row takes the wide route (``_sum``, ``_product``: gcds with the
 # power of two split off) when the abscissa's or the height's denominator
-# reaches this width, else the bilinear one (``_reduced``); on a strip-wall
+# reaches this width, else the narrow one (``_affine``); on a strip-wall
 # lift the wide route's gcds run on odd parts of a few hundred bits.
 _WIDE = 1 << 512
 
@@ -255,15 +257,6 @@ def _product(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     return na * nb, da * db
 
 
-def _reduced(n: int, u: int, v: int, rd: int) -> Tuple[int, int]:
-    """n / (v*rd) in lowest terms for n = u*rn + y*rd, rn prime to rd, v > 0:
-    gcd(n, rd) = gcd(u, rd), and n over it is prime to the rest of rd."""
-    g = gcd(u, rd)
-    n, rd = n // g, rd // g
-    g = gcd(n, v)
-    return n // g, v // g * rd
-
-
 class _BlendZone:
     """The rows of one level's blend zone, exact, as functions of the height.
 
@@ -272,19 +265,20 @@ class _BlendZone:
     consecutive merged abscissas, and so is every blended row; its slope
     and intercept there are affine in t, hence in s: the row is bilinear
     in (r, s).  The coefficients are per level: they fold in the level's lo
-    and mid.  Each function of s is stored as the integers of
-    ``numerics._affine``, so at a height p/q it is one ``_affine`` step.
+    and mid.
 
-    xkeys    : interior merged abscissas, as integer pairs
-    pieces   : per merged piece, (slope, intercept) of the row as functions
-               of s, for wide pairs: the row is slope(s)*x + intercept(s)
-    bilinear : per merged piece, for narrow pairs, slope (a1, e1, d1) and
-               intercept (a2, e2, d2) as (a1*d2, e1*d2, a2*d1, e2*d1, d1*d2)
-    ykeys    : per interior merged abscissa, the row's ordinate there as a
-               function of s
+    xkeys  : interior merged abscissas, as integer pairs
+    pieces : per merged piece, the row's slope (A1, E1, D) and intercept
+             (A2, E2, D) as functions of s over one denominator, stored as
+             (A1, E1, A2, E2, D) over their gcd: at a height p/q the row
+             is the piece (A1*p + E1*q, A2*p + E2*q, D*q) of
+             ``numerics._affine``, and slope and intercept are ``_affine``
+             of their triples at p/q
+    ykeys  : per interior merged abscissa, the row's ordinate there as a
+             function of s, as the integers of ``_affine``
     """
 
-    __slots__ = ("xkeys", "pieces", "bilinear", "ykeys")
+    __slots__ = ("xkeys", "pieces", "ykeys")
 
     def __init__(self, prev: PLFunction, rule: PLFunction, lo: Fraction, mid: Fraction):
         xs = sorted(set(prev.xs) | set(rule.xs))
@@ -300,13 +294,12 @@ class _BlendZone:
         pieces = []
         for k in range(len(xs) - 1):
             w = xs[k + 1] - xs[k]
-            a = (ya[k + 1] - ya[k]) / w
-            a2 = (yb[k + 1] - yb[k]) / w
-            pieces.append((in_s(a, a2), in_s(ya[k] - a * xs[k], yb[k] - a2 * xs[k])))
+            m = (ya[k + 1] - ya[k]) / w
+            m2 = (yb[k + 1] - yb[k]) / w
+            (a1, e1, d1), (a2, e2, d2) = in_s(m, m2), in_s(ya[k] - m * xs[k], yb[k] - m2 * xs[k])
+            pieces.append(_lowest((a1 * d2, e1 * d2, a2 * d1, e2 * d1, d1 * d2)))
         self.xkeys = _int_pairs(xs[1:-1])
         self.pieces = tuple(pieces)
-        self.bilinear = tuple((a1 * d2, e1 * d2, a2 * d1, e2 * d1, d1 * d2)
-                              for (a1, e1, d1), (a2, e2, d2) in pieces)
         self.ykeys = tuple(in_s(y, y2) for y, y2 in zip(ya[1:-1], yb[1:-1]))
 
     def piece(self, rn: int, rd: int, p: int, q: int, inverse: bool) -> int:
@@ -320,30 +313,23 @@ class _BlendZone:
         return len(self.ykeys)
 
     def value(self, rn: int, rd: int, p: int, q: int) -> Tuple[int, int]:
-        """The row at height p/q, evaluated at rn/rd: slope * r + intercept,
-        on narrow pairs (x*rn + y*rd) / (d*q*rd) for x/(d*q) and y/(d*q)."""
-        k = self.piece(rn, rd, p, q, False)
+        """The row at height p/q, evaluated at rn/rd: slope * r + intercept."""
+        a1, e1, a2, e2, d = self.pieces[self.piece(rn, rd, p, q, False)]
         if rd < _WIDE and q < _WIDE:
-            a1, e1, a2, e2, d = self.bilinear[k]
-            x = a1 * p + e1 * q
-            return _reduced(x * rn + (a2 * p + e2 * q) * rd, x, d * q, rd)
-        slope, intercept = self.pieces[k]
-        mn, md = _product(*_affine(slope, p, q), rn, rd)
-        return _sum(mn, md, *_affine(intercept, p, q))
+            return _affine(a1 * p + e1 * q, a2 * p + e2 * q, d * q, rn, rd)
+        mn, md = _product(*_affine(a1, e1, d, p, q), rn, rd)
+        return _sum(mn, md, *_affine(a2, e2, d, p, q))
 
     def preimage(self, rn: int, rd: int, p: int, q: int) -> Tuple[int, int]:
         """The row's inverse at height p/q, evaluated at rn/rd:
-        (r - intercept) / slope, on narrow pairs (d*q*rn - y*rd) / (x*rd)
-        as in ``value``; x > 0, as an increasing row's slope is positive."""
-        k = self.piece(rn, rd, p, q, True)
+        (r - intercept) / slope, the row's piece transposed; the slope
+        A1*p + E1*q is positive, as an increasing row's is."""
+        a1, e1, a2, e2, d = self.pieces[self.piece(rn, rd, p, q, True)]
         if rd < _WIDE and q < _WIDE:
-            a1, e1, a2, e2, d = self.bilinear[k]
-            c = d * q
-            return _reduced(c * rn - (a2 * p + e2 * q) * rd, c, a1 * p + e1 * q, rd)
-        slope, intercept = self.pieces[k]
-        cn, cd = _affine(intercept, p, q)
+            return _affine(d * q, -(a2 * p + e2 * q), a1 * p + e1 * q, rn, rd)
+        cn, cd = _affine(a2, e2, d, p, q)
         n, nd = _sum(rn, rd, -cn, cd)
-        mn, md = _affine(slope, p, q)
+        mn, md = _affine(a1, e1, d, p, q)
         # dividing by the positive slope multiplies by md/mn, a pair in
         # lowest terms, as ``Fraction`` divides
         return _product(n, nd, md, mn)

@@ -14,7 +14,9 @@ applies to its suite's report.  A certificate golden applies to its
 suite's report or to the ``all`` report, and at any seed when its
 certificates draw no samples (``seedless``).  The script fails when a
 report differs from a golden that applies to it, or when no golden applies
-to a report.
+to a report.  Under each DIFFERS line it names every changed leaf by its
+JSON path in the report, golden value then report value
+(``report_diff.diff``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
+import report_diff
 from planardyn.dynamics import DEFAULT_SAMPLER_SEED
 
 DATA = Path(__file__).parent / "data"
@@ -118,18 +121,38 @@ def applies(golden: Golden, report: dict) -> bool:
     return report["suite"] in (golden.suite, "all") and (golden.seedless or same_seed)
 
 
+def _key(cert: dict) -> Tuple[str, Optional[str]]:
+    return cert["evidence"]["check"], cert["evidence"].get("map")
+
+
+def _pinned(golden: Golden, report: dict) -> list:
+    """(index in the report's certificates, certificate) of each
+    certificate ``golden`` pins, in report order."""
+    certs = [(i, c) for i, c in enumerate(report["certificates"]) if _key(c) in golden.certificates]
+    found = tuple(_key(c) for _, c in certs)
+    if found != golden.certificates:
+        raise ValueError(f"{golden.file}: the report holds {found}")
+    return certs
+
+
 def pinned(golden: Golden, report: dict) -> str:
     """The text ``golden``'s file holds, as ``report`` writes it."""
     if golden.certificates is None:
         return json.dumps(report, indent=2) + "\n"
-    certs = [
-        c for c in report["certificates"]
-        if (c["evidence"]["check"], c["evidence"].get("map")) in golden.certificates
+    return json.dumps([c for _, c in _pinned(golden, report)], indent=2) + "\n"
+
+
+def changed_leaves(golden: Golden, report: dict) -> list:
+    """(path in the report, golden value, report value) of each leaf where
+    ``report`` differs from ``golden``'s file, values as JSON text."""
+    want = json.loads(read(golden))
+    if golden.certificates is None:
+        return list(report_diff.diff(want, report))
+    return [
+        change
+        for (i, cert), old in zip(_pinned(golden, report), want)
+        for change in report_diff.diff(old, cert, f"$.certificates[{i}]")
     ]
-    found = tuple((c["evidence"]["check"], c["evidence"].get("map")) for c in certs)
-    if found != golden.certificates:
-        raise ValueError(f"{golden.file}: the report holds {found}")
-    return json.dumps(certs, indent=2) + "\n"
 
 
 def read(golden: Golden) -> str:
@@ -149,6 +172,12 @@ def main(paths) -> int:
             # a whole report is compared as written, not as re-serialised
             same = (text if golden.certificates is None else pinned(golden, report)) == read(golden)
             print(f"{path} against {golden.file}: {'same' if same else 'DIFFERS'}")
+            if not same:
+                leaves = changed_leaves(golden, report)
+                for leaf, old, new in leaves:
+                    print(f"  {leaf}: {old} -> {new}")
+                if not leaves:
+                    print("  same leaves, different text (key order or formatting)")
             failed |= not same
     return 1 if failed else 0
 

@@ -30,6 +30,8 @@ from planardyn.numerics import (
     pair_to_bigfloat,
     to_bigfloat,
 )
+from planardyn.square_map import shear_profile
+from planardyn.strips import SHIFT_PROFILE
 
 PROFILE = PLFunction([(-1, -1), (Fraction(-1, 2), 0), (0, Fraction(1, 2)), (1, 1)])
 
@@ -433,15 +435,29 @@ def pl_functions(draw):
     return PLFunction([(-1, -1), *zip(sorted(xs), sorted(ys)), (1, 1)])
 
 
-@given(pl_functions(), st.data())
+# the exact core's own rows: the shift profile, the identity, and the shear
+# profiles of the first twelve blocks
+PROGRAM_ROWS = (SHIFT_PROFILE, IDENTITY_PL, *(shear_profile(n) for n in range(1, 13)))
+
+
+@st.composite
+def wall_lifts(draw):
+    """A rational in [-1, 1] over 2^k times a small odd number, k up to
+    25000: the shape of a strip-wall lift."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = (2 * rng.randrange(2**11) + 1) << draw(st.integers(0, 25000))
+    return Fraction(rng.randrange(-d, d + 1), d)
+
+
+@given(st.one_of(pl_functions(), st.sampled_from(PROGRAM_ROWS)), st.data())
 @settings(deadline=None)
 def test_pl_evaluation_equals_bisect_evaluation(fn, data):
     xs, ys = fn.xs, fn.ys
     big = st.integers(2**9000, 2**9001).flatmap(
         lambda d: st.integers(-d, d).map(lambda n: Fraction(n, d))
     )
-    argument = st.one_of(st.sampled_from(xs), unit_fractions, big)
-    value = st.one_of(st.sampled_from(ys), unit_fractions, big)
+    argument = st.one_of(st.sampled_from(xs), unit_fractions, big, wall_lifts())
+    value = st.one_of(st.sampled_from(ys), unit_fractions, big, wall_lifts())
     x, y = data.draw(argument), data.draw(value)
     assert fn(x) == _bisect_eval(xs, ys, x)
     assert fn.inverse(y) == _bisect_eval(ys, xs, y)

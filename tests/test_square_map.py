@@ -393,6 +393,15 @@ def blend_rows(draw):
 
 @given(blend_rows())
 @settings(deadline=None, max_examples=400)
+# each example runs value and preimage; narrow: a double's abscissa at a
+# height over 32 * 999983
+@example((3, Fraction(0.3), Fraction(7, 8) + Fraction(123457, 32 * 999983)))
+# wide: a double's abscissa at a height over 2^604 times 3, the 512-bit
+# plane suite's shape
+@example((2, Fraction(-3, 1 << 52), Fraction(3, 4) + Fraction(7919, 3 << 604)))
+# wide: a strip-wall lift, both denominators past 2^700 (the abscissa's
+# stays below 2^14000, whose decimal digits hypothesis's repr can print)
+@example((2, Fraction((3 << 12000) + 12345, 7 << 12000), Fraction((13 << 700) - 1, 16 << 700)))
 def test_blend_rows_match_fraction(row):
     # a blend row on its piece is slope(s)*r + intercept(s), and its inverse
     # (r - intercept(s))/slope(s), each coefficient affine in s
@@ -400,9 +409,10 @@ def test_blend_rows_match_fraction(row):
     zone = square_map._level_zone(level)
     args = (r.numerator, r.denominator, s.numerator, s.denominator)
     for inverse, evaluate in ((False, zone.value), (True, zone.preimage)):
+        a1, e1, a2, e2, d = zone.pieces[zone.piece(*args, inverse)]
         slope, intercept = (
             Fraction(a * s.numerator + e * s.denominator, d * s.denominator)
-            for a, e, d in zone.pieces[zone.piece(*args, inverse)]
+            for a, e in ((a1, e1), (a2, e2))
         )
         want = (r - intercept) / slope if inverse else slope * r + intercept
         n, d = evaluate(*args)
