@@ -84,16 +84,16 @@ Each fact is checked once, in the function that first sees the point:
 ``_collapse_exact``, which takes the point as two integer pairs (the plane
 map calls it with the square map's pairs, building no Fraction), checks
 and pins it on numerators and denominators (square, fiber, edges, axis)
-and converts each coordinate once with ``pair_to_bigfloat``;
-``_collapse_inv`` checks and pins a point as given and charts its floats.
-Both directions decide the quarter on the point as given and mirror it
-after converting, since both roundings (toward zero for rationals, to
-nearest in doubles) are symmetric about zero; a height that rounds to zero
-is mirrored too.  Each range check is a negated in-range test, so a NaN
-coordinate fails it.  The steps check nothing: a step's input is in range
-by construction, through the entry checks, the charts' radii (sup norms of
-a quarter point's offset), the angle clamp at the cone's entry, and the
-clamps at the chart inverses.
+and converts each coordinate once with ``pair_to_bigfloat``, off the pins
+as its magnitude; ``_collapse_inv`` checks and pins a point as given and
+charts its floats.  Both directions decide the quarter on the point as
+given and chart magnitudes, since both roundings (toward zero for
+rationals, to nearest in doubles) are symmetric about zero; a height that
+rounds to zero is mirrored too.  Each range check is a negated in-range
+test, so a NaN coordinate fails it.  The steps check nothing: a step's
+input is in range by construction, through the entry checks, the charts'
+radii (sup norms of a quarter point's offset), the angle clamp at the
+cone's entry, and the clamps at the chart inverses.
 """
 
 from __future__ import annotations
@@ -153,8 +153,10 @@ def _consts_at(ctx, prec):
         # small integers and ratios as context floats: each but 2/3 converts
         # exactly
         "one": to_bigfloat(1, ctx),
+        "minus_one": to_bigfloat(-1, ctx),
         "two": to_bigfloat(2, ctx),
         "two_thirds": to_bigfloat(2, ctx) / 3,
+        "four_thirds": to_bigfloat(4, ctx) / 3,  # 2 * two_thirds, exactly
         "three_halves": to_bigfloat(Fraction(3, 2), ctx),
         "zero": zero,
         "half": half,
@@ -212,10 +214,10 @@ def _slit_exit(a, k):
     offset within pi/4 of zero.
     """
     if a <= k["corner"]:
-        return (k["one"], k["tan"](a) / 2)
+        return (k["one"], k["tan"](a) * k["half"])
     if a <= k["stretch"]:  # pi - corner
         return (k["half"] - k["tan"](a - k["half_pi"]), k["one"])
-    return (k["zero"], -k["tan"](a) / 2)
+    return (k["zero"], -k["tan"](a) * k["half"])
 
 
 def _edge_chart(px, py, k):
@@ -294,7 +296,7 @@ def _cone(d0, rho, inverse, k):
         return (half_pi - k["three_halves"] * d0, rho)
     d0 = _soft_clamp(d0, k["zero"], half_pi, k)
     if d0 * k["two_over_pi"] >= t:  # the angle-pi wall
-        return (pi - k["two"] * (k["two_thirds"] * d0) - k["third"] * d1, half - d0 / pi)
+        return (pi - k["four_thirds"] * d0 - k["third"] * d1, half - d0 / pi)
     if d1 < k["zero"]:  # the radius-zero wall
         return (pi - k["two_thirds"] * d0, rho)
     # the radius-one wall
@@ -337,19 +339,10 @@ def cone_map(u, ctx, inverse: bool = False):
     return (image_flip - w[0], w[1]) if lower else w
 
 
-def _collapse_pinned(u0, u1, fiber, axis, left, lower, k):
-    """The collapse at a point of the square, given as two floats of the
-    context with its pins and quarter decided on the input; a point that
-    takes no pin goes through the charts, mirrored from the upper-right
-    quarter."""
-    if fiber:
-        return (k["zero"], u1)
-    if axis:
-        return (u0 / 2, k["zero"])
-    if left:
-        u0 = -u0
-    if lower:
-        u1 = -u1
+def _collapse_pinned(u0, u1, left, lower, k):
+    """The collapse at a point of the square off its pins, which the caller
+    decides on the input with the quarter, given as |r| and |s| in floats
+    of the context: the upper-right quarter's charts, mirrored back."""
     # in doubles a point next to an edge can round onto the chart's center
     if not u1 and u0 == k["one"]:
         raise DomainError("edge chart is degenerate at its center")
@@ -368,21 +361,24 @@ def _collapse_charts(x, ctx):
     chart's center is checked here.
     """
     u0, u1 = _pt(x, ctx)
-    return _collapse_pinned(u0, u1, False, False, x[0] < 0, x[1] < 0, _consts(ctx))
+    return _collapse_pinned(abs(u0), abs(u1), x[0] < 0, x[1] < 0, _consts(ctx))
 
 
 def _collapse_exact(n: int, d: int, m: int, e: int, ctx, k):
     """``collapse`` at the point (n/d, m/e), both pairs in lowest terms with
-    positive denominators, checked and pinned on the integers; ``k`` is the
-    chart table of ``ctx``."""
+    positive denominators, checked, pinned and put in its quarter on the
+    integers, then charted on |n|/d and |m|/e; ``k`` is ``ctx``'s table."""
     if n > d or -n > d or m > e or -m > e:
         r, s = coprime_fraction(n, d), coprime_fraction(m, e)
         raise DomainError(f"point ({r}, {s}) outside the square")
     if n == d or -n == d:
         return (-k["half"] if n < 0 else k["half"], k["zero"])
-    return _collapse_pinned(
-        pair_to_bigfloat(n, d, ctx), pair_to_bigfloat(m, e, ctx), n == 0, m == 0, n < 0, m < 0, k
-    )
+    if not n:
+        return (k["zero"], pair_to_bigfloat(m, e, ctx))
+    if not m:
+        return (pair_to_bigfloat(n, d, ctx) / 2, k["zero"])
+    a0, a1 = pair_to_bigfloat(abs(n), d, ctx), pair_to_bigfloat(abs(m), e, ctx)
+    return _collapse_pinned(a0, a1, n < 0, m < 0, k)
 
 
 def collapse(x, ctx):
@@ -405,7 +401,11 @@ def collapse(x, ctx):
         raise DomainError(f"point ({r}, {s}) outside the square")
     if abs(r) == 1:
         return (-k["half"] if r < 0 else k["half"], k["zero"])
-    return _collapse_pinned(u0, u1, r == 0, s == 0, r < 0, s < 0, k)
+    if r == 0:
+        return (k["zero"], u1)
+    if s == 0:
+        return (u0 / 2, k["zero"])
+    return _collapse_pinned(abs(u0), abs(u1), r < 0, s < 0, k)
 
 
 def _collapse_inv(y, u, k):

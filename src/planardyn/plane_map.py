@@ -52,8 +52,8 @@ from .square_map import PointPairs, _fractions, _homeo, _orbit, _steps
 def _tangent(r, s, k):
     """Tangent chart forward at two floats of the context; ``k`` is its
     chart table."""
-    # negated, so that NaN fails it; one, not 1, spares mpmath a conversion
-    if not (abs(r) < k["one"] and abs(s) < k["one"]):
+    # negated, so that NaN fails it; table floats, not +-1, spare conversions
+    if not (k["minus_one"] < r < k["one"] and k["minus_one"] < s < k["one"]):
         raise DomainError(f"point ({r}, {s}) outside the open square")
     tan, half_pi = k["tan"], k["half_pi"]
     return (tan(half_pi * r), tan(half_pi * s))

@@ -32,19 +32,20 @@ forms (``_homeo``, ``_rise``, ``_descend``, ``_row``), which take a
 checked point as integer pairs (numerator, denominator) in lowest terms
 and return pairs, so a caller that holds pairs, as the plane map does,
 builds no Fraction, and ``square_homeo`` builds one per output coordinate,
-at the end.  ``_row_at`` picks the row of the strip shear at a height, and
-the row is evaluated pointwise, never built as a PLFunction: the identity
-at or below 3/4 and on the top line, on a shear zone by the level's rule,
-on a blend zone from the level's cached coefficients, bilinear in (r, s).
-The blend row alone tests a pair's width and picks a route: on narrow
-pairs the row's piece at the height is one ``numerics._affine`` step at
-r (its transpose for the inverse), reduced by two gcds with a small
-operand each; where a denominator is wide (``_WIDE``), slope and
-intercept first, then Fraction's cross-reduction order in the wide
-kernels (``_sum``, ``_product``), whose gcds split off the power of two.
-The orientation probe's piece key (``_forward_piece_key``) is ``_homeo``'s
-branch, read off the same pairs and the same row.  ``row_map`` builds the
-row, only as the tests' reference.
+at the end.  ``_row_at`` picks the strip shear's row at a height off one
+cached record per level, and the row is evaluated pointwise, never built
+as a PLFunction: the identity at or below 3/4 and on the top line, on a
+shear zone by the level's rule, on a blend zone from the level's cached
+coefficients, bilinear in (r, s).  The blend row alone tests a pair's
+width and picks a route: on narrow pairs the row's piece at the height is
+one ``numerics._affine`` step at r (its transpose for the inverse),
+reduced by two gcds with a small operand each; where a denominator is
+wide (``_WIDE``), slope and intercept first, then Fraction's
+cross-reduction order in the wide kernels (``_sum``, ``_product``), whose
+gcds split off the power of two.  The orientation probe's piece key
+(``_forward_piece_key``) is ``_homeo``'s branch, read off the same pairs
+and the same row.  ``row_map`` builds the row, only as the tests'
+reference.
 
 ``_orbit`` is the one orbit loop of the exact core: it iterates
 ``_homeo`` on a checked point's pairs and keeps the steps of one or more
@@ -343,6 +344,13 @@ def _level_zone(i: int) -> _BlendZone:
     return _BlendZone(line_rule(i - 1), line_rule(i), lo, mid)
 
 
+@lru_cache(maxsize=None)
+def _level_split(i: int) -> Tuple[int, int, PLFunction]:
+    """``_row_at``'s record of level i: its split height as a pair, its rule."""
+    mid = strip_bounds(i)[1]
+    return mid.numerator, mid.denominator, line_rule(i)
+
+
 def _row_at(p: int, q: int) -> tuple:
     """The strip shear's row at a checked height p/q <= 1, as (level, row):
     the identity, None, at level 1 (every height up to 3/4) and on the top
@@ -353,10 +361,8 @@ def _row_at(p: int, q: int) -> tuple:
     if p == q:
         return None, None
     i = _level_of(p, q)
-    mid = strip_bounds(i)[1]
-    if p * mid.denominator >= mid.numerator * q:
-        return i, line_rule(i)
-    return i, _level_zone(i)
+    mn, md, rule = _level_split(i)
+    return i, rule if p * md >= mn * q else _level_zone(i)
 
 
 def _row(rn: int, rd: int, p: int, q: int, inverse: bool) -> Tuple[int, int]:

@@ -6,7 +6,7 @@ parametrizes over it on the reports the test session computes, and CI runs
 this module as a script on the reports ``planardyn verify --out`` writes:
 
     python tests/goldens.py core.json xi.json plane.json all7.json
-    python tests/goldens.py xi53.json xi64.json xi512.json plane512.json
+    python tests/goldens.py xi53.json xi64.json xi128.json xi512.json plane512.json
 
 A golden applies to a report at its precision and its sampler seed, 256
 bits and the default seed unless it says otherwise.  A whole-report golden
@@ -56,10 +56,12 @@ GOLDENS = (
     # its 256-bit worst errors pin every rounding on the Fraction ->
     # big-float path
     Golden("verify_xi.json", "xi"),
-    # the collapse suite at the floor precision, at 64 bits and at a fine
-    # precision: the chart bounds and every rounding follow the precision
+    # the collapse suite at the floor precision, at 64 and 128 bits and at
+    # a fine precision: the chart bounds and every rounding follow the
+    # precision
     Golden("verify_xi_53bit.json", "xi", precision=53),
     Golden("verify_xi_64bit.json", "xi", precision=64),
+    Golden("verify_xi_128bit.json", "xi", precision=128),
     Golden("verify_xi_512bit.json", "xi", precision=512),
     # the plane rows computed in 256-bit mpmath arithmetic alone, which draw
     # no samples; the rows on mpmath.fp depend on the platform's libm

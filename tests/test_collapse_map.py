@@ -4,6 +4,7 @@ Chart arithmetic is big-float; assertions compare against closed forms at
 a few digits below the working precision (256 bits ~ 77 decimal digits).
 """
 
+import functools
 from fractions import Fraction
 
 import mpmath
@@ -29,6 +30,7 @@ from planardyn.collapse_map import (
     slit_arc_angle,
 )
 from planardyn.numerics import DomainError, SlitError, make_context, to_bigfloat
+from planardyn.plane_map import lifted_core, tangent_chart
 
 TIGHT = 1e-70
 
@@ -45,6 +47,16 @@ def _close(p, q, eps=TIGHT):
 def test_slit_arc_angle(ctx):
     assert SLIT_ARC_DENOM == 2**15
     assert slit_arc_angle(ctx) == ctx.pi / SLIT_ARC_DENOM
+
+
+@pytest.mark.parametrize("prec", [None, 53, 128, 256, 512], ids=["fp", "53", "128", "256", "512"])
+def test_folded_constants_are_exact(prec):
+    # the cone's angle-pi wall multiplies by four_thirds where it doubled
+    # two_thirds * d0, and the tangent chart's range test reads minus_one:
+    # the same bits only if each fold is exact
+    k = _consts(_context(prec))
+    assert k["four_thirds"] == 2 * k["two_thirds"]
+    assert k["minus_one"] == -k["one"]
 
 
 def test_constants_follow_a_precision_change():
@@ -561,6 +573,61 @@ def test_reflections_commute_exactly(prec):
             theta = k["pi"] + 2 * a  # the lower half (pi, 2*pi]
             t = cone_map((k["two_pi"] - theta, rho), ctx, inverse=True)
             assert cone_map((theta, rho), ctx, inverse=True) == (k["pi"] - t[0], t[1])
+
+
+@functools.cache
+def _wall_lift_coordinates():
+    """The coordinates of a wall-seed lift 40 to 48 steps out, where the
+    abscissa's denominator passes 10^4 bits: the plane path's pairs."""
+    ctx = make_context(256)
+    seed = tangent_chart(collapse((Fraction(-3, 5), Fraction(-1, 2)), ctx), ctx)
+    return tuple(c for _, w, _ in lifted_core(seed, (40, 48), ctx) for c in w)
+
+
+@st.composite
+def _square_coordinates(draw):
+    """A coordinate of the square: a pin (0, +-1/2, +-1), a sampled
+    rational, or a wall-seed lift's coordinate, of either sign."""
+    kind = draw(st.sampled_from(("pin", "rational", "lift")))
+    if kind == "pin":
+        return draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-1, 2),
+                                     Fraction(1), Fraction(-1))))
+    if kind == "rational":
+        return draw(st.fractions(-1, 1, max_denominator=10**6))
+    return draw(st.sampled_from((1, -1))) * draw(st.sampled_from(_wall_lift_coordinates()))
+
+
+@pytest.mark.parametrize("prec", [None, 53, 256, 512], ids=["fp", "53", "256", "512"])
+@settings(max_examples=120, deadline=None)
+@given(r=_square_coordinates(), s=_square_coordinates())
+def test_collapse_of_fractions_commutes_with_the_mirrors_bit_for_bit(prec, r, s):
+    # the exact entry decides the pins and the quarter on the integers and
+    # charts the magnitudes, so each mirror's image is the mirrored image
+    ctx = _context(prec)
+    y = collapse((r, s), ctx)
+    for (a, b), q in _mirrors((r, s)).items():
+        # equal floats of a big-float context are equal bits; in doubles the
+        # pins' zeros are unsigned, so -0.0 == 0.0 is wanted there
+        assert collapse(q, ctx) == (a * y[0], b * y[1]), (r, s, q)
+
+
+@pytest.mark.parametrize("prec", [None, 53, 256, 512], ids=["fp", "53", "256", "512"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_collapse_of_dyadic_fractions_equals_collapse_of_their_floats(prec, data):
+    # a dyadic point the context holds exactly takes the same pins, the
+    # same quarter and the same charts through the exact entry and the
+    # float one
+    ctx = _context(prec)
+    bits = 53 if prec is None else prec
+
+    def dyadic():
+        k = data.draw(st.integers(0, bits - 1))
+        return Fraction(data.draw(st.integers(-(1 << k), 1 << k)), 1 << k)
+
+    x = (dyadic(), dyadic())
+    floats = (to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx))
+    assert [repr(v) for v in collapse(x, ctx)] == [repr(v) for v in collapse(floats, ctx)], x
 
 
 @pytest.mark.parametrize("prec", [64, 128, 256])

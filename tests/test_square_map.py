@@ -525,6 +525,58 @@ def test_row_is_the_identity_up_to_three_quarters(inverse):
         assert square_map._row(*args) == (r.numerator, r.denominator), s
 
 
+def _row_at_reference(s: Fraction) -> tuple:
+    """``_row_at`` at a height s <= 1 as the strip tables state it: the
+    level whose [lo, hi) holds s, found by walking ``strip_bounds``, and
+    its ``line_rule`` at or above mid, its ``_level_zone`` below."""
+    if s <= Fraction(3, 4):
+        return 1, None
+    if s == 1:
+        return None, None
+    i = 2
+    while s >= strip_bounds(i)[2]:
+        i += 1
+    return i, line_rule(i) if s >= strip_bounds(i)[1] else square_map._level_zone(i)
+
+
+def _strip_seam_heights():
+    """The floor and split height of levels 2..60, and three units either
+    side of each: units of its own denominator and of 3 * 2^10 times it."""
+    heights = set()
+    for i in range(2, 61):
+        for h in strip_bounds(i)[:2]:
+            for q in (h.denominator, 3 * h.denominator << 10):
+                heights |= {h + Fraction(j, q) for j in range(-3, 4)}
+    return sorted(s for s in heights if s <= 1)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_row_at_and_row_match_the_strip_tables_at_every_seam(inverse):
+    # the row's dispatch, read off one cached record per level, picks the
+    # same level and the same row object as the tables, and the row's
+    # value is the chosen row's, bit for bit, at each floor and split
+    # height of levels 2..60 and a few units either side
+    for s in _strip_seam_heights():
+        p, q = s.numerator, s.denominator
+        level, row = square_map._row_at(p, q)
+        want_level, want_row = _row_at_reference(s)
+        assert level == want_level and row is want_row, s
+        rule = line_rule(level) if level and level > 1 else IDENTITY_PL
+        abscissas = {Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-5, 7)}
+        for x in rule.ys if inverse else rule.xs:
+            abscissas |= {x, x + Fraction(1, 3 << 40), x - Fraction(1, 3 << 40)}
+        for r in sorted(a for a in abscissas if -1 <= a <= 1):
+            args = (r.numerator, r.denominator, p, q)
+            if want_row is None:
+                want = (r.numerator, r.denominator)
+            elif want_row.__class__ is square_map._BlendZone:
+                want = (want_row.preimage if inverse else want_row.value)(*args)
+            else:
+                y = want_row.inverse(r) if inverse else want_row(r)
+                want = (y.numerator, y.denominator)
+            assert square_map._row(*args, inverse) == want, (r, s)
+
+
 def test_square_homeo_on_a_blend_zone_makes_no_fraction_arithmetic(monkeypatch):
     # the map runs on integer pairs and builds only its two output Fractions;
     # each point lands on (or starts from) the blend zone [3/4, 13/16) of
