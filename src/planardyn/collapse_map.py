@@ -19,12 +19,15 @@ collapse commutes with both reflections of the square exactly:
   toward the fiber and pi straight up; the upper quarter is the half
   [pi/2, pi].  The right half-square is a sup-norm ball about this center,
   so the radius is that sup norm, max(1 - x, y) on the upper quarter, and
-  the boundary is radius one.  The forward chart gives the angle as its
+  the boundary is radius one.  The forward chart takes the point as its
+  offset 1 - x from the edge and its height, and gives the angle as its
   offset from pi/2, atan2(y, 1 - x), the offset the cone reads.
 * the slit chart (``_slit_chart`` and its inverse) does the same around the
   outer slit endpoint (1/2, 0), with the plain polar angle and the radius
   max(|2x - 1|, y).  Its chart rectangle is [0, 2*pi] x [0, 1]; the upper
-  quarter is the half [0, pi], the slit's top side at angle 0.
+  quarter is the half [0, pi], the slit's top side at angle 0.  The forward
+  chart gives the angle as its offset from pi, pi - theta = atan2(y,
+  1/2 - x): both charts measure the angle from the fiber's direction.
 * the boundary correspondence carries the boundary circle of the first
   rectangle onto that of the second.  The central arc uses
   theta = pi - arctan(2 s) so the vertical fiber is fixed pointwise; a
@@ -44,22 +47,26 @@ collapse commutes with both reflections of the square exactly:
   linear in the offset, and the correspondence is affine in the wall
   coordinate except on the central arcs, so the ray exit, the
   correspondence and the interpolation multiply out into one affine form
-  in (d0, d1) per wall (``_cone``); forward, with d0 = angle - pi/2:
-  theta = pi - 4 d0 / 3 - 2 pi d1 / 3 on the angle-pi wall,
-  pi - 2 d0 / 3 on the radius-zero wall, and on the radius-one wall
-  (t = 2 d1) pi - t arctan(2 tan(d0 / t)) on the central arc.  The cone
+  in (d0, d1) per wall (``_cone``), which reads and writes each angle as
+  its chart's offset, so that an image next to the axis keeps its height's
+  relative accuracy: forward, pi - theta = 4 d0 / 3 + 2 pi d1 / 3 on the
+  angle-pi wall, 2 d0 / 3 on the radius-zero wall, and on the radius-one
+  wall (t = 2 d1) t arctan(2 tan(d0 / t)) on the central arc.  The cone
   commutes with the flips angle -> pi - angle and theta -> 2*pi - theta,
   which the vertical reflection of the square induces on the two
-  rectangles; ``cone_map`` mirrors a point of the lower half onto the upper
-  one, and ``_cone`` serves the upper halves only.
+  rectangles; ``cone_map`` mirrors a point of the lower half onto the
+  upper one, and ``_cone`` serves the upper halves only.
 
 Every chart step serves the upper quarter only: a ray from a rectangle's
 center through a point of its upper half leaves through the walls of that
 half.  Each forward chart takes one arctangent for its angle; the radius
 needs only comparisons.  The cone takes a tangent and an arctangent on
 the central arcs and nothing else transcendental.  Each chart inverse
-takes one tangent, for the point where its ray leaves the quarter
-(``_edge_exit``, ``_slit_exit``).
+takes one tangent, for the point e where its ray leaves the quarter, and
+writes c + rho (e - c) from its center c with e's known wall coordinate
+folded in: 1 - rho or rho on the edge chart's fiber and top wall,
+1/2 - rho/2 or 1/2 + rho/2 on the slit chart's fiber and right edge, rho
+on its top wall, and one product of rho or rho/2 with the tangent.
 
 All functions take an explicit mpmath-style context; nothing reads or
 writes global precision.  Only the entry points (``collapse``,
@@ -84,16 +91,22 @@ Each fact is checked once, in the function that first sees the point:
 ``_collapse_exact``, which takes the point as two integer pairs (the plane
 map calls it with the square map's pairs, building no Fraction), checks
 and pins it on numerators and denominators (square, fiber, edges, axis)
-and converts each coordinate once with ``pair_to_bigfloat``, off the pins
-as its magnitude; ``_collapse_inv`` checks and pins a point as given and
-charts its floats.  Both directions decide the quarter on the point as
+and, off the pins, converts the edge offset (d - |n|)/d and the height's
+magnitude once each with ``pair_to_bigfloat``; the float entries form the
+offset 1 - |r| once.  ``_collapse_inv`` checks and pins a point as given
+and charts its floats.  Both directions decide the quarter on the point as
 given and chart magnitudes, since both roundings (toward zero for
 rationals, to nearest in doubles) are symmetric about zero; a height that
 rounds to zero is mirrored too.  Each range check is a negated in-range
 test, so a NaN coordinate fails it.  The steps check nothing: a step's
 input is in range by construction, through the entry checks, the charts'
-radii (sup norms of a quarter point's offset), the angle clamp at the
-cone's entry, and the clamps at the chart inverses.
+radii (sup norms of a quarter point's offset, and the cone's, which its
+closed forms keep in [0, 1]), and three angle clamps, at the cone's entry
+and at each chart inverse.  An angle is a rounded transcendental or a sum
+of rounded constants, a few ulps past its half's wall at worst; the clamp
+snaps it back, so that the branch tests pick the wall the ray leaves
+through and each tangent's argument, such as pi - phi on the slit chart's
+right edge, is not negative.  The chart inverses clamp no radius.
 """
 
 from __future__ import annotations
@@ -125,7 +138,7 @@ def _consts(ctx):
 @lru_cache(maxsize=16)
 def _consts_at(ctx, prec):
     pi = +ctx.pi
-    corner = ctx.atan(2)  # slit-chart angle of the top-right corner
+    corner = ctx.atan(2)  # slit-chart angle of (1, 1), the offset of (0, 1)
     astar = pi / SLIT_ARC_DENOM
     third = 2 * pi / 3
     zero, half = to_bigfloat(0, ctx), to_bigfloat(Fraction(1, 2), ctx)
@@ -141,8 +154,7 @@ def _consts_at(ctx, prec):
         "two_pi": 2 * pi,
         "half_pi": pi / 2,
         "quarter_pi": pi / 4,
-        "two_over_pi": 2 / pi,  # the cone's and the tangent chart's scale
-        "three_quarter_pi": 3 * pi / 4,
+        "two_over_pi": 2 / pi,  # the tangent chart's scale
         "third": third,
         "corner": corner,
         "astar": astar,
@@ -156,7 +168,6 @@ def _consts_at(ctx, prec):
         "minus_one": to_bigfloat(-1, ctx),
         "two": to_bigfloat(2, ctx),
         "two_thirds": to_bigfloat(2, ctx) / 3,
-        "four_thirds": to_bigfloat(4, ctx) / 3,  # 2 * two_thirds, exactly
         "three_halves": to_bigfloat(Fraction(3, 2), ctx),
         "zero": zero,
         "half": half,
@@ -191,125 +202,108 @@ def _soft_clamp(v, lo, hi, k):
     return v
 
 
-def _edge_exit(a, k):
-    """Where the ray from the right-edge midpoint (1, 0) at edge-chart
-    angle ``a`` in [pi/2, pi] leaves the upper-right quarter [0, 1] x [0, 1].
-
-    The angle runs from pi/2 (toward the fiber) to pi (straight up).  Each
-    branch takes one tangent, of an offset within pi/4 of zero: on the
-    fiber the height is the tangent of a - pi/2, on the top wall the
-    distance from the right edge is the tangent of pi - a.
-    """
-    if a < k["three_quarter_pi"]:
-        return (k["zero"], k["tan"](a - k["half_pi"]))
-    return (k["one"] - k["tan"](k["pi"] - a), k["one"])
-
-
-def _slit_exit(a, k):
-    """Where the ray from the outer slit endpoint (1/2, 0) at polar angle
-    ``a`` in [0, pi] leaves the upper-right quarter [0, 1] x [0, 1].
-
-    Each branch takes one tangent: on the top wall the cotangent of the
-    angle is written as minus the tangent of its offset from pi/2, an
-    offset within pi/4 of zero.
-    """
-    if a <= k["corner"]:
-        return (k["one"], k["tan"](a) * k["half"])
-    if a <= k["stretch"]:  # pi - corner
-        return (k["half"] - k["tan"](a - k["half_pi"]), k["one"])
-    return (k["zero"], -k["tan"](a) * k["half"])
-
-
-def _edge_chart(px, py, k):
+def _edge_chart(dx, py, k):
     """Edge chart forward: (angle offset, radius) of a point of the
-    upper-right quarter other than the right-edge midpoint.
+    upper-right quarter other than the right-edge midpoint, given as its
+    offset ``dx`` = 1 - x from the right edge and its height ``py``.
 
     The offset is the chart angle less pi/2, the angle from the fiber's
-    direction: atan2(y, 1 - x), in [0, pi/2] since the height ``py`` is
-    not negative, not even a negative zero.  The radius is the sup norm
-    max(1 - x, y) of the offset from the midpoint, so the quarter's outer
-    boundary is radius one.  Rounding may leave the offset a few ulps
-    outside [0, pi/2], and ``_cone`` clamps it.
+    direction: atan2(y, 1 - x), in [0, pi/2] since ``py`` is not negative,
+    not even a negative zero.  The radius is the sup norm max(1 - x, y), so
+    the quarter's outer boundary is radius one.  Rounding may leave the
+    offset a few ulps outside [0, pi/2], and ``_cone`` clamps it.
     """
-    dx = k["one"] - px
     return (k["atan2"](py, dx), max(dx, py))
 
 
-def _edge_chart_inv(alpha, rho, k):
-    """Edge chart inverse, along the ray to ``_edge_exit``; the input is
-    clamped onto the upper half [pi/2, pi] x [0, 1]."""
-    alpha = _soft_clamp(alpha, k["half_pi"], k["pi"], k)
-    rho = _soft_clamp(rho, k["zero"], k["one"], k)
-    e0, e1 = _edge_exit(alpha, k)
-    return (k["one"] + rho * (e0 - k["one"]), rho * e1)
+def _edge_chart_inv(beta, rho, k):
+    """Edge chart inverse at (``beta``, ``rho``), the offset clamped onto
+    [0, pi/2]: the fraction rho of the way from (1, 0) to where the ray
+    leaves the quarter, through the fiber below the diagonal and the top
+    wall above it, each at one tangent of an offset within pi/4 of zero."""
+    beta = _soft_clamp(beta, k["zero"], k["half_pi"], k)
+    if beta < k["quarter_pi"]:  # the fiber
+        return (k["one"] - rho, rho * k["tan"](beta))
+    return (k["one"] - rho * k["tan"](k["half_pi"] - beta), rho)  # the top wall
 
 
 def _slit_chart(py0, py1, k):
-    """Slit chart forward: (polar angle, radius) about (1/2, 0) of a point
+    """Slit chart forward: (angle offset, radius) about (1/2, 0) of a point
     of the upper-right quarter off the closed slit ray.
 
-    The angle lies in [0, pi]: the height ``py1`` is not negative, not even
-    a negative zero.  The radius is the sup norm max(|2x - 1|, y).
+    The offset is pi less the polar angle, the angle from the fiber's
+    direction: atan2(y, 1/2 - x), in [0, pi] since ``py1`` is not negative,
+    not even a negative zero.  The radius is the sup norm max(|1 - 2x|, y).
     """
-    d0 = py0 - k["half"]
+    d0 = k["half"] - py0
     return (k["atan2"](py1, d0), max(k["two"] * abs(d0), py1))
 
 
-def _slit_chart_inv(theta, rho, k):
-    """Slit chart inverse, along the ray to ``_slit_exit``; the input is
-    clamped onto the upper half [0, pi] x [0, 1]."""
-    theta = _soft_clamp(theta, k["zero"], k["pi"], k)
-    rho = _soft_clamp(rho, k["zero"], k["one"], k)
-    e0, e1 = _slit_exit(theta, k)
-    return (k["half"] + rho * (e0 - k["half"]), rho * e1)
+def _slit_chart_inv(phi, rho, k):
+    """Slit chart inverse at (``phi``, ``rho``), phi = pi - theta clamped
+    onto [0, pi]: the fraction rho of the way from (1/2, 0) to where the
+    ray leaves the quarter, through the fiber, the top wall or the right
+    edge.  Each branch takes one tangent: of phi, of phi - pi/2 (theta's
+    cotangent), or of theta = pi - phi, exact where it meets the corner."""
+    phi = _soft_clamp(phi, k["zero"], k["pi"], k)
+    if phi < k["corner"]:  # the fiber
+        h = rho * k["half"]
+        return (k["half"] - h, h * k["tan"](phi))
+    theta = k["pi"] - phi
+    if theta > k["corner"]:  # the top wall, from the corner (0, 1) to (1, 1)
+        return (k["half"] + rho * k["tan"](phi - k["half_pi"]), rho)
+    h = rho * k["half"]  # the right edge
+    return (k["half"] + h, h * k["tan"](theta))
 
 
 def _cone(d0, rho, inverse, k):
     """``cone_map`` at a point of the upper half of its source rectangle,
-    given as its angle's offset ``d0`` from the rectangle's center angle
-    and its radius ``rho``: forward d0 in [0, pi/2] (edge-chart angle
-    pi/2 + d0), inverse d0 in [-pi, 0] (slit-chart angle pi + d0).  The
-    offset is clamped onto that range, and the image lies in the upper
-    half of the target rectangle.
+    given as its angle's offset ``d0`` from the fiber's direction and its
+    radius ``rho``: forward d0 in [0, pi/2] (edge-chart angle pi/2 + d0),
+    inverse d0 in [0, pi] (slit-chart angle pi - d0).  The offset is
+    clamped onto that range; the image, in the upper half of the target
+    rectangle, comes as such an offset too.
 
     With d1 = rho - 1/2, the ray parameter is t = max(s0, 2 |d1|), s0 the
-    angle term, and the larger term names the wall the ray leaves through,
-    the angle wall on a tie.  On each wall t is linear in the offset, so
-    the wall's boundary correspondence and the interpolation by t are one
-    affine form; only the central arcs keep a tangent and an arctangent.
+    angle term (forward 2v, v = d0/pi, and the test is v >= |d1|), and the
+    larger term names the wall the ray leaves through, the angle wall on a
+    tie.  On each wall t is linear in the offset, so the wall's boundary
+    correspondence and the interpolation by t are one affine form; only
+    the central arcs keep a tangent and an arctangent.
     """
-    pi, half_pi, half = k["pi"], k["half_pi"], k["half"]
+    pi, half = k["pi"], k["half"]
     d1 = rho - half
-    t = k["two"] * abs(d1)
     if inverse:
-        d0 = _soft_clamp(d0, -pi, k["zero"], k)
-        s0 = -d0 / pi
+        t = k["two"] * abs(d1)
+        d0 = _soft_clamp(d0, k["zero"], pi, k)
+        s0 = d0 / pi
         if s0 >= t:  # the angle-0 wall, onto the slit-top arc
-            return (half_pi - d0 * half - k["astar"] * (s0 * half + d1), (k["one"] + s0) * half)
-        e = t * pi + d0  # t times the wall point's angle
+            return (d0 * half - k["astar"] * (s0 * half + d1), (k["one"] + s0) * half)
+        e = t * pi - d0  # t times the wall point's angle
         if d1 > k["zero"]:  # the radius-one wall
             if e <= t * k["stretch"]:  # the affine arc
-                return (half_pi + t * k["arc_end"] - e * k["arc_shrink"], rho)
-            return (half_pi + t * k["atan"](k["tan"](-d0 / t) * half), rho)  # the central arc
+                return (t * k["arc_end"] - e * k["arc_shrink"], rho)
+            return (t * k["atan"](k["tan"](d0 / t) * half), rho)  # the central arc
         if e <= t * k["third"]:  # the radius-zero wall, onto the angle-pi wall
-            return (half_pi + t * half_pi, (k["one"] + t) * half - e / k["third"])
-        return (half_pi - k["three_halves"] * d0, rho)
-    d0 = _soft_clamp(d0, k["zero"], half_pi, k)
-    if d0 * k["two_over_pi"] >= t:  # the angle-pi wall
-        return (pi - k["four_thirds"] * d0 - k["third"] * d1, half - d0 / pi)
+            return (t * k["half_pi"], (k["one"] + t) * half - e / k["third"])
+        return (k["three_halves"] * d0, rho)
+    d0 = _soft_clamp(d0, k["zero"], k["half_pi"], k)
+    v = d0 / pi  # half the angle term
+    if v >= abs(d1):  # the angle-pi wall
+        return (k["third"] * (k["two"] * v + d1), half - v)
     if d1 < k["zero"]:  # the radius-zero wall
-        return (pi - k["two_thirds"] * d0, rho)
-    # the radius-one wall
+        return (k["two_thirds"] * d0, rho)
+    t = k["two"] * d1  # the radius-one wall
     if d0 <= t * k["quarter_pi"]:  # the central arc
-        return (pi - t * k["atan"](k["two"] * k["tan"](d0 / t)), rho)
+        return (t * k["atan"](k["two"] * k["tan"](d0 / t)), rho)
     w = t * k["arc_end"]  # where the slit-top arc starts
     if d0 < w:  # the affine arc
-        return ((k["one"] - t) * pi + (w - d0) * k["arc_stretch"], rho)
+        return (t * pi - (w - d0) * k["arc_stretch"], rho)
     # the slit-top arc, onto the slit's top side: the radius falls from rho
     # by (d0 - w) / astar, at most t.  Next to the corner that fall stretches
     # the offset's rounding by 1/astar, past rho at some precisions (100 and
     # 200 bits): the radius is held at zero, the slit endpoint
-    return ((k["one"] - t) * pi, max(rho - (d0 - w) / k["astar"], k["zero"]))
+    return (t * pi, max(rho - (d0 - w) / k["astar"], k["zero"]))
 
 
 def cone_map(u, ctx, inverse: bool = False):
@@ -328,25 +322,30 @@ def cone_map(u, ctx, inverse: bool = False):
     """
     u0, u1 = _pt(u, ctx)
     k = _consts(ctx)
-    pi, two_pi = k["pi"], k["two_pi"]
-    # the source's center angle and width, whose flip is angle -> width -
-    # angle, and the flip of the target
-    center, flip, image_flip = (pi, two_pi, pi) if inverse else (k["half_pi"], pi, two_pi)
+    pi, two_pi, half_pi = k["pi"], k["two_pi"], k["half_pi"]
+    # the source's width, whose flip is angle -> width - angle, and the
+    # flip of the target
+    flip, image_flip = (two_pi, pi) if inverse else (pi, two_pi)
     u0 = _soft_clamp(u0, k["zero"], flip, k)  # before mirroring: errors name the input
     u1 = _soft_clamp(u1, k["zero"], k["one"], k)
-    lower = u0 > center if inverse else u0 < center
-    w = _cone((flip - u0 if lower else u0) - center, u1, inverse, k)
-    return (image_flip - w[0], w[1]) if lower else w
+    lower = u0 > pi if inverse else u0 < half_pi
+    a = flip - u0 if lower else u0
+    # _cone reads and writes each angle as its offset from the fiber's
+    # direction, pi in the slit chart and pi/2 in the edge chart
+    w = _cone(pi - a if inverse else a - half_pi, u1, inverse, k)
+    a = half_pi + w[0] if inverse else pi - w[0]
+    return (image_flip - a, w[1]) if lower else (a, w[1])
 
 
-def _collapse_pinned(u0, u1, left, lower, k):
+def _collapse_pinned(dx, u1, left, lower, k):
     """The collapse at a point of the square off its pins, which the caller
-    decides on the input with the quarter, given as |r| and |s| in floats
-    of the context: the upper-right quarter's charts, mirrored back."""
+    decides on the input with the quarter, given as 1 - |r| and |s| in
+    floats of the context: the upper-right quarter's charts, mirrored
+    back."""
     # in doubles a point next to an edge can round onto the chart's center
-    if not u1 and u0 == k["one"]:
+    if not u1 and not dx:
         raise DomainError("edge chart is degenerate at its center")
-    w = _cone(*_edge_chart(u0, u1, k), False, k)
+    w = _cone(*_edge_chart(dx, u1, k), False, k)
     y0, y1 = _slit_chart_inv(w[0], w[1], k)
     return (-y0 if left else y0, -y1 if lower else y1)
 
@@ -361,13 +360,15 @@ def _collapse_charts(x, ctx):
     chart's center is checked here.
     """
     u0, u1 = _pt(x, ctx)
-    return _collapse_pinned(abs(u0), abs(u1), x[0] < 0, x[1] < 0, _consts(ctx))
+    k = _consts(ctx)
+    return _collapse_pinned(k["one"] - abs(u0), abs(u1), x[0] < 0, x[1] < 0, k)
 
 
 def _collapse_exact(n: int, d: int, m: int, e: int, ctx, k):
     """``collapse`` at the point (n/d, m/e), both pairs in lowest terms with
     positive denominators, checked, pinned and put in its quarter on the
-    integers, then charted on |n|/d and |m|/e; ``k`` is ``ctx``'s table."""
+    integers, then charted on (d - |n|)/d and |m|/e; ``k`` is ``ctx``'s
+    table."""
     if n > d or -n > d or m > e or -m > e:
         r, s = coprime_fraction(n, d), coprime_fraction(m, e)
         raise DomainError(f"point ({r}, {s}) outside the square")
@@ -377,8 +378,8 @@ def _collapse_exact(n: int, d: int, m: int, e: int, ctx, k):
         return (k["zero"], pair_to_bigfloat(m, e, ctx))
     if not m:
         return (pair_to_bigfloat(n, d, ctx) / 2, k["zero"])
-    a0, a1 = pair_to_bigfloat(abs(n), d, ctx), pair_to_bigfloat(abs(m), e, ctx)
-    return _collapse_pinned(a0, a1, n < 0, m < 0, k)
+    dx, a1 = pair_to_bigfloat(d - abs(n), d, ctx), pair_to_bigfloat(abs(m), e, ctx)
+    return _collapse_pinned(dx, a1, n < 0, m < 0, k)
 
 
 def collapse(x, ctx):
@@ -405,7 +406,7 @@ def collapse(x, ctx):
         return (k["zero"], u1)
     if s == 0:
         return (u0 / 2, k["zero"])
-    return _collapse_pinned(abs(u0), abs(u1), r < 0, s < 0, k)
+    return _collapse_pinned(k["one"] - abs(u0), abs(u1), r < 0, s < 0, k)
 
 
 def _collapse_inv(y, u, k):
@@ -431,8 +432,7 @@ def _collapse_inv(y, u, k):
     # a height below the doubles' range rounds to zero, onto the slit ray
     if u1 == k["zero"] and u0 >= k["half"]:
         raise SlitError(f"point ({u0}, {u1}) lies on the slit ray")
-    theta, rho = _slit_chart(u0, u1, k)
-    w = _cone(theta - k["pi"], rho, True, k)
+    w = _cone(*_slit_chart(u0, u1, k), True, k)
     x0, x1 = _edge_chart_inv(w[0], w[1], k)
     return (-x0 if left else x0, -x1 if lower else x1)
 

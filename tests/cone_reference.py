@@ -1,4 +1,5 @@
-"""The collapse's cone by ray exit, the tests' reference for ``_cone``.
+"""The collapse's cone and chart inverses by ray exit, the tests' reference
+for ``_cone``, ``_edge_chart_inv`` and ``_slit_chart_inv``.
 
 ``collapse_map._cone`` evaluates the cone as one closed form per wall of
 its source rectangle.  This module keeps the four-step route those forms
@@ -10,6 +11,13 @@ functions are kept as the package ran them; ``table`` adds to a context's
 chart table the constants they read that the package's table no longer
 holds.  Like ``_cone``, the reference serves the upper halves of the two
 rectangles; ``cone`` mirrors the lower halves as ``cone_map`` does.
+
+The chart inverses write each exit wall's coordinate into one form per
+branch.  ``chart_inv`` keeps the route they fold: the point where the ray
+leaves the upper-right quarter (``_edge_exit``, ``_slit_exit``, the exit
+steps the package ran before the fold, here on the angle's offset from
+the fiber's direction, as the inverses take it), then the interpolation
+c + rho (e - c) from the chart's centre c.
 """
 
 from planardyn.collapse_map import _consts, _soft_clamp
@@ -128,3 +136,42 @@ def _cone(u0, u1, inverse, k):
     b, t = _ray_exit(u0, u1, src, k)  # t in (0, 1]; 1 on the boundary
     lb = (_slit_to_edge if inverse else _edge_to_slit)(b[0], b[1], k)
     return (c_dst[0] + t * (lb[0] - c_dst[0]), c_dst[1] + t * (lb[1] - c_dst[1]))
+
+
+def _edge_exit(b, k):
+    """Where the ray from the right-edge midpoint (1, 0) at the angle
+    offset ``b`` in [0, pi/2] from the fiber's direction (the edge-chart
+    angle less pi/2) leaves the upper-right quarter [0, 1] x [0, 1].
+
+    Each branch takes one tangent, of an offset within pi/4 of zero: on the
+    fiber the height is the tangent of b, on the top wall the distance from
+    the right edge is the tangent of pi/2 - b.
+    """
+    if b < k["quarter_pi"]:
+        return (k["zero"], k["tan"](b))
+    return (k["one"] - k["tan"](k["half_pi"] - b), k["one"])
+
+
+def _slit_exit(p, k):
+    """Where the ray from the outer slit endpoint (1/2, 0) at the offset
+    ``p`` in [0, pi] from the fiber's direction (pi less the polar angle)
+    leaves the upper-right quarter [0, 1] x [0, 1].
+
+    Each branch takes one tangent: of p on the fiber, of pi - p on the
+    right edge, and on the top wall the cotangent of the polar angle is
+    the tangent of p - pi/2, an offset within pi/4 of zero.
+    """
+    if p < k["corner"]:
+        return (k["zero"], k["tan"](p) * k["half"])
+    if k["pi"] - p > k["corner"]:  # short of the corner (1, 1)
+        return (k["half"] + k["tan"](p - k["half_pi"]), k["one"])
+    return (k["one"], k["tan"](k["pi"] - p) * k["half"])
+
+
+def chart_inv(slit, a, rho, k):
+    """The edge chart's inverse (``slit`` false) or the slit chart's at
+    (``a``, ``rho``) of the upper half, the angle as its offset from the
+    fiber's direction, unfolded: the fraction rho of the way from the
+    chart's centre to where the ray leaves the quarter."""
+    c0, e = (k["half"], _slit_exit(a, k)) if slit else (k["one"], _edge_exit(a, k))
+    return (c0 + rho * (e[0] - c0), rho * e[1])

@@ -5,6 +5,7 @@ a few digits below the working precision (256 bits ~ 77 decimal digits).
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -20,10 +21,8 @@ from planardyn.collapse_map import (
     _consts,
     _edge_chart,
     _edge_chart_inv,
-    _edge_exit,
     _slit_chart,
     _slit_chart_inv,
-    _slit_exit,
     collapse,
     collapse_inv,
     cone_map,
@@ -51,11 +50,9 @@ def test_slit_arc_angle(ctx):
 
 @pytest.mark.parametrize("prec", [None, 53, 128, 256, 512], ids=["fp", "53", "128", "256", "512"])
 def test_folded_constants_are_exact(prec):
-    # the cone's angle-pi wall multiplies by four_thirds where it doubled
-    # two_thirds * d0, and the tangent chart's range test reads minus_one:
-    # the same bits only if each fold is exact
+    # the tangent chart's range test reads minus_one: the same bits only if
+    # the fold is exact
     k = _consts(_context(prec))
-    assert k["four_thirds"] == 2 * k["two_thirds"]
     assert k["minus_one"] == -k["one"]
 
 
@@ -72,42 +69,47 @@ SLIT_CENTER = (Fraction(1, 2), Fraction(0))
 
 
 def _exit(center, a, ctx):
-    """Where the ray from a chart center at a chart angle leaves the half-square."""
-    step = _edge_exit if center == EDGE_CENTER else _slit_exit
-    return step(a, _consts(ctx))
+    """Where the ray from a chart center at a chart angle offset leaves the
+    half-square: the chart inverse at radius one."""
+    k = _consts(ctx)
+    return (_edge_chart_inv if center == EDGE_CENTER else _slit_chart_inv)(a, k["one"], k)
 
 
 def test_chart_centers(ctx):
-    # radius zero is the chart's center, whatever the angle of the upper half
+    # radius zero is the chart's center, whatever the angle of the upper
+    # half, given as its offset from the fiber's direction
     k = _consts(ctx)
-    for a in (k["half_pi"], k["three_quarter_pi"], k["pi"]):
+    for a in (k["zero"], k["quarter_pi"], k["half_pi"]):
         assert _edge_chart_inv(a, k["zero"], k) == (k["one"], k["zero"])
     for a in (k["zero"], k["corner"], k["stretch"], k["pi"]):
         assert _slit_chart_inv(a, k["zero"], k) == (k["half"], k["zero"])
 
 
 class TestExitPoint:
+    # the angles are offsets from the fiber's direction: the edge chart's
+    # angle less pi/2, pi less the slit chart's
     def test_edge_chart_walls(self, ctx):
         pi = +ctx.pi
-        assert _close(_exit(EDGE_CENTER, pi / 2, ctx), (0, 0))
-        assert _close(_exit(EDGE_CENTER, 3 * pi / 4, ctx), (0, 1))
-        assert _close(_exit(EDGE_CENTER, pi, ctx), (1, 1))
+        assert _close(_exit(EDGE_CENTER, ctx.mpf(0), ctx), (0, 0))
+        assert _close(_exit(EDGE_CENTER, pi / 4, ctx), (0, 1))
+        assert _close(_exit(EDGE_CENTER, pi / 2, ctx), (1, 1))
 
     def test_slit_chart_walls(self, ctx):
         pi = +ctx.pi
-        assert _close(_exit(SLIT_CENTER, ctx.mpf(0), ctx), (1, 0))
-        assert _close(_exit(SLIT_CENTER, ctx.atan(2), ctx), (1, 1))
+        assert _close(_exit(SLIT_CENTER, pi, ctx), (1, 0))
+        assert _close(_exit(SLIT_CENTER, pi - ctx.atan(2), ctx), (1, 1))
         assert _close(_exit(SLIT_CENTER, pi / 2, ctx), (Fraction(1, 2), 1))
-        assert _close(_exit(SLIT_CENTER, pi - ctx.atan(2), ctx), (0, 1))
-        assert _close(_exit(SLIT_CENTER, pi, ctx), (0, 0))
+        assert _close(_exit(SLIT_CENTER, ctx.atan(2), ctx), (0, 1))
+        assert _close(_exit(SLIT_CENTER, ctx.mpf(0), ctx), (0, 0))
 
-    # fixed ids, so that a corner keeps its test name when the list changes
+    # fixed ids, so that a corner keeps its test name when the list changes;
+    # the first is the edge chart's angle 3 pi/4, its offset pi/4
     @pytest.mark.parametrize(
         "center, key",
         [
-            (EDGE_CENTER, "three_quarter_pi"),
-            (SLIT_CENTER, "corner"),
-            (SLIT_CENTER, "stretch"),  # pi - atan 2
+            (EDGE_CENTER, "quarter_pi"),
+            (SLIT_CENTER, "corner"),  # the corner (0, 1)
+            (SLIT_CENTER, "stretch"),  # pi - atan 2, the corner (1, 1)
         ],
         ids=["center1-three_quarter_pi", "center2-corner", "center3-stretch"],
     )
@@ -125,8 +127,10 @@ class TestExitPoint:
 
 
 def _run(step, u, ctx):
-    """A two-coordinate chart step at the point ``u``."""
-    return step(u[0], u[1], _consts(ctx))
+    """A two-coordinate chart step at the point ``u``; the edge chart is
+    handed the point's offset 1 - x from the right edge."""
+    k = _consts(ctx)
+    return step(k["one"] - u[0] if step is _edge_chart else u[0], u[1], k)
 
 
 class TestCharts:
@@ -138,19 +142,23 @@ class TestCharts:
         assert _close(_run(_edge_chart, (ctx.mpf(1), ctx.mpf(1)), ctx), (pi / 2, 1))
 
     def test_slit_chart_pins(self, ctx):
+        # the angle comes as pi less the polar angle, its offset from the
+        # fiber's direction
         pi = +ctx.pi
         assert _close(_run(_slit_chart, (ctx.mpf("0.5"), ctx.mpf(1)), ctx), (pi / 2, 1))
-        assert _close(_run(_slit_chart, (ctx.mpf(0), ctx.mpf(0)), ctx), (pi, 1))
+        assert _close(_run(_slit_chart, (ctx.mpf(0), ctx.mpf(0)), ctx), (0, 1))
 
     def test_slit_chart_forward_angles(self, ctx):
-        # the polar angle about (1/2, 0), in [0, pi] on the upper quarter
+        # pi less the polar angle about (1/2, 0), in [0, pi] on the upper
+        # quarter
         pi, tiny = +ctx.pi, ctx.ldexp(1, -20)
-        # just above the slit ray the angle starts at 0; straight up it is pi/2
-        assert 0 < _run(_slit_chart, (ctx.mpf(1), tiny), ctx)[0] < ctx.ldexp(1, -18)
+        # just above the slit ray the offset starts at pi; straight up it is
+        # pi/2
+        assert pi - ctx.ldexp(1, -18) < _run(_slit_chart, (ctx.mpf(1), tiny), ctx)[0] < pi
         assert abs(_run(_slit_chart, (ctx.mpf("0.5"), ctx.mpf(1)), ctx)[0] - pi / 2) < 1e-70
-        # along the negative axis it is pi; on the slit ray, the top side's 0
-        assert _run(_slit_chart, (ctx.mpf("0.25"), ctx.mpf(0)), ctx)[0] == pi
-        assert _run(_slit_chart, (ctx.mpf(1), ctx.mpf(0)), ctx)[0] == 0
+        # along the negative axis it is 0; on the slit ray, the top side's pi
+        assert _run(_slit_chart, (ctx.mpf("0.25"), ctx.mpf(0)), ctx)[0] == 0
+        assert _run(_slit_chart, (ctx.mpf(1), ctx.mpf(0)), ctx)[0] == pi
         # just below the slit ray the inverse collapse mirrors the point
         # above it, and its preimage stays below the axis
         y = (Fraction(3, 4), Fraction(1, 2**20))
@@ -169,8 +177,7 @@ class TestCharts:
         for x in ("0.125", "0.5", "0.9375"):
             for y in ("0.0625", "0.25", "0.875"):
                 p = (ctx.mpf(x), ctx.mpf(y))
-                offset, rho = _run(_edge_chart, p, ctx)
-                assert _close(_run(_edge_chart_inv, (ctx.pi / 2 + offset, rho), ctx), p)
+                assert _close(_run(_edge_chart_inv, _run(_edge_chart, p, ctx), ctx), p)
 
     def test_radius_is_the_sup_norm(self, ctx):
         # on dyadic points the forward radius is the sup-norm formula exactly
@@ -483,15 +490,27 @@ def test_collapse_mirrors_a_point_that_rounds_onto_the_edge():
 
 def test_heights_below_the_doubles_keep_their_errors(fp):
     # a nonzero height that rounds to zero in doubles puts the rounded point
-    # on the slit ray (inverse) or on the edge chart's center (forward)
+    # on the slit ray (inverse) or, with an edge offset 1 - |r| that rounds
+    # to zero too, on the edge chart's center (forward)
     tiny = Fraction(1, 2**1100)
     for y in ((Fraction(3, 4), tiny), (Fraction(-3, 4), -tiny)):
         with pytest.raises(SlitError):
             collapse_inv(y, fp)
-    near = 1 - Fraction(1, 2**60)  # rounds to 1 in doubles
-    for x in ((near, tiny), (-near, -tiny)):
+    for x in ((1 - tiny, tiny), (tiny - 1, -tiny)):
         with pytest.raises(DomainError, match="edge chart is degenerate at its center"):
             collapse(x, fp)
+    # the exact entry converts the offset itself: 2^-60 is a double, though
+    # 1 - 2^-60 rounds to 1, so the point is charted, off the chart's
+    # center.  Its image is the 1024-bit image rounded to doubles, a height
+    # of 2.5e-332 rounding to a zero of its sign, and lies where the axis
+    # pin sends (1 - 2^-60, 0)
+    near = 1 - Fraction(1, 2**60)
+    for x in ((near, tiny), (-near, -tiny)):
+        image = collapse(x, fp)
+        fine = collapse(x, make_context(1024))
+        assert [repr(v) for v in image] == [repr(float(v)) for v in fine], x
+        assert image == collapse((x[0], Fraction(0)), fp), x
+        assert math.copysign(1, image[1]) == (1 if x[1] > 0 else -1), x
 
 
 @pytest.mark.parametrize("prec", [256, None], ids=["256", "fp"])
@@ -561,9 +580,16 @@ def test_reflections_commute_exactly(prec):
             for (a, b), q in _mirrors(w).items():
                 assert collapse_inv(q, ctx) == (a * v[0], b * v[1]), (w, q)
     # a height that rounds to zero is mirrored too: on fp both heights
-    # round to zero, and their images are still mirrors off the axis
+    # round to zero, and so do their images' heights (about 2^-1100), but
+    # not their signs; at 256 bits the images lie off the axis, their
+    # heights to the context's relative accuracy
     up, down = collapse((Fraction(1, 3), TINY), ctx), collapse((Fraction(1, 3), -TINY), ctx)
-    assert down == (up[0], -up[1]) and up[1] != 0
+    assert [repr(v) for v in down] == [repr(up[0]), repr(-up[1])]
+    if ctx is mpmath.fp:
+        assert up[1] == 0 and math.copysign(1, up[1]) == 1
+    else:
+        fine = collapse((Fraction(1, 3), TINY), make_context(2 * ctx.prec))[1]
+        assert up[1] != 0 and abs(up[1] / fine - 1) <= ctx.ldexp(1, 8 - ctx.prec)
     # the cone map, both directions, on rays into the slit arcs and off them
     astar = k["astar"]
     for rho in (k["zero"], to_bigfloat(Fraction(1, 3), ctx), k["half"], k["one"]):
@@ -630,7 +656,7 @@ def test_collapse_of_dyadic_fractions_equals_collapse_of_their_floats(prec, data
     assert [repr(v) for v in collapse(x, ctx)] == [repr(v) for v in collapse(floats, ctx)], x
 
 
-@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
 def test_forward_error_against_1024_bits(prec, tol):
     # the reflections commute exactly, so the commutation check no longer
     # sees the forward map's own error; pin it against a 1024-bit collapse
@@ -690,6 +716,103 @@ def test_cone_radius_needs_no_clamp(case, doubles):
     assert all(0 <= v <= 1 for v in seen), seen
 
 
+RANGE_PRECISIONS = [None, 53, 64, 100, 128, 200, 256, 512]
+
+
+@pytest.mark.parametrize("prec", RANGE_PRECISIONS, ids=["fp", "53", "64", "100", "128", "200", "256", "512"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chart_inverse_images_lie_in_the_quarter(prec, data):
+    # the chart inverses clamp only their angles: the radius each is handed
+    # is in [0, 1], so a radius clamp would change nothing, and the image
+    # lands in the closed upper-right quarter, a few ulps from the walls and
+    # slit ends too, in both directions of the collapse.  The quarter is
+    # widened by 16 units of 2^-p: the corner offsets pi/4, atan 2 and
+    # pi - atan 2 are rounded at p bits, and a ray through a rounded corner
+    # leaves up to 2 units past the fiber (at 64 and 200 bits), with or
+    # without a radius clamp
+    ctx = _context(prec)
+    bits = 53 if prec is None else prec
+    x = (data.draw(_near_walls(bits)), data.draw(_near_walls(bits)))
+    seen = []
+
+    def recorded(step):
+        def run(a, rho, k):
+            out = step(a, rho, k)
+            seen.append((step.__name__, rho, out))
+            return out
+
+        return run
+
+    def inverse(y):
+        r, s = y
+        if abs(r) < 1 and abs(s) < 1 and (s != 0 or 2 * abs(r) < 1):
+            try:
+                collapse_inv(y, ctx)
+            except SlitError:  # a height below the doubles' range
+                assert ctx is mpmath.fp
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_edge_chart_inv", "_slit_chart_inv"):
+            mp.setattr(collapse_map, name, recorded(getattr(collapse_map, name)))
+        y = collapse(x, ctx)
+        collapse((to_bigfloat(x[0], ctx), to_bigfloat(x[1], ctx)), ctx)
+        inverse(x)
+        inverse(y)
+    slack = ctx.ldexp(1, 4 - bits)
+    for name, rho, image in seen:
+        assert 0 <= rho <= 1, (x, name, rho)
+        assert all(-slack <= v <= 1 + slack for v in image), (x, name, rho, image)
+
+
+# The corner angles of each chart inverse's upper half, as offsets from the
+# fiber's direction named by their chart-table keys: the ends of its
+# branches
+INVERSE_ANGLES = {False: ("zero", "quarter_pi", "half_pi"),
+                  True: ("zero", "corner", "stretch", "pi")}
+
+
+@pytest.mark.parametrize("prec", RANGE_PRECISIONS, ids=["fp", "53", "64", "100", "128", "200", "256", "512"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chart_inverses_fold_the_ray_exit(prec, data):
+    # each chart inverse writes its exit wall's coordinate into one form per
+    # branch; tests/cone_reference.py keeps the ray exit e and the
+    # interpolation c + rho (e - c) they fold.  A fold that only scales by
+    # a power of two or writes 1 + rho (0 - 1) as 1 - rho is the unfolded
+    # form bit for bit (rho is 0 or a normal double); on the two branches
+    # that fold c + rho ((c -+ tan) - c) into c -+ rho tan, each coordinate
+    # is within 1.5 units of 2^-p of the unfolded form at p + 64 bits with
+    # the same corner angles: three roundings of half a unit, the
+    # tangent's, the product's and the difference's
+    ctx = _context(prec)
+    bits = 53 if prec is None else prec
+    k = _consts(ctx)
+    fine = make_context(bits + 64)
+    kf = dict(_consts(fine))
+    kf.update({key: fine.mpf(k[key]) for key in ("zero", "quarter_pi", "half_pi", "corner", "stretch", "pi")})
+    slit = data.draw(st.booleans(), "slit")
+    keys = INVERSE_ANGLES[slit]
+    if data.draw(st.booleans(), "at a seam"):
+        a = k[data.draw(st.sampled_from(keys))] + ctx.ldexp(data.draw(st.integers(-8, 8)), 2 - bits)
+    else:
+        along = to_bigfloat(data.draw(st.fractions(0, 1, max_denominator=10**6), "along"), ctx)
+        a = along * k[keys[-1]]
+    a = min(max(a, k["zero"]), k[keys[-1]])
+    rho = to_bigfloat(data.draw(st.one_of(st.sampled_from((Fraction(0), Fraction(1))),
+                                          st.integers(1, 8).map(lambda j: 1 - Fraction(j, 2**bits)),
+                                          st.fractions(0, 1, max_denominator=10**6)), "rho"), ctx)
+    got = (_slit_chart_inv if slit else _edge_chart_inv)(a, rho, k)
+    unfolded = cone_reference.chart_inv(slit, a, rho, k)
+    # the branch that writes c -+ rho tan: the edge chart's top wall and the
+    # slit chart's, each in its first coordinate
+    rounded = k["corner"] <= a and k["pi"] - a > k["corner"] if slit else a >= k["quarter_pi"]
+    assert got[1] == unfolded[1] and (rounded or got[0] == unfolded[0]), (a, rho, got, unfolded)
+    want = cone_reference.chart_inv(slit, fine.mpf(a), fine.mpf(rho), kf)
+    for v, w in zip(got, want):
+        assert abs(fine.mpf(v) - w) <= 1.5 * fine.ldexp(1, -bits), (a, rho, got, want)
+
+
 @pytest.mark.parametrize("prec", [None, 53, 64, 128, 256, 512], ids=["fp", "53", "64", "128", "256", "512"])
 def test_slit_top_radius_is_at_most_one(prec):
     # the slit-top arc stretches the edge-chart angle by 1/astar, so at
@@ -701,6 +824,22 @@ def test_slit_top_radius_is_at_most_one(prec):
     start = k["pi"] - k["astar"]
     for j in range(-4, 5):
         assert 0 <= cone_map((start + ctx.ldexp(j, 2 - ctx.prec), k["one"]), ctx)[1] <= 1
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_top_edge_images_stay_in_the_square_next_to_the_corner(prec):
+    # the affine arc carries these top-edge points next to the slit chart's
+    # corner (1, 1), where its right edge meets its top wall; the branch
+    # test reads theta = pi - phi, exact there, so that no image rises
+    # above the top (a test on phi against the rounded pi - atan 2 put two
+    # of them at height 1 + 2^-509 at 512 bits)
+    ctx, fine = make_context(prec), make_context(prec + 100)
+    kf = _consts(fine)
+    x0 = fine.mpf(1 - 1 / fine.tan(kf["arc_end"] - kf["corner"] / kf["arc_stretch"]))
+    centre = Fraction(int(x0.man)) * Fraction(2) ** int(x0.exp)
+    for j in range(-64, 65):
+        image = collapse((centre + Fraction(j, 2**prec), Fraction(1)), ctx)
+        assert 0 <= image[0] <= 1 and 0 <= image[1] <= 1, (j, image)
 
 
 @pytest.mark.parametrize("prec", [100, 200])
