@@ -76,10 +76,14 @@ typed conversion, ``numerics.to_bigfloat``: any other coordinate, a
 numeric string included, raises DomainError there, before a range test
 compares it.  Each looks up the context's chart table ``k = _consts(ctx)``
 once: its constants as floats of the context, its ``atan2``, ``tan`` and
-``atan`` (on ``mpmath.fp`` the ``math`` functions that ``fp``'s wrappers
-call on a float), and the tangent chart's pi/2 and 2/pi.  The chart steps
-take floats of the context and the table, not the context.  An entry
-then calls an internal form that takes the table: ``_cone`` for
+``atan``, and the tangent chart's pi/2 and 2/pi.  On ``mpmath.fp`` the
+three are the ``math`` functions that ``fp``'s wrappers call on a float; on
+big floats each calls mpmath's libmp routine at the table's precision and
+rounding, as the context's function does past its type dispatch, and writes
+down the tangent of a tiny float and the arctangent of a steep quotient
+(``_libmp_entries``): mpmath's bits without its extra working bits.  The
+chart steps take floats of the context and the table, not the context.  An
+entry then calls an internal form that takes the table: ``_cone`` for
 ``cone_map``, ``_collapse_exact`` and ``_collapse_pinned`` for
 ``collapse``, ``_collapse_inv`` for ``collapse_inv``.  The plane map looks
 the table up once per step and calls these forms directly, so the points
@@ -106,7 +110,8 @@ and at each chart inverse.  An angle is a rounded transcendental or a sum
 of rounded constants, a few ulps past its half's wall at worst; the clamp
 snaps it back, so that the branch tests pick the wall the ray leaves
 through and each tangent's argument, such as pi - phi on the slit chart's
-right edge, is not negative.  The chart inverses clamp no radius.
+right edge, is not negative.  The chart inverses clamp no radius; the slit
+chart's top wall holds its abscissa, which cancels next to (0, 1), at zero.
 """
 
 from __future__ import annotations
@@ -116,6 +121,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath.ctx_fp import FPContext
+from mpmath.libmp import from_man_exp, mpf_atan, mpf_atan2, mpf_div, mpf_pos, mpf_tan, pi_fixed
 
 from .numerics import DomainError, SlitError, coprime_fraction, pair_to_bigfloat, to_bigfloat
 
@@ -133,6 +139,45 @@ def _consts(ctx):
     return _consts_at(ctx, ctx.prec)
 
 
+def _libmp_entries(ctx, prec):
+    """The big-float table's tan, atan and atan2: mpmath's libmp routines at
+    ``prec`` and the rounding, as ``ctx.tan``, ``ctx.atan`` and
+    ``ctx.atan2`` call them, and two bands where mpmath spends |log2 x|
+    extra bits on a value written down here, to the same bits.  tan(x) = x
+    for a context float 0 < |x| < 2^-(p//2 + 4): tan x - x < 2^-(p+8) x, and
+    mpmath keeps 10 guard bits and rounds to nearest, the one rounding a
+    context takes.  atan2(y, x), y, x > 0, takes ``mpf_atan2``'s steps:
+    z = y/x and atan z truncated at p + 4 bits, rounded to p.  For
+    2^(p/2 + 4) < z <= 2^(p+24) ``mpf_atan`` takes pi/2 - atan(1/z) at
+    wp = p + 34 + log2 z bits; pi/2 - 1/z, (1/z)^3 and a few series units
+    off, truncates alike unless within 2^32 units of wp of a step.
+    """
+    rnd, make = ctx._prec_rounding[1], ctx.make_mpf
+    qp, lo, hi, tiny = prec + 4, prec // 2 + 4, prec + 24, -(prec // 2) - 4
+
+    def tan(x):
+        v = x._mpf_
+        return make(v if v[1] and v[2] + v[3] < tiny and v[3] <= prec else mpf_tan(v, prec, rnd))
+
+    def atan(x):
+        return make(mpf_atan(x._mpf_, prec, rnd))
+
+    def atan2(y, x):
+        y, x = y._mpf_, x._mpf_
+        if not (y[1] and x[1]) or y[0] or x[0]:
+            return make(mpf_atan2(y, x, prec, rnd))
+        z = mpf_div(y, x, qp)  # mpf_atan2's steps from here on
+        if lo < z[2] + z[3] <= hi:
+            wp = qp + 30 + z[2] + z[3]
+            a = (pi_fixed(wp) >> 1) + 1 - ((1 << (wp - z[2])) // z[1])  # 1/z truncated
+            cut = a.bit_length() - qp
+            if 2**32 <= a & ((1 << cut) - 1) < (1 << cut) - 2**32:
+                return make(from_man_exp(a >> cut, cut - wp, prec, rnd))
+        return make(mpf_pos(mpf_atan(z, qp), prec, rnd))
+
+    return tan, atan, atan2
+
+
 # bounded: contexts are made freely (one per precision_scaling run), and an
 # unbounded cache would keep every one of them alive
 @lru_cache(maxsize=16)
@@ -145,11 +190,10 @@ def _consts_at(ctx, prec):
     # on doubles, the math functions that mpmath.fp's wrappers call on a
     # float: the same bits without the wrappers' type dispatch
     fp = isinstance(ctx, FPContext)
+    tan, atan, atan2 = (math.tan, math.atan, math.atan2) if fp else _libmp_entries(ctx, prec)
     span, stretch = pi / 4 - astar, pi - corner  # the affine arc's widths
     return {
-        "atan2": math.atan2 if fp else ctx.atan2,
-        "tan": math.tan if fp else ctx.tan,
-        "atan": math.atan if fp else ctx.atan,
+        "atan2": atan2, "tan": tan, "atan": atan,
         "pi": pi,
         "two_pi": 2 * pi,
         "half_pi": pi / 2,
@@ -251,7 +295,8 @@ def _slit_chart_inv(phi, rho, k):
         return (k["half"] - h, h * k["tan"](phi))
     theta = k["pi"] - phi
     if theta > k["corner"]:  # the top wall, from the corner (0, 1) to (1, 1)
-        return (k["half"] + rho * k["tan"](phi - k["half_pi"]), rho)
+        # held at zero: next to (0, 1) it cancels to a few units of 2^-p
+        return (max(k["half"] + rho * k["tan"](phi - k["half_pi"]), k["zero"]), rho)
     h = rho * k["half"]  # the right edge
     return (k["half"] + h, h * k["tan"](theta))
 

@@ -172,6 +172,10 @@ def chart_inv(slit, a, rho, k):
     """The edge chart's inverse (``slit`` false) or the slit chart's at
     (``a``, ``rho``) of the upper half, the angle as its offset from the
     fiber's direction, unfolded: the fraction rho of the way from the
-    chart's centre to where the ray leaves the quarter."""
+    chart's centre to where the ray leaves the quarter.  The slit chart's
+    abscissa is held at zero, as ``_slit_chart_inv`` holds its top wall's:
+    a ray through the rounded corner angle atan 2 can leave a few units of
+    2^-p past the fiber."""
     c0, e = (k["half"], _slit_exit(a, k)) if slit else (k["one"], _edge_exit(a, k))
-    return (c0 + rho * (e[0] - c0), rho * e[1])
+    x = c0 + rho * (e[0] - c0)
+    return (max(x, k["zero"]) if slit else x, rho * e[1])

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cone_reference
+import transcendental_sweep
 from planardyn import collapse_map
 from planardyn.collapse_map import (
     SLIT_ARC_DENOM,
@@ -61,6 +62,32 @@ def test_constants_follow_a_precision_change():
     slit_arc_angle(ctx)  # fill the constants cache at 64 bits
     ctx.prec = 512
     assert slit_arc_angle(ctx) == ctx.pi / SLIT_ARC_DENOM
+
+
+@pytest.mark.parametrize("prec", transcendental_sweep.PRECISIONS)
+def test_table_transcendentals_are_mpmaths(prec):
+    # the big-float entries call libmp directly and answer two magnitude
+    # bands themselves; tests/transcendental_sweep.py runs 10^5 draws
+    assert transcendental_sweep.sweep(make_context(prec), 2000, seed=1) == []
+
+
+def test_table_bands_follow_a_precision_change():
+    # 2^-40 x is inside the 64-bit table's tangent band (below 2^-36) and far
+    # outside the 512-bit one's, where its tangent is not x; the quotient
+    # 2^40 is inside the 64-bit arctangent band (above 2^36) and below the
+    # 512-bit one (2^260)
+    ctx = make_context(64)
+    _consts(ctx)
+    ctx.prec = 512
+    k = _consts(ctx)
+    x = ctx.ldexp(ctx.mpf(3) / 7, -40)
+    assert k["tan"](x) == ctx.tan(x) != x
+    assert k["atan2"](ctx.one, x)._mpf_ == ctx.atan2(ctx.one, x)._mpf_
+    assert transcendental_sweep.sweep(ctx, 200, seed=2) == []
+    ctx.prec = 64
+    x = +x
+    assert _consts(ctx)["tan"](x) == ctx.tan(x) == x
+    assert transcendental_sweep.sweep(ctx, 200, seed=2) == []
 
 
 # Chart centers: midpoint of the right edge, outer right slit endpoint.
@@ -840,6 +867,20 @@ def test_top_edge_images_stay_in_the_square_next_to_the_corner(prec):
     for j in range(-64, 65):
         image = collapse((centre + Fraction(j, 2**prec), Fraction(1)), ctx)
         assert 0 <= image[0] <= 1 and 0 <= image[1] <= 1, (j, image)
+
+
+@pytest.mark.parametrize("prec", [53, 64, 100, 128, 200, 256, 512])
+def test_top_edge_images_stay_off_the_mirror_half_next_to_the_fiber(prec):
+    # top-edge points (x, 1) with 0 < x < 2^(6-p) go next to the slit
+    # chart's corner (0, 1), on its top wall, whose abscissa 1/2 + rho
+    # tan(phi - pi/2) cancels to a few units of 2^-p there: it fell 2 units
+    # below zero at 64 bits and 1 at 200, across the fiber into the mirror
+    # half, on 46 of these 3000 points each
+    ctx = make_context(prec)
+    one = Fraction(1)
+    for j in range(1, 3001):
+        image = collapse((Fraction(j, 3000 * 2 ** (prec - 6)), one), ctx)
+        assert image[0] >= 0, (j, image)
 
 
 @pytest.mark.parametrize("prec", [100, 200])

@@ -236,6 +236,7 @@ def test_double_table_is_mpmath_fp_bit_for_bit():
     # wrappers call on a float: the same bits, sign of zero included
     fp = mpmath.fp
     k = _consts(fp)
+    assert (k["tan"], k["atan"], k["atan2"]) == (math.tan, math.atan, math.atan2)
     assert k["half_pi"] == fp.pi / 2 and k["two_over_pi"] == 2 / fp.pi
     half_pi = math.pi / 2
     values = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.0, 0.5, 3.0,
@@ -431,6 +432,43 @@ def test_wall_seed_lifts_are_pinned():
         for v in w:
             digest.update(f"{n} {v.numerator:x} {v.denominator:x}\n".encode())
     assert digest.hexdigest() == WALL_SEED_LIFTS_SHA256
+
+
+# sha256 of lifted_core's plane points over steps -100..-75 and 75..100, as
+# "n sign mantissa exponent bitcount" lines per coordinate (the mantissa in
+# hex, so that the digest does not depend on mpmath's backend), for the
+# plane images of a generic seed and of the strip-wall seed.  These orbits
+# close in on the slit endpoints, where the chart table's tangents take
+# their fast magnitude band at every precision here and the edge chart's
+# arctangents theirs at 64 to 256 bits; the reports round their evidence
+# to 9 digits and would not see a last-bit change.  At 64 and 128 bits
+# both tails have reached (+-1, 0) exactly, so their digests agree.
+TAIL_POINTS_SHA256 = {
+    ("generic", 64): "d05f9319649a92413d2f612fe84c9ad7ef4572fea87c4fd2121d1206521b9adc",
+    ("wall", 64): "767379b0d6adde5165a9f2cf8d16273c76b8d03dea044dc0959fb09a50ee5fa5",
+    ("generic", 128): "d05f9319649a92413d2f612fe84c9ad7ef4572fea87c4fd2121d1206521b9adc",
+    ("wall", 128): "767379b0d6adde5165a9f2cf8d16273c76b8d03dea044dc0959fb09a50ee5fa5",
+    ("generic", 200): "86efaf403c5cb1483fb0457dd7052b6816dba0d42d350191936ae2c88a04289f",
+    ("wall", 200): "6ece5177ff67a7e79e8e16b95b56614206af33b785e1e5acf963fedc551cbd6d",
+    ("generic", 256): "6f4881f390fff972c137e0c9992737af9e0a0faa6392bc5060bb0ea97ac7face",
+    ("wall", 256): "987c62775d107bec08c3445e9818e2de62b4dcc44f24b752d4ad837fc6c2f03e",
+    ("generic", 512): "819704784ec90053c466221fe3eaa402079000160301227831a4eaf5a68f474e",
+    ("wall", 512): "780b193008765b9105a3c8c22695b0977766083b2f191ce376184230df96987d",
+}
+TAIL_SEEDS = {"generic": (Fraction(1, 3), Fraction(1, 5)), "wall": (Fraction(-3, 5), Fraction(-1, 2))}
+
+
+@pytest.mark.parametrize("seed, prec", list(TAIL_POINTS_SHA256), ids=[f"{s}-{p}" for s, p in TAIL_POINTS_SHA256])
+def test_lifted_tail_points_are_pinned(seed, prec):
+    ctx = make_context(prec)
+    x = tangent_chart(collapse(TAIL_SEEDS[seed], ctx), ctx)
+    digest = hashlib.sha256()
+    for n, _, y in lifted_core(x, (-100, 100), ctx):
+        if abs(n) >= 75:
+            for v in y:
+                sign, man, exp, bc = v._mpf_
+                digest.update(f"{n} {sign} {int(man):x} {exp} {bc}\n".encode())
+    assert digest.hexdigest() == TAIL_POINTS_SHA256[seed, prec]
 
 
 def test_plane_step_takes_the_narrow_blend_row(monkeypatch):
