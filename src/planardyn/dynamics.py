@@ -54,6 +54,7 @@ from .plane_map import (
 )
 from .square_map import (
     _forward_piece_key,
+    _orbit,
     _steps,
     as_square_point,
     descend_map,
@@ -193,14 +194,14 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
 
     The range need not contain 0: iteration always starts at the seed
     (step 0), and only the requested steps are returned.  Steps below zero
-    use the inverse; an orbit leaving the map's domain raises a DomainError
-    naming the step, also at a step before the range.  Maps with a
-    ``lifted`` routine (f and h) get their points from it: one loop on
-    integer pairs (``square_map._orbit``) with no per-step rounding or
-    Fraction, which builds only the requested steps.  f checks its seed
-    once there, the other maps here against their domain kind: a seed
-    outside it raises before any step.  These step through ``forward`` and
-    ``inverse``, since eta and zeta, say, can leave their domain mid-orbit.
+    use the inverse.  Maps with a ``lifted`` routine (f and h) get their
+    points from it, on integer pairs with no per-step rounding or
+    Fraction; f checks its seed once there.  The other maps check their
+    seed here against their domain kind, so a seed outside it raises
+    before any step, and step ``forward`` and ``inverse`` through the same
+    windowed loop (``square_map._orbit``): eta and zeta, say, can leave
+    their domain mid-orbit, which raises a DomainError naming the map and
+    the step, also a step before the range.
     """
     steps = _steps((n_range,))
     scalar = spec.domain == "interval"
@@ -217,24 +218,15 @@ def orbit(spec: MapSpec, seed, n_range: Tuple[int, int]) -> OrbitRecord:
     # negated in-range tests, so a NaN coordinate fails them
     if not all(lo <= v <= hi for v, (lo, hi) in zip(seed, ranges)):
         raise DomainError(f"seed ({', '.join(map(str, seed))}) outside the {spec.domain}")
-
-    def apply(fn, p, n):
-        arg = p[0] if scalar else p
-        try:
-            out = fn(arg)
-        except DomainError as exc:
-            raise DomainError(
-                f"orbit of {spec.name} left the domain at step {n}: {exc}"
-            ) from exc
-        return (out,) if scalar else tuple(out)
-
-    points = {0: seed}
-    for step, fn, stop in ((1, spec.forward, steps[-1]), (-1, spec.inverse, steps[0])):
-        p = points[0]
-        for n in range(step, stop + step, step):
-            p = apply(fn, p, n)
-            points[n] = p
-    entries = tuple((n, points[n]) for n in steps)
+    maps = (spec.forward, spec.inverse)
+    if scalar:
+        step = lambda v, backward: (maps[backward](v),)
+    else:
+        step = lambda r, s, backward: tuple(maps[backward]((r, s)))
+    try:
+        entries = tuple(_orbit(seed, steps, step))
+    except DomainError as exc:
+        raise DomainError(f"orbit of {spec.name} {exc}") from exc
     return OrbitRecord(spec.name, seed, _arith(spec), entries)
 
 
@@ -596,16 +588,15 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
     candidates against the plane map's own limit candidates, both sides.
 
     Seeds are exact rational points of the open square, at least one, so
-    the probe cannot pass on none.  Non-converged estimates mark a seed
-    inconclusive instead of failing it.  Each seed is lifted once (``_tails``).
+    the probe cannot pass on none.  Non-converged estimates mark a side
+    inconclusive instead of failing it; the verdict and the ``inconclusive``
+    count are read off the rows.  Each seed is lifted once (``_tails``).
     """
     if not seeds:
         raise DomainError("semiconjugacy_probe needs at least one seed")
     reg = map_registry(ctx)
     f_spec, h_spec = reg["f"], reg["h"]
     rows = []
-    all_ok = True
-    inconclusive = 0
     for seed in seeds:
         w0 = as_square_point(seed)
         plane_seed = tangent_chart(collapse(w0, ctx), ctx)
@@ -614,23 +605,22 @@ def semiconjugacy_probe(seeds: Sequence, tol: Tolerances, ctx) -> Certificate:
         for side, est_f, est_h in zip(("omega", "alpha"), tails_f, tails_h):
             if not (est_f.converged and est_h.converged):
                 row[side] = "inconclusive"
-                inconclusive += 1
                 continue
             pushed = [
                 _as_floats(tangent_chart(collapse(p, ctx), ctx)) for p in est_f.points
             ]
             h_pts = [_as_floats(p) for p in est_h.points]
-            ok = _matched(pushed, h_pts, LIMITSET) == set(h_pts)
             row[side] = {
                 "pushed": [[round(v, 9) for v in p] for p in pushed],
                 "plane": [[round(v, 9) for v in p] for p in h_pts],
-                "match": ok,
+                "match": _matched(pushed, h_pts, LIMITSET) == set(h_pts),
             }
-            if not ok:
-                all_ok = False
         rows.append(row)
+    sides = [row[side] for row in rows for side in ("omega", "alpha")]
+    inconclusive = sides.count("inconclusive")
+    passed = all(side["match"] for side in sides if side != "inconclusive")
     evidence = {"seeds": rows, "inconclusive": inconclusive, "tolerance": LIMITSET}
-    return Certificate("conjugacy", all_ok, evidence)
+    return Certificate("conjugacy", passed, evidence)
 
 
 # --------------------------------------------------------------------------
@@ -879,33 +869,27 @@ def check_collapse_conditions(
     rng = random.Random(rng_seed)
     pin_bound = tol.pin_bound(ctx)
     roundtrip_bound = tol.chart_roundtrip_bound(ctx)
-    worst = dict.fromkeys(("fiber", "axis", "edge", "commutation", "roundtrip"), ctx.zero)
-    ok = dict.fromkeys(worst, True)
+    bounds = dict.fromkeys(("fiber", "axis", "edge"), pin_bound)
+    bounds.update(commutation=0, roundtrip=roundtrip_bound)
+    # context floats, as a bound may lie below the doubles; float() once, at the end
+    worst = dict.fromkeys(bounds, ctx.zero)
 
-    def record(key, e, bound=pin_bound):
-        # context floats, as the bound may lie below the doubles; float() once, at the end
+    def record(key, e):
         worst[key] = max(worst[key], e)
-        if e > bound:
-            ok[key] = False
-
-    def err(y, target):
-        return _sup_error(y, target, ctx)
-
-    def charts(r, s):
-        return _collapse_charts((r, s), ctx)
 
     for _ in range(pin_samples):
         s = _rand_fraction(rng, -1, 1)
-        record("fiber", err(charts(0, s), (Fraction(0), s)))
+        record("fiber", _sup_error(_collapse_charts((0, s), ctx), (Fraction(0), s), ctx))
     for _ in range(pin_samples):
         r = _rand_fraction(rng, -1, 1)
         if r != 0:
-            record("axis", err(charts(r, 0), (r / 2, Fraction(0))))
+            record("axis", _sup_error(_collapse_charts((r, 0), ctx), (r / 2, Fraction(0)), ctx))
     for k in range(edge_samples // 2):
         # nonzero heights only: (1, 0) is the edge chart's own center
         for s in (Fraction(2 * k + 1, edge_samples), -Fraction(2 * k + 1, edge_samples)):
             for side in (1, -1):
-                record("edge", err(charts(side, s), (Fraction(side, 2), Fraction(0))))
+                y = _collapse_charts((side, s), ctx)
+                record("edge", _sup_error(y, (Fraction(side, 2), Fraction(0)), ctx))
     # boundary path [top-mid -> top-right corner -> edge-mid -> slit end]:
     # collapse images of (r, 1) march monotonically along
     # top wall -> right wall -> slit as r runs from 0 to 1.
@@ -933,14 +917,15 @@ def check_collapse_conditions(
             abs(y_vrt[0] - y[0]),
             abs(y_vrt[1] + y[1]),
         )
-        record("commutation", e, 0)
+        record("commutation", e)
     image_off_slits = True
     for _ in range(roundtrip_samples):
         x = _roundtrip_point(rng)
         y = collapse(x, ctx)
         if x[0] != 0 and x[1] != 0 and y[1] == 0:
             image_off_slits = False
-        record("roundtrip", err(collapse_inv(y, ctx), x), roundtrip_bound)
+        record("roundtrip", _sup_error(collapse_inv(y, ctx), x, ctx))
+    ok = {key: worst[key] <= bound for key, bound in bounds.items()}
     passed = all(ok.values()) and path_ok and image_off_slits
     evidence = {
         "sampler_seed": rng_seed,
@@ -1054,8 +1039,6 @@ def check_slit_continuity(ctx) -> Certificate:
     target = (Fraction(-3, 4), Fraction(0))
     a = ctx.tan(slit_arc_angle(ctx) / 2)
     rows = []
-    ok_final = True
-    ok_monotone = True
     for side in ("above", "below"):
         errs = []
         approach_dist = []
@@ -1071,20 +1054,18 @@ def check_slit_continuity(ctx) -> Certificate:
             approach_dist.append(_dist(x, (Fraction(3, 4), Fraction(0))))
             y = quotient_square_map(x, ctx)
             errs.append(_dist(y, target))
-        if errs[-1] >= 1e-6:
-            ok_final = False
-        last5 = errs[-5:]
-        if any(b >= a_ for a_, b in zip(last5, last5[1:])):
-            ok_monotone = False
         rows.append(
             {
                 "side": side,
                 "levels": f"odd 5..{5 + 2 * (terms - 1)}",
                 "sequence_distance_to_slit_point": [approach_dist[0], approach_dist[-1]],
                 "final_error": errs[-1],
-                "last5": last5,
+                "last5": errs[-5:],
             }
         )
+    # read off the rows; a NaN distance fails them
+    ok_final = all(row["final_error"] < 1e-6 for row in rows)
+    ok_monotone = all(b < a_ for row in rows for a_, b in zip(row["last5"], row["last5"][1:]))
     return Certificate(
         "conjugacy",
         ok_final and ok_monotone,
@@ -1173,7 +1154,7 @@ def check_excursion(core) -> Certificate:
 
 
 def check_semiconjugacy(ctx, tol: Tolerances) -> Certificate:
-    """Five exact seeds, including one on the fixed fiber."""
+    """Five exact seeds, including one on the fixed fiber; an inconclusive side fails."""
     seeds = [
         (Fraction(0), Fraction(1, 4)),
         (Fraction(1, 3), Fraction(1, 5)),
@@ -1182,9 +1163,7 @@ def check_semiconjugacy(ctx, tol: Tolerances) -> Certificate:
         (Fraction(-3, 5), Fraction(-1, 2)),
     ]
     cert = semiconjugacy_probe(seeds, tol, ctx)
-    if cert.evidence["inconclusive"]:
-        return Certificate("conjugacy", False, cert.evidence)
-    return cert
+    return Certificate("conjugacy", cert.passed and not cert.evidence["inconclusive"], cert.evidence)
 
 
 def check_displacement_battery(rng_seed: int, contrast_grid: Certificate) -> List[Certificate]:
@@ -1323,25 +1302,24 @@ SUITE_TABLE["all"] = SUITE_TABLE["core"] + SUITE_TABLE["xi"] + SUITE_TABLE["plan
 
 def run_suite(name: str, ctx, rng_seed: int = DEFAULT_SAMPLER_SEED) -> dict:
     """Run a named certificate suite at ``DEFAULT_TOLERANCES``; returns a
-    JSON-ready report; a check that raises fails as an "error" certificate."""
+    JSON-ready report; a check that raises fails as an "error" certificate.
+    A report row copies its certificate's evidence and adds the row's label
+    (``check``): no certificate is written after it is made."""
     if name not in SUITE_TABLE:
         raise DomainError(f"unknown suite {name!r}")
     run = CheckRun(ctx, rng_seed)
-    certs = []
+    rows = []
     for label, check in SUITE_TABLE[name]:
         try:
             out = check(run)
         except Exception as exc:
             out = Certificate("error", False, {"error": type(exc).__name__, "message": str(exc)})
-        for cert in out if isinstance(out, list) else [out]:
-            cert.evidence["check"] = label
-            certs.append(cert)
+        for c in out if isinstance(out, list) else [out]:
+            rows.append({"kind": c.kind, "passed": c.passed, "evidence": {**c.evidence, "check": label}})
     return {
         "suite": name,
-        "passed": all(c.passed for c in certs),
-        "certificates": [
-            {"kind": c.kind, "passed": c.passed, "evidence": c.evidence} for c in certs
-        ],
+        "passed": all(row["passed"] for row in rows),
+        "certificates": rows,
         "metadata": {
             "sampler_seed": rng_seed,
             "precision": ctx.prec,

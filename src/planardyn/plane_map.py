@@ -25,13 +25,13 @@ orientation certificates evaluate it once per sample point.  It converts
 its point once, in ``collapse_map._pt`` (``numerics.to_bigfloat`` types
 it), looks the context's chart table (``collapse_map._consts``) up once,
 and chains the internal forms of the public maps, each of which takes the
-table: ``_tangent_inv``, then
-``_quotient`` (``_collapse_inv``, the square map's pair kernel,
-``_collapse_exact``), then ``_tangent``.
+table: ``_tangent_inv``, then ``_quotient`` (``_collapse_inv``, the
+square map's pair kernel, ``_collapse_exact``), then ``_tangent``.
 Between the stages pass two floats of the context, then integer pairs,
 then two floats again; none is converted a second time, and on
 ``mpmath.fp`` every transcendental is a ``math`` call.  ``lifted_core``
-looks the table up once per call and chains the same forms.
+looks the table up once per call and chains the same forms.  Where the
+chain fails, ``_reach`` names a point out of reach at the precision.
 
 ``example_shift_reflection`` is the classical shift-composed-with-
 reflection example of a fixed-point-free plane map with unbounded orbits,
@@ -63,6 +63,14 @@ def _tangent_inv(x, y, k):
     """Tangent chart inverse at two floats of the context."""
     atan, two_over_pi = k["atan"], k["two_over_pi"]
     return (two_over_pi * atan(x), two_over_pi * atan(y))
+
+
+def _reach(x, q, ctx, k):
+    """Raise where the chart preimage ``q`` of the plane point ``x`` has a
+    coordinate rounded onto +-1: ``x`` is out of reach at the precision."""
+    if abs(q[0]) == k["one"] or abs(q[1]) == k["one"]:
+        edge = "its chart preimage rounds onto the square's edge"
+        raise DomainError(f"plane point ({x[0]}, {x[1]}) out of reach at {ctx.prec} bits: {edge}")
 
 
 def tangent_chart(p, ctx, inverse: bool = False):
@@ -158,7 +166,7 @@ def plane_homeo(x, ctx, inverse: bool = False):
 
     The two horizontal rays |x| >= 1, y = 0 (chart images of the slits)
     map by exact reflection, so ray points are period-two and stay exact;
-    everything else goes through the charts.
+    everything else goes through the charts, out to the precision's reach.
     """
     u = _pt(x, ctx)
     x1, x2 = x
@@ -166,7 +174,11 @@ def plane_homeo(x, ctx, inverse: bool = False):
         return (-x1, x2)
     k = _consts(ctx)
     q = _tangent_inv(*u, k)
-    return _tangent(*_quotient(q, q, inverse, ctx, k), k)
+    try:
+        return _tangent(*_quotient(q, q, inverse, ctx, k), k)
+    except DomainError:
+        _reach(x, q, ctx, k)
+        raise
 
 
 def _lifted(x, windows: Sequence[Tuple[int, int]], ctx):
@@ -187,6 +199,7 @@ def _lifted(x, windows: Sequence[Tuple[int, int]], ctx):
     k = _consts(ctx)
     q = _tangent_inv(*u, k)
     if _pinned(*q):
+        _reach(x, q, ctx, k)
         cycle = [(c, _tangent(*c, k)) for c in (q, (-q[0], q[1]))]
         return ((n, None, *cycle[n % 2]) for n in steps)
     w0 = _square_pairs(_collapse_inv(q, q, k), ctx)

@@ -47,12 +47,13 @@ gcds split off the power of two.  The orientation probe's piece key
 and the same row.  ``row_map`` builds the row, only as the tests'
 reference.
 
-``_orbit`` is the one orbit loop of the exact core: it iterates
-``_homeo`` on a checked point's pairs and keeps the steps of one or more
-windows (``_steps``) from one pass.  The map f (``square_orbit``, its
-``lifted`` slot) and the plane map h (``plane_map._lifted``, on its
-seed's exact lift) both run on it, and neither builds a Fraction or
-checks a point per step.
+``_orbit`` is the one windowed orbit loop: it iterates ``_homeo`` on a
+checked point's pairs, or a given step function, and keeps the steps of
+one or more windows (``_steps``) from one pass.  The map f
+(``square_orbit``, its ``lifted`` slot) and the plane map h
+(``plane_map._lifted``, on its seed's exact lift) run it on pairs, with
+no Fraction or point check per step; ``dynamics.orbit`` runs the other
+maps' forward and inverse through it.
 """
 
 from __future__ import annotations
@@ -480,22 +481,28 @@ def _steps(windows: Sequence[Tuple[int, int]]) -> List[int]:
     return [n for n_lo, n_hi in windows for n in range(n_lo, n_hi + 1)]
 
 
-def _orbit(w: PointPairs, steps: List[int]) -> List[Tuple[int, PointPairs]]:
-    """The square map's orbit of a checked point ``w`` at ``steps``
-    (``_steps`` of some windows), as (n, integer pairs) in their order.
+def _orbit(w: tuple, steps: List[int], step=None) -> List[Tuple[int, tuple]]:
+    """The orbit of ``w`` at ``steps`` (``_steps`` of some windows) under
+    ``step(*x, backward)``, as (n, point) in their order; the default step
+    is ``_homeo``, on a checked point's integer pairs, looked up per call.
 
     Iteration starts at ``w`` (step 0) whether or not the steps hold 0,
-    runs ``_homeo`` once forward to the highest step and once backward to
-    the lowest, and keeps only the given steps: one pass for all windows.
+    runs forward to the highest step and then backward to the lowest, and
+    keeps only the given steps: one pass for all windows.  A DomainError
+    from a step comes out as "left the domain at step n: ...".
     """
+    step = step or _homeo
     wanted = set(steps)
     kept = {0: w}
-    for step, stop in ((1, max(steps)), (-1, min(steps))):
-        x = w
-        for n in range(step, stop + step, step):
-            x = _homeo(*x, step < 0)
-            if n in wanted:
-                kept[n] = x
+    try:
+        for sign, stop in ((1, max(steps)), (-1, min(steps))):
+            x = w
+            for n in range(sign, stop + sign, sign):
+                x = step(*x, sign < 0)
+                if n in wanted:
+                    kept[n] = x
+    except DomainError as exc:
+        raise DomainError(f"left the domain at step {n}: {exc}") from exc
     return [(n, kept[n]) for n in steps]
 
 

@@ -110,6 +110,29 @@ def test_orbit_rejects_seed_outside_domain(capsys):
         assert "outside the square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["-3..3", "-9..-5"])
+def test_orbit_departure_is_one_stderr_line(capsys, steps):
+    assert main(["orbit", "--map", "eta", "--seed", "1/3,1/5", f"--steps={steps}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: orbit of eta left the domain at step -1: "
+        "rising-map inverse needs s in [1/2, 1], got 1/5\n"
+    )
+
+
+@pytest.mark.parametrize("argv, point", [
+    (["eval", "--map", "h", "--point", "1e100,2", "--approx"], "(1e+100, 2.0)"),
+    (["orbit", "--map", "h", "--seed", "0,1e80", "--approx", "--steps", "2"], "(0.0, 1e+80)"),
+], ids=["eval", "orbit"])
+def test_far_plane_point_exits_2_naming_it(capsys, argv, point):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: plane point {point} out of reach at 256 bits: "
+        "its chart preimage rounds onto the square's edge\n"
+    )
+
+
 def test_orbit_of_step_zero_alone_checks_the_seed(capsys):
     for name, seed in (("phi", "2"), ("xi", "0,3"), ("Phi", "0,1/4")):
         assert main(["orbit", "--map", name, "--seed", seed, "--steps", "0..0"]) == 2

@@ -72,6 +72,34 @@ def test_orbit_domain_error_names_the_step(registry):
         dyn.orbit(registry["f"], (Fraction(0), Fraction(0)), (2, 1))
 
 
+DEPARTURES = {
+    "eta": ((Fraction(1, 3), Fraction(1, 5)), "rising-map inverse needs s in [1/2, 1], got 1/5"),
+    "zeta": (
+        (Fraction(1, 3), Fraction(-1, 5)),
+        "descending-map inverse needs s in [-1, -1/2], got -1/5",
+    ),
+}
+
+
+@pytest.mark.parametrize("window", [(-3, 3), (-9, -5)], ids=str)
+@pytest.mark.parametrize("name", sorted(DEPARTURES))
+def test_orbit_departure_names_the_map_and_the_step(registry, name, window):
+    # the inverse leaves the domain at step -1: inside the first window,
+    # on the way to the second
+    seed, reason = DEPARTURES[name]
+    with pytest.raises(DomainError) as excinfo:
+        dyn.orbit(registry[name], seed, window)
+    assert str(excinfo.value) == f"orbit of {name} left the domain at step -1: {reason}"
+
+
+def test_orbit_past_no_departure_keeps_its_window(registry):
+    seed, _ = DEPARTURES["eta"]
+    rec = dyn.orbit(registry["eta"], seed, (5, 9))
+    assert [n for n, _ in rec.entries] == [5, 6, 7, 8, 9]
+    assert rec.entries[0][1] == (Fraction(-12073, 16875), Fraction(39, 40))
+    assert rec.entries[-1][1] == (Fraction(-132599, 135000), Fraction(639, 640))
+
+
 @pytest.mark.parametrize("name, seed, domain", [
     ("phi", (Fraction(2),), "interval"),
     ("f01", (Fraction(-5, 4),), "interval"),
@@ -550,6 +578,111 @@ def test_run_suite_core(suite_report):
     assert report["metadata"]["sampler_seed"] == dyn.DEFAULT_SAMPLER_SEED
 
 
+def _all_flags(*keys):
+    return lambda e: all(e[key] is True for key in keys)
+
+
+# criterion 05: per condition, its flag and the tolerance its worst error meets
+COLLAPSE_CONDITIONS = {
+    "fiber": ("fiber_fixed", "pins"),
+    "axis": ("axis_halved", "pins"),
+    "edge": ("edges_collapse", "pins"),
+    "commutation": ("reflections_commute", "commutation"),
+    "roundtrip": ("roundtrip_within_tolerance", "roundtrip"),
+}
+
+
+def _collapse_verdict(e):
+    within = {
+        key: e["worst_errors"][key] <= e["tolerances"][bound]
+        for key, (_, bound) in COLLAPSE_CONDITIONS.items()
+    }
+    assert all(e[flag] == within[key] for key, (flag, _) in COLLAPSE_CONDITIONS.items())
+    return all(within.values()) and e["boundary_path_monotone"] and e["image_avoids_slits"]
+
+
+def _scaling_verdict(e):
+    rows = e["precisions"]
+    for row in rows:
+        assert row["passed"] == (
+            row["roundtrip_worst_error"] <= row["roundtrip_tolerance"]
+            and row["cone_worst_error"] <= row["cone_tolerance"]
+        )
+    return all(row["passed"] for row in rows)
+
+
+def _slit_verdict(e):
+    final = all(side["final_error"] < 1e-6 for side in e["sides"])
+    monotone = all(b < a for side in e["sides"] for a, b in zip(side["last5"], side["last5"][1:]))
+    assert (e["final_below_1e-6"], e["last_five_strictly_decreasing"]) == (final, monotone)
+    return final and monotone
+
+
+def _semiconjugacy_verdict(e):
+    sides = [seed[side] for seed in e["seeds"] for side in ("omega", "alpha")]
+    assert e["inconclusive"] == sides.count("inconclusive")
+    return all(side["match"] for side in sides if side != "inconclusive")
+
+
+def _displacement_verdict(e):
+    # h's row adds a random-disk scan to its grid scan
+    disk = e.get("random_disk")
+    return e["min_displacement"] > 0 and (disk is None or disk["min_displacement"] > 0)
+
+
+def _bounded_verdict(e):
+    if e["trivial"]:
+        return e["period"] == 2
+    return _all_flags("lift_interior_exact", "omega_matches_limit_pair", "alpha_matches_limit_pair")(e)
+
+
+# per suite-table label, ``passed`` recomputed from the row's evidence
+VERDICTS = {
+    "boundary_identity": _all_flags(
+        "rule_matches_reflected_shift", "inverse_rule_matches", "horizontal_edges_two_periodic"
+    ),
+    "rising_bijectivity": _all_flags("lines_map_to_shifted_lines", "roundtrip_identity"),
+    "seam_agreement": _all_flags("agree"),
+    "reversal_symmetry": _all_flags("agree"),
+    "ladder_canonical": _all_flags(
+        "frozen_values_match", "even_steps_nondecreasing_to_200", "gap_bounds_hold", "witness_passed"
+    ),
+    "ladder_random": _all_flags("all_passed"),
+    "interior_limits": _all_flags("all_matched"),
+    "collapse_conditions": _collapse_verdict,
+    "cone_bijectivity": lambda e: e["worst_error"] <= e["tolerance"],
+    "precision_scaling": _scaling_verdict,
+    "slit_continuity": _slit_verdict,
+    # the one row whose evidence does not carry its result: its "exact":
+    # true is a constant of the check, not a finding
+    "rays_exact": None,
+    "plane_convergence": lambda e: all(
+        n is not None and n <= 5000 for n in e["first_settled_step"].values()
+    ),
+    "excursion": lambda e: e["sup_norm"] > e["threshold"],
+    "displacement": _displacement_verdict,
+    "orientation": lambda e: e["signs"]["negative"] == e["samples"],
+    "semiconjugacy": lambda e: e["inconclusive"] == 0 and _semiconjugacy_verdict(e),
+    "example_contrast": lambda e: (
+        e["grid_positive"] == (e["grid_min_displacement"] > 0)
+        and _all_flags("grid_positive", "involution_beyond_band_exact", "orbit_heights_linear")(e)
+    ),
+    "orbit_bounded": _bounded_verdict,
+    "ray_period_two": _bounded_verdict,
+}
+
+
+@pytest.mark.parametrize("suite", ["core", "xi", "plane"])
+def test_every_verdict_follows_from_its_evidence(suite_report, suite):
+    assert set(VERDICTS) == {label for label, _ in dyn.SUITE_TABLE["all"]}
+    for cert in suite_report(suite)["certificates"]:
+        rule = VERDICTS[cert["evidence"]["check"]]
+        if rule is None:
+            assert cert["evidence"]["exact"] is True
+            continue
+        assert rule(cert["evidence"]) == cert["passed"], cert["evidence"]["check"]
+
+
 def test_run_suite_unknown_name(ctx):
     with pytest.raises(DomainError):
         dyn.run_suite("everything", ctx)
@@ -580,6 +713,21 @@ def test_run_suite_records_a_raising_check_as_a_failed_certificate(monkeypatch, 
         },
     }
     assert after["passed"] and after["evidence"]["check"] == "seam_agreement"
+
+
+def test_run_suite_writes_nothing_into_a_certificate(monkeypatch, ctx):
+    # two rows return one certificate object, as rows that share a run
+    # value can: each report row carries its own label, and the
+    # certificate's evidence is the one its check made
+    shared = dyn.Certificate("stub", True, {"value": 1})
+    table = (("first", lambda run: shared), ("second", lambda run: [shared]))
+    monkeypatch.setitem(dyn.SUITE_TABLE, "core", table)
+    report = dyn.run_suite("core", ctx)
+    assert shared.evidence == {"value": 1}
+    assert [c["evidence"] for c in report["certificates"]] == [
+        {"value": 1, "check": "first"},
+        {"value": 1, "check": "second"},
+    ]
 
 
 def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, stubbed_checks):

@@ -275,8 +275,9 @@ def test_tangent_chart_is_the_closed_form_bit_for_bit(prec):
 def test_plane_map_is_the_composition_bit_for_bit(prec):
     # plane_homeo chains the internal forms on one chart table; it is
     # tangent_chart o quotient_square_map o tangent_chart^-1 bit for bit,
-    # the same DomainError where the composition raises one, and the exact
-    # reflection on the two rays
+    # a DomainError where the composition raises one (naming the point out
+    # of reach where its preimage rounds onto the square's edge), and the
+    # exact reflection on the two rays
     ctx = _context(prec)
     one = ctx.mpf(1)
     grid = [to_bigfloat(Fraction(k, 3), ctx) for k in range(-9, 10)]
@@ -294,17 +295,66 @@ def test_plane_map_is_the_composition_bit_for_bit(prec):
             q = tangent_chart(x, ctx, inverse=True)
             try:
                 want = tangent_chart(quotient_square_map(q, ctx, inverse), ctx)
-            except DomainError as err:
+            except DomainError:
                 seen["boundary"] += 1
+                assert any(abs(v) == 1 for v in q)
                 with pytest.raises(DomainError) as got:
                     plane_homeo(x, ctx, inverse)
-                assert str(got.value) == str(err)
+                assert str(got.value) == _out_of_reach(x, ctx)
                 continue
             seen["pinned"] += _pinned(*q)
             got = plane_homeo(x, ctx, inverse)
             assert [_bits(v) for v in got] == [_bits(v) for v in want], (x, inverse)
     # (+-below, 0) round onto the slits; the 1e300 points onto the boundary
     assert seen == {"ray": 28, "pinned": 4, "boundary": 6}
+
+
+def _out_of_reach(x, ctx):
+    return (
+        f"plane point ({x[0]}, {x[1]}) out of reach at {ctx.prec} bits: "
+        "its chart preimage rounds onto the square's edge"
+    )
+
+
+@pytest.mark.parametrize("prec", [None, 53, 256], ids=["fp", "53", "256"])
+def test_far_plane_points_are_out_of_reach(prec):
+    # past the precision's reach a preimage coordinate rounds onto +-1; the
+    # error names the plane point and the precision, where it used to name
+    # the reflected edge point that the tangent chart then rejected
+    ctx = _context(prec)
+    far = [(1e100, 2.0), (0.0, 1e80), (-1e90, -3.0), (0.5, -1e100)]
+    if ctx.prec == 53:
+        far.append((1e30, 1e30))
+    for x in far:
+        assert any(abs(v) == 1 for v in tangent_chart(x, ctx, inverse=True))
+        for inverse in (False, True):
+            with pytest.raises(DomainError) as got:
+                plane_homeo(x, ctx, inverse)
+            assert str(got.value) == _out_of_reach(x, ctx)
+        with pytest.raises(DomainError) as got:
+            lifted_core(x, (0, 2), ctx)
+        assert str(got.value) == _out_of_reach(x, ctx)
+
+
+@pytest.mark.parametrize("prec, x, want", [
+    # on doubles the value follows the platform's libm: not pinned
+    (None, (1e15, 1e15), None),
+    (256, (1e60, 3.0), (
+        "-1999999999999999899016026472633339139404966303588142946622212.563947705276148709",
+        "3.000000000000000000000000000000000000000000000000000000000024619264189320775416",
+    )),
+], ids=["fp", "256"])
+def test_far_points_in_reach_map_as_before(prec, x, want):
+    # the preimages stay inside the square (on doubles, (1e15, 1e15) by a
+    # few units of 2^-53): the map is still the composition, bit for bit
+    ctx = _context(prec)
+    q = tangent_chart(x, ctx, inverse=True)
+    assert all(abs(v) < 1 for v in q)
+    got = plane_homeo(x, ctx)
+    composed = tangent_chart(quotient_square_map(q, ctx), ctx)
+    assert [_bits(v) for v in got] == [_bits(v) for v in composed]
+    assert want is None or all(abs(v - ctx.mpf(w)) <= abs(v) * 2.0**-240 for v, w in zip(got, want))
+    assert lifted_core(x, (0, 1), ctx)[1][2] == got
 
 
 @pytest.mark.parametrize("prec", [None, 53, 128, 256], ids=["fp", "53", "128", "256"])
