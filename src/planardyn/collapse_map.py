@@ -76,9 +76,11 @@ typed conversion, ``numerics.to_bigfloat``: any other coordinate, a
 numeric string included, raises DomainError there, before a range test
 compares it.  Each looks up the context's chart table ``k = _consts(ctx)``
 once: its constants as floats of the context, its ``atan2``, ``tan`` and
-``atan``, and the tangent chart's pi/2 and 2/pi.  On ``mpmath.fp`` the
-three are the ``math`` functions that ``fp``'s wrappers call on a float; on
-big floats each calls mpmath's libmp routine at the table's precision and
+``atan``, the tangent chart's pi/2 and 2/pi, and ``pair``, the context's
+conversion of an integer pair (``numerics.pair_rounding``), so that no
+conversion tests the context.  On ``mpmath.fp`` the three transcendentals
+are the ``math`` functions that ``fp``'s wrappers call on a float; on big
+floats each calls mpmath's libmp routine at the table's precision and
 rounding, as the context's function does past its type dispatch, and writes
 down the tangent of a tiny float and the arctangent of a steep quotient
 (``_libmp_entries``): mpmath's bits without its extra working bits.  The
@@ -86,9 +88,9 @@ chart steps take floats of the context and the table, not the context.  An
 entry then calls an internal form that takes the table: ``_cone`` for
 ``cone_map``, ``_collapse_exact`` and ``_collapse_pinned`` for
 ``collapse``, ``_collapse_inv`` for ``collapse_inv``.  The plane map looks
-the table up once per step and calls these forms directly, so the points
-it hands over are never converted again; ``cone_map`` itself converts
-every point it is given.
+the table up once per call, or once per scan for a scan's bound step, and
+calls these forms directly, so the points it hands over are never
+converted again; ``cone_map`` itself converts every point it is given.
 
 Each fact is checked once, in the function that first sees the point:
 ``collapse`` hands a point of two Fractions to its exact entry
@@ -96,7 +98,7 @@ Each fact is checked once, in the function that first sees the point:
 map calls it with the square map's pairs, building no Fraction), checks
 and pins it on numerators and denominators (square, fiber, edges, axis)
 and, off the pins, converts the edge offset (d - |n|)/d and the height's
-magnitude once each with ``pair_to_bigfloat``; the float entries form the
+magnitude once each with the table's ``pair``; the float entries form the
 offset 1 - |r| once.  ``_collapse_inv`` checks and pins a point as given
 and charts its floats.  Both directions decide the quarter on the point as
 given and chart magnitudes, since both roundings (toward zero for
@@ -123,7 +125,7 @@ from functools import lru_cache
 from mpmath.ctx_fp import FPContext
 from mpmath.libmp import from_man_exp, mpf_atan, mpf_atan2, mpf_div, mpf_pos, mpf_tan, pi_fixed
 
-from .numerics import DomainError, SlitError, coprime_fraction, pair_to_bigfloat, to_bigfloat
+from .numerics import DomainError, SlitError, coprime_fraction, pair_rounding, to_bigfloat
 
 # slit_arc_angle = pi / SLIT_ARC_DENOM
 SLIT_ARC_DENOM = 32768
@@ -132,8 +134,8 @@ SLIT_ARC_DENOM = 32768
 def _consts(ctx):
     """The chart table of ``ctx``: its constants and transcendentals.
 
-    Looked up once per entry point (once per step on the plane path) and
-    handed to every chart step in place of the context.
+    Looked up once per entry point, or per scan of h, and handed to every
+    chart step in place of the context.
     """
     # keyed on the precision too: a context's precision can change after use
     return _consts_at(ctx, ctx.prec)
@@ -194,6 +196,7 @@ def _consts_at(ctx, prec):
     span, stretch = pi / 4 - astar, pi - corner  # the affine arc's widths
     return {
         "atan2": atan2, "tan": tan, "atan": atan,
+        "pair": pair_rounding(ctx),  # integer pair -> float of ctx, at prec
         "pi": pi,
         "two_pi": 2 * pi,
         "half_pi": pi / 2,
@@ -409,22 +412,22 @@ def _collapse_charts(x, ctx):
     return _collapse_pinned(k["one"] - abs(u0), abs(u1), x[0] < 0, x[1] < 0, k)
 
 
-def _collapse_exact(n: int, d: int, m: int, e: int, ctx, k):
+def _collapse_exact(n: int, d: int, m: int, e: int, k):
     """``collapse`` at the point (n/d, m/e), both pairs in lowest terms with
     positive denominators, checked, pinned and put in its quarter on the
-    integers, then charted on (d - |n|)/d and |m|/e; ``k`` is ``ctx``'s
-    table."""
+    integers, then charted on (d - |n|)/d and |m|/e, which the chart table
+    ``k`` converts."""
     if n > d or -n > d or m > e or -m > e:
         r, s = coprime_fraction(n, d), coprime_fraction(m, e)
         raise DomainError(f"point ({r}, {s}) outside the square")
     if n == d or -n == d:
         return (-k["half"] if n < 0 else k["half"], k["zero"])
+    pair = k["pair"]
     if not n:
-        return (k["zero"], pair_to_bigfloat(m, e, ctx))
+        return (k["zero"], pair(m, e))
     if not m:
-        return (pair_to_bigfloat(n, d, ctx) / 2, k["zero"])
-    dx, a1 = pair_to_bigfloat(d - abs(n), d, ctx), pair_to_bigfloat(abs(m), e, ctx)
-    return _collapse_pinned(dx, a1, n < 0, m < 0, k)
+        return (pair(n, d) / 2, k["zero"])
+    return _collapse_pinned(pair(d - abs(n), d), pair(abs(m), e), n < 0, m < 0, k)
 
 
 def collapse(x, ctx):
@@ -440,7 +443,7 @@ def collapse(x, ctx):
     r, s = x
     k = _consts(ctx)
     if type(r) is Fraction and type(s) is Fraction:
-        return _collapse_exact(r.numerator, r.denominator, s.numerator, s.denominator, ctx, k)
+        return _collapse_exact(r.numerator, r.denominator, s.numerator, s.denominator, k)
     u0, u1 = _pt(x, ctx)
     # a negated in-range test, so that NaN fails it
     if not (abs(r) <= 1 and abs(s) <= 1):

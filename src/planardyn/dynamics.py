@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import mpmath
 from fractions import Fraction
@@ -47,6 +47,7 @@ from .numerics import (
 )
 from .plane_map import (
     _lifted,
+    _scan_step,
     example_shift_reflection,
     plane_homeo,
     quotient_square_map,
@@ -93,6 +94,8 @@ class MapSpec:
     each window in turn, from one pass.  f and h have one, and share its
     loop (``square_map._orbit``): f iterates its seed's integer pairs, h its
     seed's exact lift, and each builds output only for the returned steps.
+    ``scan()``, h's, returns the forward map bound for one scan of points
+    already typed in the spec's context; other specs scan with ``forward``.
     """
 
     name: str
@@ -101,6 +104,7 @@ class MapSpec:
     forward: Callable
     inverse: Callable
     lifted: Optional[Callable] = None
+    scan: Optional[Callable] = None
     piece_key: Optional[Callable] = None
 
 
@@ -171,6 +175,7 @@ def map_registry(ctx) -> Dict[str, MapSpec]:
             plane_homeo,
             ctx,
             lifted=lambda seed, windows: [(n, y) for n, _, _, y in _lifted(seed, windows, ctx)],
+            scan=partial(_scan_step, ctx),
         ),
         _invertible("example12", "plane", example_shift_reflection),
     ]
@@ -369,8 +374,9 @@ def displacement_scan(
 
     Exact maps run on exact rationals and the positivity verdict is an
     exact strict inequality; otherwise the cell centers are laid out in
-    doubles and the scan runs in the given context.  Cell centers never
-    lie on the region boundary.
+    doubles and the scan runs in the given context, the spec's, through
+    its ``scan`` map where it has one, converting each ordinate once.  Cell
+    centers never lie on the region boundary.
     """
     (x_lo, x_hi), (y_lo, y_hi) = region
     nx, ny = grid
@@ -383,13 +389,14 @@ def displacement_scan(
         num, lift, measure = float, (lambda v: to_bigfloat(v, ctx)), float
     lo_x, lo_y = num(x_lo), num(y_lo)
     dx, dy = (num(x_hi) - lo_x) / nx, (num(y_hi) - lo_y) / ny
+    step = spec.scan() if spec.scan else spec.forward
+    ys = [lift(lo_y + dy * (2 * j + 1) / 2) for j in range(ny)]
     best = None
     argmin = None
     for i in range(nx):
         x = lift(lo_x + dx * (2 * i + 1) / 2)
-        for j in range(ny):
-            y = lift(lo_y + dy * (2 * j + 1) / 2)
-            qx, qy = spec.forward((x, y))
+        for y in ys:
+            qx, qy = step((x, y))
             d2 = measure((qx - x) ** 2 + (qy - y) ** 2)
             if best is None or d2 < best:
                 best, argmin = d2, (x, y)
@@ -1173,6 +1180,7 @@ def check_displacement_battery(rng_seed: int, contrast_grid: Certificate) -> Lis
     fast_ctx = mpmath.fp
     h_spec = map_registry(fast_ctx)["h"]
     h_grid = displacement_scan(h_spec, ((-3, 3), (-3, 3)), (300, 300), fast_ctx)
+    h_step = h_spec.scan()
     rng = random.Random(rng_seed)
     rand_min, rand_argmin = None, None
     samples = 10**3
@@ -1182,7 +1190,7 @@ def check_displacement_battery(rng_seed: int, contrast_grid: Certificate) -> Lis
             y = rng.uniform(-100.0, 100.0)
             if math.hypot(x, y) <= 100.0:
                 break
-        qx, qy = h_spec.forward((x, y))
+        qx, qy = h_step((x, y))
         d = math.hypot(float(qx) - x, float(qy) - y)
         if rand_min is None or d < rand_min:
             rand_min, rand_argmin = d, (x, y)

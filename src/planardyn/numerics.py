@@ -56,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import truediv
 from typing import Sequence, Tuple, Union
 
 import mpmath
@@ -152,7 +153,15 @@ def pair_to_bigfloat(p: int, q: int, ctx):
 
     Rounded toward zero at ``ctx.prec`` bits, the rounding ``ctx.convert``
     applies to rationals; on ``mpmath.fp`` it is the double nearest to p/q.
-    The pair need not be in lowest terms.
+    The pair need not be in lowest terms.  See :func:`pair_rounding`.
+    """
+    return pair_rounding(ctx)(p, q)
+
+
+def pair_rounding(ctx):
+    """:func:`pair_to_bigfloat` as a function of (p, q), bound to ``ctx`` at
+    its precision now: the chart table's ``pair``.  On ``mpmath.fp`` it is
+    ``operator.truediv``.
 
     The truncation takes one exact floor division: with
     ``k = prec + 1 - (bits(|p|) - bits(q))`` the integer
@@ -167,17 +176,22 @@ def pair_to_bigfloat(p: int, q: int, ctx):
     about 250 bits, so the division costs what o costs, not what q does.
     """
     if isinstance(ctx, FPContext):
-        return p / q
-    a = abs(p)
-    k = ctx.prec + 1 - (a.bit_length() - q.bit_length())
-    t = _twos(q)
-    o = q >> t
-    # floor(a 2^k / q) = floor(a 2^(k - t) / o), and floor(a 2^-j / o) is
-    # floor(floor(a 2^-j) / o)
-    m = a << k - t if k >= t else a >> t - k
-    if o > 1:
-        m //= o
-    return ctx.make_mpf(from_man_exp(-m if p < 0 else m, -k, ctx.prec, round_down))
+        return truediv
+    prec, make = ctx.prec, ctx.make_mpf
+
+    def pair(p: int, q: int):
+        a = abs(p)
+        k = prec + 1 - (a.bit_length() - q.bit_length())
+        t = _twos(q)
+        o = q >> t
+        # floor(a 2^k / q) = floor(a 2^(k - t) / o), and floor(a 2^-j / o) is
+        # floor(floor(a 2^-j) / o)
+        m = a << k - t if k >= t else a >> t - k
+        if o > 1:
+            m //= o
+        return make(from_man_exp(-m if p < 0 else m, -k, prec, round_down))
+
+    return pair
 
 
 def integer_ratio(x) -> Tuple[int, int]:

@@ -19,19 +19,18 @@ as pairs, for one or more step windows (``_lifted``); only ``lifted_core``
 builds Fractions, of the lifts it returns.  The seed is typed and
 ray-tested once per call, where an infinite abscissa raises.
 
-``plane_homeo`` is the one-step map (the naive composition): it is ``h``'s
-forward map in ``dynamics.map_registry``, so the displacement and
-orientation certificates evaluate it once per sample point.  It converts
-its point once, in ``collapse_map._pt`` (``numerics.to_bigfloat`` types
-it), looks the context's chart table (``collapse_map._consts``) up once,
-and chains the internal forms of the public maps, each of which takes the
-table: ``_tangent_inv``, then ``_quotient`` (``_collapse_inv``, the
-square map's pair kernel, ``_collapse_exact``), then ``_tangent``.
-Between the stages pass two floats of the context, then integer pairs,
-then two floats again; none is converted a second time, and on
-``mpmath.fp`` every transcendental is a ``math`` call.  ``lifted_core``
-looks the table up once per call and chains the same forms.  Where the
-chain fails, ``_reach`` names a point out of reach at the precision.
+``plane_homeo``, ``h``'s forward map in ``dynamics.map_registry``, types
+its point once (``collapse_map._pt``), looks the context's chart table
+(``collapse_map._consts``) up once per call, and calls the one step
+``_plane``, which chains the internal forms of the public maps, each of
+which takes the table: ``_tangent_inv``, then ``_quotient``
+(``_collapse_inv``, the square map's pair kernel, ``_collapse_exact``),
+then ``_tangent``.  Between the stages pass two floats of the context,
+then integer pairs, then two floats again; none is converted a second
+time.  The displacement scans, on points already typed, bind ``_plane``
+to the table once per scan (``_scan_step``).  ``lifted_core`` looks the
+table up once per call and chains the same forms.  Where the chain fails,
+``_reach`` names a plane point out of reach at the precision.
 
 ``example_shift_reflection`` is the classical shift-composed-with-
 reflection example of a fixed-point-free plane map with unbounded orbits,
@@ -65,11 +64,11 @@ def _tangent_inv(x, y, k):
     return (two_over_pi * atan(x), two_over_pi * atan(y))
 
 
-def _reach(x, q, ctx, k):
-    """Raise where the chart preimage ``q`` of the plane point ``x`` has a
-    coordinate rounded onto +-1: ``x`` is out of reach at the precision."""
+def _reach(x, q, ctx, k, what="its chart preimage"):
+    """Raise where ``q``, the chart preimage of the plane point ``x`` or of
+    its image as ``what`` says, has a coordinate rounded onto +-1."""
     if abs(q[0]) == k["one"] or abs(q[1]) == k["one"]:
-        edge = "its chart preimage rounds onto the square's edge"
+        edge = f"{what} rounds onto the square's edge"
         raise DomainError(f"plane point ({x[0]}, {x[1]}) out of reach at {ctx.prec} bits: {edge}")
 
 
@@ -134,7 +133,7 @@ def _quotient(x, u, inverse, ctx, k):
     if _pinned(r, s):
         return (-r, s)
     w = _square_pairs(_collapse_inv(x, u, k), ctx)
-    return _collapse_exact(*_homeo(*w, inverse), ctx, k)
+    return _collapse_exact(*_homeo(*w, inverse), k)
 
 
 def quotient_square_map(x, ctx, inverse: bool = False):
@@ -161,6 +160,24 @@ def on_ray(x) -> bool:
     return False
 
 
+def _plane(x, u, inverse, ctx, k):
+    """``plane_homeo`` at the point ``x``, given also as two floats ``u`` of
+    ``ctx`` (``x`` itself when it already is): ray-tested and reflected on
+    ``x``, charted on ``u``; ``k`` is the chart table of ``ctx``."""
+    x1, x2 = x
+    if on_ray(x):
+        return (-x1, x2)
+    q, w = _tangent_inv(*u, k), None
+    try:
+        w = _quotient(q, q, inverse, ctx, k)
+        return _tangent(*w, k)
+    except DomainError:
+        _reach(x, q, ctx, k)
+        if w:  # g's image of q, which the tangent chart rejected
+            _reach(x, w, ctx, k, f"the chart preimage of its {('forward', 'inverse')[inverse]} image")
+        raise
+
+
 def plane_homeo(x, ctx, inverse: bool = False):
     """The induced plane homeomorphism (tangent-chart conjugate).
 
@@ -168,17 +185,14 @@ def plane_homeo(x, ctx, inverse: bool = False):
     map by exact reflection, so ray points are period-two and stay exact;
     everything else goes through the charts, out to the precision's reach.
     """
-    u = _pt(x, ctx)
-    x1, x2 = x
-    if on_ray(x):
-        return (-x1, x2)
+    return _plane(x, _pt(x, ctx), inverse, ctx, _consts(ctx))
+
+
+def _scan_step(ctx, inverse: bool = False):
+    """``plane_homeo`` for a scan of points whose coordinates already are
+    floats of ``ctx``: the chart table is looked up now, once per scan."""
     k = _consts(ctx)
-    q = _tangent_inv(*u, k)
-    try:
-        return _tangent(*_quotient(q, q, inverse, ctx, k), k)
-    except DomainError:
-        _reach(x, q, ctx, k)
-        raise
+    return lambda x: _plane(x, x, inverse, ctx, k)
 
 
 def _lifted(x, windows: Sequence[Tuple[int, int]], ctx):
@@ -203,7 +217,7 @@ def _lifted(x, windows: Sequence[Tuple[int, int]], ctx):
         cycle = [(c, _tangent(*c, k)) for c in (q, (-q[0], q[1]))]
         return ((n, None, *cycle[n % 2]) for n in steps)
     w0 = _square_pairs(_collapse_inv(q, q, k), ctx)
-    pushed = ((n, w, _collapse_exact(*w, ctx, k)) for n, w in _orbit(w0, steps))
+    pushed = ((n, w, _collapse_exact(*w, k)) for n, w in _orbit(w0, steps))
     return ((n, w, c, _tangent(*c, k)) for n, w, c in pushed)
 
 

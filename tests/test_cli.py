@@ -121,16 +121,20 @@ def test_orbit_departure_is_one_stderr_line(capsys, steps):
     )
 
 
-@pytest.mark.parametrize("argv, point", [
-    (["eval", "--map", "h", "--point", "1e100,2", "--approx"], "(1e+100, 2.0)"),
-    (["orbit", "--map", "h", "--seed", "0,1e80", "--approx", "--steps", "2"], "(0.0, 1e+80)"),
-], ids=["eval", "orbit"])
-def test_far_plane_point_exits_2_naming_it(capsys, argv, point):
+@pytest.mark.parametrize("argv, where", [
+    (["eval", "--map", "h", "--point", "1e100,2", "--approx"],
+     "(1e+100, 2.0) out of reach at 256 bits: its chart preimage"),
+    (["orbit", "--map", "h", "--seed", "0,1e80", "--approx", "--steps", "2"],
+     "(0.0, 1e+80) out of reach at 256 bits: its chart preimage"),
+    # the preimage is in reach; g's image of it rounds onto the edge
+    (["eval", "--map", "h", "--point=-51.53,1.657e15", "--approx", "--precision", "53"],
+     "(-51.53, 1657000000000000.0) out of reach at 53 bits: the chart preimage of its forward image"),
+], ids=["eval", "orbit", "eval-image"])
+def test_far_plane_point_exits_2_naming_it(capsys, argv, where):
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        f"error: plane point {point} out of reach at 256 bits: "
-        "its chart preimage rounds onto the square's edge\n"
-    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: plane point {where} rounds onto the square's edge\n"
 
 
 def test_orbit_of_step_zero_alone_checks_the_seed(capsys):

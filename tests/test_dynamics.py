@@ -3,12 +3,14 @@
 import collections
 import dataclasses
 import inspect
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from planardyn import collapse_map
-from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context
+from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context, to_bigfloat
 from planardyn import dynamics as dyn
 from planardyn import plane_map, square_map
 from planardyn.plane_map import _lifted, lifted_core
@@ -261,6 +263,53 @@ def test_displacement_scan_exact(registry):
     assert cert.passed
     assert cert.evidence["min_displacement"] > 0
     assert len(cert.evidence["argmin"]) == 2
+
+
+def _reference_scan(spec, region, grid, ctx):
+    """``displacement_scan``'s certificate from a plain loop: ``spec.forward``
+    at each cell center lo + d (2 j + 1) / 2, both coordinates converted
+    per point."""
+    (x_lo, x_hi), (y_lo, y_hi) = region
+    if spec.exact:
+        x_lo, x_hi, y_lo, y_hi = map(Fraction, (x_lo, x_hi, y_lo, y_hi))
+        num, lift, measure = Fraction, (lambda v: v), (lambda v: v)
+    else:
+        num, lift, measure = float, (lambda v: to_bigfloat(v, ctx)), float
+    nx, ny = grid
+    lo_x, lo_y = num(x_lo), num(y_lo)
+    dx, dy = (num(x_hi) - lo_x) / nx, (num(y_hi) - lo_y) / ny
+    best = argmin = None
+    for i in range(nx):
+        for j in range(ny):
+            x, y = lift(lo_x + dx * (2 * i + 1) / 2), lift(lo_y + dy * (2 * j + 1) / 2)
+            qx, qy = spec.forward((x, y))
+            d2 = measure((qx - x) ** 2 + (qy - y) ** 2)
+            if best is None or d2 < best:
+                best, argmin = d2, (x, y)
+    return dyn.Certificate("fixedpointfree", best > 0, {
+        "map": spec.name,
+        "region": [[str(x_lo), str(x_hi)], [str(y_lo), str(y_hi)]],
+        "grid": list(grid),
+        "arithmetic": "exact" if spec.exact else "bigfloat",
+        "min_displacement": math.sqrt(float(best)),
+        "argmin": [str(argmin[0]), str(argmin[1])],
+    })
+
+
+@pytest.mark.parametrize("name, prec, region, grid", [
+    ("h", None, ((-3, 3), (-3, 3)), (30, 30)),
+    ("h", None, ((40.0, 40.5), (-60.0, -59.5)), (20, 20)),
+    ("h", 53, ((0.25, 0.75), (-1.0, -0.5)), (7, 5)),
+    ("f", None, ((-1, 1), (-1, 1)), (24, 18)),
+], ids=["h-fp", "h-fp-disk", "h-53", "f-exact"])
+def test_displacement_scan_is_the_per_point_loop(name, prec, region, grid):
+    # the scan binds h's step once and converts each ordinate once; its
+    # certificate is the plain loop's, field for field
+    ctx = mpmath.fp if prec is None else make_context(prec)
+    spec = dyn.map_registry(ctx)[name]
+    cert = dyn.displacement_scan(spec, region, grid, ctx)
+    assert cert == _reference_scan(spec, region, grid, ctx)
+    assert cert.passed and (spec.scan is None) == (name == "f")
 
 
 def test_orientation_probe_square_map(registry):

@@ -1,5 +1,6 @@
 """The plane homeomorphism, its exact lift, and the contrast example."""
 
+import collections
 import hashlib
 import math
 import random
@@ -9,7 +10,13 @@ import mpmath
 import pytest
 
 from planardyn import collapse_map, plane_map, square_map
-from planardyn.dynamics import boundedness_certificate, limit_estimate, map_registry, orbit
+from planardyn.dynamics import (
+    boundedness_certificate,
+    displacement_scan,
+    limit_estimate,
+    map_registry,
+    orbit,
+)
 from planardyn.numerics import DEFAULT_TOLERANCES, DomainError, make_context, to_bigfloat
 from planardyn.plane_map import (
     _pinned,
@@ -355,6 +362,91 @@ def test_far_points_in_reach_map_as_before(prec, x, want):
     assert [_bits(v) for v in got] == [_bits(v) for v in composed]
     assert want is None or all(abs(v - ctx.mpf(w)) <= abs(v) * 2.0**-240 for v, w in zip(got, want))
     assert lifted_core(x, (0, 1), ctx)[1][2] == got
+
+
+# at 53 bits g's image of these points, whose chart preimages lie inside
+# the square, rounds onto the square's edge: the forward image of the
+# first, the inverse image of the second
+FAR_IMAGES = (((-51.53, 1.657e15), False), ((-73.12715117751975, -1778548318017595.2), True))
+
+
+def test_far_plane_images_are_out_of_reach():
+    # the error names the plane point, the direction and the precision,
+    # where it used to name the edge point that the tangent chart rejected
+    ctx = make_context(53)
+    for x, inverse in FAR_IMAGES:
+        assert all(abs(v) < 1 for v in tangent_chart(x, ctx, inverse=True))
+        with pytest.raises(DomainError) as got:
+            plane_homeo(x, ctx, inverse)
+        assert str(got.value) == (
+            f"plane point ({x[0]}, {x[1]}) out of reach at 53 bits: the chart preimage "
+            f"of its {'inverse' if inverse else 'forward'} image rounds onto the square's edge"
+        )
+        # the other direction is in reach
+        assert all(abs(v) > 1 for v in plane_homeo(x, ctx, not inverse))
+
+
+def _outcome(step, x):
+    """A step's image as exact bits, or its error's type and text."""
+    try:
+        return [_bits(v) for v in step(x)]
+    except DomainError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("prec", [None, 53, 256], ids=["fp", "53", "256"])
+def test_scan_step_is_plane_homeo_bit_for_bit(prec):
+    # the scans bind plane_homeo's step once, with the chart table: on
+    # points already typed in the context it is the public map bit for bit,
+    # its errors included.  The points: cell centers of plane_scan-sized
+    # grids, a criterion-09 disk sample, ray points, seeds whose preimage
+    # rounds onto a slit, a far preimage and far images
+    ctx = _context(prec)
+    rng = random.Random(3)
+    points = []
+    for _ in range(4):
+        x0, y0 = rng.uniform(-3.0, 2.5), rng.uniform(-3.0, 2.5)
+        points += [(x0 + (2 * i + 1) / 40, y0 + (2 * j + 1) / 40) for i in range(10) for j in range(10)]
+    while len(points) < 600:
+        x = (rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0))
+        if math.hypot(*x) <= 100.0:
+            points.append(x)
+    below = 0.9999999999999999
+    points += [(2.0, 0.0), (-1.0, 0.0), (1.0, -0.0), (below, 0.0), (-below, 0.0), (1e100, 2.0)]
+    points += [x for x, _ in FAR_IMAGES]
+    typed = [(to_bigfloat(a, ctx), to_bigfloat(b, ctx)) for a, b in points]
+    kinds = collections.Counter()
+    for inverse in (False, True):
+        step = plane_map._scan_step(ctx, inverse)
+        for x in typed:
+            got = _outcome(step, x)
+            assert got == _outcome(lambda p: plane_homeo(p, ctx, inverse), x), (x, inverse)
+            if on_ray(x):
+                kinds["ray"] += 1
+            elif type(got) is tuple:
+                kinds["image" if "preimage of its" in got[1] else "preimage"] += 1
+            elif _pinned(*tangent_chart(x, ctx, inverse=True)):
+                kinds["slit"] += 1
+    if prec is None:  # on doubles the slit seeds and far images follow libm
+        kinds = {k: kinds[k] for k in ("ray", "preimage")}
+    # at 256 bits neither the slit seeds nor the far images round
+    at_53 = {"slit": 4, "image": 2} if prec == 53 else {}
+    assert kinds == {"ray": 6, "preimage": 2, **at_53}
+
+
+def test_scan_looks_the_table_up_at_the_scan_precision():
+    # the table is looked up per scan, not kept on the registry: a context
+    # whose precision changes between two scans scans at the new one.  The
+    # one cell center is FAR_IMAGES' first point, out of reach at 53 bits
+    ctx = make_context(53)
+    h = map_registry(ctx)["h"]
+    region = ((-52.53, -50.53), (1.657e15 - 1, 1.657e15 + 1))
+    with pytest.raises(DomainError, match="out of reach at 53 bits"):
+        displacement_scan(h, region, (1, 1), ctx)
+    ctx.prec = 128
+    fresh = make_context(128)
+    want = displacement_scan(map_registry(fresh)["h"], region, (1, 1), fresh)
+    assert displacement_scan(h, region, (1, 1), ctx) == want
 
 
 @pytest.mark.parametrize("prec", [None, 53, 128, 256], ids=["fp", "53", "128", "256"])
