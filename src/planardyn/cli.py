@@ -140,6 +140,28 @@ def _orbit_csv(record) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _svg(x_lo, x_hi, y_lo, y_hi, draw) -> str:
+    """A 640-px SVG on a white background, the view [x_lo, x_hi] x [y_lo,
+    y_hi], whose elements ``draw(sx, sy)`` lists, given the maps of the
+    view's coordinates onto the frame's."""
+    size = 640.0
+
+    def sx(x):
+        return (float(x) - x_lo) / (x_hi - x_lo) * size
+
+    def sy(y):
+        return size - (float(y) - y_lo) / (y_hi - y_lo) * size
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
+        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
+        f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
+        *draw(sx, sy),
+        "</svg>",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _orbit_svg(record) -> str:
     pts = [(float(p[0]), float(p[1]) if len(p) > 1 else 0.0) for _, p in record.entries]
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
@@ -147,36 +169,16 @@ def _orbit_svg(record) -> str:
     y_lo, y_hi = min(ys), max(ys)
     pad_x = (x_hi - x_lo or 1.0) * 0.05
     pad_y = (y_hi - y_lo or 1.0) * 0.05
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
-    size = 640.0
 
-    def sx(x):
-        return (x - x_lo) / (x_hi - x_lo) * size
+    def draw(sx, sy):
+        path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        yield f'<polyline points="{path}" fill="none" stroke="#888" stroke-width="1"/>'
+        for (x, y), (n, _) in zip(pts, record.entries):
+            yield f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#c22"/>'
+            if n in (record.entries[0][0], 0, record.entries[-1][0]):
+                yield f'<text x="{sx(x) + 5:.2f}" y="{sy(y) - 5:.2f}" font-size="11">n={n}</text>'
 
-    def sy(y):
-        return size - (y - y_lo) / (y_hi - y_lo) * size
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
-        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
-        f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
-    ]
-    path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-    lines.append(
-        f'<polyline points="{path}" fill="none" stroke="#888" stroke-width="1"/>'
-    )
-    for (x, y), (n, _) in zip(pts, record.entries):
-        lines.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#c22"/>'
-        )
-        if n in (record.entries[0][0], 0, record.entries[-1][0]):
-            lines.append(
-                f'<text x="{sx(x) + 5:.2f}" y="{sy(y) - 5:.2f}" '
-                f'font-size="11">n={n}</text>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _svg(x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y, draw)
 
 
 def cmd_orbit(args) -> int:
@@ -211,49 +213,33 @@ def cmd_verify(args) -> int:
 
 
 def _geometry_svg(max_level: int) -> str:
-    size = 640.0
-    lo, hi = -1.1, 1.1
-
-    def sx(x):
-        return (float(x) - lo) / (hi - lo) * size
-
-    def sy(y):
-        return size - (float(y) - lo) / (hi - lo) * size
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
-        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
-        f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
-        f'<rect x="{sx(-1):.2f}" y="{sy(1):.2f}" width="{sx(1) - sx(-1):.2f}" '
-        f'height="{sy(-1) - sy(1):.2f}" fill="none" stroke="black" stroke-width="1.5"/>',
-    ]
-    for row in strip_table(max_level):
-        for key, dash in (("lo", ""), ("mid", ' stroke-dasharray="4 3"')):
-            if row[key] is None:
-                continue
-            y = Fraction(row[key])
-            lines.append(
-                f'<line x1="{sx(-1):.2f}" y1="{sy(y):.2f}" x2="{sx(1):.2f}" '
-                f'y2="{sy(y):.2f}" stroke="#46a" stroke-width="0.8"{dash}/>'
+    def draw(sx, sy):
+        yield (
+            f'<rect x="{sx(-1):.2f}" y="{sy(1):.2f}" width="{sx(1) - sx(-1):.2f}" '
+            f'height="{sy(-1) - sy(1):.2f}" fill="none" stroke="black" stroke-width="1.5"/>'
+        )
+        for row in strip_table(max_level):
+            for key, dash in (("lo", ""), ("mid", ' stroke-dasharray="4 3"')):
+                if row[key] is None:
+                    continue
+                y = Fraction(row[key])
+                yield (
+                    f'<line x1="{sx(-1):.2f}" y1="{sy(y):.2f}" x2="{sx(1):.2f}" '
+                    f'y2="{sy(y):.2f}" stroke="#46a" stroke-width="0.8"{dash}/>'
+                )
+        for x1, x2 in ((-1, Fraction(-1, 2)), (Fraction(1, 2), 1)):
+            yield (
+                f'<line x1="{sx(x1):.2f}" y1="{sy(0):.2f}" x2="{sx(x2):.2f}" '
+                f'y2="{sy(0):.2f}" stroke="#c22" stroke-width="3"/>'
             )
-    for x1, x2 in ((-1, Fraction(-1, 2)), (Fraction(1, 2), 1)):
-        lines.append(
-            f'<line x1="{sx(x1):.2f}" y1="{sy(0):.2f}" x2="{sx(x2):.2f}" '
-            f'y2="{sy(0):.2f}" stroke="#c22" stroke-width="3"/>'
-        )
-    seen = {}
-    for name, (px, py) in NAMED_POINTS.items():
-        offset = 12 * seen.get((px, py), 0)
-        seen[(px, py)] = seen.get((px, py), 0) + 1
-        lines.append(
-            f'<circle cx="{sx(px):.2f}" cy="{sy(py):.2f}" r="3" fill="#222"/>'
-        )
-        lines.append(
-            f'<text x="{sx(px) + 5:.2f}" y="{sy(py) - 4 + offset:.2f}" '
-            f'font-size="12">{name}</text>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        seen = {}
+        for name, (px, py) in NAMED_POINTS.items():
+            offset = 12 * seen.get((px, py), 0)
+            seen[(px, py)] = seen.get((px, py), 0) + 1
+            yield f'<circle cx="{sx(px):.2f}" cy="{sy(py):.2f}" r="3" fill="#222"/>'
+            yield f'<text x="{sx(px) + 5:.2f}" y="{sy(py) - 4 + offset:.2f}" font-size="12">{name}</text>'
+
+    return _svg(-1.1, 1.1, -1.1, 1.1, draw)
 
 
 def cmd_geometry(args) -> int:

@@ -5,14 +5,18 @@ check lives here, in plain functions returning :class:`Certificate`
 values: exact claims (boundary identity, monotone shear ladder, positive
 displacement, orientation signs) carry exact evidence, floating-point
 claims carry the tolerances they were checked at.  ``SUITE_TABLE`` lists
-each suite's rows in report order: a label and one call of its check on
-the run's ``CheckRun``.  That call states the check's sampler-seed offset
-and run values and is the only place they are stated: no check has a
-default seed or tolerance.  A ``CheckRun`` holds the context, the sampler
-seed and the tolerances, and builds the two values rows share on first
-read, once per run: ``core``, the canonical plane orbit, and
-``contrast_grid``, the contrast example's displacement grid.
-``run_suite`` runs a suite; the ``verify`` command prints its report and
+each suite's rows in report order: a label and one call on the run's
+``CheckRun`` that returns the row's one certificate, so a row that raises
+fails alone.  That call states the row's check or probe, its inputs and
+its sampler-seed offset, and is the only place they are stated: no check
+has a default seed or tolerance.  The offsets in use are 0-3 (core), 4, 5
+and 10 (xi) and 6-9 (plane); h's orientation row and ``example_contrast``
+both draw from +8.  A ``CheckRun`` holds the context, the sampler seed
+and the tolerances, and builds the two values rows share on first read,
+once per run: ``core``, the canonical plane orbit, and ``contrast_grid``,
+the contrast example's displacement grid, a row of its own that
+``example_contrast`` reads too.  ``run_suite`` runs a suite; the
+``verify`` command prints its report and
 the acceptance battery reads the same reports, so a green verify run and
 a green test suite are the same statement.
 """
@@ -26,7 +30,7 @@ from functools import cached_property, partial
 
 import mpmath
 from fractions import Fraction
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Sequence, Tuple
 
 from .collapse_map import (
     _collapse_charts,
@@ -1173,10 +1177,9 @@ def check_semiconjugacy(ctx, tol: Tolerances) -> Certificate:
     return Certificate("conjugacy", cert.passed and not cert.evidence["inconclusive"], cert.evidence)
 
 
-def check_displacement_battery(rng_seed: int, contrast_grid: Certificate) -> List[Certificate]:
-    """Positive displacement for the square map (exact), the plane map
-    (machine-float grid plus random disk samples: density is what matters
-    there, not digits), and the contrast example (the run's exact grid)."""
+def check_plane_displacement(rng_seed: int) -> Certificate:
+    """Positive displacement for the plane map on machine floats, where
+    density is what matters, not digits: a grid plus random disk samples."""
     fast_ctx = mpmath.fp
     h_spec = map_registry(fast_ctx)["h"]
     h_grid = displacement_scan(h_spec, ((-3, 3), (-3, 3)), (300, 300), fast_ctx)
@@ -1194,7 +1197,7 @@ def check_displacement_battery(rng_seed: int, contrast_grid: Certificate) -> Lis
         d = math.hypot(float(qx) - x, float(qy) - y)
         if rand_min is None or d < rand_min:
             rand_min, rand_argmin = d, (x, y)
-    h_cert = Certificate(
+    return Certificate(
         "fixedpointfree",
         h_grid.passed and rand_min > 0,
         {
@@ -1208,24 +1211,6 @@ def check_displacement_battery(rng_seed: int, contrast_grid: Certificate) -> Lis
             },
         },
     )
-    return [
-        displacement_scan(map_registry(None)["f"], ((-1, 1), (-1, 1)), (200, 200)),
-        h_cert,
-        contrast_grid,
-    ]
-
-
-def check_orientation_battery(ctx, rng_seed: int) -> List[Certificate]:
-    """Orientation reversal for the square map (exact triangles) and the
-    plane map (big-float triangles)."""
-    reg = map_registry(ctx)
-    samples = 10**3
-    return [
-        orientation_probe(reg["f"], samples, rng_seed),
-        orientation_probe(
-            reg["h"], samples, rng_seed + 1, region=((-2, 2), (-2, 2)), ctx=ctx
-        ),
-    ]
 
 
 def check_example_contrast(rng_seed: int, contrast_grid: Certificate) -> Certificate:
@@ -1275,9 +1260,11 @@ class CheckRun:
         return displacement_scan(map_registry(None)["example12"], ((-2, 2), (-2, 2)), (100, 100))
 
 
-# a row: the report label and the check's call on the run, whose seed
-# offsets are pinned by the goldens (the next unused offset is 11)
-SUITE_TABLE: Dict[str, Tuple[Tuple[str, Callable[[CheckRun], object]], ...]] = {
+# a row: the report label and the one call on the run that returns the
+# row's certificate.  The goldens pin every sampler-seed offset: 0-3 core,
+# 4, 5 and 10 xi, 6-9 plane, where h's orientation row and example_contrast
+# both draw from +8 (the next unused offset is 11)
+SUITE_TABLE: Dict[str, Tuple[Tuple[str, Callable[[CheckRun], Certificate]], ...]] = {
     "core": (
         ("boundary_identity", lambda run: check_boundary_identity()),
         ("rising_bijectivity", lambda run: check_rising_bijectivity(run.rng_seed)),
@@ -1297,8 +1284,16 @@ SUITE_TABLE: Dict[str, Tuple[Tuple[str, Callable[[CheckRun], object]], ...]] = {
         ("rays_exact", lambda run: check_rays_exact(run.ctx, run.rng_seed + 6)),
         ("plane_convergence", lambda run: check_plane_convergence(run.core)),
         ("excursion", lambda run: check_excursion(run.core)),
-        ("displacement", lambda run: check_displacement_battery(run.rng_seed + 9, run.contrast_grid)),
-        ("orientation", lambda run: check_orientation_battery(run.ctx, run.rng_seed + 7)),
+        ("displacement", lambda run: displacement_scan(map_registry(None)["f"], ((-1, 1), (-1, 1)), (200, 200))),
+        ("displacement", lambda run: check_plane_displacement(run.rng_seed + 9)),
+        ("displacement", lambda run: run.contrast_grid),
+        ("orientation", lambda run: orientation_probe(map_registry(None)["f"], 10**3, run.rng_seed + 7)),
+        (
+            "orientation",
+            lambda run: orientation_probe(
+                map_registry(run.ctx)["h"], 10**3, run.rng_seed + 8, region=((-2, 2), (-2, 2)), ctx=run.ctx
+            ),
+        ),
         ("semiconjugacy", lambda run: check_semiconjugacy(run.ctx, run.tol)),
         ("example_contrast", lambda run: check_example_contrast(run.rng_seed + 8, run.contrast_grid)),
         ("orbit_bounded", lambda run: _boundedness(*_CANONICAL, run.core, run.tol)),
@@ -1319,11 +1314,10 @@ def run_suite(name: str, ctx, rng_seed: int = DEFAULT_SAMPLER_SEED) -> dict:
     rows = []
     for label, check in SUITE_TABLE[name]:
         try:
-            out = check(run)
+            c = check(run)
         except Exception as exc:
-            out = Certificate("error", False, {"error": type(exc).__name__, "message": str(exc)})
-        for c in out if isinstance(out, list) else [out]:
-            rows.append({"kind": c.kind, "passed": c.passed, "evidence": {**c.evidence, "check": label}})
+            c = Certificate("error", False, {"error": type(exc).__name__, "message": str(exc)})
+        rows.append({"kind": c.kind, "passed": c.passed, "evidence": {**c.evidence, "check": label}})
     return {
         "suite": name,
         "passed": all(row["passed"] for row in rows),

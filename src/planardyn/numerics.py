@@ -35,10 +35,11 @@ Every piece increases, so A > 0, and the inverse of a piece is the same
 three integers transposed: (D*p - E*q) / (A*q) is ``_affine`` of
 (D, -E, A).  The blend rows of the square map are bilinear in x and the
 height: at a height their piece is again three integers, reduced by
-``_affine`` on narrow pairs; on wide ones (a denominator of 512 bits or
-more, ``square_map._WIDE``) its slope and intercept meet x in Fraction's
-own cross-reduction order (the products' gcds, then the gcd of the two
-denominators of the sum).
+``_affine`` for the inverse and, on narrow pairs, for the value; a value
+on wide ones (a denominator of 512 bits or more, ``square_map._WIDE``)
+has its slope and intercept meet x in Fraction's own cross-reduction
+order (the products' gcds, then the gcd of the two denominators of the
+sum).
 
 On that wide route each of those gcds splits off the power of two first
 (``square_map._sum`` and ``_product``), as the division in

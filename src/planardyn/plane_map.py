@@ -29,8 +29,10 @@ then ``_tangent``.  Between the stages pass two floats of the context,
 then integer pairs, then two floats again; none is converted a second
 time.  The displacement scans, on points already typed, bind ``_plane``
 to the table once per scan (``_scan_step``).  ``lifted_core`` looks the
-table up once per call and chains the same forms.  Where the chain fails,
-``_reach`` names a plane point out of reach at the precision.
+table up once per call and chains the same forms.  Both end each step in
+``_image``, the tangent chart at a collapse point; where the chain fails,
+``_reach`` names a plane point out of reach at the precision and, for an
+image, its step (forward, inverse or step n).
 
 ``example_shift_reflection`` is the classical shift-composed-with-
 reflection example of a fixed-point-free plane map with unbounded orbits,
@@ -70,6 +72,20 @@ def _reach(x, q, ctx, k, what="its chart preimage"):
     if abs(q[0]) == k["one"] or abs(q[1]) == k["one"]:
         edge = f"{what} rounds onto the square's edge"
         raise DomainError(f"plane point ({x[0]}, {x[1]}) out of reach at {ctx.prec} bits: {edge}")
+
+
+def _image(x, q, c, n, ctx, k):
+    """The plane point of ``c``, the collapse point of the step-``n`` image
+    of the plane point ``x`` whose chart preimage is ``q``: ``_tangent`` at
+    ``c``.  Where that fails, ``_reach`` names ``x`` if ``q`` or ``c`` has
+    rounded onto the square's edge."""
+    try:
+        return _tangent(*c, k)
+    except DomainError:
+        _reach(x, q, ctx, k)
+        image = {1: "forward", -1: "inverse"}.get(n, f"step {n}")
+        _reach(x, c, ctx, k, f"the chart preimage of its {image} image")
+        raise
 
 
 def tangent_chart(p, ctx, inverse: bool = False):
@@ -167,15 +183,8 @@ def _plane(x, u, inverse, ctx, k):
     x1, x2 = x
     if on_ray(x):
         return (-x1, x2)
-    q, w = _tangent_inv(*u, k), None
-    try:
-        w = _quotient(q, q, inverse, ctx, k)
-        return _tangent(*w, k)
-    except DomainError:
-        _reach(x, q, ctx, k)
-        if w:  # g's image of q, which the tangent chart rejected
-            _reach(x, w, ctx, k, f"the chart preimage of its {('forward', 'inverse')[inverse]} image")
-        raise
+    q = _tangent_inv(*u, k)
+    return _image(x, q, _quotient(q, q, inverse, ctx, k), -1 if inverse else 1, ctx, k)
 
 
 def plane_homeo(x, ctx, inverse: bool = False):
@@ -218,7 +227,7 @@ def _lifted(x, windows: Sequence[Tuple[int, int]], ctx):
         return ((n, None, *cycle[n % 2]) for n in steps)
     w0 = _square_pairs(_collapse_inv(q, q, k), ctx)
     pushed = ((n, w, _collapse_exact(*w, k)) for n, w in _orbit(w0, steps))
-    return ((n, w, c, _tangent(*c, k)) for n, w, c in pushed)
+    return ((n, w, c, _image(x, q, c, n, ctx, k)) for n, w, c in pushed)
 
 
 def lifted_core(

@@ -36,13 +36,14 @@ at the end.  ``_row_at`` picks the strip shear's row at a height off one
 cached record per level, and the row is evaluated pointwise, never built
 as a PLFunction: the identity at or below 3/4 and on the top line, on a
 shear zone by the level's rule, on a blend zone from the level's cached
-coefficients, bilinear in (r, s).  The blend row alone tests a pair's
-width and picks a route: on narrow pairs the row's piece at the height is
-one ``numerics._affine`` step at r (its transpose for the inverse),
-reduced by two gcds with a small operand each; where a denominator is
-wide (``_WIDE``), slope and intercept first, then Fraction's
-cross-reduction order in the wide kernels (``_sum``, ``_product``), whose
-gcds split off the power of two.  The orientation probe's piece key
+coefficients, bilinear in (r, s).  The blend row's inverse at the height
+is one ``numerics._affine`` step at r, its piece transposed, reduced by
+two gcds with a small operand each.  Its value alone tests a pair's width
+and picks a route: on narrow pairs the same one ``_affine`` step; where a
+denominator is wide (``_WIDE``), slope and intercept first, then
+Fraction's cross-reduction order in the wide kernels (``_sum``,
+``_product``), whose gcds split off the power of two.  The orientation
+probe's piece key
 (``_forward_piece_key``) is ``_homeo``'s branch, read off the same pairs
 and the same row.  ``row_map`` builds the row, only as the tests'
 reference.
@@ -92,10 +93,11 @@ from .strips import (
 SquarePoint = Tuple[Fraction, Fraction]
 # a point as integers (rn, rd, sn, sd): r = rn/rd and s = sn/sd in lowest terms
 PointPairs = Tuple[int, int, int, int]
-# A blend row takes the wide route (``_sum``, ``_product``: gcds with the
-# power of two split off) when the abscissa's or the height's denominator
-# reaches this width, else the narrow one (``_affine``); on a strip-wall
-# lift the wide route's gcds run on odd parts of a few hundred bits.
+# A blend row's value takes the wide route (``_sum``, ``_product``: gcds
+# with the power of two split off) when the abscissa's or the height's
+# denominator reaches this width, else the narrow one (``_affine``); on a
+# strip-wall lift the wide route's gcds run on odd parts of a few hundred
+# bits.
 _WIDE = 1 << 512
 
 # Distinguished points: corners v1..v4, edge midpoints v5..v8, slit inner
@@ -327,14 +329,7 @@ class _BlendZone:
         (r - intercept) / slope, the row's piece transposed; the slope
         A1*p + E1*q is positive, as an increasing row's is."""
         a1, e1, a2, e2, d = self.pieces[self.piece(rn, rd, p, q, True)]
-        if rd < _WIDE and q < _WIDE:
-            return _affine(d * q, -(a2 * p + e2 * q), a1 * p + e1 * q, rn, rd)
-        cn, cd = _affine(a2, e2, d, p, q)
-        n, nd = _sum(rn, rd, -cn, cd)
-        mn, md = _affine(a1, e1, d, p, q)
-        # dividing by the positive slope multiplies by md/mn, a pair in
-        # lowest terms, as ``Fraction`` divides
-        return _product(n, nd, md, mn)
+        return _affine(d * q, -(a2 * p + e2 * q), a1 * p + e1 * q, rn, rd)
 
 
 @lru_cache(maxsize=None)

@@ -129,7 +129,22 @@ def test_orbit_departure_is_one_stderr_line(capsys, steps):
     # the preimage is in reach; g's image of it rounds onto the edge
     (["eval", "--map", "h", "--point=-51.53,1.657e15", "--approx", "--precision", "53"],
      "(-51.53, 1657000000000000.0) out of reach at 53 bits: the chart preimage of its forward image"),
-], ids=["eval", "orbit", "eval-image"])
+    # orbits of the two far images name the seed and the step that fails
+    (["orbit", "--map", "h", "--seed=-51.53,1.657e15", "--approx", "--precision", "53",
+      "--steps", "2"],
+     "(-51.53, 1657000000000000.0) out of reach at 53 bits: the chart preimage of its forward image"),
+    (["orbit", "--map", "h", "--seed=-73.12715117751975,-1778548318017595.2", "--approx",
+      "--precision", "53", "--steps=-2..0"],
+     "(-73.12715117751975, -1778548318017595.2) out of reach at 53 bits: "
+     "the chart preimage of its step -2 image"),
+    (["excursion", "--seed=-51.53,1.657e15", "--approx", "--precision", "53", "--steps", "2"],
+     "(-51.53, 1657000000000000.0) out of reach at 53 bits: the chart preimage of its forward image"),
+    (["excursion", "--seed=-73.12715117751975,-1778548318017595.2", "--approx",
+      "--precision", "53", "--steps", "2"],
+     "(-73.12715117751975, -1778548318017595.2) out of reach at 53 bits: "
+     "the chart preimage of its step -2 image"),
+], ids=["eval", "orbit", "eval-image", "orbit-image", "orbit-inverse-image", "excursion-image",
+        "excursion-inverse-image"])
 def test_far_plane_point_exits_2_naming_it(capsys, argv, where):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -557,19 +557,30 @@ def test_precision_scaling_catches_a_double_on_the_chart_path(monkeypatch, tol):
     assert high["roundtrip_worst_error"] > 2.0**-60 > high["roundtrip_tolerance"]
 
 
+# the probes that rows call directly; their ``ctx=None`` is exact
+# arithmetic, not a run value, and a row probing a map bound to the run's
+# context passes it
+PROBES = ("displacement_scan", "orientation_probe")
+
+
 def _suite_checks():
     """Every function a suite row calls, by name."""
     names = [name for name in vars(dyn) if name.startswith("check_")]
-    return {name: getattr(dyn, name) for name in names + ["_boundedness", "boundedness_certificate"]}
+    names += ["_boundedness", "boundedness_certificate", *PROBES]
+    return {name: getattr(dyn, name) for name in names}
 
 
 def test_checks_take_seed_and_tolerances_from_the_table():
     # the suite table is the only statement of a check's seed and run values
     checks = _suite_checks()
-    assert len(checks) == 20  # one per row
+    # one per row, but two probes serve two rows each: orientation_probe
+    # both orientation rows, displacement_scan f's grid and contrast_grid
+    assert len(checks) == len(dyn.SUITE_TABLE["all"]) - 2 == 21
     for label, check in checks.items():
         params = inspect.signature(check).parameters
         for name in ("rng_seed", "tol", "ctx", "core", "contrast_grid"):
+            if name == "ctx" and label in PROBES:
+                continue
             if name in params:
                 assert params[name].default is inspect.Parameter.empty, (label, name)
 
@@ -580,14 +591,12 @@ def stubbed_checks(monkeypatch):
     real signature and records (check name, sampler seed); returns the
     record.  The row lambdas look the checks up when they run."""
     calls = []
-    certs_per_check = {"check_displacement_battery": 3, "check_orientation_battery": 2}
 
     def stub(name, real):
         def check(*args, **kwargs):
             bound = inspect.signature(real).bind(*args, **kwargs)
             calls.append((name, bound.arguments.get("rng_seed")))
-            certs = [dyn.Certificate("stub", True, {}) for _ in range(certs_per_check.get(name, 1))]
-            return certs if name in certs_per_check else certs[0]
+            return dyn.Certificate("stub", True, {})
 
         return check
 
@@ -598,7 +607,8 @@ def stubbed_checks(monkeypatch):
 
 def test_shared_run_values_are_built_on_first_read(monkeypatch, ctx, stubbed_checks):
     # the core and collapse suites read neither shared value; the plane
-    # suite builds each once, for the two rows that read it
+    # suite builds each once, for the two rows that read it.  f's grid is a
+    # scan of its own, in its row
     built = []
     stub_grid = dyn.Certificate("stub", True, {})
     monkeypatch.setattr(dyn, "_lifted", lambda *a: built.append("core") or [])
@@ -607,7 +617,7 @@ def test_shared_run_values_are_built_on_first_read(monkeypatch, ctx, stubbed_che
         assert dyn.run_suite(name, ctx)["passed"]
         assert built == [], name
     dyn.run_suite("plane", ctx)
-    assert sorted(built) == ["core", "example12"]
+    assert sorted(built) == ["core", "example12", "f"]
 
 
 def test_run_suite_core(suite_report):
@@ -765,11 +775,12 @@ def test_run_suite_records_a_raising_check_as_a_failed_certificate(monkeypatch, 
 
 
 def test_run_suite_writes_nothing_into_a_certificate(monkeypatch, ctx):
-    # two rows return one certificate object, as rows that share a run
-    # value can: each report row carries its own label, and the
-    # certificate's evidence is the one its check made
+    # two rows return one certificate object, as the contrast grid's row
+    # and any row that returns a shared run value can: each report row
+    # carries its own label, and the certificate's evidence is the one its
+    # check made
     shared = dyn.Certificate("stub", True, {"value": 1})
-    table = (("first", lambda run: shared), ("second", lambda run: [shared]))
+    table = (("first", lambda run: shared), ("second", lambda run: shared))
     monkeypatch.setitem(dyn.SUITE_TABLE, "core", table)
     report = dyn.run_suite("core", ctx)
     assert shared.evidence == {"value": 1}
@@ -780,31 +791,31 @@ def test_run_suite_writes_nothing_into_a_certificate(monkeypatch, ctx):
 
 
 def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, stubbed_checks):
-    # every check is stubbed (each records its sampler seed), and so is
-    # every shared run value
+    # every check and probe is stubbed (each records its name and sampler
+    # seed), and so is the core; the contrast grid's row builds the grid
+    # with the stubbed scan
     monkeypatch.setattr(dyn.CheckRun, "core", [])
-    monkeypatch.setattr(dyn.CheckRun, "contrast_grid", dyn.Certificate("stub", True, {}))
-    seeds = []
+    rows = []
 
     def run_suite(name):
         stubbed_checks.clear()
         report = dyn.run_suite(name, ctx, rng_seed=100)
-        # one check call per row, in row order
+        # one call per row, in row order
         labels = [label for label, _ in dyn.SUITE_TABLE[name]]
-        seeds.extend(zip(labels, [seed for _, seed in stubbed_checks], strict=True))
+        rows.extend((label, *call) for label, call in zip(labels, stubbed_checks, strict=True))
         return report
 
     run_suite("core")
-    assert seeds == [
-        ("boundary_identity", None),
-        ("rising_bijectivity", 100),
-        ("seam_agreement", None),
-        ("reversal_symmetry", 101),
-        ("ladder_canonical", None),
-        ("ladder_random", 102),
-        ("interior_limits", 103),
+    assert rows == [
+        ("boundary_identity", "check_boundary_identity", None),
+        ("rising_bijectivity", "check_rising_bijectivity", 100),
+        ("seam_agreement", "check_seam_agreement", None),
+        ("reversal_symmetry", "check_reversal_symmetry", 101),
+        ("ladder_canonical", "check_ladder_canonical", None),
+        ("ladder_random", "check_ladder_random", 102),
+        ("interior_limits", "check_interior_limits", 103),
     ]
-    seeds.clear()
+    rows.clear()
     xi = run_suite("xi")
     assert [c["evidence"]["check"] for c in xi["certificates"]] == [
         "collapse_conditions",
@@ -827,20 +838,72 @@ def test_suite_table_labels_and_seed_offsets(monkeypatch, ctx, stubbed_checks):
         "orbit_bounded",
         "ray_period_two",
     ]
-    assert seeds == [
-        ("collapse_conditions", 104),
-        ("cone_bijectivity", 105),
-        ("precision_scaling", 110),
-        ("slit_continuity", None),
-        ("rays_exact", 106),
-        ("plane_convergence", None),
-        ("excursion", None),
-        ("displacement", 109),
-        ("orientation", 107),
-        ("semiconjugacy", None),
-        ("example_contrast", 108),
-        ("orbit_bounded", None),
-        ("ray_period_two", None),
+    # h's orientation row and example_contrast both draw from offset 8
+    assert rows == [
+        ("collapse_conditions", "check_collapse_conditions", 104),
+        ("cone_bijectivity", "check_cone_bijectivity", 105),
+        ("precision_scaling", "check_precision_scaling", 110),
+        ("slit_continuity", "check_slit_continuity", None),
+        ("rays_exact", "check_rays_exact", 106),
+        ("plane_convergence", "check_plane_convergence", None),
+        ("excursion", "check_excursion", None),
+        ("displacement", "displacement_scan", None),
+        ("displacement", "check_plane_displacement", 109),
+        ("displacement", "displacement_scan", None),
+        ("orientation", "orientation_probe", 107),
+        ("orientation", "orientation_probe", 108),
+        ("semiconjugacy", "check_semiconjugacy", None),
+        ("example_contrast", "check_example_contrast", 108),
+        ("orbit_bounded", "_boundedness", None),
+        ("ray_period_two", "boundedness_certificate", None),
+    ]
+
+
+@pytest.mark.parametrize("suite", ["core", "xi", "plane"])
+def test_reports_hold_one_certificate_per_row(suite_report, suite):
+    # each row returns one certificate, which ``run_suite`` reports as is
+    report = suite_report(suite)
+    labels = [label for label, _ in dyn.SUITE_TABLE[suite]]
+    assert [c["evidence"]["check"] for c in report["certificates"]] == labels
+    if suite == "plane":
+        # three displacement and two orientation rows, each naming its map,
+        # in the order the goldens select them by
+        assert [(c["evidence"]["check"], c["evidence"].get("map")) for c in report["certificates"]] == [
+            ("slit_continuity", None),
+            ("rays_exact", None),
+            ("plane_convergence", None),
+            ("excursion", None),
+            ("displacement", "f"),
+            ("displacement", "h"),
+            ("displacement", "example12"),
+            ("orientation", "f"),
+            ("orientation", "h"),
+            ("semiconjugacy", None),
+            ("example_contrast", None),
+            ("orbit_bounded", None),
+            ("ray_period_two", None),
+        ]
+
+
+def test_a_raising_probe_fails_its_own_row_only(monkeypatch, ctx, stubbed_checks):
+    # h's orientation probe raises: f's orientation row keeps its evidence
+    monkeypatch.setattr(dyn.CheckRun, "core", [])
+
+    def probe(spec, *args, **kwargs):
+        if spec.name == "h":
+            raise DomainError("probe failed")
+        return dyn.Certificate("orientation", True, {"map": spec.name})
+
+    monkeypatch.setattr(dyn, "orientation_probe", probe)
+    report = dyn.run_suite("plane", ctx, rng_seed=100)
+    rows = [c for c in report["certificates"] if c["evidence"]["check"] == "orientation"]
+    assert rows == [
+        {"kind": "orientation", "passed": True, "evidence": {"map": "f", "check": "orientation"}},
+        {
+            "kind": "error",
+            "passed": False,
+            "evidence": {"error": "DomainError", "message": "probe failed", "check": "orientation"},
+        },
     ]
 
 

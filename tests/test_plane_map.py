@@ -386,6 +386,29 @@ def test_far_plane_images_are_out_of_reach():
         assert all(abs(v) > 1 for v in plane_homeo(x, ctx, not inverse))
 
 
+def test_lifted_orbits_of_far_plane_images_name_the_plane_point():
+    # the lift's steps end in the tangent chart as plane_homeo's does, and
+    # name the seed, the step and the precision, not the edge point
+    ctx = make_context(53)
+    for x, inverse in FAR_IMAGES:
+        with pytest.raises(DomainError) as want:
+            plane_homeo(x, ctx, inverse)
+        sign = -1 if inverse else 1
+        with pytest.raises(DomainError) as got:
+            lifted_core(x, tuple(sorted((0, sign))), ctx)
+        # steps 1 and -1 are the forward and the inverse image
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError) as got:
+            lifted_core(x, tuple(sorted((0, 2 * sign))), ctx)
+        # kept steps are pushed in order: the first that fails is step 1
+        # forward and step -2 backward
+        image = "step -2" if inverse else "forward"
+        assert str(got.value) == (
+            f"plane point ({x[0]}, {x[1]}) out of reach at 53 bits: the chart preimage of its "
+            f"{image} image rounds onto the square's edge"
+        )
+
+
 def _outcome(step, x):
     """A step's image as exact bits, or its error's type and text."""
     try:
